@@ -1,17 +1,17 @@
-//! Scaling of the parallel sweep executor and the per-key replay lanes.
+//! Scaling of the parallel sweep executor and the set-sharded replay lanes.
 //!
 //! Two parallel paths ride on the recorded small-scale MPEG-2 trace. The
 //! *sweep* pair times the same three-organisation replay batch on the
 //! work-stealing pool with one worker (`serial_sweep`) and four workers
 //! (`jobs4_sweep`); their ratio is the wall-clock speed-up `compmem sweep
 //! --jobs 4` enjoys on the measuring machine. The *lane* trio times the
-//! set-partitioned replay split into independent per-partition-key lanes
-//! merged back into one report (`lanes1`/`lanes2`/`lanes4` worker
-//! threads); intra-scenario scaling that a batch of whole scenarios
-//! cannot expose. `composed_sweep` stacks the two layers (four batch
-//! workers, each eligible row on up to two lanes) and the
-//! `profile_serial`/`profile_lanes4` pair times the lane-parallel
-//! stack-distance pass against the serial profiler. Byte-identical
+//! set-partitioned replay split into independent set shards merged back
+//! into one report (`lanes1`/`lanes2`/`lanes4` worker threads);
+//! intra-scenario scaling that a batch of whole scenarios cannot expose.
+//! `composed_sweep` stacks the two layers (four batch workers, each row
+//! on up to two lanes) and the `profile_serial`/`profile_lanes4` pair
+//! times the set-sharded stack-distance pass against the serial
+//! profiler. Byte-identical
 //! parity of every parallel path against its serial reference is
 //! asserted before any timing. The committed
 //! `BENCH_sweep.json` baseline is produced with
@@ -28,9 +28,10 @@ use compmem::executor::run_batch;
 use compmem::experiment::{run_replay, ReplayParallelism, ScenarioSpec};
 use compmem_bench::{mpeg2_experiment, Scale};
 use compmem_cache::{
-    CurveResolution, OrganizationSpec, PartitionKey, PartitionMap, PartitionSchedule, WayAllocation,
+    CurveResolution, OrganizationSpec, PartitionKey, PartitionMap, PartitionSchedule,
+    WayAllocation, WindowConfig,
 };
-use compmem_platform::{profile_trace, profile_trace_lanes, replay_lanes};
+use compmem_platform::{profile_trace, profile_trace_windowed_lanes, replay_lanes};
 
 fn bench_sweep_parallel(c: &mut Criterion) {
     let scale = Scale::Small;
@@ -75,33 +76,41 @@ fn bench_sweep_parallel(c: &mut Criterion) {
     let schedule = PartitionSchedule::single(OrganizationSpec::SetPartitioned(set_map));
     let reference = &serial[1].as_ref().expect("replay succeeds").report;
     let lanes = replay_lanes(&platform, l2, &schedule, &trace, 4).expect("lane replay succeeds");
-    assert!(lanes.lanes > 1, "the trace must split into several lanes");
+    assert!(
+        lanes.decision.shards > 1,
+        "the trace must split into set shards"
+    );
     assert_eq!(lanes.l1, reference.l1);
     assert_eq!(lanes.l2, reference.l2);
     assert_eq!(lanes.dram_accesses, reference.dram_accesses);
     assert_eq!(lanes.dram_writebacks, reference.dram_writebacks);
     println!(
-        "trace: {} accesses, {} partition lanes over {} keys",
+        "trace: {} accesses, {} set shards over {} keys",
         trace.accesses(),
-        lanes.lanes,
+        lanes.decision.shards,
         keys.len()
     );
 
-    // The lane-parallel profiling pass must reproduce the serial curves
+    // The set-sharded profiling pass must reproduce the serial curves
     // point for point before its timing means anything.
     let resolution = CurveResolution::for_geometry(l2.geometry(), 16)
         .expect("the small L2 supports the paper's 16-set resolution");
+    let whole_run = WindowConfig::whole_run();
+    let profile_lanes4 = || {
+        profile_trace_windowed_lanes(&platform, &trace, resolution, whole_run, 4)
+            .expect("lane profiling succeeds")
+            .total
+    };
     let curves_serial =
         profile_trace(&platform, &trace, resolution).expect("serial profiling succeeds");
-    let curves_lanes =
-        profile_trace_lanes(&platform, &trace, resolution, 4).expect("lane profiling succeeds");
+    let curves_lanes = profile_lanes4();
     assert_eq!(
         curves_serial, curves_lanes,
         "lane-parallel profiling must be point-for-point identical to the serial pass"
     );
 
-    // Composed batch x lane sweep: four batch workers, each eligible row
-    // split over up to two lanes. Cache-side counters must match the
+    // Composed batch x lane sweep: four batch workers, each row split
+    // over up to two lanes. Cache-side counters must match the
     // serial batch exactly (timing is not reconstructed by lanes).
     let composed_specs: Vec<ScenarioSpec> = specs
         .iter()
@@ -153,11 +162,7 @@ fn bench_sweep_parallel(c: &mut Criterion) {
         })
     });
     group.bench_function("profile_lanes4", |b| {
-        b.iter(|| {
-            let curves = profile_trace_lanes(&platform, &trace, resolution, 4)
-                .expect("lane profiling succeeds");
-            black_box(curves.accesses())
-        })
+        b.iter(|| black_box(profile_lanes4().accesses()))
     });
     group.finish();
 }

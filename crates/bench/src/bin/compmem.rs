@@ -12,7 +12,7 @@
 //!                      [--scan-kb N] [--phase-accesses N] [--cycles-per-access N]
 //!                      [--tasks family[:SIZE][xMULT],...]
 //! compmem replay       --trace FILE [--org ORG] [--l2-kb N] [--ways N]
-//!                      [--policy lru|fifo|tree-plru|random] [--lanes N] [--jobs N]
+//!                      [--policy lru|fifo|tree-plru|random] [--lanes N]
 //!                      [--qos RATE|key=rate,... [--sets-per-unit N] [--solve KIND]]
 //!                      [--schedule phases|PATH [--sets-per-unit N] [--windows N]
 //!                       [--phases DELTA] [--solve KIND] [--save-schedule PATH]]
@@ -23,7 +23,7 @@
 //! compmem profile      --trace FILE [--l2-kb N] [--ways N] [--sets-per-unit N]
 //!                      [--solve exact-ilp|greedy|equal-split]
 //!                      [--windows N | --window-cycles N] [--phases DELTA]
-//!                      [--save-curves auto|off|PATH] [--lanes N] [--jobs N]
+//!                      [--save-curves auto|off|PATH] [--lanes N]
 //! compmem sweep-shapes --trace FILE [--l2-kb N] [--ways N] [--sets-per-unit N]
 //!                      [--check-replay on|off] [--save-curves auto|off|PATH]
 //! compmem info         --trace FILE [--schedule PATH] [--l2-kb N] [--ways N]
@@ -68,7 +68,7 @@ fn usage() {
          [--cycles-per-access N] [--tasks family[:SIZE][xMULT],...]\n  \
          compmem replay --trace FILE \
          [--org ORG] [--l2-kb N] [--ways N] [--policy lru|fifo|tree-plru|random] \
-         [--lanes N] [--jobs N] \
+         [--lanes N] \
          [--qos RATE|key=rate,... [--sets-per-unit N] [--solve KIND]] \
          [--schedule phases|PATH [--sets-per-unit N] [--windows N] [--phases DELTA] \
          [--solve KIND] [--save-schedule PATH]] \
@@ -77,7 +77,7 @@ fn usage() {
          compmem sweep --trace FILE [--l2-kb N[,N...]] [--ways N] [--jobs N] [--lanes N]\n  \
          compmem profile --trace FILE [--l2-kb N] [--ways N] [--sets-per-unit N] \
          [--solve exact-ilp|greedy|equal-split] [--windows N | --window-cycles N] \
-         [--phases DELTA] [--save-curves auto|off|PATH] [--lanes N] [--jobs N]\n  \
+         [--phases DELTA] [--save-curves auto|off|PATH] [--lanes N]\n  \
          compmem sweep-shapes --trace FILE [--l2-kb N] [--ways N] [--sets-per-unit N] \
          [--check-replay on|off] [--jobs N] [--lanes N] [--save-curves auto|off|PATH]\n  \
          compmem info --trace FILE [--schedule PATH] [--l2-kb N] [--ways N]\n  \
@@ -85,9 +85,8 @@ fn usage() {
          compmem client put|profile|sweep-shapes|schedule|info|stats|shutdown \
          [--port N] [--trace FILE | --hash HEX] [forwarded flags...]\n\
          (--jobs N bounds the worker pool of a sweep — default: the host's available \
-         parallelism — and runs the L1 filter pass of a replay/profile \
-         segment-parallel; --lanes N splits a replay or profiling pass into \
-         per-partition-key lanes, required on replay and opportunistic on sweep; \
+         parallelism; --lanes N splits a replay or profiling pass into set shards \
+         on up to N workers, required on replay and opportunistic on sweep; \
          serve answers sidecar-covered requests analytically and queues the rest \
          on --jobs workers shared by all clients)"
     );

@@ -30,8 +30,8 @@ use compmem_cache::{
     PartitionSchedule, ReplacementPolicy, WayAllocation, WindowConfig, WindowedCurves,
 };
 use compmem_platform::{
-    lane_eligibility, profile_trace_windowed_lanes, profile_trace_with_sidecar_lanes,
-    PlatformConfig, PreparedTrace, SidecarOutcome,
+    profile_shards, profile_trace_windowed_lanes, profile_trace_with_sidecar_lanes, PlatformConfig,
+    PreparedTrace, SidecarOutcome,
 };
 use compmem_trace::gen::{generate, provenance, GenKind, GenSpec, GenTask};
 use compmem_trace::{
@@ -133,19 +133,6 @@ pub(crate) fn get<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a s
 fn jobs_flag(flags: &[(String, String)]) -> Result<usize, String> {
     match get(flags, "jobs") {
         None => Ok(compmem::executor::default_jobs()),
-        Some(value) => match value.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err("--jobs needs a number of at least 1".to_string()),
-        },
-    }
-}
-
-/// Segment-parallel L1-filter workers of a single replay/profile
-/// invocation: `--jobs N`, defaulting to 1 (serial). Unlike a sweep's
-/// batch pool there is only one replay to run, so parallelism is opt-in.
-fn segment_jobs_flag(flags: &[(String, String)]) -> Result<usize, String> {
-    match get(flags, "jobs") {
-        None => Ok(1),
         Some(value) => match value.parse::<usize>() {
             Ok(n) if n >= 1 => Ok(n),
             _ => Err("--jobs needs a number of at least 1".to_string()),
@@ -477,10 +464,10 @@ pub(crate) fn window_config(flags: &[(String, String)]) -> Result<WindowConfig, 
 /// Profiles a trace, reusing or writing the sidecar as configured, and
 /// narrates what happened with the persistence layer.
 ///
-/// `lanes > 1` runs the pass lane-parallel (one worker per partition-key
-/// shard, merged exactly); the notice goes to stderr because stdout —
-/// tables, sidecar narration, and the sidecar bytes themselves — is
-/// identical to a serial run, and CI diffs it to prove that.
+/// `lanes > 1` splits the pass into set shards (merged exactly); the
+/// shard-count notice goes to stderr because stdout — tables, sidecar
+/// narration, and the sidecar bytes themselves — is identical to a
+/// serial run, and CI diffs it to prove that.
 fn profile_with_policy(
     platform: &PlatformConfig,
     trace: &PreparedTrace,
@@ -490,17 +477,17 @@ fn profile_with_policy(
     lanes: usize,
     out: &mut dyn Write,
 ) -> Result<WindowedCurves, String> {
-    if lanes > 1 {
-        eprintln!("note: profiling on up to {lanes} lane workers (results match a serial pass)");
-    }
-    match sidecar {
-        None => profile_trace_windowed_lanes(platform, trace, resolution, window, lanes)
-            .map_err(|e| e.to_string()),
+    let (windowed, measured) = match sidecar {
+        None => (
+            profile_trace_windowed_lanes(platform, trace, resolution, window, lanes)
+                .map_err(|e| e.to_string())?,
+            true,
+        ),
         Some(path) => {
             let (windowed, outcome) =
                 profile_trace_with_sidecar_lanes(platform, trace, resolution, window, path, lanes)
                     .map_err(|e| e.to_string())?;
-            match outcome {
+            match &outcome {
                 SidecarOutcome::Reused => outln!(
                     out,
                     "reusing persisted curves from {} (L1 filter pass skipped)",
@@ -515,9 +502,17 @@ fn profile_with_policy(
                     path.display()
                 ),
             }
-            Ok(windowed)
+            (windowed, outcome != SidecarOutcome::Reused)
         }
+    };
+    if lanes > 1 && measured {
+        eprintln!(
+            "note: profiled on {} set shards with up to {lanes} workers (results match a \
+             serial pass)",
+            profile_shards(resolution, lanes)
+        );
     }
+    Ok(windowed)
 }
 
 pub(crate) fn l2_config(flags: &[(String, String)]) -> Result<CacheConfig, String> {
@@ -1050,12 +1045,6 @@ fn replay_controller(
         .map_err(|e| e.to_string())?;
     config.optimizer = solver_kind(flags)?;
     let platform = PlatformConfig::default();
-    // `--jobs N` parallelises the one-off L1 filter pass; the controlled
-    // replay itself is serial and reads the same filtered trace either
-    // way, so the output is byte-identical across jobs counts.
-    trace
-        .filtered_for_jobs(&platform, segment_jobs_flag(flags)?)
-        .map_err(|e| e.to_string())?;
 
     if name == "compete" {
         let mut greedy = Greedy;
@@ -1138,31 +1127,27 @@ fn replay_controller(
 
 /// The [`ReplayParallelism`] of a single replay invocation. `--lanes`
 /// on `replay` is **required**: asking for lanes on a scenario that
-/// cannot split exactly is a hard error naming the reason, never a
-/// silent serial run.
+/// cannot split is a hard error naming the set group that blocks it,
+/// never a silent serial run.
 fn replay_parallelism(flags: &[(String, String)]) -> Result<ReplayParallelism, String> {
     let lanes = lanes_flag(flags)?;
-    let request = if lanes > 1 {
+    Ok(if lanes > 1 {
         ReplayParallelism::required_lanes(lanes)
     } else {
-        ReplayParallelism::default()
-    };
-    Ok(request.with_segment_jobs(segment_jobs_flag(flags)?))
+        ReplayParallelism::Serial
+    })
 }
 
 /// Narrates how a laned replay split (printed after the outcome row).
 fn print_lane_decision(outcome: &RunOutcome, out: &mut dyn Write) -> Result<(), String> {
     if let Some(decision) = outcome.lane_decision {
-        match decision.fallback {
-            None => outln!(
-                out,
-                "lane split: {} per-key lanes on up to {} workers (cache-side counters \
-                 lane-exact; no makespan)",
-                decision.lanes,
-                decision.requested
-            ),
-            Some(reason) => outln!(out, "lane split: fell back to one serial lane — {reason}",),
-        }
+        outln!(
+            out,
+            "lane split: {} set shards on up to {} workers (smallest set group {} sets)",
+            decision.shards,
+            decision.requested,
+            decision.smallest_group
+        );
     }
     Ok(())
 }
@@ -1379,14 +1364,13 @@ fn sweep(
         .map_err(|_| "--ways needs a number".to_string())?;
     let jobs = jobs_flag(&flags)?;
     let lanes = lanes_flag(&flags)?;
-    // Lanes on a sweep are opportunistic: rows whose organisation cannot
-    // split exactly (shared, overlapping way masks) fall back to one
-    // serial lane instead of failing, so the grid always fills. The
-    // cache-side counters are identical either way.
+    // Lanes on a sweep are opportunistic: rows that cannot split (a
+    // one-set group) replay serially instead of failing, so the grid
+    // always fills. The cache-side counters are identical either way.
     let parallelism = if lanes > 1 {
         ReplayParallelism::lanes(lanes)
     } else {
-        ReplayParallelism::default()
+        ReplayParallelism::Serial
     };
     let platform = PlatformConfig::default();
 
@@ -1431,7 +1415,10 @@ fn sweep(
         }
         match (spec, outcome) {
             (Err(e), _) => outln!(out, "{name:<24} (skipped: {e})"),
-            (Ok(_), Ok(outcome)) => print_outcome_row(name, outcome, out)?,
+            (Ok(_), Ok(outcome)) => {
+                print_outcome_row(name, outcome, out)?;
+                print_lane_decision(outcome, out)?;
+            }
             (Ok(_), Err(e)) => outln!(out, "{name:<24} (failed: {e})"),
         }
     }
@@ -1467,15 +1454,7 @@ fn profile(
         .transpose()?;
 
     let lanes = lanes_flag(&flags)?;
-    let seg_jobs = segment_jobs_flag(&flags)?;
     let platform = PlatformConfig::default();
-    if seg_jobs > 1 {
-        // Pre-warm the filtered-trace cache segment-parallel: the lane
-        // workers then share the one filtered stream.
-        trace
-            .filtered_for_jobs(&platform, seg_jobs)
-            .map_err(|e| e.to_string())?;
-    }
     let windowed = profile_with_policy(
         &platform,
         &trace,
@@ -1808,32 +1787,7 @@ fn info(
             outln!(out, "  {p}");
         }
     }
-    // The lane-eligibility verdict per organisation: which scenarios a
-    // `replay --lanes N` / `sweep --lanes N` over this trace can split
-    // into per-partition-key lanes, and — when they cannot — why. Sized
-    // by --l2-kb/--ways (default 64 KB, 4-way) because way-partitioned
-    // eligibility depends on whether the allocation's masks overlap.
     let l2 = l2_config(&flags)?;
-    let geometry = l2.geometry();
-    outln!(
-        out,
-        "lane eligibility at a {} KB {}-way L2:",
-        geometry.size_bytes() / 1024,
-        geometry.ways()
-    );
-    for name in ["shared", "set-partitioned", "way-partitioned", "profiling"] {
-        match organization(name, l2, trace.table()) {
-            Err(e) => outln!(out, "  {name:<16} unavailable ({e})"),
-            Ok(org) => match lane_eligibility(l2, &PartitionSchedule::single(org), trace.table()) {
-                Ok(keys) => outln!(
-                    out,
-                    "  {name:<16} eligible — {} lanes (one per partition key)",
-                    keys.len()
-                ),
-                Err(reason) => outln!(out, "  {name:<16} ineligible — {reason}"),
-            },
-        }
-    }
     if let Some(path) = get(&flags, "schedule") {
         let schedule = parse_schedule_file(path, l2)?;
         outln!(out, "schedule {path}: {schedule}");

@@ -85,6 +85,18 @@
 //! [`WindowedCurves::phases`] detector then merges consecutive windows
 //! whose curve delta (see [`curve_delta`]) stays under a threshold, so
 //! `Experiment` can re-run the optimizer per phase.
+//!
+//! # Set shards
+//!
+//! Every stack at every level picks its set from the low bits of the
+//! line (`line & (sets - 1)`), and every first-touch entry belongs to
+//! one line. When `N` divides [`CurveResolution::min_sets`], the lines
+//! with `line % N == i` therefore own their stacks and first touches
+//! outright, so a pass splits into `N` **set shards** that never share
+//! state: shard `i` observes its own lines, advances the window clock
+//! past all others ([`WindowedProfiler::skip_at`]), and the shards' curves
+//! add up to the serial pass's, window for window
+//! ([`WindowedCurves::absorb_shard`]).
 
 use std::collections::{BTreeMap, HashSet};
 use std::hash::BuildHasherDefault;
@@ -95,7 +107,7 @@ use compmem_trace::curves::{
     CurveEntry, CurveHeader, EncodedCurves, SidecarKey, SidecarWindow, SidecarWindowKind,
     WindowRecord,
 };
-use compmem_trace::{Access, CodecError, LineAddr, RegionId, RegionKind, RegionTable, TaskId};
+use compmem_trace::{Access, CodecError, LineAddr, RegionTable};
 
 use crate::cache::LineAddrHasher;
 use crate::error::CacheError;
@@ -438,9 +450,8 @@ impl MissRateCurves {
     /// pass: per-key `self - earlier` with zero-traffic keys dropped (a
     /// key absent from `earlier` contributes its full curve), and the
     /// aggregate differenced directly. This is the single definition of
-    /// "the curves of a window" — the serial [`WindowedProfiler`] and the
-    /// sharded [`PlannedWindowedProfiler`] both difference through it, so
-    /// their windows are identical by construction.
+    /// "the curves of a window": every [`WindowedProfiler`] differences
+    /// through it, set shards included.
     ///
     /// # Panics
     ///
@@ -572,46 +583,6 @@ impl KeyState {
             levels,
         }
     }
-
-    /// A state that tracks accesses, first touches and the `seen` set but
-    /// keeps **no** stack banks (`levels` empty, so the per-access bank
-    /// loop is a no-op). Shard profilers use it for the streams they
-    /// witness but do not measure: an aggregate-only shard still needs
-    /// every key's first-touch test (the aggregate's cold count rides it),
-    /// and a keys-only shard still counts its aggregate traffic.
-    fn counters_only() -> Self {
-        KeyState {
-            accesses: 0,
-            cold: 0,
-            seen: LineSet::default(),
-            levels: Vec::new(),
-        }
-    }
-
-    /// Whether this state carries stack banks (i.e. measures a curve).
-    fn is_banked(&self) -> bool {
-        !self.levels.is_empty()
-    }
-}
-
-/// Which part of the stream a [`StackDistanceProfiler`] measures.
-///
-/// Lane-parallel profiling splits one pass into shards: per-key stack
-/// banks only ever see their own key's accesses, so a shard that profiles
-/// one key over that key's substream produces bit-identical state to the
-/// full pass. The aggregate whole-L2 stacks are the documented exception —
-/// every key folds into one bank, so the aggregate is **not** decomposable
-/// by key and must be measured by a single designated shard that walks the
-/// full stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ShardScope {
-    /// Per-key banks and the aggregate bank (the ordinary serial pass).
-    Full,
-    /// Per-key banks only; the aggregate keeps counters but no banks.
-    KeysOnly,
-    /// The aggregate bank only; per-key states keep counters and `seen`
-    /// sets (the aggregate's cold test needs them) but no banks.
-    AggregateOnly,
 }
 
 /// The single-pass profiler: feed it the L2-bound access stream once and
@@ -637,8 +608,6 @@ pub struct StackDistanceProfiler {
     /// empty — cold misses ride the per-key first-touch test, because a
     /// line belongs to exactly one region and hence exactly one key.
     aggregate: KeyState,
-    /// What this profiler instance measures (sharding support).
-    scope: ShardScope,
 }
 
 /// Sentinel in [`StackDistanceProfiler::region_slots`] for a region whose
@@ -648,50 +617,16 @@ const UNTOUCHED: usize = usize::MAX;
 impl StackDistanceProfiler {
     /// Creates a profiler for the given resolution and region table.
     pub fn new(resolution: CurveResolution, regions: &RegionTable) -> Self {
-        Self::with_scope(resolution, regions, ShardScope::Full)
-    }
-
-    /// Creates a **keys-only shard**: per-key stack banks without the
-    /// aggregate whole-L2 banks. Feed it the substream of one (or more)
-    /// partition keys and [`merge`](StackDistanceProfiler::merge) the
-    /// shards back together — per-key banks only ever see their own key's
-    /// accesses, so the shard's per-key state is bit-identical to the full
-    /// pass's. The aggregate still counts the shard's accesses (so
-    /// [`accesses`](StackDistanceProfiler::accesses) works) but measures
-    /// no curve; [`into_curves`](StackDistanceProfiler::into_curves) on an
-    /// unmerged keys-only shard reports an all-zero aggregate.
-    pub fn keys_only(resolution: CurveResolution, regions: &RegionTable) -> Self {
-        Self::with_scope(resolution, regions, ShardScope::KeysOnly)
-    }
-
-    /// Creates an **aggregate-only shard**: the whole-L2 aggregate banks
-    /// without per-key banks. The aggregate folds every key into one set
-    /// of stacks, so it is *not* decomposable by key — this shard must
-    /// walk the **full** stream, and is the designated carrier of the
-    /// aggregate in a lane-parallel pass. Per-key states keep their
-    /// counters and first-touch sets (the aggregate's cold test rides
-    /// them, and [`merge`](StackDistanceProfiler::merge) cross-checks them
-    /// against the per-key shards) but measure no curves.
-    pub fn aggregate_only(resolution: CurveResolution, regions: &RegionTable) -> Self {
-        Self::with_scope(resolution, regions, ShardScope::AggregateOnly)
-    }
-
-    fn with_scope(resolution: CurveResolution, regions: &RegionTable, scope: ShardScope) -> Self {
         let region_keys: Vec<PartitionKey> = regions
             .iter()
             .map(|r| PartitionKey::from_region_kind(r.kind))
             .collect();
-        let aggregate = match scope {
-            ShardScope::KeysOnly => KeyState::counters_only(),
-            ShardScope::Full | ShardScope::AggregateOnly => KeyState::new(&resolution),
-        };
         StackDistanceProfiler {
             resolution,
             region_slots: vec![UNTOUCHED; region_keys.len()],
             region_keys,
             states: Vec::new(),
-            aggregate,
-            scope,
+            aggregate: KeyState::new(&resolution),
         }
     }
 
@@ -729,11 +664,7 @@ impl StackDistanceProfiler {
             let index = match self.states.iter().position(|(k, _)| *k == key) {
                 Some(index) => index,
                 None => {
-                    let state = match self.scope {
-                        ShardScope::AggregateOnly => KeyState::counters_only(),
-                        ShardScope::Full | ShardScope::KeysOnly => KeyState::new(&self.resolution),
-                    };
-                    self.states.push((key, state));
+                    self.states.push((key, KeyState::new(&self.resolution)));
                     self.states.len() - 1
                 }
             };
@@ -772,12 +703,6 @@ impl StackDistanceProfiler {
     }
 
     /// Extracts the measured curves.
-    ///
-    /// Shard profilers only emit what they measured: a keys-only shard
-    /// reports an all-zero aggregate, an aggregate-only shard reports no
-    /// per-key curves. A merged shard set (see
-    /// [`merge`](StackDistanceProfiler::merge)) reports both, identically
-    /// to a serial pass.
     pub fn into_curves(self) -> MissRateCurves {
         let resolution = self.resolution;
         let curve_of = |state: KeyState| MissRateCurve {
@@ -791,29 +716,20 @@ impl StackDistanceProfiler {
                 .map(|bank| bank.histogram)
                 .collect(),
         };
-        let curves = self
-            .states
-            .into_iter()
-            .filter(|(_, state)| state.is_banked())
-            .map(|(key, state)| (key, curve_of(state)))
-            .collect();
-        let aggregate = if self.aggregate.is_banked() {
-            curve_of(self.aggregate)
-        } else {
-            MissRateCurve::zero(&resolution)
-        };
         MissRateCurves {
-            curves,
-            aggregate,
+            curves: self
+                .states
+                .into_iter()
+                .map(|(key, state)| (key, curve_of(state)))
+                .collect(),
+            aggregate: curve_of(self.aggregate),
             resolution,
         }
     }
 
     /// Clones the curves accumulated so far without consuming the
     /// profiler — the cumulative snapshot the windowed profiler
-    /// differences at every window boundary. Shard profilers emit only
-    /// what they measure, as for
-    /// [`into_curves`](StackDistanceProfiler::into_curves).
+    /// differences at every window boundary.
     pub fn snapshot_curves(&self) -> MissRateCurves {
         let resolution = self.resolution;
         let curve_of = |state: &KeyState| MissRateCurve {
@@ -827,166 +743,15 @@ impl StackDistanceProfiler {
                 .map(|bank| bank.histogram.clone())
                 .collect(),
         };
-        let aggregate = if self.aggregate.is_banked() {
-            curve_of(&self.aggregate)
-        } else {
-            MissRateCurve::zero(&resolution)
-        };
         MissRateCurves {
             curves: self
                 .states
                 .iter()
-                .filter(|(_, state)| state.is_banked())
                 .map(|(key, state)| (*key, curve_of(state)))
                 .collect(),
-            aggregate,
+            aggregate: curve_of(&self.aggregate),
             resolution,
         }
-    }
-
-    /// Merges another shard of the same pass into this profiler,
-    /// consuming both (on error the partially merged state is dropped
-    /// rather than left observable).
-    ///
-    /// Exactness contract: per-key stack banks only ever see their own
-    /// key's accesses, so a banked per-key state moves across wholesale —
-    /// the merged profiler is bit-identical to a serial pass, *provided*
-    /// the shards partitioned the stream by key. The aggregate whole-L2
-    /// banks are not decomposable (every key folds into one bank), so
-    /// exactly one shard may carry a live aggregate and it must have
-    /// walked the full stream. Both conditions are checked:
-    ///
-    /// * a per-key curve or a live aggregate present on both sides is a
-    ///   [`CacheError::ShardMerge`] (overlapping shards cannot merge
-    ///   exactly);
-    /// * where a banked state meets the counters-only ghost an
-    ///   aggregate-only shard kept for the same key, their access and
-    ///   first-touch counts must agree (they both saw the key's full
-    ///   substream), and the merged aggregate's access count must equal
-    ///   the sum over all per-key states — catching splits that were not
-    ///   an exact partition of the stream the aggregate shard saw.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::ShardMerge`] as described above, or when the
-    /// shards disagree on resolution or region table.
-    pub fn merge(mut self, other: StackDistanceProfiler) -> Result<Self, CacheError> {
-        if self.resolution != other.resolution {
-            return Err(CacheError::ShardMerge {
-                reason: format!(
-                    "shards profiled at different resolutions ({:?} vs {:?})",
-                    self.resolution, other.resolution
-                ),
-            });
-        }
-        if self.region_keys != other.region_keys {
-            return Err(CacheError::ShardMerge {
-                reason: "shards were built over different region tables".to_string(),
-            });
-        }
-        if self.aggregate.is_banked()
-            && other.aggregate.is_banked()
-            && self.aggregate.accesses > 0
-            && other.aggregate.accesses > 0
-        {
-            return Err(CacheError::ShardMerge {
-                reason: "both shards measured the aggregate whole-L2 stacks; the aggregate \
-                         is not decomposable by key and must come from exactly one \
-                         full-stream shard"
-                    .to_string(),
-            });
-        }
-        // Validate every per-key pairing before mutating anything.
-        for (key, theirs) in &other.states {
-            let Some((_, mine)) = self.states.iter().find(|(k, _)| k == key) else {
-                continue;
-            };
-            match (mine.is_banked(), theirs.is_banked()) {
-                (true, true) if mine.accesses > 0 && theirs.accesses > 0 => {
-                    return Err(CacheError::ShardMerge {
-                        reason: format!(
-                            "both shards measured the per-key curve of {key:?}; shards \
-                             must partition the stream by key"
-                        ),
-                    });
-                }
-                (true, false) | (false, true)
-                    if (mine.accesses, mine.cold) != (theirs.accesses, theirs.cold) =>
-                {
-                    return Err(CacheError::ShardMerge {
-                        reason: format!(
-                            "shards disagree on the traffic of {key:?} ({} accesses / {} \
-                             first touches vs {} / {}); the per-key shard and the \
-                             full-stream aggregate shard must have seen the same substream",
-                            mine.accesses, mine.cold, theirs.accesses, theirs.cold
-                        ),
-                    });
-                }
-                (false, false) if mine.accesses > 0 && theirs.accesses > 0 => {
-                    return Err(CacheError::ShardMerge {
-                        reason: format!(
-                            "two counters-only records of {key:?} both carry traffic; at \
-                             most one aggregate-only shard may walk the stream"
-                        ),
-                    });
-                }
-                _ => {}
-            }
-        }
-        // Merge the per-key states: a banked state with traffic always
-        // wins over its counters-only ghost (validated equal above).
-        for (key, theirs) in other.states {
-            match self.states.iter().position(|(k, _)| *k == key) {
-                Some(index) => {
-                    let mine = &self.states[index].1;
-                    let replace = match (mine.is_banked(), theirs.is_banked()) {
-                        (false, true) => true,
-                        (true, true) => mine.accesses == 0 && theirs.accesses > 0,
-                        (true, false) => false,
-                        (false, false) => theirs.accesses > mine.accesses,
-                    };
-                    if replace {
-                        self.states[index].1 = theirs;
-                    }
-                }
-                None => self.states.push((key, theirs)),
-            }
-        }
-        // The aggregate: a live banked aggregate moves across wholesale
-        // (the full-stream shard's counters already cover every lane);
-        // two counters-only aggregates add (lane counts are disjoint).
-        if other.aggregate.is_banked() && other.aggregate.accesses > 0 {
-            self.aggregate = other.aggregate;
-        } else if !self.aggregate.is_banked() && !other.aggregate.is_banked() {
-            self.aggregate.accesses += other.aggregate.accesses;
-            self.aggregate.cold += other.aggregate.cold;
-        }
-        // Region slots may point at stale indices after the reshuffle;
-        // rebuild them (observe() repopulates lazily via key lookup, so a
-        // reset alone would also be correct — rebuilding keeps the merged
-        // profiler immediately observable without re-scans).
-        for region in 0..self.region_slots.len() {
-            let key = self.region_keys[region];
-            self.region_slots[region] = self
-                .states
-                .iter()
-                .position(|(k, _)| *k == key)
-                .unwrap_or(UNTOUCHED);
-        }
-        if self.aggregate.is_banked() && self.aggregate.accesses > 0 {
-            let keyed: u64 = self.states.iter().map(|(_, state)| state.accesses).sum();
-            if keyed != self.aggregate.accesses {
-                return Err(CacheError::ShardMerge {
-                    reason: format!(
-                        "the aggregate shard observed {} accesses but the per-key shards \
-                         cover {keyed}; the shards must partition exactly the stream the \
-                         aggregate shard walked",
-                        self.aggregate.accesses
-                    ),
-                });
-            }
-        }
-        Ok(self)
     }
 }
 
@@ -1416,6 +1181,22 @@ impl WindowedProfiler {
     /// As for [`StackDistanceProfiler::observe`] (a region outside the
     /// profiler's table is a programming error).
     pub fn observe_at(&mut self, cycle: u64, access: &Access) {
+        self.tick(cycle, Some(access));
+    }
+
+    /// Advances the window clock past one access of the stream that
+    /// another set shard measures: windows open, close and report their
+    /// cycle ranges exactly as if [`observe_at`](WindowedProfiler::observe_at)
+    /// had seen the access, but no curve counts it. Feeding every shard
+    /// of a set-sharded pass the whole stream — its own lines through
+    /// `observe_at`, the rest through `skip_at` — gives all shards the
+    /// serial pass's windows, so their curves add up window for window
+    /// ([`WindowedCurves::absorb_shard`]).
+    pub fn skip_at(&mut self, cycle: u64) {
+        self.tick(cycle, None);
+    }
+
+    fn tick(&mut self, cycle: u64, access: Option<&Access>) {
         if self.config.kind == WindowKind::Cycles {
             if self.window_accesses == 0 {
                 // First access of a window anchors (or re-anchors) the
@@ -1441,7 +1222,9 @@ impl WindowedProfiler {
             self.first_cycle = self.first_cycle.min(cycle);
             self.last_cycle = self.last_cycle.max(cycle);
         }
-        self.profiler.observe(access);
+        if let Some(access) = access {
+            self.profiler.observe(access);
+        }
         self.observed += 1;
         self.window_accesses += 1;
         if self.config.kind == WindowKind::Accesses && self.window_accesses == self.config.length {
@@ -1487,165 +1270,6 @@ impl WindowedProfiler {
     }
 }
 
-/// One planned window of a [`WindowPlan`]: its boundaries precomputed
-/// from the cycle stream alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlannedWindow {
-    /// Zero-based window index.
-    pub index: usize,
-    /// Cycle of the first access in the window (min observed).
-    pub start_cycle: u64,
-    /// Cycle of the last access in the window (max observed).
-    pub end_cycle: u64,
-    /// Number of stream accesses in the window.
-    pub accesses: u64,
-    /// Global stream ordinal one past the window's last access.
-    pub end_ordinal: u64,
-}
-
-/// The window boundaries of a profiling pass, computed up front from the
-/// cycle sequence alone.
-///
-/// Window boundaries depend only on the *global* access/cycle sequence,
-/// never on the accesses' contents — so a lane-parallel windowed pass
-/// first derives the plan from one cheap walk over the cycles, then every
-/// shard closes its windows at the planned global ordinals
-/// ([`PlannedWindowedProfiler`]). All shards thus agree on boundaries,
-/// indices and cycle ranges with the serial [`WindowedProfiler`] by
-/// construction: the plan is computed by driving the *same* grid logic
-/// (a `WindowedProfiler` over a dummy single-line stream with the real
-/// cycles), not a re-implementation of it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowPlan {
-    /// The window configuration the plan was derived from.
-    pub config: WindowConfig,
-    /// The non-empty windows of the pass, in stream order.
-    pub windows: Vec<PlannedWindow>,
-}
-
-impl WindowPlan {
-    /// Derives the plan from the cycle of every access of the stream, in
-    /// stream order.
-    pub fn from_cycles(config: WindowConfig, cycles: impl IntoIterator<Item = u64>) -> Self {
-        let mut regions = RegionTable::new();
-        regions
-            .insert("window-plan", RegionKind::AppData, 64)
-            .expect("a one-line region table is always valid");
-        let base = regions.regions()[0].base;
-        let resolution = CurveResolution::new(1, 1, 1).expect("the minimal resolution is valid");
-        let mut profiler = WindowedProfiler::new(config, resolution, &regions);
-        let access = Access::load(base, 4, TaskId::new(0), RegionId::new(0));
-        for cycle in cycles {
-            profiler.observe_at(cycle, &access);
-        }
-        let windowed = profiler.finish();
-        let mut windows = Vec::with_capacity(windowed.windows.len());
-        let mut ordinal = 0u64;
-        for window in &windowed.windows {
-            let accesses = window.curves.aggregate.accesses;
-            ordinal += accesses;
-            windows.push(PlannedWindow {
-                index: window.index,
-                start_cycle: window.start_cycle,
-                end_cycle: window.end_cycle,
-                accesses,
-                end_ordinal: ordinal,
-            });
-        }
-        WindowPlan { config, windows }
-    }
-
-    /// Total accesses the plan covers.
-    pub fn accesses(&self) -> u64 {
-        self.windows.last().map_or(0, |window| window.end_ordinal)
-    }
-}
-
-/// A windowed profiler shard that closes its windows at the global
-/// boundaries of a precomputed [`WindowPlan`] instead of deciding them
-/// from its own (partial) view of the stream.
-///
-/// Feed it any [`StackDistanceProfiler`] shard
-/// ([`keys_only`](StackDistanceProfiler::keys_only) over one lane's
-/// substream, or [`aggregate_only`](StackDistanceProfiler::aggregate_only)
-/// over the full stream) and call
-/// [`observe`](PlannedWindowedProfiler::observe) with each access's
-/// **global** stream ordinal. Every shard emits one [`CurveWindow`] per
-/// planned window (empty for windows the shard saw no traffic in), so the
-/// shards' [`WindowedCurves`] align window-for-window and merge with
-/// [`WindowedCurves::absorb_shard`] into exactly the serial result.
-#[derive(Debug)]
-pub struct PlannedWindowedProfiler {
-    profiler: StackDistanceProfiler,
-    plan: WindowPlan,
-    next_window: usize,
-    /// Cumulative snapshot at the last planned boundary.
-    previous: MissRateCurves,
-    windows: Vec<CurveWindow>,
-}
-
-impl PlannedWindowedProfiler {
-    /// Wraps a profiler shard with a window plan.
-    pub fn new(profiler: StackDistanceProfiler, plan: WindowPlan) -> Self {
-        let previous = MissRateCurves::empty(profiler.resolution());
-        PlannedWindowedProfiler {
-            profiler,
-            plan,
-            next_window: 0,
-            previous,
-            windows: Vec::new(),
-        }
-    }
-
-    /// Observes one access at its **global** stream ordinal (its 0-based
-    /// position in the full stream the plan was computed over; a lane
-    /// shard passes the original ordinals of its subsequence). Ordinals
-    /// must be observed in increasing order.
-    ///
-    /// # Panics
-    ///
-    /// As for [`StackDistanceProfiler::observe`].
-    pub fn observe(&mut self, ordinal: u64, access: &Access) {
-        while self.next_window < self.plan.windows.len()
-            && ordinal >= self.plan.windows[self.next_window].end_ordinal
-        {
-            self.close_next();
-        }
-        self.profiler.observe(access);
-    }
-
-    fn close_next(&mut self) {
-        let planned = self.plan.windows[self.next_window];
-        let cumulative = self.profiler.snapshot_curves();
-        let curves = cumulative.delta_since(&self.previous);
-        self.windows.push(CurveWindow {
-            index: planned.index,
-            start_cycle: planned.start_cycle,
-            end_cycle: planned.end_cycle,
-            curves,
-        });
-        self.previous = cumulative;
-        self.next_window += 1;
-    }
-
-    /// Closes the remaining planned windows and extracts this shard's
-    /// windowed curves (one window per planned window).
-    pub fn finish(mut self) -> WindowedCurves {
-        while self.next_window < self.plan.windows.len() {
-            self.close_next();
-        }
-        let config = self.plan.config;
-        let windows = std::mem::take(&mut self.windows);
-        let total = self.profiler.into_curves();
-        WindowedCurves {
-            config,
-            resolution: total.resolution,
-            windows,
-            total,
-        }
-    }
-}
-
 /// The result of a windowed profiling pass: per-window curves plus the
 /// exact whole-run curves.
 #[derive(Debug, Clone, PartialEq)]
@@ -1674,52 +1298,32 @@ impl WindowedCurves {
         sum
     }
 
-    /// Merges another shard's windowed curves into this one,
-    /// window-for-window (both must come from [`PlannedWindowedProfiler`]
-    /// runs over the same [`WindowPlan`], so their windows align by
-    /// construction). Per-key curves and the aggregate add via
-    /// [`MissRateCurves::absorb`]; since every key's traffic lives in
-    /// exactly one keys-only shard and the aggregate in exactly one
-    /// full-stream shard, the sums equal the serial pass's windows.
+    /// Adds another set shard's windowed curves into this one, window
+    /// for window. Shards of one set-sharded pass share the window clock
+    /// (see [`WindowedProfiler::skip_at`]) and split every reuse stack
+    /// and first-touch set between them, so the sums are exactly the
+    /// serial pass's curves.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`CacheError::ShardMerge`] if the shards disagree on
-    /// window configuration, resolution, or window boundaries.
-    pub fn absorb_shard(&mut self, other: &WindowedCurves) -> Result<(), CacheError> {
-        if self.config != other.config || self.resolution != other.resolution {
-            return Err(CacheError::ShardMerge {
-                reason: "windowed shards disagree on window configuration or resolution"
-                    .to_string(),
-            });
-        }
-        if self.windows.len() != other.windows.len() {
-            return Err(CacheError::ShardMerge {
-                reason: format!(
-                    "windowed shards emitted different window counts ({} vs {}); both \
-                     sides must run the same window plan",
-                    self.windows.len(),
-                    other.windows.len()
-                ),
-            });
-        }
-        for (mine, theirs) in self.windows.iter().zip(&other.windows) {
-            if (mine.index, mine.start_cycle, mine.end_cycle)
-                != (theirs.index, theirs.start_cycle, theirs.end_cycle)
-            {
-                return Err(CacheError::ShardMerge {
-                    reason: format!(
-                        "windowed shards disagree on the boundaries of window {}",
-                        mine.index
-                    ),
-                });
-            }
-        }
+    /// Panics if the shards disagree on window configuration, resolution
+    /// or window boundaries — a programming error, as for
+    /// [`MissRateCurves::absorb`]: shards of one pass share one clock.
+    pub fn absorb_shard(&mut self, other: &WindowedCurves) {
+        assert_eq!(
+            (self.config, self.resolution, self.windows.len()),
+            (other.config, other.resolution, other.windows.len()),
+            "windowed shards of one pass share their window configuration"
+        );
         for (mine, theirs) in self.windows.iter_mut().zip(&other.windows) {
+            assert_eq!(
+                (mine.index, mine.start_cycle, mine.end_cycle),
+                (theirs.index, theirs.start_cycle, theirs.end_cycle),
+                "windowed shards of one pass share their window boundaries"
+            );
             mine.curves.absorb(&theirs.curves);
         }
         self.total.absorb(&other.total);
-        Ok(())
     }
 
     /// Merges an inclusive window range into one curve set (the curves
@@ -2434,223 +2038,41 @@ mod tests {
         assert_eq!(curves.keys(), vec![PartitionKey::Task(TaskId::new(1))]);
     }
 
-    /// Splits a stream into one keys-only shard per key plus the
-    /// full-stream aggregate shard, all fully observed.
-    fn shards_of(
-        regions: &RegionTable,
-        resolution: CurveResolution,
-        accesses: &[Access],
-    ) -> (StackDistanceProfiler, Vec<StackDistanceProfiler>) {
-        let mut aggregate = StackDistanceProfiler::aggregate_only(resolution, regions);
-        aggregate.observe_all(accesses);
-        let mut lanes: BTreeMap<PartitionKey, Vec<Access>> = BTreeMap::new();
-        for access in accesses {
-            let key = PartitionKey::from_region_kind(regions.region(access.region).kind);
-            lanes.entry(key).or_default().push(*access);
-        }
-        let keyed = lanes
-            .into_values()
-            .map(|lane| {
-                let mut shard = StackDistanceProfiler::keys_only(resolution, regions);
-                shard.observe_all(&lane);
-                shard
-            })
-            .collect();
-        (aggregate, keyed)
-    }
-
     #[test]
-    fn sharded_profilers_merge_to_the_serial_pass() {
+    fn set_shards_add_up_to_the_serial_windows() {
         let regions = region_table();
-        let accesses = scrambled_accesses(&regions, 10_000);
-        let resolution = CurveResolution::new(16, 64, 4).unwrap();
-
-        let mut serial = StackDistanceProfiler::new(resolution, &regions);
-        serial.observe_all(&accesses);
-        let serial = serial.into_curves();
-
-        // Aggregate-first merge order.
-        let (aggregate, keyed) = shards_of(&regions, resolution, &accesses);
-        let mut merged = aggregate;
-        for shard in keyed {
-            merged = merged.merge(shard).unwrap();
-        }
-        assert_eq!(merged.accesses(), accesses.len() as u64);
-        assert_eq!(merged.into_curves(), serial);
-
-        // Keys-first merge order reaches the same result.
-        let (aggregate, mut keyed) = shards_of(&regions, resolution, &accesses);
-        let mut merged = keyed.pop().unwrap();
-        for shard in keyed {
-            merged = merged.merge(shard).unwrap();
-        }
-        let merged = merged.merge(aggregate).unwrap();
-        assert_eq!(merged.into_curves(), serial);
-
-        // A merged profiler stays observable: feeding it more accesses
-        // matches a serial pass over the concatenation.
-        let more = scrambled_accesses(&regions, 10_500);
-        let (aggregate, keyed) = shards_of(&regions, resolution, &accesses);
-        let mut resumed = keyed
-            .into_iter()
-            .try_fold(aggregate, StackDistanceProfiler::merge)
-            .unwrap();
-        let mut full = StackDistanceProfiler::new(resolution, &regions);
-        full.observe_all(&more[..10_000]);
-        assert_eq!(resumed.snapshot_curves(), full.snapshot_curves());
-        resumed.observe_all(&more[10_000..]);
-        full.observe_all(&more[10_000..]);
-        assert_eq!(resumed.into_curves(), full.into_curves());
-    }
-
-    #[test]
-    fn shard_profilers_report_only_what_they_measured() {
-        let regions = region_table();
-        let accesses = scrambled_accesses(&regions, 2_000);
-        let resolution = CurveResolution::new(16, 64, 4).unwrap();
-        let mut keys = StackDistanceProfiler::keys_only(resolution, &regions);
-        keys.observe_all(&accesses);
-        assert_eq!(keys.accesses(), 2_000);
-        let keyed = keys.into_curves();
-        assert_eq!(keyed.curves.len(), 2);
-        assert_eq!(keyed.aggregate, MissRateCurve::zero(&resolution));
-
-        let mut aggregate = StackDistanceProfiler::aggregate_only(resolution, &regions);
-        aggregate.observe_all(&accesses);
-        let aggregated = aggregate.into_curves();
-        assert!(aggregated.curves.is_empty());
-        assert_eq!(aggregated.accesses(), 2_000);
-        assert!(aggregated.aggregate.misses(64, 4).unwrap() > 0);
-    }
-
-    #[test]
-    fn shard_merge_rejects_overlaps_and_uncovered_streams() {
-        let regions = region_table();
-        let accesses = scrambled_accesses(&regions, 1_000);
-        let resolution = CurveResolution::new(16, 64, 4).unwrap();
-        let observed = |make: fn(CurveResolution, &RegionTable) -> StackDistanceProfiler,
-                        slice: &[Access]| {
-            let mut p = make(resolution, &regions);
-            p.observe_all(slice);
-            p
-        };
-
-        // Two full profilers with traffic both carry aggregate stacks.
-        let a = observed(StackDistanceProfiler::new, &accesses[..500]);
-        let b = observed(StackDistanceProfiler::new, &accesses[500..]);
-        assert!(matches!(a.merge(b), Err(CacheError::ShardMerge { .. })));
-
-        // Two keys-only shards over overlapping streams share a key.
-        let a = observed(StackDistanceProfiler::keys_only, &accesses[..500]);
-        let b = observed(StackDistanceProfiler::keys_only, &accesses[..500]);
-        assert!(matches!(a.merge(b), Err(CacheError::ShardMerge { .. })));
-
-        // An aggregate shard over half the stream disagrees with a lane
-        // shard's counters for the same key.
-        let half = observed(StackDistanceProfiler::aggregate_only, &accesses[..500]);
-        let lane: Vec<Access> = accesses
-            .iter()
-            .filter(|a| a.region == RegionId::new(0))
-            .copied()
-            .collect();
-        let lane = observed(StackDistanceProfiler::keys_only, &lane);
-        assert!(matches!(
-            half.merge(lane),
-            Err(CacheError::ShardMerge { .. })
-        ));
-
-        // An aggregate shard that never saw a lane's key fails the
-        // coverage check (the shards don't partition its stream).
-        let key0: Vec<Access> = accesses
-            .iter()
-            .filter(|a| a.region == RegionId::new(0))
-            .copied()
-            .collect();
-        let key1: Vec<Access> = accesses
-            .iter()
-            .filter(|a| a.region == RegionId::new(1))
-            .copied()
-            .collect();
-        let narrow = observed(StackDistanceProfiler::aggregate_only, &key0);
-        let lane0 = observed(StackDistanceProfiler::keys_only, &key0);
-        let lane1 = observed(StackDistanceProfiler::keys_only, &key1);
-        let merged = narrow.merge(lane0).unwrap();
-        assert!(matches!(
-            merged.merge(lane1),
-            Err(CacheError::ShardMerge { .. })
-        ));
-
-        // Mismatched resolutions never merge.
-        let a = observed(StackDistanceProfiler::keys_only, &accesses);
-        let b =
-            StackDistanceProfiler::keys_only(CurveResolution::new(16, 128, 4).unwrap(), &regions);
-        assert!(matches!(a.merge(b), Err(CacheError::ShardMerge { .. })));
-    }
-
-    #[test]
-    fn planned_windowed_shards_reconstruct_the_serial_windows() {
-        let regions = region_table();
-        let accesses = scrambled_accesses(&regions, 5_000);
-        let resolution = CurveResolution::new(16, 64, 4).unwrap();
-        // Pseudo-random non-decreasing cycle stamps with idle gaps, so
-        // the cycle grid skips cells.
-        let mut cycles = Vec::with_capacity(accesses.len());
-        let mut clock = 0u64;
-        let mut state = 0xdead_beefu64;
-        for _ in &accesses {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            clock += if state.is_multiple_of(97) {
-                900
-            } else {
-                state % 4
-            };
-            cycles.push(clock);
-        }
-
+        let accesses = scrambled_accesses(&regions, 6_000);
+        let resolution = CurveResolution::new(4, 64, 4).unwrap();
+        let cycle_of = |i: usize| i as u64 / 3;
         for config in [
             WindowConfig::whole_run(),
             WindowConfig::accesses(700).unwrap(),
-            WindowConfig::cycles(250).unwrap(),
+            WindowConfig::cycles(450).unwrap(),
         ] {
             let mut serial = WindowedProfiler::new(config, resolution, &regions);
-            for (cycle, access) in cycles.iter().zip(&accesses) {
-                serial.observe_at(*cycle, access);
+            for (i, access) in accesses.iter().enumerate() {
+                serial.observe_at(cycle_of(i), access);
             }
             let serial = serial.finish();
-
-            let plan = WindowPlan::from_cycles(config, cycles.iter().copied());
-            assert_eq!(plan.accesses(), accesses.len() as u64);
-            assert_eq!(plan.windows.len(), serial.windows.len());
-
-            // The aggregate shard walks the full stream; one keys-only
-            // shard per key walks its lane at the original ordinals.
-            let mut aggregate = PlannedWindowedProfiler::new(
-                StackDistanceProfiler::aggregate_only(resolution, &regions),
-                plan.clone(),
-            );
-            let mut lanes: BTreeMap<PartitionKey, Vec<(u64, Access)>> = BTreeMap::new();
-            for (ordinal, access) in accesses.iter().enumerate() {
-                aggregate.observe(ordinal as u64, access);
-                let key = PartitionKey::from_region_kind(regions.region(access.region).kind);
-                lanes
-                    .entry(key)
-                    .or_default()
-                    .push((ordinal as u64, *access));
-            }
-            let mut merged = aggregate.finish();
-            for lane in lanes.into_values() {
-                let mut shard = PlannedWindowedProfiler::new(
-                    StackDistanceProfiler::keys_only(resolution, &regions),
-                    plan.clone(),
-                );
-                for (ordinal, access) in &lane {
-                    shard.observe(*ordinal, access);
+            for shards in [2u64, 4] {
+                let mut merged: Option<WindowedCurves> = None;
+                for shard in 0..shards {
+                    let mut lane = WindowedProfiler::new(config, resolution, &regions);
+                    for (i, access) in accesses.iter().enumerate() {
+                        if access.addr.line().value() % shards == shard {
+                            lane.observe_at(cycle_of(i), access);
+                        } else {
+                            lane.skip_at(cycle_of(i));
+                        }
+                    }
+                    let lane = lane.finish();
+                    match merged.as_mut() {
+                        Some(merged) => merged.absorb_shard(&lane),
+                        None => merged = Some(lane),
+                    }
                 }
-                merged.absorb_shard(&shard.finish()).unwrap();
+                assert_eq!(merged.unwrap(), serial, "{config:?} over {shards} shards");
             }
-            assert_eq!(merged, serial, "window config {config:?}");
         }
     }
 }

@@ -74,13 +74,6 @@ pub enum CacheError {
         /// The offending step cycle.
         at_cycle: u64,
     },
-    /// Two profiler shards could not be merged into one exact profile
-    /// (mismatched resolutions, overlapping per-key streams, or a
-    /// missing/duplicated aggregate shard).
-    ShardMerge {
-        /// Human-readable explanation of the conflict.
-        reason: String,
-    },
     /// A miss-rate curve was asked about a cache shape outside the
     /// resolution it was profiled at.
     CurveOutOfRange {
@@ -156,9 +149,6 @@ impl fmt::Display for CacheError {
                 "partition schedule step at cycle {at_cycle} is out of order \
                  (steps must start at cycle 0 and strictly increase)"
             ),
-            CacheError::ShardMerge { reason } => {
-                write!(f, "profiler shards cannot merge exactly: {reason}")
-            }
             CacheError::CurveOutOfRange {
                 sets,
                 ways,

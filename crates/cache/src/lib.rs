@@ -88,8 +88,7 @@ pub use cache::{AccessOutcome, EvictedLine, SetAssocCache};
 pub use config::CacheConfig;
 pub use distance::{
     curve_delta, CurveResolution, CurveWindow, MissRateCurve, MissRateCurves, OnlinePhaseDetector,
-    Phase, PlannedWindow, PlannedWindowedProfiler, StackDistanceProfiler, WindowConfig, WindowKind,
-    WindowPlan, WindowedCurves, WindowedProfiler,
+    Phase, StackDistanceProfiler, WindowConfig, WindowKind, WindowedCurves, WindowedProfiler,
 };
 pub use error::CacheError;
 pub use geometry::CacheGeometry;

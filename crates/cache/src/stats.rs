@@ -230,7 +230,7 @@ impl<K: Ord> StatsByKey<K> {
 impl<K: Ord + Clone> StatsByKey<K> {
     /// Merges another map into this one, adding counters key-wise (keys
     /// present in only one map keep their counts). Used to combine the
-    /// per-key attributions of independently replayed partition lanes.
+    /// per-key attributions of independently replayed set-shard lanes.
     pub fn merge(&mut self, other: &StatsByKey<K>) {
         for (key, stats) in other.iter() {
             let index = match self.entries.binary_search_by(|(k, _)| k.cmp(key)) {

@@ -62,7 +62,7 @@ use compmem_cache::{
     WindowedProfiler,
 };
 use compmem_platform::{
-    replay_lanes, replay_lanes_required, LaneDecision, LaneReport, PlatformConfig, PreparedTrace,
+    replay_lanes, LaneDecision, LaneReport, PlatformConfig, PlatformError, PreparedTrace,
     ReplaySystem, System, SystemReport, TapProfiler, WindowedTapProfiler,
 };
 use compmem_trace::{EncodedTrace, RegionKind, RegionTable, TraceWriter};
@@ -123,99 +123,53 @@ impl TrafficSource {
     }
 }
 
-/// How many parallel replay lanes a scenario asks for, and whether the
-/// request is a hard requirement.
+/// How a replay scenario parallelises: serially, or split into set
+/// shards (see [`compmem_platform::lanes`]) on up to `n` worker threads.
 ///
-/// Lane-parallel replay splits one trace replay across threads along
-/// partition-key boundaries and is **exact** whenever the scenario is
-/// lane-eligible (see [`compmem_platform::lane_eligibility`]); timing
-/// fields (stalls, makespan) are not reconstructed by lanes, only the
-/// cache-side numbers.
+/// A split is exact for every organisation and replacement policy, but
+/// it reproduces only the cache-side numbers: timing fields (stalls,
+/// makespan) come from the serial replay alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LaneRequest {
+pub enum ReplayParallelism {
     /// Replay serially through the [`ReplaySystem`] (full timing
     /// reconstruction). The default.
     #[default]
     Serial,
-    /// Split into up to this many parallel lanes when the scenario is
-    /// lane-eligible; fall back to one lane (with the reason recorded in
-    /// [`RunOutcome::lane_decision`]) when it is not.
+    /// Split into set shards on up to this many workers when the
+    /// scenario splits; replay serially when it does not.
     Auto(usize),
-    /// Split into up to this many parallel lanes, and fail with
+    /// Split into set shards on up to this many workers, and fail with
     /// [`CoreError::Platform`] carrying
     /// [`LanesIneligible`](compmem_platform::PlatformError::LanesIneligible)
-    /// when the scenario cannot split exactly.
+    /// when more than one was asked for and the scenario cannot split.
     Require(usize),
 }
 
-/// The parallelism a replay scenario runs with: lane splitting across
-/// partition keys, and worker threads for the per-processor L1 filter
-/// pass. The default is fully serial, so existing specs behave exactly as
-/// before.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayParallelism {
-    /// Lane-parallel replay request.
-    pub lanes: LaneRequest,
-    /// Worker threads for the L1 filter pass (the per-processor split of
-    /// [`PreparedTrace::filtered_for_jobs`]); `1` filters serially. The
-    /// filtered trace is byte-identical for every job count.
-    pub segment_jobs: usize,
-}
-
-impl Default for ReplayParallelism {
-    fn default() -> Self {
-        ReplayParallelism {
-            lanes: LaneRequest::Serial,
-            segment_jobs: 1,
-        }
-    }
-}
-
 impl ReplayParallelism {
-    /// Opportunistic lane-parallel replay on up to `n` lanes (serial
-    /// fallback with a recorded reason when ineligible).
+    /// Opportunistic set-sharded replay on up to `n` workers.
     pub fn lanes(n: usize) -> Self {
-        ReplayParallelism {
-            lanes: LaneRequest::Auto(n),
-            ..Self::default()
-        }
+        ReplayParallelism::Auto(n)
     }
 
-    /// Lane-parallel replay on up to `n` lanes, failing when the scenario
-    /// cannot split exactly.
+    /// Set-sharded replay on up to `n` workers, failing when the scenario
+    /// cannot split.
     pub fn required_lanes(n: usize) -> Self {
-        ReplayParallelism {
-            lanes: LaneRequest::Require(n),
-            ..Self::default()
-        }
+        ReplayParallelism::Require(n)
     }
 
-    /// This request with `jobs` worker threads for the L1 filter pass.
-    #[must_use]
-    pub fn with_segment_jobs(self, jobs: usize) -> Self {
-        ReplayParallelism {
-            segment_jobs: jobs.max(1),
-            ..self
-        }
-    }
-
-    /// Returns `true` when this is the fully serial default.
+    /// Returns `true` when this is the serial default.
     pub fn is_serial(&self) -> bool {
-        *self == Self::default()
+        *self == Self::Serial
     }
 }
 
 impl fmt::Display for ReplayParallelism {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.lanes {
-            LaneRequest::Serial => write!(f, "serial lanes")?,
-            LaneRequest::Auto(n) => write!(f, "lanes auto({n})")?,
-            LaneRequest::Require(n) => write!(f, "lanes required({n})")?,
+        match self {
+            ReplayParallelism::Serial => write!(f, "serial lanes"),
+            ReplayParallelism::Auto(n) => write!(f, "lanes auto({n})"),
+            ReplayParallelism::Require(n) => write!(f, "lanes required({n})"),
         }
-        if self.segment_jobs > 1 {
-            write!(f, ", filter jobs {}", self.segment_jobs)?;
-        }
-        Ok(())
     }
 }
 
@@ -236,8 +190,8 @@ pub struct ScenarioSpec {
     pub schedule: PartitionSchedule,
     /// Where the memory traffic comes from.
     pub traffic: TrafficSource,
-    /// How a replay of this spec parallelises (lanes and filter jobs);
-    /// ignored for live traffic. Defaults to fully serial.
+    /// How a replay of this spec parallelises; ignored for live traffic.
+    /// Defaults to serial.
     pub parallelism: ReplayParallelism,
 }
 
@@ -347,9 +301,8 @@ pub struct RunOutcome {
     pub by_key: BTreeMap<PartitionKey, KeyStats>,
     /// Uniform snapshot of the L2 organisation's counters after the run.
     pub l2_snapshot: CacheSnapshot,
-    /// How a lane-parallel replay resolved its lane split (requested
-    /// lanes, lanes used, fallback reason). `None` for live runs and
-    /// serial replays.
+    /// How a set-sharded replay split (requested workers, shards used,
+    /// smallest set group). `None` for live runs and serial replays.
     #[serde(default)]
     pub lane_decision: Option<LaneDecision>,
 }
@@ -548,8 +501,7 @@ fn replay_model(
 /// (stalls, bus waits, makespan, per-processor reports) are zero because
 /// lanes do not reconstruct the global transfer interleaving, and the L2
 /// snapshot stays empty because each lane owns only its slice of the
-/// organisation. [`RunOutcome::lane_decision`] records how the split was
-/// resolved.
+/// organisation. [`RunOutcome::lane_decision`] records the split.
 fn outcome_from_lanes(lanes: LaneReport, table: &RegionTable) -> RunOutcome {
     let report = SystemReport {
         l1: lanes.l1,
@@ -571,10 +523,8 @@ fn outcome_from_lanes(lanes: LaneReport, table: &RegionTable) -> RunOutcome {
 }
 
 /// Replays a recorded trace under one schedule with the requested
-/// parallelism: the L1 filter pass runs on `parallelism.segment_jobs`
-/// workers, and the replay itself either goes through the serial
-/// [`ReplaySystem`] (full timing reconstruction) or splits into per-key
-/// lanes ([`LaneRequest::Auto`] / [`LaneRequest::Require`]).
+/// parallelism: through the serial [`ReplaySystem`] (full timing
+/// reconstruction), or split into set shards.
 fn replay_outcome(
     platform: &PlatformConfig,
     l2: CacheConfig,
@@ -582,24 +532,17 @@ fn replay_outcome(
     trace: &PreparedTrace,
     parallelism: ReplayParallelism,
 ) -> Result<RunOutcome, CoreError> {
-    // Warm the filter cache with the parallel pass; its result is
-    // byte-identical to the serial pass, so every later consumer —
-    // serial replay or lanes — reuses it transparently.
-    if parallelism.segment_jobs > 1 {
-        trace.filtered_for_jobs(platform, parallelism.segment_jobs)?;
-    }
-    match parallelism.lanes {
-        LaneRequest::Serial => {
-            replay_model(platform, l2, schedule, trace).map(|(outcome, _)| outcome)
-        }
-        LaneRequest::Auto(jobs) => {
-            let report = replay_lanes(platform, l2, schedule, trace, jobs)?;
-            Ok(outcome_from_lanes(report, trace.table()))
-        }
-        LaneRequest::Require(jobs) => {
-            let report = replay_lanes_required(platform, l2, schedule, trace, jobs)?;
-            Ok(outcome_from_lanes(report, trace.table()))
-        }
+    let laned = match parallelism {
+        ReplayParallelism::Serial => None,
+        ReplayParallelism::Require(n) => Some(replay_lanes(platform, l2, schedule, trace, n)?),
+        ReplayParallelism::Auto(n) => match replay_lanes(platform, l2, schedule, trace, n) {
+            Err(PlatformError::LanesIneligible { .. }) => None,
+            laned => Some(laned?),
+        },
+    };
+    match laned {
+        Some(report) => Ok(outcome_from_lanes(report, trace.table())),
+        None => replay_model(platform, l2, schedule, trace).map(|(outcome, _)| outcome),
     }
 }
 
@@ -607,15 +550,14 @@ fn replay_outcome(
 /// factory needed): the trace embedded in the spec is the whole workload.
 ///
 /// This is what the `compmem replay` / `compmem sweep` CLI subcommands are
-/// built on. The spec's [`ReplayParallelism`] is honoured: lane requests
-/// replay per partition key, filter jobs split the L1 pass per processor.
+/// built on. The spec's [`ReplayParallelism`] is honoured.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Infeasible`] when `spec` names live traffic, and
 /// propagates cache and platform errors otherwise — including
 /// [`LanesIneligible`](compmem_platform::PlatformError::LanesIneligible)
-/// when the spec *requires* lanes on an ineligible scenario.
+/// when the spec *requires* lanes on a scenario that cannot split.
 pub fn run_replay(platform: &PlatformConfig, spec: &ScenarioSpec) -> Result<RunOutcome, CoreError> {
     match &spec.traffic {
         TrafficSource::Live => Err(CoreError::Infeasible {
@@ -1211,16 +1153,15 @@ impl<F: Fn() -> Application> Experiment<F> {
     /// This is the only simulation driver: every organisation — baseline,
     /// partitioned, ablation or profiling — and both traffic sources go
     /// through this path. Replay scenarios never invoke the application
-    /// factory, and honour the spec's [`ReplayParallelism`]: lane
-    /// requests replay per partition key (cache-side numbers exact,
-    /// timing not reconstructed), filter jobs split the L1 pass per
-    /// processor (byte-identical for every job count).
+    /// factory, and honour the spec's [`ReplayParallelism`] (a set-shard
+    /// split keeps cache-side numbers exact, but does not reconstruct
+    /// timing).
     ///
     /// # Errors
     ///
     /// Propagates cache, platform and workload errors — including
     /// [`LanesIneligible`](compmem_platform::PlatformError::LanesIneligible)
-    /// when the spec *requires* lanes on an ineligible scenario.
+    /// when the spec *requires* lanes on a scenario that cannot split.
     pub fn run(&self, spec: &ScenarioSpec) -> Result<RunOutcome, CoreError> {
         if let (TrafficSource::Replay(trace), false) = (&spec.traffic, spec.parallelism.is_serial())
         {
@@ -2024,11 +1965,10 @@ mod tests {
         // serial default leaves the strings above untouched.
         let parallel = static_spec
             .clone()
-            .with_parallelism(ReplayParallelism::lanes(4).with_segment_jobs(2));
+            .with_parallelism(ReplayParallelism::lanes(4));
         assert_eq!(
             parallel.to_string(),
-            "64 KB 4-way L2, live traffic, schedule shared (static), \
-             lanes auto(4), filter jobs 2"
+            "64 KB 4-way L2, live traffic, schedule shared (static), lanes auto(4)"
         );
         let required = static_spec.with_parallelism(ReplayParallelism::required_lanes(3));
         assert_eq!(
@@ -2097,8 +2037,8 @@ mod tests {
             jpeg_canny_app(&params).expect("valid params")
         });
         let (_, trace) = experiment.record_trace(&experiment.shared_spec()).unwrap();
-        // Set-partitioned organisations are always lane-eligible: give
-        // every entity of the trace an equal power-of-two set share.
+        // Give every entity of the trace an equal power-of-two set share,
+        // so every partition splits into set shards.
         let geometry = experiment.config().l2.geometry();
         let keys = PartitionKey::distinct_keys(trace.table());
         let share = (geometry.sets() / keys.len().next_power_of_two() as u32).max(1);
@@ -2112,16 +2052,11 @@ mod tests {
         let serial = experiment.run(&spec).unwrap();
         assert_eq!(serial.lane_decision, None);
         let laned = experiment
-            .run(
-                &spec
-                    .clone()
-                    .with_parallelism(ReplayParallelism::lanes(4).with_segment_jobs(2)),
-            )
+            .run(&spec.clone().with_parallelism(ReplayParallelism::lanes(4)))
             .unwrap();
         let decision = laned.lane_decision.expect("lane runs report a decision");
         assert_eq!(decision.requested, 4);
-        assert_eq!(decision.fallback, None);
-        assert!(decision.lanes > 1, "the tiny app has several keys");
+        assert_eq!(decision.shards, 4);
         // Cache-side numbers are byte-identical to the serial replay.
         assert_eq!(serial.report.l1, laned.report.l1);
         assert_eq!(serial.report.l2, laned.report.l2);
@@ -2141,15 +2076,22 @@ mod tests {
     }
 
     #[test]
-    fn required_lanes_on_an_ineligible_scenario_is_a_typed_error() {
+    fn required_lanes_on_an_unsplittable_scenario_is_a_typed_error() {
         let params = JpegCannyParams::tiny();
         let experiment = Experiment::new(tiny_config(), move || {
             jpeg_canny_app(&params).expect("valid params")
         });
         let (_, trace) = experiment.record_trace(&experiment.shared_spec()).unwrap();
-        // A shared L2 cannot split into lanes.
-        let shared = experiment.shared_spec().replaying(trace.clone());
-        let required = shared
+        // One-set partitions cannot split into set shards.
+        let keys = PartitionKey::distinct_keys(trace.table());
+        let sizes: Vec<(PartitionKey, u32)> = keys.iter().map(|k| (*k, 1)).collect();
+        let map = PartitionMap::pack(experiment.config().l2.geometry(), &sizes).unwrap();
+        let spec = ScenarioSpec::replay(
+            experiment.config().l2,
+            OrganizationSpec::SetPartitioned(map),
+            trace,
+        );
+        let required = spec
             .clone()
             .with_parallelism(ReplayParallelism::required_lanes(4));
         match experiment.run(&required) {
@@ -2158,34 +2100,16 @@ mod tests {
                 reason,
             })) => {
                 assert_eq!(requested, 4);
-                assert!(!reason.is_empty());
+                assert!(reason.ends_with("is a single set"), "{reason}");
             }
             other => panic!("expected LanesIneligible, got {other:?}"),
         }
-        // The opportunistic request records the fallback instead.
+        // The opportunistic request replays serially instead.
         let auto = experiment
-            .run(&shared.with_parallelism(ReplayParallelism::lanes(4)))
+            .run(&spec.clone().with_parallelism(ReplayParallelism::lanes(4)))
             .unwrap();
-        let decision = auto.lane_decision.unwrap();
-        assert_eq!(decision.lanes, 1);
-        assert!(decision.fallback.is_some(), "fallback must not be silent");
-    }
-
-    #[test]
-    fn segment_jobs_leave_the_serial_outcome_unchanged() {
-        let params = Mpeg2Params::tiny();
-        let experiment = Experiment::new(tiny_config(), move || {
-            mpeg2_app(&params).expect("valid params")
-        });
-        let (_, trace) = experiment.record_trace(&experiment.shared_spec()).unwrap();
-        let spec = experiment.shared_spec().replaying(trace);
-        let serial = experiment.run(&spec).unwrap();
-        let jobs = experiment
-            .run(&spec.with_parallelism(ReplayParallelism::default().with_segment_jobs(4)))
-            .unwrap();
-        // The whole outcome — timing included — is identical: the filter
-        // pass is the only thing that parallelised.
-        assert_eq!(serial, jobs);
+        assert_eq!(auto, experiment.run(&spec).unwrap());
+        assert_eq!(auto.lane_decision, None);
     }
 
     #[test]

@@ -41,13 +41,6 @@ pub enum PlatformError {
         /// The configured limit.
         limit: u64,
     },
-    /// A streaming trace could not be decoded (the message of the
-    /// underlying [`CodecError`](compmem_trace::CodecError), which is not
-    /// `Clone`).
-    TraceDecode {
-        /// Rendered message of the codec error.
-        message: String,
-    },
     /// A curve sidecar could not be written (the message of the
     /// underlying [`CodecError`](compmem_trace::CodecError), which is not
     /// `Clone`). Unreadable or mismatched sidecars are *not* errors — the
@@ -64,15 +57,15 @@ pub enum PlatformError {
         /// Rendered message of the cache error.
         message: String,
     },
-    /// The caller explicitly required a multi-lane run but the scenario
-    /// cannot split into exact per-key lanes (see
-    /// [`LaneIneligibility`](crate::lanes::LaneIneligibility) for the
-    /// possible reasons). The opportunistic entry points fall back to one
-    /// lane and report the fallback instead of raising this.
+    /// The caller required a multi-lane run but the scenario cannot
+    /// split into set shards (see [`lanes`](crate::lanes)): one of its
+    /// set groups has an odd number of sets (typically a single set) or
+    /// starts on an odd set. Opportunistic callers replay serially
+    /// instead of raising this.
     LanesIneligible {
         /// Lane count the caller required.
         requested: usize,
-        /// Rendered ineligibility reason.
+        /// The set group that admits no split, and why.
         reason: String,
     },
     /// An online controller (see
@@ -97,15 +90,6 @@ pub enum PlatformError {
     /// write a trace file (rendered I/O or codec problem).
     Store {
         /// Rendered message of the store failure.
-        message: String,
-    },
-    /// Parallel profiling shards failed to merge back into one exact
-    /// profile (the rendered
-    /// [`CacheError::ShardMerge`](compmem_cache::CacheError) reason). This
-    /// is an internal invariant violation, not a user error: the lane
-    /// split guarantees disjoint per-key streams.
-    ProfileMerge {
-        /// Rendered message of the shard-merge error.
         message: String,
     },
 }
@@ -137,9 +121,6 @@ impl fmt::Display for PlatformError {
             PlatformError::CycleLimitExceeded { limit } => {
                 write!(f, "simulation exceeded the cycle limit of {limit}")
             }
-            PlatformError::TraceDecode { message } => {
-                write!(f, "trace decode error: {message}")
-            }
             PlatformError::SidecarWrite { message } => {
                 write!(f, "curve sidecar write error: {message}")
             }
@@ -149,7 +130,7 @@ impl fmt::Display for PlatformError {
             PlatformError::LanesIneligible { requested, reason } => write!(
                 f,
                 "{requested} lanes were required but the scenario cannot \
-                 split into per-key lanes: {reason}"
+                 split into set shards: {reason}"
             ),
             PlatformError::ControlCache { message } => {
                 write!(f, "online controller repartition rejected: {message}")
@@ -159,9 +140,6 @@ impl fmt::Display for PlatformError {
             }
             PlatformError::Store { message } => {
                 write!(f, "curve store error: {message}")
-            }
-            PlatformError::ProfileMerge { message } => {
-                write!(f, "parallel profiling shards failed to merge: {message}")
             }
         }
     }

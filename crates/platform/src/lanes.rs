@@ -1,39 +1,35 @@
-//! Per-key parallel replay lanes: splitting one trace replay across
-//! threads along partition boundaries.
+//! Set-sharded parallel replay: splitting one trace replay across threads
+//! by L2 set.
 //!
-//! A partitioned L2 is *compositional*: accesses of one partition key
-//! cannot change another key's cache state (that is the paper's point).
-//! The replay of a recorded trace under a partitioned organisation
-//! therefore factors into independent **lanes** — one per
-//! [`PartitionKey`] — each replaying only the refills of its key against
-//! its own copy of the L2 organisation, on its own thread. Merging the
-//! lanes' statistics reproduces the serial replay's cache-side numbers
-//! *exactly*, because the serial cache never lets the keys interact:
+//! Every L2 organisation picks a line's set from the line's low bits:
+//! `base + line % sets` inside a set-partitioned partition, `line % sets`
+//! in a shared or way-partitioned cache and in every shadow cache of the
+//! profiling organisation. Call each such block of consecutive sets a
+//! *set group*. When `N` divides the first set and the size of every
+//! group of every schedule step, set `s` only ever holds lines with
+//! `line % N == s % N`, in every step. Each physical set — its ways, its
+//! LRU/FIFO stamps, its tree-PLRU bits and its Random generator (seeded
+//! `seed ^ set_index`) — and each first-touch entry then belongs to
+//! exactly one residue class of lines.
 //!
-//! * **Set-partitioned** (any replacement policy): partitions are
-//!   exclusive set ranges, and every piece of per-set replacement state
-//!   (LRU/FIFO stamps, PLRU bits, the per-set random state seeded from
-//!   `seed ^ set_index`) is touched only by accesses that index into the
-//!   set — i.e. only by the owning key.
-//! * **Way-partitioned** with pairwise-disjoint way masks (in *every*
-//!   schedule step) under LRU, FIFO or tree-PLRU: tags are full line
-//!   addresses (a key can only hit its own lines), victims are chosen
-//!   among the accessing key's ways by relative stamp order, and a
-//!   disjoint mask is never the full mask, so tree-PLRU takes its
-//!   documented stamp fallback. **Random** replacement is excluded: its
-//!   per-set generator is shared by every key that touches the set, so
-//!   the interleaving matters.
-//! * **Shared** and **profiling** organisations (and overlapping way
-//!   masks) are not compositional at all; [`replay_lanes`] transparently
-//!   falls back to a single lane.
+//! Lane `i` of `N` therefore replays only the L2-bound refills with
+//! `line % N == i`, against its own full copy of the scheduled L2, on its
+//! own thread. Nothing a lane skips could have touched the sets it uses,
+//! so the lanes' counters add up to the serial replay's exactly. This
+//! holds for every organisation and every replacement policy, shared
+//! caches, overlapping way masks and Random replacement included.
+//! One rule picks `N` for replay and profiling alike: the largest power
+//! of two that is at most the request and meets the condition. A run whose smallest group is a
+//! single set cannot split.
 //!
 //! What merges exactly: the L2 aggregate [`CacheStats`], the per-task /
 //! per-region / per-partition attributions, DRAM accesses and
-//! write-backs, and bus *bytes* (every bus transfer of the serial timing
-//! path is a per-refill or per-flush constant). What does not: timing —
-//! bus wait cycles, stall cycles and the makespan depend on the global
-//! interleaving of transfers and are reported by the serial
-//! [`ReplaySystem`](crate::ReplaySystem) only.
+//! write-backs, bus *bytes* (every bus transfer of the serial timing path
+//! is a per-refill or per-flush constant) and the flushes of every
+//! repartition event (a flushed set is non-empty in one lane only). What
+//! does not: timing — bus wait cycles, stall cycles and the makespan
+//! depend on the global interleaving of transfers and are reported by the
+//! serial [`ReplaySystem`](crate::ReplaySystem) only.
 //!
 //! Repartition events of a [`PartitionSchedule`] are applied on the
 //! **recorded issue axis** (`run.start_cycle + data_accesses_before`),
@@ -45,12 +41,10 @@
 //! in the serial loop.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use compmem_cache::{
     CacheConfig, CacheError, CacheModel, CacheStats, FlushStats, OrganizationSpec, PartitionKey,
-    PartitionSchedule, ReplacementPolicy, StatsByKey,
+    PartitionSchedule, ScheduleStep, StatsByKey,
 };
 use compmem_trace::{RegionId, RegionTable, TaskId, LINE_SIZE_BYTES};
 use serde::{Deserialize, Serialize};
@@ -59,77 +53,126 @@ use crate::config::PlatformConfig;
 use crate::error::PlatformError;
 use crate::replay::{FilteredTrace, PreparedTrace};
 
-/// Why a replay or profile cannot split into exact per-key lanes.
-///
-/// Rendered by [`lane_eligibility`]; `compmem info` prints it so users can
-/// predict whether `--lanes` will engage, and [`LaneDecision`] carries it
-/// whenever a run fell back to one lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LaneIneligibility {
-    /// Fewer than two distinct partition keys — one lane *is* the serial
-    /// run, so there is nothing to split.
-    SingleKey,
-    /// A schedule step uses the shared organisation, where every key can
-    /// evict every other key's lines.
-    SharedOrganization,
-    /// A schedule step uses the profiling organisation, whose shadow banks
-    /// observe the global interleaving.
-    ProfilingOrganization,
-    /// A way-partitioned step under Random replacement: the per-set
-    /// generator state is shared by every key that touches the set.
-    RandomPolicy,
-    /// A way-partitioned step with overlapping way masks, which let keys
-    /// evict each other's lines.
-    OverlappingWayMasks,
+/// A block of consecutive L2 sets that one set index maps lines into: a
+/// partition, a whole cache, or the shadow caches of one size.
+#[derive(Debug)]
+struct SetGroup {
+    /// What the group is, e.g. `the task T0 partition of step 1`.
+    name: String,
+    /// First set of the group.
+    first: u32,
+    /// Number of sets in the group.
+    sets: u32,
 }
 
-impl fmt::Display for LaneIneligibility {
+/// The largest power of two dividing both a group's first set and its
+/// size.
+fn alignment(first: u32, sets: u32) -> usize {
+    1 << (first | sets).trailing_zeros()
+}
+
+impl fmt::Display for SetGroup {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LaneIneligibility::SingleKey => {
-                write!(f, "fewer than two distinct partition keys")
-            }
-            LaneIneligibility::SharedOrganization => {
-                write!(f, "shared organisation (keys evict each other freely)")
-            }
-            LaneIneligibility::ProfilingOrganization => {
-                write!(
-                    f,
-                    "profiling organisation (observes the global interleaving)"
-                )
-            }
-            LaneIneligibility::RandomPolicy => write!(
-                f,
-                "random replacement (per-set generator state is shared across keys)"
-            ),
-            LaneIneligibility::OverlappingWayMasks => {
-                write!(f, "overlapping way masks (keys evict each other's lines)")
-            }
-        }
+        write!(
+            f,
+            "{} (sets [{}, {}))",
+            self.name,
+            self.first,
+            self.first + self.sets
+        )
     }
 }
 
-/// How a lane-capable run resolved its lane split: what was asked for,
-/// what actually ran, and — when it fell back to one serial lane — why.
-///
-/// Reported on every [`LaneReport`] so an ineligible scenario never
-/// degrades to a silent serial run.
+/// The set groups a replay of `schedule` on an `l2`-shaped cache indexes,
+/// step by step.
+fn schedule_set_groups(l2: CacheConfig, schedule: &PartitionSchedule) -> Vec<SetGroup> {
+    let mut groups = Vec::new();
+    for (step, ScheduleStep { organization, .. }) in schedule.steps().iter().enumerate() {
+        let whole = SetGroup {
+            name: format!("the {} cache of step {step}", organization.label()),
+            first: 0,
+            sets: l2.geometry().sets(),
+        };
+        match organization {
+            OrganizationSpec::Shared | OrganizationSpec::WayPartitioned(_) => groups.push(whole),
+            OrganizationSpec::SetPartitioned(map) => {
+                groups.extend(map.iter().map(|(key, partition)| SetGroup {
+                    name: format!("the {key} partition of step {step}"),
+                    first: partition.base_set,
+                    sets: partition.sets,
+                }));
+            }
+            OrganizationSpec::Profiling(lattice) => {
+                groups.push(whole);
+                groups.extend(lattice.candidate_units.iter().map(|&units| {
+                    let sets = lattice.sets_of(units);
+                    SetGroup {
+                        name: format!("the {sets}-set shadow caches of step {step}"),
+                        first: 0,
+                        sets,
+                    }
+                }));
+            }
+        }
+    }
+    groups
+}
+
+/// The one shard-count rule of set-sharded replay and profiling: the
+/// largest power of two that is at most `requested` and divides the
+/// first set and the size of every `(first, sets)` group. One shard
+/// means no split.
+pub(crate) fn set_shards(requested: usize, groups: impl IntoIterator<Item = (u32, u32)>) -> usize {
+    groups
+        .into_iter()
+        .map(|(first, sets)| alignment(first, sets))
+        .fold(1 << requested.max(1).ilog2(), usize::min)
+}
+
+/// Runs `run(shard)` for every shard on its own scoped thread — the
+/// shard count never exceeds the caller's worker cap — and returns the
+/// results in shard order.
+pub(crate) fn run_shards<T: Send>(shards: usize, run: impl Fn(u64) -> T + Sync) -> Vec<T> {
+    if shards <= 1 {
+        return vec![run(0)];
+    }
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..shards as u64)
+            .map(|shard| {
+                let run = &run;
+                scope.spawn(move || run(shard))
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
+}
+
+/// How a lane replay split: what was asked for and what ran. The CLI
+/// prints it as `lane split: K set shards on up to N workers (smallest
+/// set group S sets)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LaneDecision {
-    /// Upper bound on parallel lanes the caller asked for.
+    /// Worker cap the caller asked for.
     pub requested: usize,
-    /// Lanes the run actually split into (1 on fallback).
-    pub lanes: usize,
-    /// Why the run fell back to a single serial lane, when it did.
-    pub fallback: Option<LaneIneligibility>,
+    /// Set shards the replay split into, one worker each.
+    pub shards: usize,
+    /// Sets in the smallest set group of the schedule.
+    pub smallest_group: u32,
 }
 
 /// Cache-side result of a lane replay, merged over all lanes.
 ///
 /// Field for field this matches the corresponding members of
 /// [`SystemReport`](crate::SystemReport) (timing fields excluded, see the
-/// module docs); the parity tests assert byte-for-byte equality against a
-/// serial [`ReplaySystem`](crate::ReplaySystem) run.
+/// module docs); the parity tests assert equality against a serial
+/// [`ReplaySystem`](crate::ReplaySystem) run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneReport {
     /// Aggregate statistics over all private L1 caches (from the shared
@@ -137,10 +180,9 @@ pub struct LaneReport {
     pub l1: CacheStats,
     /// Aggregate L2 statistics, merged over the lanes.
     pub l2: CacheStats,
-    /// Per-task L2 statistics (a task may appear in several lanes, e.g.
-    /// through communication buffers).
+    /// Per-task L2 statistics.
     pub l2_by_task: StatsByKey<TaskId>,
-    /// Per-region L2 statistics (each region lives in exactly one lane).
+    /// Per-region L2 statistics.
     pub l2_by_region: StatsByKey<RegionId>,
     /// Per-partition-key L2 statistics, for organisations that attribute
     /// accesses to partitions.
@@ -152,83 +194,11 @@ pub struct LaneReport {
     pub dram_writebacks: u64,
     /// Bytes transferred over the shared bus.
     pub bus_bytes: u64,
-    /// Lines flushed by the schedule's repartition events, summed over
-    /// the lanes.
-    pub flushes: FlushStats,
-    /// Number of lanes the replay actually used (1 when the organisation
-    /// is not compositional).
-    pub lanes: usize,
-    /// How the lane split was decided, including the fallback reason when
-    /// the organisation forced a single serial lane.
+    /// Lines flushed by each repartition event of the schedule, in
+    /// schedule order, summed over the lanes.
+    pub flushes: Vec<FlushStats>,
+    /// How the replay split.
     pub decision: LaneDecision,
-}
-
-/// The partition keys along which a replay of `schedule` over `regions`
-/// splits into exact per-key lanes, or `None` when it must stay serial.
-///
-/// Per-key lanes are exact when every step of the schedule is
-/// compositional for the cache's replacement policy: set-partitioned
-/// steps always are; way-partitioned steps require pairwise-disjoint way
-/// masks and a non-[`Random`](ReplacementPolicy::Random) policy; shared
-/// and profiling organisations never are (see the module docs for the
-/// reasoning). A single distinct key yields `None` — one lane *is* the
-/// serial replay.
-pub fn lane_keys(
-    l2: CacheConfig,
-    schedule: &PartitionSchedule,
-    regions: &RegionTable,
-) -> Option<Vec<PartitionKey>> {
-    lane_eligibility(l2, schedule, regions).ok()
-}
-
-/// The lane-eligibility *verdict* behind [`lane_keys`]: the per-key lanes
-/// when the scenario splits exactly, or the specific
-/// [`LaneIneligibility`] reason when it must stay serial.
-///
-/// The first ineligible condition encountered wins: the key count is
-/// checked before the schedule, and schedule steps are scanned in order.
-pub fn lane_eligibility(
-    l2: CacheConfig,
-    schedule: &PartitionSchedule,
-    regions: &RegionTable,
-) -> Result<Vec<PartitionKey>, LaneIneligibility> {
-    let keys = PartitionKey::distinct_keys(regions);
-    if keys.len() <= 1 {
-        return Err(LaneIneligibility::SingleKey);
-    }
-    for step in schedule.steps() {
-        match &step.organization {
-            OrganizationSpec::Shared => return Err(LaneIneligibility::SharedOrganization),
-            OrganizationSpec::Profiling(_) => return Err(LaneIneligibility::ProfilingOrganization),
-            OrganizationSpec::SetPartitioned(_) => {}
-            OrganizationSpec::WayPartitioned(allocation) => {
-                if l2.replacement_policy() == ReplacementPolicy::Random {
-                    return Err(LaneIneligibility::RandomPolicy);
-                }
-                let mut claimed = 0u64;
-                for (_, mask) in allocation.iter() {
-                    if claimed & mask != 0 {
-                        return Err(LaneIneligibility::OverlappingWayMasks);
-                    }
-                    claimed |= mask;
-                }
-            }
-        }
-    }
-    Ok(keys)
-}
-
-/// Per-lane accumulation: the lane's own L2 plus the additive bus/DRAM
-/// counters of the serial timing path.
-struct LaneTotals {
-    l2: CacheStats,
-    by_task: StatsByKey<TaskId>,
-    by_region: StatsByKey<RegionId>,
-    by_partition: Option<StatsByKey<PartitionKey>>,
-    dram_accesses: u64,
-    dram_writebacks: u64,
-    bus_bytes: u64,
-    flushes: FlushStats,
 }
 
 fn lane_cache_error(error: CacheError) -> PlatformError {
@@ -237,122 +207,100 @@ fn lane_cache_error(error: CacheError) -> PlatformError {
     }
 }
 
-/// Replays the refills of one lane (`key = None` replays everything)
+/// The serial timing path's additive counters, kept by one lane.
+#[derive(Default)]
+struct LaneCounters {
+    dram_accesses: u64,
+    dram_writebacks: u64,
+    bus_bytes: u64,
+    flushes: Vec<FlushStats>,
+}
+
+impl LaneCounters {
+    /// Applies one repartition event to the lane's cache. Flush traffic
+    /// takes the same path as in the serial replay: one bus transfer and
+    /// one DRAM write-back per dirty line.
+    fn switch(
+        &mut self,
+        cache: &mut dyn CacheModel,
+        step: &ScheduleStep,
+        regions: &RegionTable,
+    ) -> Result<(), PlatformError> {
+        let flush = cache
+            .reconfigure(&step.organization, regions)
+            .map_err(lane_cache_error)?;
+        self.dram_writebacks += flush.written_back;
+        self.bus_bytes += flush.written_back * LINE_SIZE_BYTES;
+        self.flushes.push(flush);
+        Ok(())
+    }
+}
+
+/// Replays the refills of set shard `shard` of `shards` (a power of two)
 /// against a fresh copy of the scheduled L2 organisation.
-fn replay_one_lane(
+fn replay_shard(
     l2: CacheConfig,
     schedule: &PartitionSchedule,
     regions: &RegionTable,
     filtered: &FilteredTrace,
-    region_keys: &[PartitionKey],
-    key: Option<PartitionKey>,
-) -> Result<LaneTotals, PlatformError> {
+    shards: u64,
+    shard: u64,
+) -> Result<(Box<dyn CacheModel>, LaneCounters), PlatformError> {
     let mut cache = schedule
         .initial()
         .build(l2, regions)
         .map_err(lane_cache_error)?;
-    let mut switches = schedule.switches().iter();
-    let mut next_switch = switches.next();
-    let mut dram_accesses = 0u64;
-    let mut dram_writebacks = 0u64;
-    let mut bus_bytes = 0u64;
-    let mut flushes = FlushStats::default();
-
-    let apply_switch = |cache: &mut Box<dyn CacheModel>,
-                        organization: &OrganizationSpec,
-                        dram_writebacks: &mut u64,
-                        bus_bytes: &mut u64,
-                        flushes: &mut FlushStats|
-     -> Result<(), PlatformError> {
-        let flush = cache
-            .reconfigure(organization, regions)
-            .map_err(lane_cache_error)?;
-        // Flush traffic takes the same path as in the serial replay: one
-        // bus transfer and one DRAM write-back per dirty line.
-        *dram_writebacks += flush.written_back;
-        *bus_bytes += flush.written_back * LINE_SIZE_BYTES;
-        flushes.absorb(flush);
-        Ok(())
-    };
-
+    let mut counters = LaneCounters::default();
+    let mut switches = schedule.switches().iter().peekable();
     for run in &filtered.runs {
         for refill in &run.refills {
-            if let Some(key) = key {
-                if region_keys[refill.access.region.index()] != key {
-                    continue;
-                }
+            if refill.access.addr.line().value() & (shards - 1) != shard {
+                continue;
             }
             // The recorded issue axis: hits before this refill advance
             // the clock one cycle per data access (see the module docs
             // for how this relates to the serial, stall-inflated clock).
             let clock = run.start_cycle + refill.data_accesses_before;
-            while let Some(step) = next_switch {
-                if clock < step.at_cycle {
-                    break;
-                }
-                apply_switch(
-                    &mut cache,
-                    &step.organization,
-                    &mut dram_writebacks,
-                    &mut bus_bytes,
-                    &mut flushes,
-                )?;
-                next_switch = switches.next();
+            while let Some(step) = switches.next_if(|step| step.at_cycle <= clock) {
+                counters.switch(cache.as_mut(), step, regions)?;
             }
             // The bus request sequence of the serial path, as bytes:
             // refill transfer, optional L1 write-back, optional DRAM
             // fill, optional L2 write-back.
-            bus_bytes += LINE_SIZE_BYTES;
+            counters.bus_bytes += LINE_SIZE_BYTES;
             if refill.l1_victim_dirty {
-                bus_bytes += LINE_SIZE_BYTES;
+                counters.bus_bytes += LINE_SIZE_BYTES;
             }
             let outcome = cache.access(&refill.access);
             if !outcome.hit {
-                dram_accesses += 1;
-                bus_bytes += LINE_SIZE_BYTES;
+                counters.dram_accesses += 1;
+                counters.bus_bytes += LINE_SIZE_BYTES;
             }
             if outcome.evicted.is_some_and(|e| e.dirty) {
-                dram_writebacks += 1;
-                bus_bytes += LINE_SIZE_BYTES;
+                counters.dram_writebacks += 1;
+                counters.bus_bytes += LINE_SIZE_BYTES;
             }
         }
     }
     // Switches whose boundary lies beyond the lane's last refill still
     // fire, exactly as the serial replay loop fires them at the end.
-    while let Some(step) = next_switch {
-        apply_switch(
-            &mut cache,
-            &step.organization,
-            &mut dram_writebacks,
-            &mut bus_bytes,
-            &mut flushes,
-        )?;
-        next_switch = switches.next();
+    for step in switches {
+        counters.switch(cache.as_mut(), step, regions)?;
     }
-
-    Ok(LaneTotals {
-        l2: *cache.stats(),
-        by_task: cache.stats_by_task().clone(),
-        by_region: cache.stats_by_region().clone(),
-        by_partition: cache.stats_by_partition().cloned(),
-        dram_accesses,
-        dram_writebacks,
-        bus_bytes,
-        flushes,
-    })
+    Ok((cache, counters))
 }
 
-/// Replays `trace` under the scheduled L2 organisation on up to `jobs`
-/// parallel per-key lanes and returns the merged cache-side report.
-///
-/// When the organisation is compositional (see [`lane_keys`]) each
-/// [`PartitionKey`] replays on its own lane; otherwise everything replays
-/// on one lane, so the result is *always* exact — the lane count is a
-/// performance detail, never a semantics switch, and `jobs = 1` produces
-/// byte-identical results to any other lane count.
+/// Replays `trace` under the scheduled L2 organisation split into set
+/// shards on up to `requested` worker threads (see the module docs), and
+/// returns the merged cache-side report. `requested <= 1` replays one
+/// shard, i.e. the whole stream on one lane.
 ///
 /// # Errors
 ///
+/// * [`PlatformError::LanesIneligible`] if `requested > 1` and no split
+///   exists: a set group of the schedule has an odd number of sets
+///   (typically a single set) or starts on an odd set. The error names
+///   that group.
 /// * [`PlatformError::LaneCache`] if the schedule does not fit the cache
 ///   geometry or does not cover every region of the trace,
 /// * [`PlatformError::ProcessorOutOfRange`] if a trace run names a
@@ -362,57 +310,34 @@ pub fn replay_lanes(
     l2: CacheConfig,
     schedule: &PartitionSchedule,
     trace: &PreparedTrace,
-    jobs: usize,
+    requested: usize,
 ) -> Result<LaneReport, PlatformError> {
     let regions = trace.table();
     schedule
         .validate_for(l2.geometry(), regions)
         .map_err(lane_cache_error)?;
-    let filtered = trace.filtered_for(config)?;
-    let region_keys: Vec<PartitionKey> = regions
-        .iter()
-        .map(|region| PartitionKey::from_region_kind(region.kind))
-        .collect();
-    let (lanes, fallback): (Vec<Option<PartitionKey>>, Option<LaneIneligibility>) =
-        match lane_eligibility(l2, schedule, regions) {
-            Ok(keys) => (keys.into_iter().map(Some).collect(), None),
-            Err(reason) => (vec![None], Some(reason)),
+    let groups = schedule_set_groups(l2, schedule);
+    let shards = set_shards(requested, groups.iter().map(|g| (g.first, g.sets)));
+    if shards == 1 && requested > 1 {
+        let group = groups
+            .iter()
+            .find(|g| alignment(g.first, g.sets) == 1)
+            .expect("only a group of odd size or first set blocks every split");
+        let why = match group.sets {
+            1 => "is a single set",
+            sets if sets % 2 == 1 => "has an odd number of sets",
+            _ => "starts on an odd set",
         };
-
-    let run_lane = |key: Option<PartitionKey>| {
-        replay_one_lane(l2, schedule, regions, &filtered, &region_keys, key)
-    };
-    let workers = jobs.max(1).min(lanes.len());
-    let results: Vec<Result<LaneTotals, PlatformError>> = if workers <= 1 {
-        lanes.iter().map(|key| run_lane(*key)).collect()
-    } else {
-        // Lanes are few (one per partition key), so a shared cursor over
-        // the lane list is all the scheduling needed.
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<LaneTotals, PlatformError>>>> =
-            lanes.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(key) = lanes.get(index) else { break };
-                    let result = run_lane(*key);
-                    *slots[index].lock().expect("lane slot poisoned") = Some(result);
-                });
-            }
+        return Err(PlatformError::LanesIneligible {
+            requested,
+            reason: format!("{group} {why}"),
         });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("lane slot poisoned")
-                    .expect("every lane index was claimed by a worker")
-            })
-            .collect()
-    };
+    }
+    let filtered = trace.filtered_for(config)?;
+    let lanes = run_shards(shards, |shard| {
+        replay_shard(l2, schedule, regions, &filtered, shards as u64, shard)
+    });
 
-    // Merge in lane (key) order, so the merged report is deterministic
-    // and independent of which thread ran which lane.
     let mut report = LaneReport {
         l1: filtered.l1_aggregate,
         l2: CacheStats::new(),
@@ -422,59 +347,32 @@ pub fn replay_lanes(
         dram_accesses: 0,
         dram_writebacks: 0,
         bus_bytes: 0,
-        flushes: FlushStats::default(),
-        lanes: lanes.len(),
+        flushes: vec![FlushStats::default(); schedule.switches().len()],
         decision: LaneDecision {
-            requested: jobs,
-            lanes: lanes.len(),
-            fallback,
+            requested,
+            shards,
+            smallest_group: groups.iter().map(|group| group.sets).min().unwrap_or(0),
         },
     };
-    for result in results {
-        let totals = result?;
-        report.l2.merge(&totals.l2);
-        report.l2_by_task.merge(&totals.by_task);
-        report.l2_by_region.merge(&totals.by_region);
-        if let Some(by_partition) = &totals.by_partition {
+    for lane in lanes {
+        let (cache, counters) = lane?;
+        report.l2.merge(cache.stats());
+        report.l2_by_task.merge(cache.stats_by_task());
+        report.l2_by_region.merge(cache.stats_by_region());
+        if let Some(by_partition) = cache.stats_by_partition() {
             report
                 .l2_by_partition
                 .get_or_insert_with(StatsByKey::new)
                 .merge(by_partition);
         }
-        report.dram_accesses += totals.dram_accesses;
-        report.dram_writebacks += totals.dram_writebacks;
-        report.bus_bytes += totals.bus_bytes;
-        report.flushes.absorb(totals.flushes);
-    }
-    Ok(report)
-}
-
-/// Like [`replay_lanes`], but the lane split is a *requirement*: when the
-/// caller asked for more than one lane and the scenario is ineligible,
-/// the silent single-lane fallback becomes a typed
-/// [`PlatformError::LanesIneligible`] naming the reason. `jobs <= 1`
-/// never errors — one lane is exactly what was asked for.
-///
-/// # Errors
-///
-/// [`PlatformError::LanesIneligible`] as above, plus everything
-/// [`replay_lanes`] can return.
-pub fn replay_lanes_required(
-    config: &PlatformConfig,
-    l2: CacheConfig,
-    schedule: &PartitionSchedule,
-    trace: &PreparedTrace,
-    jobs: usize,
-) -> Result<LaneReport, PlatformError> {
-    if jobs > 1 {
-        if let Err(reason) = lane_eligibility(l2, schedule, trace.table()) {
-            return Err(PlatformError::LanesIneligible {
-                requested: jobs,
-                reason: reason.to_string(),
-            });
+        report.dram_accesses += counters.dram_accesses;
+        report.dram_writebacks += counters.dram_writebacks;
+        report.bus_bytes += counters.bus_bytes;
+        for (total, flush) in report.flushes.iter_mut().zip(counters.flushes) {
+            total.absorb(flush);
         }
     }
-    replay_lanes(config, l2, schedule, trace, jobs)
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -485,12 +383,14 @@ mod tests {
     use crate::replay::ReplaySystem;
     use crate::scheduler::TaskMapping;
     use crate::system::System;
-    use compmem_cache::{CacheSizeLattice, KeyStats, PartitionMap, SharedCache, WayAllocation};
+    use compmem_cache::{
+        CacheSizeLattice, KeyStats, PartitionMap, ReplacementPolicy, SharedCache, WayAllocation,
+    };
     use compmem_trace::codec::{EncodedTrace, TraceWriter};
     use compmem_trace::{Access, Addr, BufferId, RegionKind, TaskId};
 
     /// Two tasks on two processors, each touching its own data region and
-    /// a shared FIFO region (three partition keys), with an optional long
+    /// a shared FIFO region (three partition keys), with a long
     /// compute-only phase in the middle whose recorded-cycle gap hosts
     /// schedule boundaries.
     struct PhasedDriver {
@@ -617,243 +517,195 @@ mod tests {
         serial: &SystemReport,
         serial_by_partition: &Option<StatsByKey<PartitionKey>>,
         lanes: &LaneReport,
+        context: &str,
     ) {
-        assert_eq!(serial.l1, lanes.l1);
-        assert_eq!(serial.l2, lanes.l2);
+        assert_eq!(serial.l1, lanes.l1, "{context}: L1");
+        assert_eq!(serial.l2, lanes.l2, "{context}: L2");
         let by_task: std::collections::BTreeMap<TaskId, KeyStats> =
             lanes.l2_by_task.iter().map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(serial.l2_by_task, by_task);
+        assert_eq!(serial.l2_by_task, by_task, "{context}: per task");
         let by_region: std::collections::BTreeMap<compmem_trace::RegionId, KeyStats> =
             lanes.l2_by_region.iter().map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(serial.l2_by_region, by_region);
-        assert_eq!(*serial_by_partition, lanes.l2_by_partition);
-        assert_eq!(serial.dram_accesses, lanes.dram_accesses);
-        assert_eq!(serial.dram_writebacks, lanes.dram_writebacks);
-        assert_eq!(serial.bus_bytes, lanes.bus_bytes);
+        assert_eq!(serial.l2_by_region, by_region, "{context}: per region");
+        assert_eq!(
+            *serial_by_partition, lanes.l2_by_partition,
+            "{context}: per partition"
+        );
+        assert_eq!(serial.dram_accesses, lanes.dram_accesses, "{context}");
+        assert_eq!(serial.dram_writebacks, lanes.dram_writebacks, "{context}");
+        assert_eq!(serial.bus_bytes, lanes.bus_bytes, "{context}");
+        let serial_flushes: Vec<FlushStats> = serial
+            .repartitions
+            .iter()
+            .map(|record| record.flush)
+            .collect();
+        assert_eq!(serial_flushes, lanes.flushes, "{context}: flushes");
     }
 
-    #[test]
-    fn set_partitioned_lanes_match_serial_for_every_policy() {
-        let trace = record(0);
-        for policy in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Fifo,
-            ReplacementPolicy::TreePlru,
-            ReplacementPolicy::Random,
-        ] {
-            let l2 = CacheConfig::new(64, 4).unwrap().policy(policy);
-            let map = PartitionMap::pack(
-                l2.geometry(),
-                &[(task(0), 16), (task(1), 16), (buffer(), 16)],
-            )
-            .unwrap();
-            let schedule = PartitionSchedule::single(OrganizationSpec::SetPartitioned(map));
-            let (serial_report, serial_bp) = serial(l2, &schedule, &trace);
-            let lanes = replay_lanes(&platform(), l2, &schedule, &trace, 4).unwrap();
-            assert_eq!(lanes.lanes, 3, "policy {policy:?} should lane per key");
-            assert_eq!(
-                lanes.decision,
-                LaneDecision {
-                    requested: 4,
-                    lanes: 3,
-                    fallback: None
-                }
-            );
-            assert_parity(&serial_report, &serial_bp, &lanes);
-            assert!(lanes.l2.misses > 0, "the workload must exercise the L2");
-        }
-    }
+    /// Three steps of one organisation kind: step 0 at cycle 0, step 1 in
+    /// the recorded compute gap, step 2 past the last refill.
+    type Steps = [OrganizationSpec; 3];
 
-    #[test]
-    fn way_partitioned_lanes_match_serial_with_disjoint_masks() {
-        let trace = record(0);
-        for policy in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Fifo,
-            ReplacementPolicy::TreePlru,
-        ] {
-            let l2 = CacheConfig::new(64, 4).unwrap().policy(policy);
-            let alloc = WayAllocation::equal_split(l2.geometry(), &[task(0), task(1), buffer()]);
-            let schedule = PartitionSchedule::single(OrganizationSpec::WayPartitioned(alloc));
-            let (serial_report, serial_bp) = serial(l2, &schedule, &trace);
-            let lanes = replay_lanes(&platform(), l2, &schedule, &trace, 4).unwrap();
-            assert_eq!(lanes.lanes, 3, "policy {policy:?} should lane per key");
-            assert_parity(&serial_report, &serial_bp, &lanes);
-        }
-    }
-
-    #[test]
-    fn shared_and_profiling_replay_on_one_lane() {
-        let trace = record(0);
-        let l2 = CacheConfig::new(64, 4).unwrap();
-        let lattice = CacheSizeLattice::new(l2.geometry(), 4);
-        for (spec, reason) in [
-            (
-                OrganizationSpec::Shared,
-                LaneIneligibility::SharedOrganization,
-            ),
-            (
-                OrganizationSpec::Profiling(lattice),
-                LaneIneligibility::ProfilingOrganization,
-            ),
-        ] {
-            let schedule = PartitionSchedule::single(spec);
-            assert_eq!(lane_keys(l2, &schedule, trace.table()), None);
-            assert_eq!(lane_eligibility(l2, &schedule, trace.table()), Err(reason));
-            let (serial_report, serial_bp) = serial(l2, &schedule, &trace);
-            let lanes = replay_lanes(&platform(), l2, &schedule, &trace, 4).unwrap();
-            assert_eq!(lanes.lanes, 1);
-            assert_eq!(
-                lanes.decision,
-                LaneDecision {
-                    requested: 4,
-                    lanes: 1,
-                    fallback: Some(reason)
-                },
-                "the single-lane fallback must be reported, not silent"
-            );
-            assert_parity(&serial_report, &serial_bp, &lanes);
-
-            // Explicitly *requiring* lanes on the same scenario is a typed
-            // error naming the reason...
-            let err = replay_lanes_required(&platform(), l2, &schedule, &trace, 4).unwrap_err();
-            match &err {
-                PlatformError::LanesIneligible { requested, reason } => {
-                    assert_eq!(*requested, 4);
-                    assert!(!reason.is_empty());
-                }
-                other => panic!("expected LanesIneligible, got {other:?}"),
+    /// Every organisation of the exactness matrix: its static step and,
+    /// where the organisation can repartition, three scheduled steps.
+    fn organisations(l2: CacheConfig) -> Vec<(&'static str, Steps)> {
+        let g = l2.geometry();
+        let sets = |sizes: [u32; 3]| {
+            let keys = [task(0), task(1), buffer()];
+            let sizes: Vec<(PartitionKey, u32)> = keys.into_iter().zip(sizes).collect();
+            OrganizationSpec::SetPartitioned(PartitionMap::pack(g, &sizes).unwrap())
+        };
+        let ways = |masks: [u64; 3]| {
+            let mut allocation = WayAllocation::new(g);
+            for (key, mask) in [task(0), task(1), buffer()].into_iter().zip(masks) {
+                allocation.assign(key, mask).unwrap();
             }
-            // ...while requiring a single lane is satisfiable as-is.
-            let one = replay_lanes_required(&platform(), l2, &schedule, &trace, 1).unwrap();
-            assert_parity(&serial_report, &serial_bp, &one);
-        }
+            OrganizationSpec::WayPartitioned(allocation)
+        };
+        let profiling = OrganizationSpec::Profiling(CacheSizeLattice::new(g, 4));
+        vec![
+            (
+                "shared",
+                [
+                    OrganizationSpec::Shared,
+                    OrganizationSpec::Shared,
+                    OrganizationSpec::Shared,
+                ],
+            ),
+            (
+                "set-partitioned",
+                [sets([16, 16, 16]), sets([8, 32, 8]), sets([32, 8, 16])],
+            ),
+            (
+                "way-partitioned, disjoint masks",
+                [
+                    ways([0b0011, 0b0100, 0b1000]),
+                    ways([0b0001, 0b0110, 0b1000]),
+                    ways([0b1000, 0b0011, 0b0100]),
+                ],
+            ),
+            (
+                "way-partitioned, overlapping masks",
+                [
+                    ways([0b0011, 0b0110, 0b1000]),
+                    ways([0b0111, 0b1110, 0b1100]),
+                    ways([0b0001, 0b0011, 0b1111]),
+                ],
+            ),
+            // The profiling organisation cannot repartition, so it only
+            // runs static (its "schedule" repeats the static step).
+            (
+                "profiling",
+                [profiling.clone(), profiling.clone(), profiling],
+            ),
+        ]
     }
 
     #[test]
-    fn non_compositional_way_allocations_stay_serial() {
-        let trace = record(0);
-        let table = trace.table();
-        // Random replacement shares per-set generator state across keys.
-        let random_l2 = CacheConfig::new(64, 4)
-            .unwrap()
-            .policy(ReplacementPolicy::Random);
-        let disjoint =
-            WayAllocation::equal_split(random_l2.geometry(), &[task(0), task(1), buffer()]);
-        let schedule = PartitionSchedule::single(OrganizationSpec::WayPartitioned(disjoint));
-        assert_eq!(lane_keys(random_l2, &schedule, table), None);
-        assert_eq!(
-            lane_eligibility(random_l2, &schedule, table),
-            Err(LaneIneligibility::RandomPolicy)
-        );
-        let (serial_report, serial_bp) = serial(random_l2, &schedule, &trace);
-        let lanes = replay_lanes(&platform(), random_l2, &schedule, &trace, 4).unwrap();
-        assert_eq!(lanes.lanes, 1);
-        assert_eq!(
-            lanes.decision.fallback,
-            Some(LaneIneligibility::RandomPolicy)
-        );
-        assert_parity(&serial_report, &serial_bp, &lanes);
-
-        // Overlapping masks let keys evict each other's lines.
-        let l2 = CacheConfig::new(64, 4).unwrap();
-        let mut overlapping = WayAllocation::new(l2.geometry());
-        overlapping.assign(task(0), 0b0011).unwrap();
-        overlapping.assign(task(1), 0b0110).unwrap();
-        overlapping.assign(buffer(), 0b1000).unwrap();
-        let schedule = PartitionSchedule::single(OrganizationSpec::WayPartitioned(overlapping));
-        assert_eq!(lane_keys(l2, &schedule, table), None);
-        assert_eq!(
-            lane_eligibility(l2, &schedule, table),
-            Err(LaneIneligibility::OverlappingWayMasks)
-        );
-        let (serial_report, serial_bp) = serial(l2, &schedule, &trace);
-        let lanes = replay_lanes(&platform(), l2, &schedule, &trace, 4).unwrap();
-        assert_eq!(lanes.lanes, 1);
-        assert_eq!(
-            lanes.decision.fallback,
-            Some(LaneIneligibility::OverlappingWayMasks)
-        );
-        assert_parity(&serial_report, &serial_bp, &lanes);
-    }
-
-    #[test]
-    fn scheduled_lanes_match_serial_across_repartitions() {
-        // Record with a long compute-only phase; its recorded-cycle gap is
-        // orders of magnitude wider than any intra-run stall shift, so the
-        // serial (stall-inflated) and lane (recorded-axis) clocks cross the
-        // boundary at the same refill.
+    fn set_shards_match_serial_for_every_organisation_policy_and_schedule() {
+        // The compute phase leaves a recorded-cycle gap orders of
+        // magnitude wider than any intra-run stall shift, so the serial
+        // (stall-inflated) and lane (recorded-axis) clocks cross the
+        // middle boundary at the same refill.
         let trace = record(400_000);
         let runs = trace.trace().runs();
-        let mut widest = (0u64, 0u64);
-        for pair in runs.windows(2) {
-            let gap = pair[1].start_cycle.saturating_sub(pair[0].start_cycle);
-            if gap > widest.0 {
-                widest = (gap, pair[0].start_cycle + gap / 2);
-            }
-        }
-        assert!(widest.0 > 100_000, "the compute phase must leave a gap");
-        let mid_boundary = widest.1;
+        let (gap, mid_boundary) = runs
+            .windows(2)
+            .map(|pair| {
+                let gap = pair[1].start_cycle.saturating_sub(pair[0].start_cycle);
+                (gap, pair[0].start_cycle + gap / 2)
+            })
+            .max()
+            .unwrap();
+        assert!(gap > 100_000, "the compute phase must leave a gap");
         let end_boundary = runs.last().unwrap().start_cycle + 10_000_000;
 
-        let l2 = CacheConfig::new(64, 4).unwrap();
-        let map = |sizes: &[(PartitionKey, u32)]| {
-            OrganizationSpec::SetPartitioned(PartitionMap::pack(l2.geometry(), sizes).unwrap())
-        };
-        let schedule = PartitionSchedule::new(vec![
-            (0, map(&[(task(0), 16), (task(1), 16), (buffer(), 16)])),
-            (
-                mid_boundary,
-                map(&[(task(0), 8), (task(1), 32), (buffer(), 8)]),
-            ),
-            (
-                end_boundary,
-                map(&[(task(0), 32), (task(1), 8), (buffer(), 16)]),
-            ),
-        ])
-        .unwrap();
-
-        let (serial_report, serial_bp) = serial(l2, &schedule, &trace);
-        assert_eq!(
-            serial_report.repartitions.len(),
-            2,
-            "both switches must fire (the second past the last refill)"
-        );
-        let lanes = replay_lanes(&platform(), l2, &schedule, &trace, 4).unwrap();
-        assert_eq!(lanes.lanes, 3);
-        assert_parity(&serial_report, &serial_bp, &lanes);
-        let mut serial_flushes = FlushStats::default();
-        for record in &serial_report.repartitions {
-            serial_flushes.absorb(record.flush);
+        let mut flushed = 0;
+        for policy in ReplacementPolicy::ALL {
+            let l2 = CacheConfig::new(64, 4).unwrap().policy(policy);
+            for (name, [first, second, third]) in organisations(l2) {
+                let mut schedules = vec![("static", PartitionSchedule::single(first.clone()))];
+                if !matches!(first, OrganizationSpec::Profiling(_)) {
+                    let steps = vec![(0, first), (mid_boundary, second), (end_boundary, third)];
+                    schedules.push(("3-step", PartitionSchedule::new(steps).unwrap()));
+                }
+                for (kind, schedule) in schedules {
+                    let (serial_report, serial_bp) = serial(l2, &schedule, &trace);
+                    assert_eq!(serial_report.repartitions.len(), schedule.switches().len());
+                    flushed += serial_report
+                        .repartitions
+                        .iter()
+                        .map(|record| record.flush.invalidated)
+                        .sum::<u64>();
+                    for requested in [1, 2, 4] {
+                        let context = format!("{name}, {policy}, {kind}, {requested} lanes");
+                        let lanes =
+                            replay_lanes(&platform(), l2, &schedule, &trace, requested).unwrap();
+                        assert_eq!(lanes.decision.shards, requested, "{context}");
+                        assert_parity(&serial_report, &serial_bp, &lanes, &context);
+                        assert!(lanes.l2.misses > 0, "{context}: the L2 must be exercised");
+                    }
+                }
+            }
         }
-        assert_eq!(serial_flushes, lanes.flushes);
+        assert!(flushed > 0, "the schedules must flush lines");
     }
 
     #[test]
-    fn lane_count_does_not_change_results() {
+    fn the_split_is_the_largest_power_of_two_every_group_admits() {
+        let l2 = CacheConfig::new(64, 4).unwrap();
+        let map = |sizes: &[(PartitionKey, u32)]| {
+            PartitionSchedule::single(OrganizationSpec::SetPartitioned(
+                PartitionMap::pack(l2.geometry(), sizes).unwrap(),
+            ))
+        };
+        let split = |schedule: &PartitionSchedule, requested| {
+            let groups = schedule_set_groups(l2, schedule);
+            set_shards(requested, groups.iter().map(|g| (g.first, g.sets)))
+        };
+        let even = map(&[(task(0), 16), (task(1), 8), (buffer(), 4)]);
+        assert_eq!(split(&even, 3), 2);
+        assert_eq!(split(&even, 8), 4);
+        assert_eq!(split(&even, 64), 4);
+        let shared = PartitionSchedule::single(OrganizationSpec::Shared);
+        assert_eq!(split(&shared, 64), 64);
+        assert_eq!(split(&shared, 1), 1);
+    }
+
+    #[test]
+    fn requiring_a_split_of_an_unsplittable_map_names_the_group() {
         let trace = record(0);
         let l2 = CacheConfig::new(64, 4).unwrap();
-        let map = PartitionMap::pack(
-            l2.geometry(),
-            &[(task(0), 16), (task(1), 16), (buffer(), 16)],
-        )
-        .unwrap();
-        let schedule = PartitionSchedule::single(OrganizationSpec::SetPartitioned(map));
-        let one = replay_lanes(&platform(), l2, &schedule, &trace, 1).unwrap();
-        let mut eight = replay_lanes(&platform(), l2, &schedule, &trace, 8).unwrap();
-        // Only the recorded request differs — every measured number is
-        // byte-identical across worker counts.
-        assert_eq!(
-            eight.decision,
-            LaneDecision {
-                requested: 8,
-                lanes: 3,
-                fallback: None
+        let geometry = l2.geometry();
+        let single =
+            PartitionMap::pack(geometry, &[(task(0), 1), (task(1), 16), (buffer(), 16)]).unwrap();
+        let mut odd_start = PartitionMap::new(geometry);
+        odd_start.assign(task(0), 1, 2).unwrap();
+        odd_start.assign(task(1), 4, 16).unwrap();
+        odd_start.assign(buffer(), 20, 16).unwrap();
+        for (map, reason) in [
+            (
+                single,
+                "the task T0 partition of step 0 (sets [0, 1)) is a single set",
+            ),
+            (
+                odd_start,
+                "the task T0 partition of step 0 (sets [1, 3)) starts on an odd set",
+            ),
+        ] {
+            let schedule = PartitionSchedule::single(OrganizationSpec::SetPartitioned(map));
+            match replay_lanes(&platform(), l2, &schedule, &trace, 4) {
+                Err(PlatformError::LanesIneligible {
+                    requested: 4,
+                    reason: got,
+                }) => assert_eq!(got, reason),
+                other => panic!("expected LanesIneligible, got {other:?}"),
             }
-        );
-        eight.decision = one.decision;
-        assert_eq!(one, eight);
-        assert_eq!(one.lanes, 3);
+            // One lane is always available, and exact.
+            let (serial_report, serial_bp) = serial(l2, &schedule, &trace);
+            let one = replay_lanes(&platform(), l2, &schedule, &trace, 1).unwrap();
+            assert_parity(&serial_report, &serial_bp, &one, "one lane");
+        }
     }
 
     #[test]

@@ -41,14 +41,13 @@
 
 use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use compmem_cache::{
     CacheConfig, CacheError, CacheModel, CacheStats, OrganizationSpec, PartitionSchedule,
     SetAssocCache,
 };
-use compmem_trace::codec::{EncodedTrace, TraceRun, TraceSummary, TraceWriter};
+use compmem_trace::codec::{EncodedTrace, TraceSummary, TraceWriter};
 use compmem_trace::{Access, RegionTable};
 
 use crate::config::PlatformConfig;
@@ -141,7 +140,6 @@ struct FilterKey {
 /// This is the **single** definition of "L2-bound" in the crate: the
 /// trace filter pass ([`PreparedTrace::filtered_for`]) and the
 /// stack-distance profiler feeds ([`profile_trace`](crate::profile_trace),
-/// [`profile_reader`](crate::profile_reader),
 /// [`TapProfiler`](crate::TapProfiler)) all route accesses through it, so
 /// the streams they see cannot drift apart.
 #[derive(Debug)]
@@ -285,31 +283,6 @@ impl PreparedTrace {
         &self,
         config: &PlatformConfig,
     ) -> Result<Arc<FilteredTrace>, PlatformError> {
-        self.filtered_for_jobs(config, 1)
-    }
-
-    /// [`filtered_for`](PreparedTrace::filtered_for) with the filter pass
-    /// itself split across up to `jobs` worker threads.
-    ///
-    /// The split is per processor: each recorded processor's private L1
-    /// instruction and data caches are touched only by that processor's
-    /// accesses, in recorded order, so filtering every processor's run
-    /// subsequence on its own thread and reassembling the filtered runs in
-    /// recorded global order yields exactly the serial result — refill for
-    /// refill, and counter for counter, because L1 statistics are purely
-    /// additive across caches. The cache entry this fills is therefore
-    /// interchangeable with a serially computed one (and vice versa: a
-    /// cached serial pass is reused as-is).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::ProcessorOutOfRange`] if a trace run names
-    /// a processor outside the trace's declared processor count.
-    pub fn filtered_for_jobs(
-        &self,
-        config: &PlatformConfig,
-        jobs: usize,
-    ) -> Result<Arc<FilteredTrace>, PlatformError> {
         let key = FilterKey {
             l1i: config.l1i,
             l1d: config.l1d,
@@ -318,48 +291,10 @@ impl PreparedTrace {
         if let Some((_, filtered)) = cache.iter().find(|(k, _)| *k == key) {
             return Ok(filtered.clone());
         }
-        let processors = (self.trace.processors() as usize).max(1);
-        let filtered = if jobs.max(1) > 1 && processors > 1 {
-            Arc::new(filter_trace_parallel(&self.trace, key, jobs)?)
-        } else {
-            Arc::new(filter_trace(&self.trace, key)?)
-        };
+        let filtered = Arc::new(filter_trace(&self.trace, key)?);
         cache.push((key, filtered.clone()));
         Ok(filtered)
     }
-}
-
-/// Filters one recorded run through `filter`, charging processor bank
-/// `bank` (the run's global processor index in the serial pass, 0 in the
-/// single-bank per-processor workers of the parallel pass).
-fn filter_one_run(
-    filter: &mut L1Filter,
-    bank: usize,
-    run: &TraceRun,
-) -> Result<FilteredRun, PlatformError> {
-    let mut filtered = FilteredRun {
-        processor: run.processor,
-        start_cycle: run.start_cycle,
-        refills: Vec::new(),
-        data_accesses: 0,
-        instr_fetches: 0,
-    };
-    for access in &run.accesses {
-        let outcome = filter.access(bank, access)?;
-        if !outcome.hit {
-            filtered.refills.push(L1Refill {
-                access: *access,
-                data_accesses_before: filtered.data_accesses,
-                l1_victim_dirty: outcome.evicted.is_some_and(|e| e.dirty),
-            });
-        }
-        if access.kind.is_instruction() {
-            filtered.instr_fetches += 1;
-        } else {
-            filtered.data_accesses += 1;
-        }
-    }
-    Ok(filtered)
 }
 
 /// Runs the decoded trace through fresh private L1s, keeping only the
@@ -369,84 +304,33 @@ fn filter_trace(trace: &EncodedTrace, key: FilterKey) -> Result<FilteredTrace, P
     let mut filter = L1Filter::new(key.l1i, key.l1d, processors);
     let mut runs = Vec::with_capacity(trace.runs().len());
     for run in trace.runs() {
-        runs.push(filter_one_run(&mut filter, run.processor as usize, run)?);
+        let mut filtered = FilteredRun {
+            processor: run.processor,
+            start_cycle: run.start_cycle,
+            refills: Vec::new(),
+            data_accesses: 0,
+            instr_fetches: 0,
+        };
+        for access in &run.accesses {
+            let outcome = filter.access(run.processor as usize, access)?;
+            if !outcome.hit {
+                filtered.refills.push(L1Refill {
+                    access: *access,
+                    data_accesses_before: filtered.data_accesses,
+                    l1_victim_dirty: outcome.evicted.is_some_and(|e| e.dirty),
+                });
+            }
+            if access.kind.is_instruction() {
+                filtered.instr_fetches += 1;
+            } else {
+                filtered.data_accesses += 1;
+            }
+        }
+        runs.push(filtered);
     }
     Ok(FilteredTrace {
         runs,
         l1_aggregate: filter.aggregate_stats(),
-        processors,
-    })
-}
-
-/// The per-processor-parallel sibling of [`filter_trace`].
-///
-/// Processor indices are validated up front (the serial pass discovers an
-/// out-of-range index mid-walk), after which each worker claims whole
-/// processors from a shared cursor and filters that processor's run
-/// subsequence through a fresh single-bank [`L1Filter`]. Filtered runs are
-/// written back by global run index and the per-processor L1 statistics
-/// merged in processor order — both bit-identical to the serial pass.
-fn filter_trace_parallel(
-    trace: &EncodedTrace,
-    key: FilterKey,
-    jobs: usize,
-) -> Result<FilteredTrace, PlatformError> {
-    let processors = (trace.processors() as usize).max(1);
-    let runs = trace.runs();
-    for run in runs {
-        let pi = run.processor as usize;
-        if pi >= processors {
-            return Err(PlatformError::ProcessorOutOfRange {
-                processor: pi,
-                processors,
-            });
-        }
-    }
-    let mut by_processor: Vec<Vec<usize>> = vec![Vec::new(); processors];
-    for (index, run) in runs.iter().enumerate() {
-        by_processor[run.processor as usize].push(index);
-    }
-    let workers = jobs.max(1).min(processors);
-    let cursor = AtomicUsize::new(0);
-    type ProcessorSlot = Mutex<Option<(Vec<(usize, FilteredRun)>, CacheStats)>>;
-    let slots: Vec<ProcessorSlot> = (0..processors).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let p = cursor.fetch_add(1, Ordering::Relaxed);
-                if p >= processors {
-                    break;
-                }
-                let mut filter = L1Filter::new(key.l1i, key.l1d, 1);
-                let mut filtered_runs = Vec::with_capacity(by_processor[p].len());
-                for &index in &by_processor[p] {
-                    let filtered = filter_one_run(&mut filter, 0, &runs[index])
-                        .expect("processor indices validated before the workers start");
-                    filtered_runs.push((index, filtered));
-                }
-                *slots[p].lock().expect("filter slot poisoned") =
-                    Some((filtered_runs, filter.aggregate_stats()));
-            });
-        }
-    });
-    let mut out: Vec<Option<FilteredRun>> = (0..runs.len()).map(|_| None).collect();
-    let mut l1_aggregate = CacheStats::new();
-    for slot in slots {
-        let (filtered_runs, stats) = slot
-            .into_inner()
-            .expect("filter slot poisoned")
-            .expect("every processor was claimed by a worker");
-        l1_aggregate.merge(&stats);
-        for (index, filtered) in filtered_runs {
-            out[index] = Some(filtered);
-        }
-    }
-    Ok(FilteredTrace {
-        runs: out
-            .into_iter()
-            .map(|run| run.expect("every recorded run was filtered"))
-            .collect(),
-        l1_aggregate,
         processors,
     })
 }
@@ -888,46 +772,6 @@ mod tests {
         let refills: usize = a.runs.iter().map(|r| r.refills.len()).sum();
         assert!(refills > 0);
         assert!((refills as u64) < prepared.accesses());
-    }
-
-    #[test]
-    fn parallel_filter_pass_matches_serial_exactly() {
-        let (_, trace) = record_run();
-        let config = PlatformConfig::default();
-        let serial = PreparedTrace::from(trace.clone())
-            .filtered_for(&config)
-            .unwrap();
-        for jobs in [1, 2, 3, 8] {
-            let prepared = PreparedTrace::from(trace.clone());
-            let parallel = prepared.filtered_for_jobs(&config, jobs).unwrap();
-            assert_eq!(*serial, *parallel, "jobs={jobs}");
-            // The parallel pass fills the same cache serial consumers read.
-            let cached = prepared.filtered_for(&config).unwrap();
-            assert!(Arc::ptr_eq(&parallel, &cached));
-        }
-    }
-
-    #[test]
-    fn parallel_filter_pass_rejects_out_of_range_processors() {
-        let mut table = RegionTable::new();
-        table
-            .insert(
-                "t0.data",
-                RegionKind::TaskData {
-                    task: TaskId::new(0),
-                },
-                4096,
-            )
-            .unwrap();
-        let mut writer = TraceWriter::new(Vec::new(), &table, 2).unwrap();
-        let access = Access::load(Addr::new(0x40), 4, TaskId::new(0), RegionId::new(0));
-        writer.record(5, 0, &access);
-        let (bytes, _) = writer.finish().unwrap();
-        let prepared = PreparedTrace::from(EncodedTrace::from_bytes(bytes).unwrap());
-        let err = prepared
-            .filtered_for_jobs(&PlatformConfig::default(), 4)
-            .unwrap_err();
-        assert!(matches!(err, PlatformError::ProcessorOutOfRange { .. }));
     }
 
     #[test]

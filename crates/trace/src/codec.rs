@@ -78,7 +78,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use crate::access::{Access, AccessKind};
 use crate::addr::Addr;
@@ -1507,57 +1507,6 @@ impl EncodedTrace {
         })
     }
 
-    /// Decodes the trace **segment-parallel**: every directory segment is
-    /// sliced and decoded independently on up to `jobs` worker threads
-    /// (each slice resets the codec context, so no segment waits on
-    /// another), then the per-segment chunks are stitched back in
-    /// directory order with [`merge_segment_runs`] — the result equals
-    /// [`runs`](EncodedTrace::runs) run for run.
-    ///
-    /// Traces without a directory (v1 streams, empty traces) fall back to
-    /// the cached serial decode. Note that [`from_bytes`] already pays one
-    /// serial validation decode and seeds the `runs` cache, so this entry
-    /// point wins only for consumers that slice a trace *without* holding
-    /// its full validated form — it is the decode primitive the
-    /// segment-jobs replay path and future mmap-style slicing build on.
-    ///
-    /// [`from_bytes`]: EncodedTrace::from_bytes
-    pub fn segment_runs_parallel(&self, jobs: usize) -> Vec<TraceRun> {
-        let count = self.segment_count();
-        if count == 0 {
-            return self.runs().to_vec();
-        }
-        let workers = jobs.max(1).min(count);
-        let chunks: Vec<Vec<TraceRun>> = if workers <= 1 {
-            (0..count).map(|i| self.segment_runs(i)).collect()
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<Vec<TraceRun>>>> =
-                (0..count).map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        if index >= count {
-                            break;
-                        }
-                        let chunk = self.segment_runs(index);
-                        *slots[index].lock().expect("segment slot poisoned") = Some(chunk);
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("segment slot poisoned")
-                        .expect("every segment index was claimed by a worker")
-                })
-                .collect()
-        };
-        merge_segment_runs(chunks)
-    }
-
     /// Writes the encoded bytes to a file (atomically: temp file +
     /// rename, so a concurrent reader never observes a torn trace).
     ///
@@ -1866,35 +1815,6 @@ mod tests {
         // Concatenating the slice decodes (merging at the seams)
         // reconstructs the full-stream run decomposition bit for bit.
         assert_eq!(merge_runs(all_runs), trace.runs());
-    }
-
-    #[test]
-    fn segment_parallel_decode_matches_the_serial_decode() {
-        let t = table();
-        let accesses = sample_accesses(&t);
-        let mut writer = TraceWriter::with_segment_accesses(Vec::new(), &t, 2, 16).unwrap();
-        for (i, a) in accesses.iter().enumerate() {
-            writer.record((i % 2) as u32, (i * 3) as u64, a);
-        }
-        let (bytes, summary) = writer.finish().unwrap();
-        assert!(summary.segments > 3);
-        let trace = EncodedTrace::from_bytes(bytes).unwrap();
-        for jobs in [1, 2, 4, 16] {
-            assert_eq!(
-                trace.segment_runs_parallel(jobs),
-                trace.runs(),
-                "jobs = {jobs}"
-            );
-        }
-
-        // A v1 stream (no directory) falls back to the serial decode.
-        let mut v1 = TraceWriter::v1_compat(Vec::new(), &t, 2).unwrap();
-        for (i, a) in accesses.iter().enumerate() {
-            v1.record((i % 2) as u32, (i * 3) as u64, a);
-        }
-        let (v1_bytes, _) = v1.finish().unwrap();
-        let old = EncodedTrace::from_bytes(v1_bytes).unwrap();
-        assert_eq!(old.segment_runs_parallel(4), old.runs());
     }
 
     #[test]

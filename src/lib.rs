@@ -76,16 +76,22 @@
 //!   split the L2 batch), flush write-backs are charged through the
 //!   bus/DRAM timing path, and every fired switch is logged as a
 //!   `RepartitionRecord` in the `SystemReport`.
-//!   The `profile` module feeds the stack-distance profiler from all
-//!   three traffic sources: `profile_trace` (a prepared trace, through
-//!   the same cached L1 filter replays use), `profile_reader` (streaming
-//!   decode, nothing materialised) and `TapProfiler` (an `AccessTap`
+//!   The `profile` module feeds the stack-distance profiler from both
+//!   traffic sources: `profile_trace` (a prepared trace, through the same
+//!   cached L1 filter replays use) and `TapProfiler` (an `AccessTap`
 //!   carrying its own mirror L1 bank, so one live run yields the shared
 //!   baseline *and* the full miss-rate curves) — each with a windowed
-//!   sibling (`profile_trace_windowed`, `profile_reader_windowed`,
-//!   `WindowedTapProfiler`), and `profile_trace_with_sidecar` persists
-//!   curves in the `.curves` sidecar and skips the L1 filter entirely
-//!   when a matching sidecar exists.
+//!   sibling (`profile_trace_windowed`, `WindowedTapProfiler`), and
+//!   `profile_trace_with_sidecar` persists curves in the `.curves`
+//!   sidecar and skips the L1 filter entirely when a matching sidecar
+//!   exists. The `lanes` module splits one replay — and
+//!   `profile_trace_windowed_lanes` one profiling pass — into **set
+//!   shards**: every organisation and every profiler stack picks a line's
+//!   set from its low bits, so when `N` divides every set group's first
+//!   set and size, lane `i` handles only the lines with `line % N == i`
+//!   against its own copy of the L2 (or profiler), and the lanes' counters
+//!   and curves add up to the serial ones exactly, for every organisation
+//!   and replacement policy.
 //! * [`compmem_kpn`] — the YAPI-like Kahn-process-network runtime. Process
 //!   networks implement the platform's `WorkloadDriver`; the functional
 //!   scheduler (`Network::run_functional`) runs on the same event-queue
@@ -100,7 +106,9 @@
 //!   recorded trace) — executed by one driver; batches of independent runs
 //!   fan out across threads (`Experiment::run_all`), so an organisation
 //!   sweep replays one recorded trace concurrently without re-executing
-//!   the workload (`Experiment::record_trace` / `run_replay`). The paper
+//!   the workload (`Experiment::record_trace` / `run_replay`), and a
+//!   spec's `ReplayParallelism` (`Serial`, `Auto(n)`, `Require(n)`) splits
+//!   one replay into set-shard lanes. The paper
 //!   flow's profiles are curve-derived (`Experiment::profile_curves` /
 //!   `run_profiled`), with the shadow-bank path kept as
 //!   `run_profiled_simulated` for cross-validation, and

@@ -8,8 +8,7 @@
 //! scale: its regret is zero by construction, and its measured cost in
 //! the competition reproduces its planning replay exactly. Each run's
 //! totals must also reconcile exactly with its `RepartitionRecord`
-//! segmentation, and the whole competition must be invariant under the
-//! trace filter's parallelism (`jobs = 1` vs `jobs = 4`).
+//! segmentation, and the whole competition must be deterministic.
 
 use std::sync::Arc;
 
@@ -44,14 +43,11 @@ struct Arena {
     config: ControllerConfig,
 }
 
-fn arena<F: Fn() -> Application>(app: F, jobs: usize) -> Arena {
+fn arena<F: Fn() -> Application>(app: F) -> Arena {
     let experiment = Experiment::new(tiny_config(), app);
     let (live, trace) = experiment.record_trace(&experiment.shared_spec()).unwrap();
     let l2 = experiment.config().l2;
     let platform = experiment.config().platform;
-    // Warm the shared L1-filter cache with the requested parallelism;
-    // every replay below reads this one filtered trace.
-    trace.filtered_for_jobs(&platform, jobs).unwrap();
     let resolution = CurveResolution::for_geometry(l2.geometry(), SETS_PER_UNIT).unwrap();
     let window_cycles = (live.report.makespan_cycles / 5).max(1);
     Arena {
@@ -171,38 +167,27 @@ fn check_competition(a: &Arena) -> (Vec<ControlledOutcome>, RegretReport) {
 #[test]
 fn competition_on_tiny_mpeg2() {
     let params = Mpeg2Params::tiny();
-    let a = arena(move || mpeg2_app(&params).expect("valid params"), 1);
+    let a = arena(move || mpeg2_app(&params).expect("valid params"));
     check_competition(&a);
 }
 
 #[test]
 fn competition_on_tiny_jpeg_canny() {
     let params = JpegCannyParams::tiny();
-    let a = arena(move || jpeg_canny_app(&params).expect("valid params"), 1);
+    let a = arena(move || jpeg_canny_app(&params).expect("valid params"));
     check_competition(&a);
 }
 
 /// The whole competition — every outcome, every regret row — is
-/// invariant under the trace-filter parallelism: `jobs = 4` warms the
-/// same filtered trace the serial pass produces, byte for byte.
+/// deterministic: two independent recordings and competitions agree
+/// byte for byte.
 #[test]
-fn competition_is_deterministic_across_filter_jobs() {
-    let serial = {
+fn competition_is_deterministic_across_runs() {
+    let run = || {
         let params = Mpeg2Params::tiny();
-        let a = arena(move || mpeg2_app(&params).expect("valid params"), 1);
-        check_competition(&a)
+        check_competition(&arena(move || mpeg2_app(&params).expect("valid params")))
     };
-    let parallel = {
-        let params = Mpeg2Params::tiny();
-        let a = arena(move || mpeg2_app(&params).expect("valid params"), 4);
-        check_competition(&a)
-    };
-    assert_eq!(
-        serial.0, parallel.0,
-        "outcomes must not depend on filter jobs"
-    );
-    assert_eq!(
-        serial.1, parallel.1,
-        "regret must not depend on filter jobs"
-    );
+    let (first, second) = (run(), run());
+    assert_eq!(first.0, second.0, "outcomes must be deterministic");
+    assert_eq!(first.1, second.1, "regret must be deterministic");
 }

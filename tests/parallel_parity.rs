@@ -1,25 +1,23 @@
-//! Parity of every parallel execution layer against its serial reference,
-//! on real recorded traces of both bundled applications.
+//! Parity of set-sharded execution against its serial reference, on
+//! real recorded traces of both bundled applications.
 //!
-//! The parallelism issue's acceptance criterion: lane- and
-//! segment-parallel execution must be **proven identical** to the serial
-//! pass — curves point for point, sidecars byte for byte, replay counters
-//! field for field — not merely statistically close. Four claims are
-//! pinned here, each on tiny MPEG-2 *and* tiny JPEG+Canny:
+//! Set-sharded replay and profiling must be **proven identical** to the
+//! serial pass — curves point for point, sidecars byte for byte, replay
+//! counters field for field — not merely statistically close. Three
+//! claims are pinned here, each on tiny MPEG-2 *and* tiny JPEG+Canny:
 //!
-//! * **Profiling lanes**: [`profile_trace_windowed_lanes`] on four
-//!   workers equals the serial [`profile_trace_windowed`] for the
+//! * **Profiling shards**: [`profile_trace_windowed_lanes`] on two and
+//!   four workers equals the serial [`profile_trace_windowed`] for the
 //!   whole-run curves and for access-count windows, point for point.
-//! * **Sidecar byte-identity**: the sidecar written by the lane-parallel
-//!   pass is byte-identical to the serially written one.
-//! * **Segment-parallel L1 filtering composes**: a trace filtered on
-//!   three per-processor workers profiles (serially and on lanes) to
-//!   exactly the serial filter's curves.
-//! * **Replay lanes under all four organisations**: laned replays match
-//!   the serial replay on every cache-side counter, with the documented
-//!   [`LaneDecision`] per organisation — a real split for the
-//!   set-partitioned scenario, a reported fallback for the other three —
-//!   and *requiring* lanes on an ineligible scenario is a typed error.
+//! * **Sidecar byte-identity**: the sidecar written by the sharded pass
+//!   is byte-identical to the serially written one.
+//! * **Replay shards under all four organisations**: laned replays match
+//!   the serial replay on every cache-side counter and really split into
+//!   four set shards — shared, set-partitioned, overlapping way masks and
+//!   profiling alike.
+//!
+//! Requiring lanes on a scenario with a one-set partition is a typed
+//! error.
 
 use std::fs;
 use std::sync::Arc;
@@ -32,9 +30,8 @@ use compmem_cache::{
     CacheConfig, CacheSizeLattice, OrganizationSpec, PartitionKey, PartitionMap, WayAllocation,
 };
 use compmem_platform::{
-    profile_trace, profile_trace_windowed, profile_trace_windowed_lanes,
-    profile_trace_with_sidecar, profile_trace_with_sidecar_lanes, LaneIneligibility, PlatformError,
-    PreparedTrace, SidecarOutcome,
+    profile_trace_windowed, profile_trace_windowed_lanes, profile_trace_with_sidecar,
+    profile_trace_with_sidecar_lanes, PlatformError, PreparedTrace, SidecarOutcome,
 };
 use compmem_trace::RegionTable;
 use compmem_workloads::apps::{
@@ -70,41 +67,33 @@ fn recorded_shared_trace(experiment: &Experiment<impl Fn() -> Application>) -> A
     trace
 }
 
-/// The four organisations exactly as the CLI builds them, each with the
-/// lane fallback a four-worker request must resolve to. Way partitioning
-/// is ineligible here because an equal split of more keys than ways
-/// necessarily shares ways between keys — asserted, not assumed.
+/// The four organisations exactly as the CLI builds them. The equal way
+/// split of more keys than ways necessarily shares ways between keys —
+/// asserted, not assumed — so overlapping masks are covered too.
 fn four_organisations(
     l2: CacheConfig,
     table: &RegionTable,
-) -> Vec<(&'static str, OrganizationSpec, Option<LaneIneligibility>)> {
+) -> Vec<(&'static str, OrganizationSpec)> {
     let keys = PartitionKey::distinct_keys(table);
     assert!(
         keys.len() > l2.geometry().ways() as usize,
         "expected more partition keys than ways so the equal way split overlaps"
     );
     vec![
-        (
-            "shared",
-            OrganizationSpec::Shared,
-            Some(LaneIneligibility::SharedOrganization),
-        ),
+        ("shared", OrganizationSpec::Shared),
         (
             "set-partitioned",
             OrganizationSpec::SetPartitioned(
                 PartitionMap::equal_split(l2.geometry(), &keys).unwrap(),
             ),
-            None,
         ),
         (
             "way-partitioned",
             OrganizationSpec::WayPartitioned(WayAllocation::equal_split(l2.geometry(), &keys)),
-            Some(LaneIneligibility::OverlappingWayMasks),
         ),
         (
             "profiling",
             OrganizationSpec::Profiling(CacheSizeLattice::new(l2.geometry(), 4)),
-            Some(LaneIneligibility::ProfilingOrganization),
         ),
     ]
 }
@@ -114,7 +103,7 @@ fn assert_lane_profiling_parity(experiment: &Experiment<impl Fn() -> Application
     let platform = &experiment.config().platform;
     let resolution = experiment.curve_resolution();
 
-    // Whole-run curves and access-count windows: the lane merge must
+    // Whole-run curves and access-count windows: the shard merge must
     // reproduce the serial pass point for point, not approximately.
     for (window_name, window) in [
         ("whole-run", WindowConfig::whole_run()),
@@ -122,12 +111,14 @@ fn assert_lane_profiling_parity(experiment: &Experiment<impl Fn() -> Application
     ] {
         let serial = profile_trace_windowed(platform, &trace, resolution, window)
             .expect("serial profiling succeeds");
-        let laned = profile_trace_windowed_lanes(platform, &trace, resolution, window, 4)
-            .expect("lane profiling succeeds");
-        assert_eq!(
-            serial, laned,
-            "{app_name}: lane-parallel {window_name} curves diverged from serial"
-        );
+        for lanes in [2, 4] {
+            let laned = profile_trace_windowed_lanes(platform, &trace, resolution, window, lanes)
+                .expect("lane profiling succeeds");
+            assert_eq!(
+                serial, laned,
+                "{app_name}: {lanes}-shard {window_name} curves diverged from serial"
+            );
+        }
     }
 
     // Sidecar byte-identity: the lane-measured sidecar encodes to exactly
@@ -174,68 +165,20 @@ fn lane_profiling_matches_serial_on_tiny_jpeg_canny() {
     assert_lane_profiling_parity(&jpeg_experiment(), "jpeg_canny");
 }
 
-fn assert_filter_compose_parity(experiment: &Experiment<impl Fn() -> Application>, app_name: &str) {
-    let trace = recorded_shared_trace(experiment);
-    let platform = &experiment.config().platform;
-    let resolution = experiment.curve_resolution();
-
-    // Two independent PreparedTraces of the same recording, so each owns
-    // an empty filter cache: one filters serially, the other on three
-    // per-processor workers. Everything downstream — the serial profile
-    // and the lane-parallel profile — must be identical on top of either.
-    let serial_prep = PreparedTrace::from(trace.trace().clone());
-    let parallel_prep = PreparedTrace::from(trace.trace().clone());
-    parallel_prep
-        .filtered_for_jobs(platform, 3)
-        .expect("parallel L1 filtering succeeds");
-
-    let serial_curves =
-        profile_trace(platform, &serial_prep, resolution).expect("profiling succeeds");
-    let composed_curves =
-        profile_trace(platform, &parallel_prep, resolution).expect("profiling succeeds");
-    assert_eq!(
-        serial_curves, composed_curves,
-        "{app_name}: curves behind the parallel L1 filter diverged from serial"
-    );
-
-    let window = WindowConfig::accesses(400).unwrap();
-    let serial_windows = profile_trace_windowed(platform, &serial_prep, resolution, window)
-        .expect("serial windowed profiling succeeds");
-    let composed_windows =
-        profile_trace_windowed_lanes(platform, &parallel_prep, resolution, window, 4)
-            .expect("laned windowed profiling succeeds");
-    assert_eq!(
-        serial_windows, composed_windows,
-        "{app_name}: lane profiling composed with the parallel filter diverged from serial"
-    );
-}
-
-#[test]
-fn parallel_l1_filter_composes_with_lane_profiling_on_tiny_mpeg2() {
-    assert_filter_compose_parity(&mpeg2_experiment(), "mpeg2");
-}
-
-#[test]
-fn parallel_l1_filter_composes_with_lane_profiling_on_tiny_jpeg_canny() {
-    assert_filter_compose_parity(&jpeg_experiment(), "jpeg_canny");
-}
-
 fn assert_laned_replay_parity(experiment: &Experiment<impl Fn() -> Application>, app_name: &str) {
     let trace = recorded_shared_trace(experiment);
     let platform = &experiment.config().platform;
     let l2 = experiment.config().l2;
-    let keys = PartitionKey::distinct_keys(trace.table());
 
-    for (org_name, organization, expected_fallback) in four_organisations(l2, trace.table()) {
+    for (org_name, organization) in four_organisations(l2, trace.table()) {
         let serial_spec = ScenarioSpec::replay(l2, organization.clone(), trace.clone());
         let laned_spec = ScenarioSpec::replay(l2, organization, trace.clone())
-            .with_parallelism(ReplayParallelism::lanes(4).with_segment_jobs(2));
+            .with_parallelism(ReplayParallelism::lanes(4));
 
         let serial = run_replay(platform, &serial_spec).expect("serial replay succeeds");
         let laned = run_replay(platform, &laned_spec).expect("laned replay succeeds");
 
-        // Cache-side counters are lane-exact under every organisation —
-        // a real split where eligible, a reported serial lane otherwise.
+        // Cache-side counters are exact under every organisation.
         assert_eq!(
             serial.report.l1, laned.report.l1,
             "{app_name}/{org_name}: L1"
@@ -273,24 +216,15 @@ fn assert_laned_replay_parity(experiment: &Experiment<impl Fn() -> Application>,
         assert_eq!(laned.report.makespan_cycles, 0, "{app_name}/{org_name}");
         assert!(serial.report.makespan_cycles > 0, "{app_name}/{org_name}");
 
-        // The decision is reported, never silent: serial replays carry
-        // none, laned replays say what was requested, what ran, and why
-        // a fallback happened when it did.
+        // The split is reported: serial replays carry none, laned
+        // replays say what was requested and what ran — a real
+        // four-shard split under every organisation.
         assert_eq!(serial.lane_decision, None, "{app_name}/{org_name}");
         let decision = laned
             .lane_decision
             .unwrap_or_else(|| panic!("{app_name}/{org_name}: laned replay reported no decision"));
         assert_eq!(decision.requested, 4, "{app_name}/{org_name}");
-        assert_eq!(
-            decision.fallback, expected_fallback,
-            "{app_name}/{org_name}"
-        );
-        let expected_lanes = if expected_fallback.is_none() {
-            keys.len()
-        } else {
-            1
-        };
-        assert_eq!(decision.lanes, expected_lanes, "{app_name}/{org_name}");
+        assert_eq!(decision.shards, 4, "{app_name}/{org_name}");
     }
 }
 
@@ -308,15 +242,18 @@ fn laned_replays_match_serial_under_all_four_organisations_on_tiny_jpeg_canny() 
 fn requiring_lanes_on_an_ineligible_scenario_is_a_typed_error() {
     let experiment = mpeg2_experiment();
     let trace = recorded_shared_trace(&experiment);
-    let l2 = experiment.config().l2;
-
-    let spec = ScenarioSpec::replay(l2, OrganizationSpec::Shared, trace)
+    // A 16 KB L2 has 64 sets: the equal split of tiny MPEG-2's keys gives
+    // every key a single set, so no set-shard split exists.
+    let l2 = CacheConfig::with_size_bytes(16 * 1024, 4).unwrap();
+    let keys = PartitionKey::distinct_keys(trace.table());
+    let map = PartitionMap::equal_split(l2.geometry(), &keys).unwrap();
+    let spec = ScenarioSpec::replay(l2, OrganizationSpec::SetPartitioned(map), trace)
         .with_parallelism(ReplayParallelism::required_lanes(4));
     match run_replay(&experiment.config().platform, &spec) {
         Err(CoreError::Platform(PlatformError::LanesIneligible { requested, reason })) => {
             assert_eq!(requested, 4);
             assert!(
-                reason.contains("shared organisation"),
+                reason.ends_with("is a single set"),
                 "unexpected ineligibility reason: {reason}"
             );
         }

@@ -31,6 +31,70 @@ fn trace_strategy(lines: u64, len: usize) -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(0..lines, 1..len)
 }
 
+/// Records two tasks' line streams as one trace on two processors. `order`
+/// picks which task issues next; whatever it leaves of either stream
+/// trails in task order. The cycle clock advances once every `stride`
+/// accesses.
+fn two_task_trace(task_a: Vec<u64>, task_b: Vec<u64>, order: &[u64], stride: u64) -> PreparedTrace {
+    use compmem_trace::codec::{EncodedTrace, TraceWriter};
+
+    let mut table = RegionTable::new();
+    let regions = [
+        table
+            .insert(
+                "a.data",
+                RegionKind::TaskData {
+                    task: TaskId::new(0),
+                },
+                192 * 64,
+            )
+            .unwrap(),
+        table
+            .insert(
+                "b.data",
+                RegionKind::TaskData {
+                    task: TaskId::new(1),
+                },
+                192 * 64,
+            )
+            .unwrap(),
+    ];
+    let mut streams = [task_a.into_iter(), task_b.into_iter()];
+    let mut picks: Vec<(usize, u64)> = order
+        .iter()
+        .filter_map(|&t| streams[t as usize].next().map(|line| (t as usize, line)))
+        .collect();
+    for (t, stream) in streams.iter_mut().enumerate() {
+        picks.extend(stream.map(|line| (t, line)));
+    }
+    let mut writer = TraceWriter::new(Vec::new(), &table, 2).unwrap();
+    for (i, &(t, line)) in picks.iter().enumerate() {
+        let region = regions[t];
+        let addr = table.region(region).base.offset(line * 64);
+        let access = Access::load(addr, 4, TaskId::new(t as u32), region);
+        writer.record(t as u32, i as u64 / stride, &access);
+    }
+    let (bytes, _) = writer.finish().unwrap();
+    PreparedTrace::from(EncodedTrace::from_bytes(bytes).unwrap())
+}
+
+/// Profiles `trace` serially and in two and four set shards under
+/// `window`, and requires the sharded results to equal the serial one.
+fn set_shards_match_serial(trace: &PreparedTrace, window: WindowConfig) {
+    use compmem_platform::{profile_trace_windowed, profile_trace_windowed_lanes};
+
+    let platform = PlatformConfig::default()
+        .processors(2)
+        .l1(CacheConfig::new(4, 2).unwrap());
+    let resolution = CurveResolution::new(4, 32, 4).unwrap();
+    let serial = profile_trace_windowed(&platform, trace, resolution, window).unwrap();
+    for shards in [2, 4] {
+        let sharded =
+            profile_trace_windowed_lanes(&platform, trace, resolution, window, shards).unwrap();
+        prop_assert_eq!(&sharded, &serial);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -284,133 +348,40 @@ proptest! {
         prop_assert!(greedy.total_units <= capacity);
     }
 
-    /// Lane decomposition of the single-pass profiler: one keys-only
-    /// shard per partition key fed *only that key's substream*, plus one
-    /// aggregate-only shard walking the full stream, merge into curves
-    /// identical to the unsharded pass — for any interleaving. Per-key
-    /// stack banks only ever see their own key's accesses, so sharding by
-    /// key changes nothing; the whole-L2 aggregate is not decomposable
-    /// and rides the designated full-stream shard.
+    /// Set-sharded profiling over the whole run: for any interleaving of
+    /// two tasks' streams, splitting a trace's profiling pass into two or
+    /// four set shards gives the serial pass's curves. Every reuse stack
+    /// and first-touch entry belongs to one shard's lines.
     #[test]
     fn merged_profiler_shards_match_the_unsharded_pass(
         task_a in trace_strategy(192, 300),
         task_b in trace_strategy(192, 300),
+        order in trace_strategy(2, 600),
     ) {
-        use compmem_cache::{CurveResolution, StackDistanceProfiler};
-
-        let mut table = RegionTable::new();
-        let ra = table
-            .insert("a.data", RegionKind::TaskData { task: TaskId::new(0) }, 192 * 64)
-            .unwrap();
-        let rb = table
-            .insert("b.data", RegionKind::TaskData { task: TaskId::new(1) }, 192 * 64)
-            .unwrap();
-        let base_a = table.region(ra).base;
-        let base_b = table.region(rb).base;
-        let mut accesses: Vec<Access> = Vec::new();
-        let mut ai = task_a.iter();
-        let mut bi = task_b.iter();
-        loop {
-            match (ai.next(), bi.next()) {
-                (None, None) => break,
-                (a, b) => {
-                    if let Some(&l) = a {
-                        accesses.push(Access::load(base_a.offset(l * 64), 4, TaskId::new(0), ra));
-                    }
-                    if let Some(&l) = b {
-                        accesses.push(Access::load(base_b.offset(l * 64), 4, TaskId::new(1), rb));
-                    }
-                }
-            }
-        }
-
-        let resolution = CurveResolution::new(4, 32, 4).unwrap();
-        let mut whole = StackDistanceProfiler::new(resolution, &table);
-        whole.observe_all(&accesses);
-        let whole = whole.into_curves();
-
-        let mut aggregate = StackDistanceProfiler::aggregate_only(resolution, &table);
-        aggregate.observe_all(&accesses);
-        let mut merged = aggregate;
-        for task in [TaskId::new(0), TaskId::new(1)] {
-            let mut shard = StackDistanceProfiler::keys_only(resolution, &table);
-            for access in accesses.iter().filter(|a| a.task == task) {
-                shard.observe(access);
-            }
-            merged = merged.merge(shard).unwrap();
-        }
-        prop_assert_eq!(&merged.into_curves(), &whole);
+        let trace = two_task_trace(task_a, task_b, &order, 1);
+        set_shards_match_serial(&trace, WindowConfig::whole_run());
     }
 
-    /// The windowed lane decomposition: every shard closes its windows at
-    /// the *globally planned* access ordinals (a [`WindowPlan`] distilled
-    /// from the cycle stream, shared by all lanes), so the per-window
-    /// curves of the per-key shards absorb window-for-window into exactly
-    /// the serial windowed pass — whole-run totals and every individual
-    /// window.
+    /// Set-sharded windowed profiling: for any interleaving and any window
+    /// grid — access counts or cycles, several accesses per cycle when the
+    /// stride is small relative to the window — the set shards close their
+    /// windows where the serial pass does and reconstruct it window for
+    /// window. Every shard walks the whole stream's clock, so the window
+    /// boundaries are planned identically for all of them.
     #[test]
     fn planned_window_shards_reconstruct_the_serial_windows(
         task_a in trace_strategy(192, 260),
         task_b in trace_strategy(192, 260),
+        order in trace_strategy(2, 520),
         window_len in 1u64..90,
         stride in 1u64..40,
     ) {
-        use compmem_cache::{CurveResolution, PlannedWindowedProfiler, StackDistanceProfiler,
-            WindowConfig, WindowPlan, WindowedProfiler};
-
-        let mut table = RegionTable::new();
-        let ra = table
-            .insert("a.data", RegionKind::TaskData { task: TaskId::new(0) }, 192 * 64)
-            .unwrap();
-        let rb = table
-            .insert("b.data", RegionKind::TaskData { task: TaskId::new(1) }, 192 * 64)
-            .unwrap();
-        let base_a = table.region(ra).base;
-        let base_b = table.region(rb).base;
-        let accesses: Vec<Access> = task_a
-            .iter()
-            .map(|&l| Access::load(base_a.offset(l * 64), 4, TaskId::new(0), ra))
-            .chain(task_b.iter().map(|&l| {
-                Access::load(base_b.offset(l * 64), 4, TaskId::new(1), rb)
-            }))
-            .collect();
-        // A monotone cycle clock, several accesses per cycle when the
-        // stride is small relative to the window.
-        let cycles: Vec<u64> = (0..accesses.len() as u64).map(|i| i / stride).collect();
-
-        let resolution = CurveResolution::new(4, 32, 4).unwrap();
-        let config = WindowConfig::accesses(window_len).unwrap();
-        let mut serial = WindowedProfiler::new(config, resolution, &table);
-        for (access, &cycle) in accesses.iter().zip(&cycles) {
-            serial.observe_at(cycle, access);
-        }
-        let serial = serial.finish();
-
-        let plan = WindowPlan::from_cycles(config, cycles.iter().copied());
-        let run_shard = |shard: StackDistanceProfiler, key: Option<TaskId>| {
-            let mut planned = PlannedWindowedProfiler::new(shard, plan.clone());
-            for (ordinal, access) in accesses.iter().enumerate() {
-                if key.is_none() || key == Some(access.task) {
-                    planned.observe(ordinal as u64, access);
-                }
-            }
-            planned.finish()
-        };
-        let mut merged = run_shard(
-            StackDistanceProfiler::aggregate_only(resolution, &table),
-            None,
-        );
-        for task in [TaskId::new(0), TaskId::new(1)] {
-            let shard = run_shard(
-                StackDistanceProfiler::keys_only(resolution, &table),
-                Some(task),
-            );
-            merged.absorb_shard(&shard).unwrap();
-        }
-        prop_assert_eq!(&merged.total, &serial.total);
-        prop_assert_eq!(merged.windows.len(), serial.windows.len());
-        for (m, s) in merged.windows.iter().zip(&serial.windows) {
-            prop_assert_eq!(m, s);
+        let trace = two_task_trace(task_a, task_b, &order, stride);
+        for window in [
+            WindowConfig::accesses(window_len).unwrap(),
+            WindowConfig::cycles(window_len).unwrap(),
+        ] {
+            set_shards_match_serial(&trace, window);
         }
     }
 
