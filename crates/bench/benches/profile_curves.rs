@@ -1,60 +1,33 @@
-//! Single-pass stack-distance profiling versus shadow-cache
-//! re-simulation.
+//! Single-pass stack-distance profiling versus per-size re-simulation.
 //!
 //! The partition optimiser needs every entity's miss count at every
-//! lattice point. Three ways to get them from one recorded trace, timed
-//! on identical traffic (the small-scale MPEG-2 decode, L1 filter warmed
-//! once for all contestants):
+//! lattice point. Two ways to get them from one recorded trace, timed on
+//! identical traffic (the small-scale MPEG-2 decode, L1 filter warmed
+//! once for both contestants):
 //!
 //! * `single_pass_curves` — the `StackDistanceProfiler` over the filtered
 //!   refill stream, converted to `MissProfiles` (the production path);
-//! * `shadow_bank_replay` — one replay of the `ProfilingCache`
-//!   organisation, whose shadow bank simulates all lattice points while
-//!   riding one pass over the trace (the pre-curve production path);
-//! * `per_size_replay` — one `ProfilingCache` replay per lattice point,
-//!   each with a single-candidate lattice (the naive "re-simulate per
-//!   size" baseline the ISSUE's motivation describes).
+//! * `per_size_replay` — `per_size_profiles` over the same refills once
+//!   per lattice point, each with a single-candidate lattice (the naive
+//!   "re-simulate per size" baseline).
 //!
-//! All three produce identical profiles (asserted before timing). The
+//! Both produce identical profiles (asserted before timing). The
 //! committed `BENCH_profile.json` baseline records the single-pass versus
 //! re-simulation speed-up; regenerate it with
 //! `CRITERION_OUTPUT_JSON=BENCH_profile.json cargo bench --bench
-//! profile_curves`. (Since the windowed-profiling PR the single-pass
-//! path also maintains the aggregate whole-L2 curve — the analytic
-//! size×associativity sweep — which costs it roughly a level-bank scan
-//! per access; the baseline and the `shadow/single-pass` ratio gate in
-//! `scripts/bench_check` reflect that.)
+//! profile_curves`. (The single-pass path also maintains the aggregate
+//! whole-L2 curve — the analytic size×associativity sweep — which costs
+//! it roughly a level-bank scan per access; the baseline and the
+//! `per_size/single-pass` ratio gate in `scripts/bench_check` reflect
+//! that.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use compmem::experiment::Experiment;
-use compmem::{CacheSizeLattice, MissProfiles, ProfilingCache};
+use compmem::CacheSizeLattice;
 use compmem_bench::{mpeg2_experiment, Scale};
-use compmem_cache::{CurveResolution, OrganizationSpec};
-use compmem_platform::{profile_trace, PlatformConfig, PreparedTrace, ReplaySystem};
-use compmem_workloads::apps::Application;
-
-/// Replays the trace under a profiling organisation built on `lattice`
-/// and extracts the shadow-bank profiles.
-fn shadow_replay(
-    experiment: &Experiment<impl Fn() -> Application>,
-    platform: &PlatformConfig,
-    trace: &PreparedTrace,
-    lattice: &CacheSizeLattice,
-) -> MissProfiles {
-    let l2 = OrganizationSpec::Profiling(lattice.clone())
-        .build(experiment.config().l2, trace.table())
-        .expect("profiling organisation builds");
-    let mut system = ReplaySystem::new(platform, l2, trace).expect("replay system builds");
-    system.run();
-    system
-        .into_l2()
-        .into_any()
-        .downcast::<ProfilingCache>()
-        .expect("profiling organisation downcasts")
-        .into_profiles()
-}
+use compmem_cache::{per_size_profiles, CurveResolution};
+use compmem_platform::profile_trace;
 
 fn bench_profile_curves(c: &mut Criterion) {
     let experiment = mpeg2_experiment(Scale::Small);
@@ -69,24 +42,26 @@ fn bench_profile_curves(c: &mut Criterion) {
         CurveResolution::for_geometry(geometry, sets_per_unit).expect("valid resolution");
     let ways = geometry.ways();
 
-    // Warm the trace's cached L1 filter so every contestant measures its
+    // Warm the trace's cached L1 filter so both contestants measure their
     // own work, not the shared decode/filter pass a sweep pays once.
     let filtered = trace.filtered_for(&platform).expect("filter pass succeeds");
-    let refills: u64 = filtered.runs.iter().map(|r| r.refills.len() as u64).sum();
     println!(
         "trace: {} accesses, {} L2-bound refills, {} lattice points",
         trace.accesses(),
-        refills,
+        filtered.accesses().count(),
         lattice.candidate_units.len()
     );
 
-    // All three sources must agree point for point before we time them.
+    // Both sources must agree point for point before we time them.
     let single = profile_trace(&platform, &trace, resolution)
         .expect("profiling succeeds")
         .to_profiles(&lattice, ways)
         .expect("lattice within resolution");
-    let shadow = shadow_replay(&experiment, &platform, &trace, &lattice);
-    assert_eq!(single, shadow, "single-pass and shadow bank diverge");
+    let simulated = per_size_profiles(filtered.accesses(), trace.table(), &lattice, ways);
+    assert_eq!(
+        single, simulated,
+        "single-pass and per-size simulation diverge"
+    );
 
     let mut group = c.benchmark_group("profile_curves");
     group.sample_size(10);
@@ -99,22 +74,15 @@ fn bench_profile_curves(c: &mut Criterion) {
             black_box(profiles.profiles.len())
         })
     });
-    group.bench_function("shadow_bank_replay", |b| {
-        b.iter(|| {
-            let profiles = shadow_replay(&experiment, &platform, &trace, &lattice);
-            black_box(profiles.profiles.len())
-        })
-    });
     group.bench_function("per_size_replay", |b| {
         b.iter(|| {
             let mut total = 0u64;
             for &units in &lattice.candidate_units {
                 let point = CacheSizeLattice {
-                    sets_per_unit: lattice.sets_per_unit,
-                    total_units: lattice.total_units,
                     candidate_units: vec![units],
+                    ..lattice.clone()
                 };
-                let profiles = shadow_replay(&experiment, &platform, &trace, &point);
+                let profiles = per_size_profiles(filtered.accesses(), trace.table(), &point, ways);
                 total += profiles
                     .profiles
                     .values()

@@ -27,7 +27,7 @@
 //! the same run*: machine speed cancels out of the quotient, so the gate
 //! only fires when the relationship between the two paths changes — e.g.
 //! replay getting slower *relative to* live execution, or the single-pass
-//! profiler losing ground against the shadow-bank replay it replaced. The
+//! profiler losing ground against per-size re-simulation. The
 //! fresh ratio may shrink below the baseline ratio by at most
 //! `--max-ratio-regression` (default 0.25, env
 //! `BENCH_CHECK_MAX_RATIO_REGRESSION`); ids are looked up across all

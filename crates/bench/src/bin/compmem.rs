@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! compmem record       --app jpeg_canny|mpeg2 [--scale paper|small|tiny]
-//!                      [--org shared|way-partitioned|profiling] --out FILE
+//!                      [--org shared|way-partitioned] --out FILE
 //! compmem gen          --kind zipf|scan|chase|phased|mix --out FILE [--seed N]
 //!                      [--accesses N] [--ws-kb N] [--footprint-kb N] [--hot-kb N]
 //!                      [--scan-kb N] [--phase-accesses N] [--cycles-per-access N]
@@ -62,7 +62,7 @@ const DEFAULT_PORT: &str = "7177";
 fn usage() {
     eprintln!(
         "usage:\n  compmem record --app jpeg_canny|mpeg2 [--scale paper|small|tiny] \
-         [--org shared|way-partitioned|profiling] --out FILE\n  compmem gen \
+         [--org shared|way-partitioned] --out FILE\n  compmem gen \
          --kind zipf|scan|chase|phased|mix --out FILE [--seed N] [--accesses N] \
          [--ws-kb N] [--footprint-kb N] [--hot-kb N] [--scan-kb N] [--phase-accesses N] \
          [--cycles-per-access N] [--tasks family[:SIZE][xMULT],...]\n  \

@@ -8,8 +8,9 @@
 //!
 //! Sections: `table1`, `table2`, `figure2`, `figure3`, `headline`,
 //! `ablation-ways`, `ablation-optimizer`, `ablation-fifo`, or `all`
-//! (default). The `paper` scale reproduces the numbers recorded in
-//! EXPERIMENTS.md; the `small` scale finishes in a few seconds.
+//! (default). The `paper` scale reproduces the paper's tables and figures
+//! (docs/ARCHITECTURE.md, "Paper figures/tables → code", maps each to its
+//! code); the `small` scale finishes in a few seconds.
 
 use std::collections::BTreeSet;
 

@@ -201,11 +201,10 @@ fn record_with<F: Fn() -> Application>(
     let spec = match org {
         "shared" => experiment.shared_spec(),
         "way-partitioned" => experiment.way_partitioned_spec(),
-        "profiling" => experiment.profiling_spec(),
         other => {
             return Err(format!(
-            "cannot record under organisation `{other}` (use shared, way-partitioned or profiling)"
-        ))
+                "cannot record under organisation `{other}` (use shared or way-partitioned)"
+            ))
         }
     };
     experiment.record_trace(&spec).map_err(|e| e.to_string())
@@ -566,10 +565,9 @@ fn organization(
         "way-partitioned" => Ok(OrganizationSpec::WayPartitioned(
             WayAllocation::equal_split(l2.geometry(), &PartitionKey::distinct_keys(table)),
         )),
-        "profiling" => Ok(OrganizationSpec::Profiling(
-            compmem_cache::CacheSizeLattice::new(l2.geometry(), 16),
+        other => Err(format!(
+            "unknown organisation `{other}` (use shared, set-partitioned or way-partitioned)"
         )),
-        other => Err(format!("unknown organisation `{other}`")),
     }
 }
 

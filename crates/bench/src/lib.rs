@@ -18,7 +18,8 @@ use compmem_workloads::apps::{
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Paper-scale pictures on the paper's 512 KB L2 (used by `repro` to
-    /// regenerate the tables recorded in EXPERIMENTS.md).
+    /// regenerate the paper's tables and figures; docs/ARCHITECTURE.md,
+    /// "Paper figures/tables → code", maps each to its code).
     Paper,
     /// Reduced pictures on a 64 KB L2 (used by the Criterion benches and CI).
     Small,

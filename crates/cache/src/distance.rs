@@ -5,11 +5,11 @@
 //!
 //! The paper's optimiser needs, for every memory-active entity, the number
 //! of L2 misses at *every* candidate partition size (the `m_i(S_k)` inputs
-//! of the ILP). The [`ProfilingCache`](crate::ProfilingCache) measures
-//! those points by replaying each access into one shadow cache per lattice
-//! point — `K` full cache simulations riding along on the profiling run.
-//! The [`StackDistanceProfiler`] obtains the same numbers in **one** pass
-//! with no shadow cache bank: it exploits Mattson's inclusion property of
+//! of the ILP). [`per_size_profiles`](crate::per_size_profiles) measures
+//! those points by replaying each entity's accesses into one cache per
+//! lattice point — `K` full cache simulations per entity. The
+//! [`StackDistanceProfiler`] obtains the same numbers in **one** pass
+//! with no cache bank: it exploits Mattson's inclusion property of
 //! LRU (an access that hits in a cache of size `S` hits in every larger
 //! size) to record a *distance histogram* from which the miss count at any
 //! size is a suffix sum. The resulting [`MissRateCurve`] converts into
@@ -18,7 +18,7 @@
 //!
 //! # The algorithm
 //!
-//! The shadow caches being replaced are set-associative LRU caches with
+//! The caches being replaced are set-associative LRU caches with
 //! power-of-two set counts, modulo indexing and full-line tags. For such a
 //! cache with `S` sets and `W` ways, an access to line `l` misses exactly
 //! when fewer than one of the `W` most recently used *distinct* lines of
@@ -48,13 +48,12 @@
 //! bucket records. Distances below the cap are exact, hence
 //! [`MissRateCurve::misses`] is **exact** (not an estimate) for every
 //! `ways <= ways_cap` and every power-of-two set count within the
-//! resolution, and agrees with the shadow-cache simulation bit for bit.
-//! (The shadow banks are always LRU — see
-//! [`ProfilingCache`](crate::ProfilingCache) — which is the policy the
-//! stack-distance identity holds for.)
+//! resolution, and agrees with the per-size simulation bit for bit.
+//! (Those reference caches are LRU, the policy the stack-distance
+//! identity holds for.)
 //!
 //! Cold misses are tracked once per key (first touch of a line misses at
-//! every size simultaneously), mirroring the per-shadow cold accounting.
+//! every size simultaneously), mirroring the per-cache cold accounting.
 //!
 //! # The aggregate curve
 //!
@@ -589,9 +588,9 @@ impl KeyState {
 /// extract the exact [`MissRateCurves`] of every partition key.
 ///
 /// Accesses are attributed to partition keys through the region table,
-/// exactly as the [`ProfilingCache`](crate::ProfilingCache) attributes its
-/// shadow banks, so the two produce identical [`MissProfiles`] — asserted
-/// point for point by the cross-validation tests. State is allocated
+/// exactly as [`per_size_profiles`](crate::per_size_profiles) attributes
+/// them, so the two produce identical [`MissProfiles`] — asserted point
+/// for point by the cross-validation tests. State is allocated
 /// lazily per key on first contact.
 #[derive(Debug, Clone)]
 pub struct StackDistanceProfiler {
@@ -1552,8 +1551,7 @@ fn curves_of(
 mod tests {
     use super::*;
     use crate::config::CacheConfig;
-    use crate::model::CacheModel;
-    use crate::profile::ProfilingCache;
+    use crate::profile::per_size_profiles;
     use compmem_trace::{Access, RegionId, RegionKind, TaskId};
 
     fn region_table() -> RegionTable {
@@ -1633,18 +1631,13 @@ mod tests {
     #[test]
     fn single_pass_matches_the_shadow_cache_bank_exactly() {
         // The acceptance property in miniature: the profiler's misses at
-        // every lattice point equal the ProfilingCache's shadow-cache
-        // simulation, on a scrambled mixed-key stream.
+        // every lattice point equal the per-size simulation of each key
+        // alone, on a scrambled mixed-key stream.
         let regions = region_table();
         let config = CacheConfig::new(256, 4).unwrap();
         let lattice = CacheSizeLattice::new(config.geometry(), 16);
         let accesses = scrambled_accesses(&regions, 20_000);
-
-        let mut shadow = ProfilingCache::new(config, &regions, lattice.clone());
-        for a in &accesses {
-            shadow.access(a);
-        }
-        let expected = shadow.into_profiles();
+        let expected = per_size_profiles(&accesses, &regions, &lattice, 4);
 
         let resolution = CurveResolution::for_geometry(config.geometry(), 16).unwrap();
         let mut profiler = StackDistanceProfiler::new(resolution, &regions);
@@ -1658,7 +1651,7 @@ mod tests {
     #[test]
     fn one_pass_serves_smaller_associativities_too() {
         // The same pass answers for every ways <= ways_cap: check against
-        // direct shadow simulation at 1 and 2 ways.
+        // direct simulation at 1 and 2 ways.
         let regions = region_table();
         let geometry = CacheGeometry::new(256, 4).unwrap();
         let accesses = scrambled_accesses(&regions, 8_000);

@@ -8,7 +8,7 @@
 //! * [`SetAssocCache`] — a set-associative cache with selectable
 //!   [`ReplacementPolicy`] (LRU, tree-PLRU, FIFO, random), write-back /
 //!   write-allocate behaviour, and per-task / per-region miss accounting.
-//! * [`CacheModel`] — the **object-safe** trait unifying the four L2
+//! * [`CacheModel`] — the **object-safe** trait unifying the three L2
 //!   organisations of the study; the multiprocessor platform holds a
 //!   `Box<dyn CacheModel>`, so organisations are interchangeable at run
 //!   time and one timing path serves every experiment.
@@ -22,18 +22,18 @@
 //!   work (Suh et al. / Stone et al.), which restricts each partition to a
 //!   subset of the ways of every set; its granularity is limited by the
 //!   associativity, which is the argument §2 of the paper makes against it.
-//! * [`ProfilingCache`] — the shared baseline plus per-entity shadow caches
-//!   measuring the miss-vs-size curves ([`MissProfiles`]) that feed the
-//!   partition-sizing optimiser (kept as the cross-validation oracle of
-//!   the single-pass profiler below).
-//! * [`StackDistanceProfiler`] — the **single-pass** replacement for the
-//!   shadow-cache bank: per-key, per-set bounded Mattson reuse stacks at
-//!   every power-of-two set count produce a [`MissRateCurve`] per entity —
-//!   the exact miss count at *every* resolved cache shape from one pass —
-//!   and [`MissRateCurves::to_profiles`] converts them into the
+//! * [`StackDistanceProfiler`] — the **single-pass** source of the
+//!   miss-vs-size curves that feed the partition-sizing optimiser:
+//!   per-key, per-set bounded Mattson reuse stacks at every power-of-two
+//!   set count produce a [`MissRateCurve`] per entity — the exact miss
+//!   count at *every* resolved cache shape from one pass — and
+//!   [`MissRateCurves::to_profiles`] converts them into the
 //!   [`MissProfiles`] of any [`CacheSizeLattice`].
+//! * [`per_size_profiles`] — the same [`MissProfiles`] by plain
+//!   simulation: each key's accesses alone through one LRU cache per
+//!   lattice size. It is the reference the profiler is tested against.
 //! * [`OrganizationSpec`] — a declarative, `Send + Sync` description of any
-//!   of the four organisations; [`OrganizationSpec::build`] produces the
+//!   of the three organisations; [`OrganizationSpec::build`] produces the
 //!   `Box<dyn CacheModel>` a run executes against.
 //! * [`PartitionSchedule`] — partitioning as a **time-varying policy**:
 //!   validated, ordered `(at_cycle, OrganizationSpec)` steps. The platform
@@ -94,7 +94,7 @@ pub use error::CacheError;
 pub use geometry::CacheGeometry;
 pub use model::{CacheModel, CacheSnapshot, SharedCache};
 pub use partition::{Partition, PartitionKey, PartitionMap, SetPartitionedCache};
-pub use profile::{CacheSizeLattice, MissProfile, MissProfiles, ProfilingCache};
+pub use profile::{per_size_profiles, CacheSizeLattice, MissProfile, MissProfiles};
 pub use replacement::ReplacementPolicy;
 pub use schedule::{FlushStats, PartitionSchedule, ScheduleStep};
 pub use spec::OrganizationSpec;

@@ -3,26 +3,22 @@
 //!
 //! # The unified cache layer
 //!
-//! The paper compares one application over four interchangeable L2
-//! organisations — conventional shared, set-partitioned, way-partitioned
-//! (column caching) and the profiling organisation that measures the
-//! miss-vs-size curves. `CacheModel` is the single interface all four
-//! implement; it is **object safe**, so the multiprocessor platform holds a
-//! `Box<dyn CacheModel>` and an organisation can be chosen at run time (for
-//! example from an [`OrganizationSpec`](crate::OrganizationSpec)) rather
-//! than monomorphised into a separate simulator per organisation. One
+//! The paper compares one application over three interchangeable L2
+//! organisations — conventional shared, set-partitioned and
+//! way-partitioned (column caching). `CacheModel` is the single interface
+//! all three implement; it is **object safe**, so the multiprocessor
+//! platform holds a `Box<dyn CacheModel>` and an organisation can be
+//! chosen at run time (for example from an
+//! [`OrganizationSpec`](crate::OrganizationSpec)) rather than
+//! monomorphised into a separate simulator per organisation. One
 //! timing path — L1 → bus arbitration → L2 → DRAM — therefore serves every
 //! experiment, and independent runs can be farmed out across threads
 //! (`CacheModel: Send`).
 //!
 //! Beyond per-access behaviour the trait standardises *observation*:
 //! aggregate statistics, per-task / per-region / per-partition attribution,
-//! a uniform [`CacheSnapshot`] for golden comparisons, and `reset`. The
-//! [`as_any`](CacheModel::as_any) / [`into_any`](CacheModel::into_any)
-//! escape hatch recovers organisation-specific results (such as the miss
-//! profiles accumulated by the profiling cache) after a run completes.
+//! a uniform [`CacheSnapshot`] for golden comparisons, and `reset`.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
@@ -64,17 +60,15 @@ pub struct CacheSnapshot {
 ///
 /// Implementations: [`SharedCache`] (the paper's baseline),
 /// [`SetPartitionedCache`](crate::SetPartitionedCache) (the paper's
-/// proposal), [`WayPartitionedCache`](crate::WayPartitionedCache) (the
-/// column-caching related work) and
-/// [`ProfilingCache`](crate::ProfilingCache) (the shared baseline plus
-/// shadow caches measuring miss-vs-size profiles).
+/// proposal) and [`WayPartitionedCache`](crate::WayPartitionedCache) (the
+/// column-caching related work).
 ///
 /// The trait is object safe and `Send`; the platform's memory hierarchy
 /// stores a `Box<dyn CacheModel>` and never needs to know which
 /// organisation it is driving.
-pub trait CacheModel: Send + Any + std::fmt::Debug {
+pub trait CacheModel: Send + std::fmt::Debug {
     /// Short name of the organisation (`"shared"`, `"set-partitioned"`,
-    /// `"way-partitioned"`, `"profiling"`).
+    /// `"way-partitioned"`).
     fn organization(&self) -> &'static str;
 
     /// Performs one access and returns its outcome.
@@ -133,19 +127,14 @@ pub trait CacheModel: Send + Any + std::fmt::Debug {
     ///
     /// # Errors
     ///
-    /// The default returns [`CacheError::ReconfigureUnsupported`]:
-    /// organisations opt in by overriding.
+    /// [`CacheError::ReconfigureUnsupported`] if `spec` names another
+    /// organisation, and the map's or allocation's coverage error if it
+    /// does not fit the cache.
     fn reconfigure(
         &mut self,
         spec: &OrganizationSpec,
         regions: &RegionTable,
-    ) -> Result<FlushStats, CacheError> {
-        let _ = regions;
-        Err(CacheError::ReconfigureUnsupported {
-            from: self.organization(),
-            to: spec.label(),
-        })
-    }
+    ) -> Result<FlushStats, CacheError>;
 
     /// Clears statistics without touching contents.
     fn reset_stats(&mut self);
@@ -167,14 +156,6 @@ pub trait CacheModel: Send + Any + std::fmt::Debug {
                 .unwrap_or_default(),
         }
     }
-
-    /// Borrow as `Any`, to inspect organisation-specific state.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Convert into `Any`, to recover organisation-specific results (e.g.
-    /// the profiling cache's measured [`MissProfiles`](crate::MissProfiles))
-    /// after a run.
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
 /// The baseline of the paper: a conventional shared cache in which every
@@ -190,11 +171,6 @@ impl SharedCache {
         SharedCache {
             inner: SetAssocCache::new(config),
         }
-    }
-
-    /// Returns the underlying set-associative cache.
-    pub fn inner(&self) -> &SetAssocCache {
-        &self.inner
     }
 }
 
@@ -245,14 +221,6 @@ impl CacheModel for SharedCache {
 
     fn reset_stats(&mut self) {
         self.inner.reset_stats()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 }
 
@@ -328,17 +296,5 @@ mod tests {
         assert_eq!(snap.by_task.get(&TaskId::new(3)).unwrap().accesses, 2);
         assert_eq!(snap.by_region.get(&RegionId::new(7)).unwrap().misses, 1);
         assert!(snap.by_partition.is_empty());
-    }
-
-    #[test]
-    fn downcast_recovers_the_concrete_organisation() {
-        let cache: Box<dyn CacheModel> =
-            Box::new(SharedCache::new(CacheConfig::new(4, 2).unwrap()));
-        assert!(cache.as_any().downcast_ref::<SharedCache>().is_some());
-        let concrete = cache
-            .into_any()
-            .downcast::<SharedCache>()
-            .expect("the box holds a SharedCache");
-        assert_eq!(concrete.inner().geometry().sets(), 4);
     }
 }

@@ -9,7 +9,6 @@
 //! *inside* the key's partition. Tasks therefore can never evict each
 //! other's lines, which is exactly the compositionality mechanism of §3.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -537,14 +536,6 @@ impl CacheModel for SetPartitionedCache {
     fn reset_stats(&mut self) {
         self.inner.reset_stats();
         self.by_partition = StatsByKey::new();
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 }
 

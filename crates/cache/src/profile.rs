@@ -2,32 +2,22 @@
 //!
 //! The paper obtains, for every task, the number of misses as a function of
 //! the exclusively allocated cache size "by simulation or program analysis".
-//! The reproduction measures the same quantity in a single pass: the
-//! [`ProfilingCache`] is a shared-cache L2 organisation (so the profiling
-//! run also *is* the shared-cache baseline run) that additionally replays
-//! every access into a bank of per-entity, per-size shadow caches. Because
-//! under exclusive set partitioning no other entity influences an entity's
-//! misses, the shadow cache of size `S_k` observes exactly the misses the
-//! entity would have with an `S_k`-sized partition.
-//!
-//! The profiling cache is the fourth [`CacheModel`] organisation, so a
-//! profiling run goes through exactly the same `Box<dyn CacheModel>` timing
-//! path as every other run; its measured [`MissProfiles`] are recovered
-//! afterwards by downcasting through [`CacheModel::into_any`].
+//! The reproduction measures them in one pass with the
+//! [`StackDistanceProfiler`](crate::StackDistanceProfiler); this module
+//! holds the allocation-unit [`CacheSizeLattice`], the per-key
+//! [`MissProfiles`] the optimiser consumes, and [`per_size_profiles`],
+//! the by-simulation reference the profiler is tested against.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use compmem_trace::{Access, RegionId, RegionTable, TaskId};
+use compmem_trace::{Access, RegionTable};
 
-use crate::cache::{AccessOutcome, SetAssocCache};
+use crate::cache::SetAssocCache;
 use crate::config::CacheConfig;
 use crate::geometry::CacheGeometry;
-use crate::model::{CacheModel, SharedCache};
 use crate::partition::PartitionKey;
-use crate::stats::{CacheStats, StatsByKey};
 
 /// The allocation-unit lattice: partition sizes are multiples of a fixed
 /// number of sets, restricted to powers of two, exactly as in §3.2 of the
@@ -175,136 +165,67 @@ impl MissProfiles {
     }
 }
 
-/// A shared-cache L2 that simultaneously measures per-entity miss profiles.
+/// The reference miss profiles: every key's accesses, alone, through one
+/// plain LRU [`SetAssocCache`] of `ways` ways per lattice size.
 ///
-/// The "main" cache behaves exactly like [`SharedCache`], so the run that
-/// produces the profiles is also the paper's shared-cache baseline; the
-/// shadow caches are pure observers and do not influence it.
-#[derive(Debug)]
-pub struct ProfilingCache {
-    main: SharedCache,
-    lattice: CacheSizeLattice,
-    /// Partition key of every region (dense by region index).
-    region_keys: Vec<PartitionKey>,
-    /// Shadow caches: for every key, one cache per candidate unit count.
-    shadows: BTreeMap<PartitionKey, Vec<(u32, SetAssocCache)>>,
-    accesses_by_key: BTreeMap<PartitionKey, u64>,
-}
-
-impl ProfilingCache {
-    /// Creates a profiling cache for the given main-cache configuration,
-    /// region table and lattice.
-    pub fn new(config: CacheConfig, regions: &RegionTable, lattice: CacheSizeLattice) -> Self {
-        let region_keys = regions
-            .iter()
-            .map(|r| PartitionKey::from_region_kind(r.kind))
-            .collect();
-        ProfilingCache {
-            main: SharedCache::new(config),
-            lattice,
-            region_keys,
-            shadows: BTreeMap::new(),
-            accesses_by_key: BTreeMap::new(),
-        }
-    }
-
-    fn shadow_config(&self, units: u32) -> CacheConfig {
-        let ways = self.main.geometry().ways();
-        CacheConfig::new(self.lattice.sets_of(units), ways)
-            .expect("lattice sizes are powers of two")
-    }
-
-    /// Extracts the measured profiles.
-    pub fn into_profiles(self) -> MissProfiles {
-        let mut profiles = BTreeMap::new();
-        for (key, shadows) in self.shadows {
-            let mut profile = MissProfile {
-                accesses: self.accesses_by_key.get(&key).copied().unwrap_or(0),
-                misses_by_units: BTreeMap::new(),
-            };
-            for (units, cache) in shadows {
-                profile.misses_by_units.insert(units, cache.stats().misses);
-            }
-            profiles.insert(key, profile);
-        }
-        MissProfiles {
-            profiles,
-            lattice_units: self.lattice.candidate_units.clone(),
-        }
-    }
-
-    /// The lattice used by this profiler.
-    pub fn lattice(&self) -> &CacheSizeLattice {
-        &self.lattice
-    }
-}
-
-impl CacheModel for ProfilingCache {
-    fn organization(&self) -> &'static str {
-        "profiling"
-    }
-
-    fn access(&mut self, access: &Access) -> AccessOutcome {
-        let key = self.region_keys[access.region.index()];
-        *self.accesses_by_key.entry(key).or_insert(0) += 1;
-        // Lazily create the shadow bank for this key.
-        if !self.shadows.contains_key(&key) {
-            let bank = self
-                .lattice
+/// Under exclusive set partitioning no other key touches a key's sets, so
+/// the `S_k`-set cache sees exactly the misses the key would have in an
+/// `S_k`-set partition. This is exact by construction, at the price of
+/// one simulation per key and size. Feed it the L2-bound stream (the L1
+/// refills) in issue order.
+pub fn per_size_profiles<'a>(
+    accesses: impl IntoIterator<Item = &'a Access>,
+    regions: &RegionTable,
+    lattice: &CacheSizeLattice,
+    ways: u32,
+) -> MissProfiles {
+    let mut banks: BTreeMap<PartitionKey, (u64, Vec<SetAssocCache>)> = BTreeMap::new();
+    for access in accesses {
+        let key = PartitionKey::from_region_kind(regions.region(access.region).kind);
+        let (count, caches) = banks.entry(key).or_insert_with(|| {
+            let caches = lattice
                 .candidate_units
                 .iter()
-                .map(|&u| (u, SetAssocCache::new(self.shadow_config(u))))
+                .map(|&units| {
+                    SetAssocCache::new(
+                        CacheConfig::new(lattice.sets_of(units), ways)
+                            .expect("lattice sizes are powers of two"),
+                    )
+                })
                 .collect();
-            self.shadows.insert(key, bank);
+            (0, caches)
+        });
+        *count += 1;
+        for cache in caches {
+            cache.access(access);
         }
-        let line = access.addr.line();
-        if let Some(bank) = self.shadows.get_mut(&key) {
-            for (units, cache) in bank.iter_mut() {
-                let sets = self.lattice.sets_of(*units);
-                let index = (line.value() % u64::from(sets)) as u32;
-                let _ = cache.access_at(index, u64::MAX, access);
-            }
-        }
-        self.main.access(access)
     }
-
-    fn geometry(&self) -> CacheGeometry {
-        self.main.geometry()
-    }
-
-    fn stats(&self) -> &CacheStats {
-        self.main.stats()
-    }
-
-    fn stats_by_task(&self) -> &StatsByKey<TaskId> {
-        self.main.stats_by_task()
-    }
-
-    fn stats_by_region(&self) -> &StatsByKey<RegionId> {
-        self.main.stats_by_region()
-    }
-
-    fn flush(&mut self) -> u64 {
-        self.main.flush()
-    }
-
-    fn reset_stats(&mut self) {
-        self.main.reset_stats()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
+    let profiles = banks
+        .into_iter()
+        .map(|(key, (accesses, caches))| {
+            let misses_by_units = lattice
+                .candidate_units
+                .iter()
+                .zip(&caches)
+                .map(|(&units, cache)| (units, cache.stats().misses))
+                .collect();
+            let profile = MissProfile {
+                accesses,
+                misses_by_units,
+            };
+            (key, profile)
+        })
+        .collect();
+    MissProfiles {
+        profiles,
+        lattice_units: lattice.candidate_units.clone(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use compmem_trace::{Addr, RegionKind};
+    use compmem_trace::{RegionId, RegionKind, TaskId};
 
     fn region_table() -> RegionTable {
         let mut t = RegionTable::new();
@@ -358,13 +279,12 @@ mod tests {
     #[test]
     fn shadow_caches_measure_per_entity_working_sets() {
         let regions = region_table();
-        let config = CacheConfig::new(256, 4).unwrap();
-        let lattice = CacheSizeLattice::new(config.geometry(), 16);
-        let mut cache = ProfilingCache::new(config, &regions, lattice);
+        let lattice = CacheSizeLattice::new(CacheConfig::new(256, 4).unwrap().geometry(), 16);
         // Task 0 loops over a 32 KB working set (8 units of 4 KB), task 1
         // over 8 KB (2 units); both repeat their sweep four times.
         let t0_base = regions.region(RegionId::new(0)).base;
         let t1_base = regions.region(RegionId::new(1)).base;
+        let mut accesses = Vec::new();
         for _round in 0..4 {
             for line in 0..(32 * 1024 / 64) {
                 let a = Access::load(
@@ -373,7 +293,7 @@ mod tests {
                     TaskId::new(0),
                     RegionId::new(0),
                 );
-                cache.access(&a);
+                accesses.push(a);
             }
             for line in 0..(8 * 1024 / 64) {
                 let a = Access::load(
@@ -382,10 +302,10 @@ mod tests {
                     TaskId::new(1),
                     RegionId::new(1),
                 );
-                cache.access(&a);
+                accesses.push(a);
             }
         }
-        let profiles = cache.into_profiles();
+        let profiles = per_size_profiles(&accesses, &regions, &lattice, 4);
         let p0 = profiles
             .profile(PartitionKey::Task(TaskId::new(0)))
             .unwrap();
@@ -400,55 +320,11 @@ mod tests {
         assert_eq!(p1.misses_at(2), 128);
         assert_eq!(p1.misses_at(1), 4 * 128);
         assert_eq!(p0.accesses, 4 * 512);
+        assert_eq!(profiles.lattice_units, lattice.candidate_units);
         // The total-misses helper combines per-key lookups.
         let mut alloc = BTreeMap::new();
         alloc.insert(PartitionKey::Task(TaskId::new(0)), 8);
         alloc.insert(PartitionKey::Task(TaskId::new(1)), 2);
         assert_eq!(profiles.total_misses(&alloc), 512 + 128);
-    }
-
-    #[test]
-    fn main_cache_behaves_like_a_shared_cache() {
-        let regions = region_table();
-        let config = CacheConfig::new(64, 4).unwrap();
-        let lattice = CacheSizeLattice::new(config.geometry(), 16);
-        let mut profiling = ProfilingCache::new(config, &regions, lattice);
-        let mut shared = SharedCache::new(config);
-        let base = regions.region(RegionId::new(0)).base;
-        for i in 0..1000u64 {
-            let a = Access::load(
-                base.offset((i * 7 % 300) * 64),
-                4,
-                TaskId::new(0),
-                RegionId::new(0),
-            );
-            assert_eq!(profiling.access(&a).hit, shared.access(&a).hit);
-        }
-        assert_eq!(profiling.stats(), shared.stats());
-        let _ = Addr::new(0);
-    }
-
-    #[test]
-    fn profiles_survive_the_trait_object_round_trip() {
-        let regions = region_table();
-        let config = CacheConfig::new(64, 4).unwrap();
-        let lattice = CacheSizeLattice::new(config.geometry(), 16);
-        let mut boxed: Box<dyn CacheModel> =
-            Box::new(ProfilingCache::new(config, &regions, lattice));
-        let base = regions.region(RegionId::new(0)).base;
-        for i in 0..64u64 {
-            let a = Access::load(base.offset(i * 64), 4, TaskId::new(0), RegionId::new(0));
-            boxed.access(&a);
-        }
-        assert_eq!(boxed.organization(), "profiling");
-        let profiler = boxed
-            .into_any()
-            .downcast::<ProfilingCache>()
-            .expect("box holds the profiling organisation");
-        let profiles = profiler.into_profiles();
-        let p = profiles
-            .profile(PartitionKey::Task(TaskId::new(0)))
-            .unwrap();
-        assert_eq!(p.accesses, 64);
     }
 }

@@ -114,8 +114,7 @@ impl PartitionSchedule {
     ///   cycle 0 or the cycles are not strictly increasing,
     /// * [`CacheError::ReconfigureUnsupported`] if a later step names an
     ///   organisation the previous step's cache cannot morph into
-    ///   (switches are like-for-like; the profiling organisation cannot
-    ///   be scheduled at all beyond a static single step).
+    ///   (switches are like-for-like).
     pub fn new(steps: Vec<(u64, OrganizationSpec)>) -> Result<Self, CacheError> {
         let Some(first) = steps.first() else {
             return Err(CacheError::EmptySchedule);
@@ -130,7 +129,7 @@ impl PartitionSchedule {
                 });
             }
             let (from, to) = (pair[0].1.label(), pair[1].1.label());
-            if from != to || matches!(pair[1].1, OrganizationSpec::Profiling(_)) {
+            if from != to {
                 return Err(CacheError::ReconfigureUnsupported { from, to });
             }
         }
@@ -212,7 +211,7 @@ impl PartitionSchedule {
                     }
                     allocation.validate_covers(regions)?;
                 }
-                OrganizationSpec::Shared | OrganizationSpec::Profiling(_) => {}
+                OrganizationSpec::Shared => {}
             }
         }
         Ok(())

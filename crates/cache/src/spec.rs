@@ -1,7 +1,7 @@
 //! Declarative construction of L2 organisations.
 //!
 //! [`OrganizationSpec`] is the value the experiment layer passes around
-//! instead of concrete cache types: it names one of the four organisations
+//! instead of concrete cache types: it names one of the three organisations
 //! of the study together with its organisation-specific parameters, and
 //! [`OrganizationSpec::build`] turns it into a ready `Box<dyn CacheModel>`
 //! for the platform. Because a spec is plain data (`Clone + Send + Sync`),
@@ -16,7 +16,6 @@ use crate::config::CacheConfig;
 use crate::error::CacheError;
 use crate::model::{CacheModel, SharedCache};
 use crate::partition::{PartitionMap, SetPartitionedCache};
-use crate::profile::{CacheSizeLattice, ProfilingCache};
 use crate::way_partition::{WayAllocation, WayPartitionedCache};
 
 /// A declarative description of one L2 organisation.
@@ -28,9 +27,6 @@ pub enum OrganizationSpec {
     SetPartitioned(PartitionMap),
     /// The column-caching related work: way masks per entity.
     WayPartitioned(WayAllocation),
-    /// The shared baseline plus shadow caches measuring miss-vs-size
-    /// profiles on the given lattice.
-    Profiling(CacheSizeLattice),
 }
 
 impl OrganizationSpec {
@@ -41,7 +37,6 @@ impl OrganizationSpec {
             OrganizationSpec::Shared => "shared",
             OrganizationSpec::SetPartitioned(_) => "set-partitioned",
             OrganizationSpec::WayPartitioned(_) => "way-partitioned",
-            OrganizationSpec::Profiling(_) => "profiling",
         }
     }
 
@@ -51,8 +46,7 @@ impl OrganizationSpec {
     /// # Errors
     ///
     /// Propagates the constructor errors of the partitioned organisations
-    /// (uncovered regions, invalid maps); `Shared` and `Profiling` cannot
-    /// fail.
+    /// (uncovered regions, invalid maps); `Shared` cannot fail.
     pub fn build(
         &self,
         config: CacheConfig,
@@ -65,9 +59,6 @@ impl OrganizationSpec {
             }
             OrganizationSpec::WayPartitioned(allocation) => {
                 Box::new(WayPartitionedCache::new(config, regions, allocation)?)
-            }
-            OrganizationSpec::Profiling(lattice) => {
-                Box::new(ProfilingCache::new(config, regions, lattice.clone()))
             }
         })
     }
@@ -110,12 +101,10 @@ mod tests {
         .unwrap();
         let alloc =
             WayAllocation::equal_split(config.geometry(), &[PartitionKey::Task(TaskId::new(0))]);
-        let lattice = CacheSizeLattice::new(config.geometry(), 4);
         let specs = [
             (OrganizationSpec::Shared, "shared"),
             (OrganizationSpec::SetPartitioned(map), "set-partitioned"),
             (OrganizationSpec::WayPartitioned(alloc), "way-partitioned"),
-            (OrganizationSpec::Profiling(lattice), "profiling"),
         ];
         for (spec, label) in specs {
             assert_eq!(spec.label(), label);

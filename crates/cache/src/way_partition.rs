@@ -8,7 +8,6 @@
 //! partition is a quarter of the cache. This module implements that scheme
 //! so the ablation experiment (E6 of DESIGN.md) can quantify the argument.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -327,14 +326,6 @@ impl CacheModel for WayPartitionedCache {
     fn reset_stats(&mut self) {
         self.inner.reset_stats();
         self.by_partition = StatsByKey::new();
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 }
 

@@ -33,7 +33,7 @@ pub enum CoreError {
     /// Stack-distance profiling was requested for a scenario whose L2
     /// replacement policy is not LRU. The profiler's curves are exact
     /// for LRU only (the Mattson stack-inclusion identity the single
-    /// pass relies on — and what the shadow bank models); profiling a
+    /// pass relies on); profiling a
     /// FIFO/PLRU/random L2 would silently produce curves the real cache
     /// does not follow, so it is a typed error instead.
     NonLruProfiling {
@@ -89,7 +89,7 @@ impl fmt::Display for CoreError {
             CoreError::NonLruProfiling { policy } => write!(
                 f,
                 "stack-distance profiling is exact for LRU only; the scenario's L2 uses \
-                 `{policy}` (run the shadow-bank profiler or switch the L2 to LRU)"
+                 `{policy}` (switch the L2 to LRU)"
             ),
             CoreError::QosInfeasible { key, reason } => {
                 write!(f, "QoS floor for `{key}` is unsatisfiable: {reason}")

@@ -1,10 +1,10 @@
 //! Experiment drivers that regenerate the paper's evaluation.
 //!
-//! # One driver, four organisations, two traffic sources
+//! # One driver, three organisations, two traffic sources
 //!
 //! Every simulation run is described declaratively by a [`ScenarioSpec`] —
-//! an L2 configuration, an [`OrganizationSpec`] naming one of the four L2
-//! organisations (shared, set-partitioned, way-partitioned, profiling), and
+//! an L2 configuration, an [`OrganizationSpec`] naming one of the three L2
+//! organisations (shared, set-partitioned, way-partitioned), and
 //! a [`TrafficSource`] naming where the memory traffic comes from:
 //!
 //! * [`TrafficSource::Live`] executes the application functionally through
@@ -43,11 +43,9 @@
 //!    allocation,
 //! 4. compare expected and simulated per-entity misses (compositionality).
 //!
-//! The pre-curve source of the profiles — the [`ProfilingCache`]'s
-//! shadow-cache bank — is kept behind
-//! [`Experiment::run_profiled_simulated`] as the cross-validation oracle:
-//! the parity tests assert both sources agree point for point at every
-//! lattice size.
+//! The parity tests check the curve-derived profiles point for point
+//! against [`per_size_profiles`](compmem_cache::per_size_profiles), which
+//! simulates every key alone at every lattice size.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -56,14 +54,13 @@ use std::sync::{Arc, OnceLock};
 use serde::{Deserialize, Serialize};
 
 use compmem_cache::{
-    CacheConfig, CacheModel, CacheSnapshot, CurveResolution, FlushStats, KeyStats, MissRateCurves,
-    OrganizationSpec, PartitionKey, PartitionMap, PartitionSchedule, ProfilingCache,
-    ReplacementPolicy, StackDistanceProfiler, WayAllocation, WindowConfig, WindowedCurves,
-    WindowedProfiler,
+    CacheConfig, CacheSnapshot, CurveResolution, FlushStats, KeyStats, MissRateCurves,
+    OrganizationSpec, PartitionKey, PartitionMap, PartitionSchedule, ReplacementPolicy,
+    StackDistanceProfiler, WayAllocation, WindowConfig, WindowedCurves, WindowedProfiler,
 };
 use compmem_platform::{
-    replay_lanes, LaneDecision, LaneReport, PlatformConfig, PlatformError, PreparedTrace,
-    ReplaySystem, System, SystemReport, TapProfiler, WindowedTapProfiler,
+    replay_lanes, AccessTap, LaneDecision, LaneReport, NullTap, PlatformConfig, PlatformError,
+    PreparedTrace, ReplaySystem, System, SystemReport, TapProfiler, WindowedTapProfiler,
 };
 use compmem_trace::{EncodedTrace, RegionKind, RegionTable, TraceWriter};
 
@@ -466,14 +463,14 @@ fn key_names(app: &Application) -> BTreeMap<PartitionKey, String> {
     names
 }
 
-/// Replays a recorded trace under one partitioning schedule and also
-/// returns the L2 model.
-fn replay_model(
+/// Replays a recorded trace under one partitioning schedule through the
+/// serial [`ReplaySystem`].
+fn replay_serial(
     platform: &PlatformConfig,
     l2_config: CacheConfig,
     schedule: &PartitionSchedule,
     trace: &PreparedTrace,
-) -> Result<(RunOutcome, Box<dyn CacheModel>), CoreError> {
+) -> Result<RunOutcome, CoreError> {
     let l2 = schedule.initial().build(l2_config, trace.table())?;
     let mut system = ReplaySystem::new(platform, l2, trace)?;
     if !schedule.is_static() {
@@ -481,17 +478,12 @@ fn replay_model(
     }
     let report = system.run();
     let by_key = by_key_from_regions(trace.table(), &report);
-    let l2 = system.into_l2();
-    let l2_snapshot = l2.snapshot();
-    Ok((
-        RunOutcome {
-            report,
-            by_key,
-            l2_snapshot,
-            lane_decision: None,
-        },
-        l2,
-    ))
+    Ok(RunOutcome {
+        report,
+        by_key,
+        l2_snapshot: system.into_l2().snapshot(),
+        lane_decision: None,
+    })
 }
 
 /// Converts a merged lane report into a [`RunOutcome`].
@@ -542,7 +534,7 @@ fn replay_outcome(
     };
     match laned {
         Some(report) => Ok(outcome_from_lanes(report, trace.table())),
-        None => replay_model(platform, l2, schedule, trace).map(|(outcome, _)| outcome),
+        None => replay_serial(platform, l2, schedule, trace),
     }
 }
 
@@ -961,13 +953,13 @@ pub fn validate_phase_plan(
         .map(|(key, &units)| (*key, lattice.sets_of(units)))
         .collect();
     let static_map = PartitionMap::pack(geometry, &static_sizes)?;
-    let (static_outcome, _) = replay_model(
+    let static_outcome = replay_serial(
         platform,
         l2,
         &PartitionSchedule::single(OrganizationSpec::SetPartitioned(static_map)),
         trace,
     )?;
-    let (scheduled_outcome, _) = replay_model(platform, l2, &schedule, trace)?;
+    let scheduled_outcome = replay_serial(platform, l2, &schedule, trace)?;
 
     // Measured misses per boundary segment: differences of the L2 miss
     // counter snapshotted at each fired switch, plus the tail.
@@ -1065,12 +1057,6 @@ impl<F: Fn() -> Application> Experiment<F> {
         ScenarioSpec::live(l2, OrganizationSpec::Shared)
     }
 
-    /// Spec of the profiling run: the shared baseline plus shadow caches
-    /// measuring per-entity miss-vs-size profiles.
-    pub fn profiling_spec(&self) -> ScenarioSpec {
-        ScenarioSpec::live(self.config.l2, OrganizationSpec::Profiling(self.lattice()))
-    }
-
     /// Spec of the set-partitioned run with the given allocation (packed
     /// back to back from set 0).
     ///
@@ -1113,49 +1099,13 @@ impl<F: Fn() -> Application> Experiment<F> {
 
     // ----- the single execution path -----
 
-    /// Runs one spec and additionally returns the L2 model, so callers can
-    /// recover organisation-specific state (profiles) by downcasting.
-    fn run_model(
-        &self,
-        spec: &ScenarioSpec,
-    ) -> Result<(RunOutcome, Box<dyn CacheModel>), CoreError> {
-        match &spec.traffic {
-            TrafficSource::Live => {
-                let mut app = (self.factory)();
-                let platform = self.platform_for(&app);
-                let l2 = spec.organization().build(spec.l2, app.space.table())?;
-                let mut system = System::new(platform, l2, app.mapping.clone())?;
-                if !spec.schedule.is_static() {
-                    system.install_schedule(&spec.schedule, app.space.table())?;
-                }
-                let report = system.run(&mut app.network)?;
-                let by_key = by_key_from_regions(app.space.table(), &report);
-                let l2 = system.into_l2();
-                let l2_snapshot = l2.snapshot();
-                Ok((
-                    RunOutcome {
-                        report,
-                        by_key,
-                        l2_snapshot,
-                        lane_decision: None,
-                    },
-                    l2,
-                ))
-            }
-            TrafficSource::Replay(trace) => {
-                replay_model(&self.config.platform, spec.l2, &spec.schedule, trace)
-            }
-        }
-    }
-
     /// Runs the scenario once as described by `spec`.
     ///
     /// This is the only simulation driver: every organisation — baseline,
-    /// partitioned, ablation or profiling — and both traffic sources go
-    /// through this path. Replay scenarios never invoke the application
-    /// factory, and honour the spec's [`ReplayParallelism`] (a set-shard
-    /// split keeps cache-side numbers exact, but does not reconstruct
-    /// timing).
+    /// partitioned or ablation — and both traffic sources go through this
+    /// path. Replay scenarios never invoke the application factory, and
+    /// honour the spec's [`ReplayParallelism`] (a set-shard split keeps
+    /// cache-side numbers exact, but does not reconstruct timing).
     ///
     /// # Errors
     ///
@@ -1163,8 +1113,7 @@ impl<F: Fn() -> Application> Experiment<F> {
     /// [`LanesIneligible`](compmem_platform::PlatformError::LanesIneligible)
     /// when the spec *requires* lanes on a scenario that cannot split.
     pub fn run(&self, spec: &ScenarioSpec) -> Result<RunOutcome, CoreError> {
-        if let (TrafficSource::Replay(trace), false) = (&spec.traffic, spec.parallelism.is_serial())
-        {
+        if let TrafficSource::Replay(trace) = &spec.traffic {
             return replay_outcome(
                 &self.config.platform,
                 spec.l2,
@@ -1173,7 +1122,36 @@ impl<F: Fn() -> Application> Experiment<F> {
                 spec.parallelism,
             );
         }
-        self.run_model(spec).map(|(outcome, _)| outcome)
+        self.run_live(spec, |_, _| Ok(NullTap))
+            .map(|(outcome, _)| outcome)
+    }
+
+    /// Runs `spec` live with the access tap `tap` builds for the
+    /// application and its platform, and returns the outcome together
+    /// with the tap: plain runs, recordings and profiling runs differ
+    /// only in their tap.
+    fn run_live<T: AccessTap>(
+        &self,
+        spec: &ScenarioSpec,
+        tap: impl FnOnce(&Application, &PlatformConfig) -> Result<T, CoreError>,
+    ) -> Result<(RunOutcome, T), CoreError> {
+        let mut app = (self.factory)();
+        let platform = self.platform_for(&app);
+        let l2 = spec.organization().build(spec.l2, app.space.table())?;
+        let mut system = System::new(platform, l2, app.mapping.clone())?;
+        if !spec.schedule.is_static() {
+            system.install_schedule(&spec.schedule, app.space.table())?;
+        }
+        let mut tap = tap(&app, &platform)?;
+        let report = system.run_traced(&mut app.network, &mut tap)?;
+        let by_key = by_key_from_regions(app.space.table(), &report);
+        let outcome = RunOutcome {
+            report,
+            by_key,
+            l2_snapshot: system.into_l2().snapshot(),
+            lane_decision: None,
+        };
+        Ok((outcome, tap))
     }
 
     /// Runs `spec` live while recording every access entering the memory
@@ -1202,37 +1180,17 @@ impl<F: Fn() -> Application> Experiment<F> {
                     .to_string(),
             });
         }
-        let mut app = (self.factory)();
-        let platform = self.platform_for(&app);
-        let l2 = spec.organization().build(spec.l2, app.space.table())?;
-        let mut system = System::new(platform, l2, app.mapping.clone())?;
-        if !spec.schedule.is_static() {
-            system.install_schedule(&spec.schedule, app.space.table())?;
-        }
-        let mut writer = TraceWriter::new(
-            Vec::new(),
-            app.space.table(),
-            platform.num_processors as u32,
-        )?;
-        let report = system.run_traced(&mut app.network, &mut writer)?;
+        let (outcome, writer) = self.run_live(spec, |app, platform| {
+            let processors = platform.num_processors as u32;
+            Ok(TraceWriter::new(Vec::new(), app.space.table(), processors)?)
+        })?;
         let (bytes, _) = writer.finish()?;
         let trace = PreparedTrace::from(EncodedTrace::from_bytes(bytes)?);
-        let by_key = by_key_from_regions(app.space.table(), &report);
-        let l2_snapshot = system.into_l2().snapshot();
-        Ok((
-            RunOutcome {
-                report,
-                by_key,
-                l2_snapshot,
-                lane_decision: None,
-            },
-            Arc::new(trace),
-        ))
+        Ok((outcome, Arc::new(trace)))
     }
 
     /// Checks that the configured L2 replacement policy is LRU, which is
-    /// the only policy the stack-distance identity (and the shadow bank
-    /// it mirrors) is exact for.
+    /// the only policy the stack-distance identity is exact for.
     ///
     /// # Errors
     ///
@@ -1252,8 +1210,7 @@ impl<F: Fn() -> Application> Experiment<F> {
     /// measures the per-entity miss-rate curves in the same pass, and
     /// returns both.
     ///
-    /// This is the single-pass replacement for the shadow-cache profiling
-    /// run: one live execution yields the shared baseline *and* the exact
+    /// One live execution yields the shared baseline *and* the exact
     /// miss count of every entity at every resolved cache shape (see
     /// [`Experiment::curve_resolution`]), without materialising a trace.
     /// The curves convert into the [`MissProfiles`] of any lattice via
@@ -1266,26 +1223,11 @@ impl<F: Fn() -> Application> Experiment<F> {
     /// not LRU (the curves would not describe the real cache).
     pub fn profile_curves(&self) -> Result<(RunOutcome, MissRateCurves), CoreError> {
         self.require_lru_for_profiling()?;
-        let mut app = (self.factory)();
-        let platform = self.platform_for(&app);
-        let l2 = OrganizationSpec::Shared.build(self.config.l2, app.space.table())?;
-        let mut system = System::new(platform, l2, app.mapping.clone())?;
-        let mut tap = TapProfiler::new(
-            &platform,
-            StackDistanceProfiler::new(self.curve_resolution(), app.space.table()),
-        );
-        let report = system.run_traced(&mut app.network, &mut tap)?;
-        let by_key = by_key_from_regions(app.space.table(), &report);
-        let l2_snapshot = system.into_l2().snapshot();
-        Ok((
-            RunOutcome {
-                report,
-                by_key,
-                l2_snapshot,
-                lane_decision: None,
-            },
-            tap.into_curves(),
-        ))
+        let (outcome, tap) = self.run_live(&self.shared_spec(), |app, platform| {
+            let profiler = StackDistanceProfiler::new(self.curve_resolution(), app.space.table());
+            Ok(TapProfiler::new(platform, profiler))
+        })?;
+        Ok((outcome, tap.into_curves()))
     }
 
     /// Runs the shared-cache baseline live while a windowed profiler tap
@@ -1308,26 +1250,12 @@ impl<F: Fn() -> Application> Experiment<F> {
         window: WindowConfig,
     ) -> Result<(RunOutcome, WindowedCurves), CoreError> {
         self.require_lru_for_profiling()?;
-        let mut app = (self.factory)();
-        let platform = self.platform_for(&app);
-        let l2 = OrganizationSpec::Shared.build(self.config.l2, app.space.table())?;
-        let mut system = System::new(platform, l2, app.mapping.clone())?;
-        let mut tap = WindowedTapProfiler::new(
-            &platform,
-            WindowedProfiler::new(window, self.curve_resolution(), app.space.table()),
-        );
-        let report = system.run_traced(&mut app.network, &mut tap)?;
-        let by_key = by_key_from_regions(app.space.table(), &report);
-        let l2_snapshot = system.into_l2().snapshot();
-        Ok((
-            RunOutcome {
-                report,
-                by_key,
-                l2_snapshot,
-                lane_decision: None,
-            },
-            tap.into_windows(),
-        ))
+        let (outcome, tap) = self.run_live(&self.shared_spec(), |app, platform| {
+            let profiler =
+                WindowedProfiler::new(window, self.curve_resolution(), app.space.table());
+            Ok(WindowedTapProfiler::new(platform, profiler))
+        })?;
+        Ok((outcome, tap.into_windows()))
     }
 
     /// Evaluates the analytic L2 size × associativity sweep from one set
@@ -1434,27 +1362,6 @@ impl<F: Fn() -> Application> Experiment<F> {
         let (outcome, curves) = self.profile_curves()?;
         let profiles = curves.to_profiles(&self.lattice(), self.config.l2.geometry().ways())?;
         Ok((outcome, profiles))
-    }
-
-    /// The pre-curve source of the miss profiles: a run of the
-    /// [`ProfilingCache`] organisation, whose per-entity shadow-cache bank
-    /// simulates every lattice point explicitly (its main cache behaves
-    /// exactly like the shared baseline).
-    ///
-    /// Kept as the cross-validation oracle of [`Experiment::run_profiled`]
-    /// — the parity tests assert both produce identical profiles at every
-    /// lattice point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform and workload errors.
-    pub fn run_profiled_simulated(&self) -> Result<(RunOutcome, MissProfiles), CoreError> {
-        let (outcome, l2) = self.run_model(&self.profiling_spec())?;
-        let profiler = l2
-            .into_any()
-            .downcast::<ProfilingCache>()
-            .expect("the profiling spec builds a ProfilingCache");
-        Ok((outcome, profiler.into_profiles()))
     }
 
     /// Builds the allocation problem for the entities of a region table:
@@ -1602,8 +1509,7 @@ mod tests {
         assert!(!outcome.table_rows().is_empty());
         assert_eq!(outcome.figure2_rows().len(), outcome.allocation.units.len());
         assert!(!outcome.summary().is_empty());
-        // The runs expose which organisation they went through: profiling
-        // is now a tap on the shared baseline, not an L2 organisation.
+        // The runs expose which organisation they went through.
         assert_eq!(outcome.shared.l2_snapshot.organization, "shared");
         assert_eq!(
             outcome.partitioned.l2_snapshot.organization,
@@ -1864,11 +1770,13 @@ mod tests {
                 "profiling a FIFO L2 must fail with the typed error, got {result:?}"
             );
         }
-        // The shadow-bank oracle takes the same guard implicitly: its
-        // shadow caches are LRU regardless of the main cache's policy, so
-        // keeping it runnable under FIFO would be the silent mismatch the
-        // guard exists to prevent. The scenario still *runs* (only
-        // profiling is gated).
+        let message = experiment.run_profiled().unwrap_err().to_string();
+        assert_eq!(
+            message,
+            "stack-distance profiling is exact for LRU only; the scenario's L2 uses `fifo` \
+             (switch the L2 to LRU)"
+        );
+        // The scenario still *runs* (only profiling is gated).
         assert!(experiment.run(&experiment.shared_spec()).is_ok());
     }
 

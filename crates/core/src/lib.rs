@@ -14,8 +14,8 @@
 //!    profiler** (`StackDistanceProfiler` riding the shared baseline run
 //!    as an access tap, or fed from a recorded trace) whose
 //!    `MissRateCurves` resolve every power-of-two cache shape at once;
-//!    the shadow-cache `ProfilingCache` organisation is retained as the
-//!    cross-validation oracle.
+//!    `per_size_profiles`, which simulates every key alone at every
+//!    lattice size, is the reference the profiler is tested against.
 //! 2. **Partition sizing** ([`optimizer`]) — minimise the total number of
 //!    misses subject to the cache capacity, with an exact
 //!    dynamic-programming solver equivalent to the paper's (M)ILP, a greedy
@@ -91,5 +91,5 @@ pub use optimizer::{
 };
 pub use profile::{
     CacheSizeLattice, CurveResolution, MissProfile, MissProfiles, MissRateCurve, MissRateCurves,
-    ProfilingCache, StackDistanceProfiler, WindowConfig, WindowedCurves,
+    StackDistanceProfiler, WindowConfig, WindowedCurves,
 };

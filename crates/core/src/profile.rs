@@ -1,19 +1,15 @@
 //! Miss-vs-cache-size profiling (re-exported).
 //!
-//! The profiling layer moved into `compmem-cache` when the four L2
-//! organisations were unified behind the object-safe
-//! [`CacheModel`](compmem_cache::CacheModel) trait: the
-//! [`ProfilingCache`] is one of those organisations, so it lives next to
-//! the others and runs through the same `Box<dyn CacheModel>` timing path.
-//! Its shadow-cache bank has since been superseded as the *source* of the
-//! profiles by the single-pass [`StackDistanceProfiler`] (per-set bounded
-//! Mattson stacks producing a [`MissRateCurve`] per entity, convertible to
-//! the profiles of any lattice); the shadow bank remains the
-//! cross-validation oracle. This module re-exports the types under their
-//! historical `compmem` paths.
+//! The profiling layer lives in `compmem-cache`, next to the L2
+//! organisations it measures: the single-pass [`StackDistanceProfiler`]
+//! (per-set bounded Mattson stacks producing a [`MissRateCurve`] per
+//! entity, convertible to the profiles of any lattice) and
+//! [`per_size_profiles`], the per-size simulation the profiler is tested
+//! against. This module re-exports the types under their historical
+//! `compmem` paths.
 
 pub use compmem_cache::{
-    curve_delta, CacheSizeLattice, CurveResolution, CurveWindow, MissProfile, MissProfiles,
-    MissRateCurve, MissRateCurves, Phase, ProfilingCache, StackDistanceProfiler, WindowConfig,
+    curve_delta, per_size_profiles, CacheSizeLattice, CurveResolution, CurveWindow, MissProfile,
+    MissProfiles, MissRateCurve, MissRateCurves, Phase, StackDistanceProfiler, WindowConfig,
     WindowKind, WindowedCurves, WindowedProfiler,
 };

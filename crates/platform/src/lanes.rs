@@ -3,14 +3,13 @@
 //!
 //! Every L2 organisation picks a line's set from the line's low bits:
 //! `base + line % sets` inside a set-partitioned partition, `line % sets`
-//! in a shared or way-partitioned cache and in every shadow cache of the
-//! profiling organisation. Call each such block of consecutive sets a
-//! *set group*. When `N` divides the first set and the size of every
-//! group of every schedule step, set `s` only ever holds lines with
-//! `line % N == s % N`, in every step. Each physical set — its ways, its
-//! LRU/FIFO stamps, its tree-PLRU bits and its Random generator (seeded
-//! `seed ^ set_index`) — and each first-touch entry then belongs to
-//! exactly one residue class of lines.
+//! in a shared or way-partitioned cache. Call each such block of
+//! consecutive sets a *set group*. When `N` divides the first set and the
+//! size of every group of every schedule step, set `s` only ever holds
+//! lines with `line % N == s % N`, in every step. Each physical set — its
+//! ways, its LRU/FIFO stamps, its tree-PLRU bits and its Random generator
+//! (seeded `seed ^ set_index`) — and each first-touch entry then belongs
+//! to exactly one residue class of lines.
 //!
 //! Lane `i` of `N` therefore replays only the L2-bound refills with
 //! `line % N == i`, against its own full copy of the scheduled L2, on its
@@ -54,7 +53,7 @@ use crate::error::PlatformError;
 use crate::replay::{FilteredTrace, PreparedTrace};
 
 /// A block of consecutive L2 sets that one set index maps lines into: a
-/// partition, a whole cache, or the shadow caches of one size.
+/// partition or a whole cache.
 #[derive(Debug)]
 struct SetGroup {
     /// What the group is, e.g. `the task T0 partition of step 1`.
@@ -100,17 +99,6 @@ fn schedule_set_groups(l2: CacheConfig, schedule: &PartitionSchedule) -> Vec<Set
                     name: format!("the {key} partition of step {step}"),
                     first: partition.base_set,
                     sets: partition.sets,
-                }));
-            }
-            OrganizationSpec::Profiling(lattice) => {
-                groups.push(whole);
-                groups.extend(lattice.candidate_units.iter().map(|&units| {
-                    let sets = lattice.sets_of(units);
-                    SetGroup {
-                        name: format!("the {sets}-set shadow caches of step {step}"),
-                        first: 0,
-                        sets,
-                    }
                 }));
             }
         }
@@ -383,9 +371,7 @@ mod tests {
     use crate::replay::ReplaySystem;
     use crate::scheduler::TaskMapping;
     use crate::system::System;
-    use compmem_cache::{
-        CacheSizeLattice, KeyStats, PartitionMap, ReplacementPolicy, SharedCache, WayAllocation,
-    };
+    use compmem_cache::{KeyStats, PartitionMap, ReplacementPolicy, SharedCache, WayAllocation};
     use compmem_trace::codec::{EncodedTrace, TraceWriter};
     use compmem_trace::{Access, Addr, BufferId, RegionKind, TaskId};
 
@@ -546,8 +532,8 @@ mod tests {
     /// the recorded compute gap, step 2 past the last refill.
     type Steps = [OrganizationSpec; 3];
 
-    /// Every organisation of the exactness matrix: its static step and,
-    /// where the organisation can repartition, three scheduled steps.
+    /// Every organisation of the exactness matrix, as three scheduled
+    /// steps (the first is also its static schedule).
     fn organisations(l2: CacheConfig) -> Vec<(&'static str, Steps)> {
         let g = l2.geometry();
         let sets = |sizes: [u32; 3]| {
@@ -562,7 +548,6 @@ mod tests {
             }
             OrganizationSpec::WayPartitioned(allocation)
         };
-        let profiling = OrganizationSpec::Profiling(CacheSizeLattice::new(g, 4));
         vec![
             (
                 "shared",
@@ -592,12 +577,6 @@ mod tests {
                     ways([0b0001, 0b0011, 0b1111]),
                 ],
             ),
-            // The profiling organisation cannot repartition, so it only
-            // runs static (its "schedule" repeats the static step).
-            (
-                "profiling",
-                [profiling.clone(), profiling.clone(), profiling],
-            ),
         ]
     }
 
@@ -624,11 +603,15 @@ mod tests {
         for policy in ReplacementPolicy::ALL {
             let l2 = CacheConfig::new(64, 4).unwrap().policy(policy);
             for (name, [first, second, third]) in organisations(l2) {
-                let mut schedules = vec![("static", PartitionSchedule::single(first.clone()))];
-                if !matches!(first, OrganizationSpec::Profiling(_)) {
-                    let steps = vec![(0, first), (mid_boundary, second), (end_boundary, third)];
-                    schedules.push(("3-step", PartitionSchedule::new(steps).unwrap()));
-                }
+                let steps = vec![
+                    (0, first.clone()),
+                    (mid_boundary, second),
+                    (end_boundary, third),
+                ];
+                let schedules = [
+                    ("static", PartitionSchedule::single(first)),
+                    ("3-step", PartitionSchedule::new(steps).unwrap()),
+                ];
                 for (kind, schedule) in schedules {
                     let (serial_report, serial_bp) = serial(l2, &schedule, &trace);
                     assert_eq!(serial_report.repartitions.len(), schedule.switches().len());

@@ -4,8 +4,8 @@
 //! systems for multimedia communicating tasks"* (Molnos et al., DATE 2005):
 //! one tile of the CAKE architecture — a homogeneous set of processors with
 //! private L1 instruction and data caches, a shared unified L2 cache held
-//! as a `Box<dyn CacheModel>` (conventional, set-partitioned,
-//! way-partitioned or profiling, see `compmem-cache`), a shared arbitrated
+//! as a `Box<dyn CacheModel>` (conventional, set-partitioned or
+//! way-partitioned, see `compmem-cache`), a shared arbitrated
 //! memory bus and off-chip DRAM.
 //!
 //! Execution is **discrete-event**: an [`EventQueue`] (a min-heap of

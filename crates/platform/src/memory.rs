@@ -66,7 +66,7 @@ pub struct L1Refill {
 ///
 /// Each processor has private L1 instruction and data caches; all
 /// processors share one L2 organisation held as a `Box<dyn CacheModel>`
-/// (conventional, set-partitioned, way-partitioned or profiling — see
+/// (conventional, set-partitioned or way-partitioned — see
 /// `compmem-cache`) and the bus to it and to DRAM. Because the L2 is a
 /// trait object, the *same* timing path — L1 lookup, bus arbitration, L2
 /// lookup, DRAM — serves every organisation; swapping organisations never
@@ -210,7 +210,7 @@ impl MemorySystem {
             return Err(CacheError::ScheduleOutOfOrder { at_cycle });
         }
         let (from, to) = (self.l2.organization(), organization.label());
-        if from != to || matches!(organization, OrganizationSpec::Profiling(_)) {
+        if from != to {
             return Err(CacheError::ReconfigureUnsupported { from, to });
         }
         // Reuse the schedule validator for the geometry/coverage checks:
@@ -506,7 +506,7 @@ impl MemorySystem {
     }
 
     /// Consumes the hierarchy and returns the shared L2 organisation (e.g.
-    /// to downcast a profiling cache and recover its miss profiles).
+    /// to read its final counters).
     pub fn into_l2(self) -> Box<dyn CacheModel> {
         self.l2
     }

@@ -2,9 +2,8 @@
 //!
 //! The [`StackDistanceProfiler`] consumes the **L2-bound** access stream —
 //! the L1 misses, in global issue order — which is exactly the stream the
-//! [`ProfilingCache`](compmem_cache::ProfilingCache) sees when it is
-//! mounted as the live L2. This module provides the two ways to produce
-//! that stream without mounting anything in the hierarchy:
+//! shared L2 serves. This module provides the two ways to produce that
+//! stream without mounting anything in the hierarchy:
 //!
 //! * [`profile_trace`] profiles a recorded [`PreparedTrace`] through the
 //!   trace's cached L1 filter (the same
@@ -455,9 +454,7 @@ mod tests {
     use crate::replay::ReplaySystem;
     use crate::scheduler::TaskMapping;
     use crate::system::System;
-    use compmem_cache::{
-        CacheConfig, CacheModel, CacheSizeLattice, OrganizationSpec, PartitionKey, ProfilingCache,
-    };
+    use compmem_cache::{per_size_profiles, CacheConfig, CacheSizeLattice, PartitionKey};
     use compmem_trace::codec::{EncodedTrace, TraceWriter};
     use compmem_trace::{Addr, RegionId, RegionKind, RegionTable, TaskId};
 
@@ -546,28 +543,16 @@ mod tests {
         EncodedTrace::from_bytes(bytes).unwrap()
     }
 
-    /// Reference profiles: the live run with the ProfilingCache as L2.
-    fn shadow_profiles(lattice: &CacheSizeLattice) -> compmem_cache::MissProfiles {
-        let l2: Box<dyn CacheModel> = OrganizationSpec::Profiling(lattice.clone())
-            .build(l2_config(), &region_table())
-            .unwrap();
-        let mut system = System::new(platform(), l2, mapping()).unwrap();
-        system.run(&mut driver()).unwrap();
-        system
-            .into_l2()
-            .into_any()
-            .downcast::<ProfilingCache>()
-            .unwrap()
-            .into_profiles()
-    }
-
     #[test]
     fn live_tap_matches_the_shadow_cache_profiling_run() {
+        // Reference profiles: the recorded run's L2-bound refills, each
+        // key alone through one LRU cache per lattice size.
         let lattice = CacheSizeLattice::new(l2_config().geometry(), 4);
-        let expected = shadow_profiles(&lattice);
+        let prepared = PreparedTrace::from(record());
+        let filtered = prepared.filtered_for(&platform()).unwrap();
+        let expected = per_size_profiles(filtered.accesses(), prepared.table(), &lattice, 4);
 
-        // The profiling run again, but with the shared baseline as L2 and
-        // the tap measuring the curves on the side.
+        // The same run live, with the tap measuring the curves on the side.
         let mut system = System::new(
             platform(),
             Box::new(compmem_cache::SharedCache::new(l2_config())),

@@ -127,6 +127,17 @@ pub struct FilteredTrace {
     pub processors: usize,
 }
 
+impl FilteredTrace {
+    /// The L2-bound accesses (every refill's access) in global recorded
+    /// order: the stream the L2 and the profilers see.
+    pub fn accesses(&self) -> impl Iterator<Item = &Access> {
+        self.runs
+            .iter()
+            .flat_map(|run| &run.refills)
+            .map(|refill| &refill.access)
+    }
+}
+
 /// The L1 configuration a filter pass was computed for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FilterKey {
@@ -503,9 +514,8 @@ impl ReplaySystem {
         &self.processors
     }
 
-    /// Consumes the system and returns the L2 organisation (to recover
-    /// organisation-specific state, exactly as
-    /// [`System::into_l2`](crate::System::into_l2) does).
+    /// Consumes the system and returns the L2 organisation, exactly as
+    /// [`System::into_l2`](crate::System::into_l2) does.
     pub fn into_l2(self) -> Box<dyn CacheModel> {
         self.memory.into_l2()
     }

@@ -56,6 +56,11 @@ use crate::replay::PreparedTrace;
 /// responses whole command outputs; 1 GiB bounds a hostile length field).
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
 
+/// The most a payload buffer holds before its first byte arrives: it
+/// grows with the bytes actually received, so a header's length claim
+/// alone never allocates more than this.
+const FIRST_CHUNK_BYTES: usize = 64 * 1024;
+
 const TAG_PUT: u8 = 0x01;
 const TAG_COMMAND: u8 = 0x02;
 const TAG_STATS: u8 = 0x03;
@@ -114,9 +119,16 @@ fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, PlatformError>
             "incoming frame claims {length} bytes, above the {MAX_FRAME_BYTES}-byte cap"
         )));
     }
-    let mut payload = vec![0u8; length as usize];
-    r.read_exact(&mut payload)
+    let mut payload = Vec::with_capacity((length as usize).min(FIRST_CHUNK_BYTES));
+    r.take(u64::from(length))
+        .read_to_end(&mut payload)
         .map_err(|e| wire(format!("frame payload read failed: {e}")))?;
+    if payload.len() < length as usize {
+        return Err(wire(format!(
+            "connection closed mid-frame ({} of {length} payload bytes)",
+            payload.len()
+        )));
+    }
     Ok(Some((header[0], payload)))
 }
 
@@ -922,6 +934,45 @@ mod tests {
             read_frame(&mut reader),
             Err(PlatformError::Wire { .. })
         ));
+    }
+
+    /// Serves `bytes` and records the largest buffer it is asked to fill.
+    struct RecordingReader<'a> {
+        bytes: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for RecordingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_bare_length_claim_allocates_one_chunk_at_most() {
+        // A header claiming the largest legal frame, then three bytes and
+        // EOF: the short read is a typed error, and the buffer never grew
+        // past what had arrived.
+        let mut framed = vec![TAG_PUT];
+        framed.extend_from_slice(&MAX_FRAME_BYTES.to_be_bytes());
+        framed.extend_from_slice(&[1, 2, 3]);
+        let mut reader = RecordingReader {
+            bytes: &framed,
+            largest: 0,
+        };
+        match read_frame(&mut reader) {
+            Err(PlatformError::Wire { message }) => assert_eq!(
+                message,
+                format!("connection closed mid-frame (3 of {MAX_FRAME_BYTES} payload bytes)")
+            ),
+            other => panic!("expected a wire error, got {other:?}"),
+        }
+        assert!(
+            reader.largest <= FIRST_CHUNK_BYTES,
+            "asked to fill {} bytes before they arrived",
+            reader.largest
+        );
     }
 
     #[test]

@@ -62,8 +62,8 @@ struct DispatchOutcome {
 ///
 /// The shared L2 is a `Box<dyn CacheModel>`, so one engine — one timing
 /// path, one event loop — runs the paper's baseline (shared cache), its
-/// proposal (set-partitioned cache), the column-caching ablation and the
-/// profiling organisation. Execution is discrete-event: a min-heap of
+/// proposal (set-partitioned cache) and the column-caching ablation.
+/// Execution is discrete-event: a min-heap of
 /// `(ready_cycle, processor)` events (see [`EventQueue`]) drives per-
 /// processor task firing; processors whose tasks are all blocked park
 /// (leave the heap) and are woken by the events that can unblock them.
@@ -179,10 +179,8 @@ impl System {
         &self.mapping
     }
 
-    /// Consumes the system and returns the shared L2 organisation (used to
-    /// recover results accumulated inside the organisation itself, such as
-    /// the shadow-cache miss profiles of the profiling organisation, via
-    /// [`CacheModel::into_any`]).
+    /// Consumes the system and returns the shared L2 organisation, with
+    /// every counter the run accumulated in it.
     pub fn into_l2(self) -> Box<dyn CacheModel> {
         self.memory.into_l2()
     }

@@ -5,8 +5,9 @@
 //! power-of-two cache shape (`MissRateCurves`). The example then:
 //!
 //! 1. converts the curves into the miss profiles of the experiment's
-//!    lattice and cross-validates them against the shadow-cache
-//!    `ProfilingCache` simulation (identical, point for point);
+//!    lattice and cross-validates them against `per_size_profiles`, which
+//!    simulates every entity alone at every lattice size (identical, point
+//!    for point);
 //! 2. sizes the partitions with all three solvers from the same curves;
 //! 3. re-converts the *same* curves on a second, finer lattice — no
 //!    re-profiling, which is the whole point.
@@ -14,6 +15,7 @@
 //! Run with `cargo run --release --example profile_curves`.
 
 use compmem::experiment::{Experiment, ExperimentConfig};
+use compmem::profile::per_size_profiles;
 use compmem_cache::CacheConfig;
 use compmem_workloads::apps::{mpeg2_app, Mpeg2Params};
 
@@ -39,13 +41,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         resolution.ways_cap,
     );
 
-    // The old source of the same numbers: one shadow cache per lattice
-    // point. Still here as the oracle — and it must agree exactly.
+    // The slow source of the same numbers: the same run's L2-bound
+    // stream, each entity alone through one cache per lattice point. It
+    // must agree exactly.
     let lattice = compmem::CacheSizeLattice::new(config.l2.geometry(), config.sets_per_unit);
-    let profiles = curves.to_profiles(&lattice, config.l2.geometry().ways())?;
-    let (_, simulated) = experiment.run_profiled_simulated()?;
-    assert_eq!(profiles, simulated, "curves must match the shadow bank");
-    println!("cross-validated against the shadow-cache bank: identical at every lattice point\n");
+    let ways = config.l2.geometry().ways();
+    let profiles = curves.to_profiles(&lattice, ways)?;
+    let (_, trace) = experiment.record_trace(&experiment.shared_spec())?;
+    let filtered = trace.filtered_for(&config.platform)?;
+    let simulated = per_size_profiles(filtered.accesses(), trace.table(), &lattice, ways);
+    assert_eq!(
+        profiles, simulated,
+        "curves must match the per-size simulation"
+    );
+    println!("cross-validated against per-size simulation: identical at every lattice point\n");
 
     // A few entities' curves, as misses by partition size.
     println!(

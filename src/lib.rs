@@ -30,8 +30,8 @@
 //!   IR**: miss-rate curves persisted in a `.curves` file next to the
 //!   trace, bound to the exact trace bytes by content hash, so stale or
 //!   foreign sidecars are rejected (`CodecError`, never a panic).
-//! * [`compmem_cache`] — the cache substrate. The four L2 organisations of
-//!   the study (shared, set-partitioned, way-partitioned, profiling) all
+//! * [`compmem_cache`] — the cache substrate. The three L2 organisations
+//!   of the study (shared, set-partitioned, way-partitioned) all
 //!   implement the **object-safe `CacheModel` trait** — including a
 //!   default-implemented `access_batch`, so whole runs of accesses cost
 //!   one virtual dispatch — and `OrganizationSpec` builds any of them as a
@@ -43,9 +43,9 @@
 //!   `MissRateCurve` per entity — the exact miss count at every resolved
 //!   cache shape from one pass over the L2-bound stream — and
 //!   `MissRateCurves::to_profiles` converts them to any `CacheSizeLattice`.
-//!   The shadow-cache `ProfilingCache` organisation remains as the
-//!   cross-validation oracle (`tests/profiler_parity.rs` asserts both
-//!   sources agree point for point). The same pass now also feeds an
+//!   `per_size_profiles` simulates each key alone in one LRU cache per
+//!   lattice size; it is the reference `tests/profiler_parity.rs` checks
+//!   the profiler against point for point. The same pass also feeds an
 //!   **aggregate** curve (every key folded into one stack bank) whose
 //!   value at `(sets, ways)` is the exact shared-L2 miss count at that
 //!   shape, and a `WindowedProfiler` emits a `MissRateCurves` snapshot
@@ -110,9 +110,7 @@
 //!   spec's `ReplayParallelism` (`Serial`, `Auto(n)`, `Require(n)`) splits
 //!   one replay into set-shard lanes. The paper
 //!   flow's profiles are curve-derived (`Experiment::profile_curves` /
-//!   `run_profiled`), with the shadow-bank path kept as
-//!   `run_profiled_simulated` for cross-validation, and
-//!   `allocation_problem_for_table` builds the optimiser's problem from
+//!   `run_profiled`), and `allocation_problem_for_table` builds the optimiser's problem from
 //!   any region table — an application's or a recorded trace's. Phase
 //!   aware profiling rides the same flow: `Experiment::
 //!   profile_curves_windowed` measures per-window curves live,
@@ -150,7 +148,7 @@
 //! record/replay/profile workflow from the shell; `docs/CLI.md` walks a
 //! full session and CI executes its command lines verbatim.
 //! `bench_check` additionally gates CI on machine-independent same-run
-//! ratios (replay-vs-live, shadow-vs-single-pass, static-vs-scheduled
+//! ratios (replay-vs-live, per-size-vs-single-pass, static-vs-scheduled
 //! replay) alongside the absolute >25% throughput gate.
 
 #![forbid(unsafe_code)]

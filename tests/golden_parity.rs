@@ -1,6 +1,6 @@
 //! Golden-parity tests of the unified `Box<dyn CacheModel>` path.
 //!
-//! The refactor that collapsed the four L2 organisations behind one
+//! The refactor that collapsed the three L2 organisations behind one
 //! object-safe trait must be behaviour-preserving: driving a model built
 //! from an [`OrganizationSpec`] has to reproduce **byte-identical** miss
 //! counts and per-key statistics to constructing the concrete organisation
@@ -8,8 +8,8 @@
 //! discrete-event platform.
 
 use compmem_cache::{
-    CacheConfig, CacheModel, CacheSizeLattice, OrganizationSpec, PartitionKey, PartitionMap,
-    ProfilingCache, SetPartitionedCache, SharedCache, WayAllocation, WayPartitionedCache,
+    CacheConfig, CacheModel, OrganizationSpec, PartitionKey, PartitionMap, SetPartitionedCache,
+    SharedCache, WayAllocation, WayPartitionedCache,
 };
 use compmem_platform::{
     Burst, BurstOutcome, Op, PlatformConfig, System, TaskMapping, WorkloadDriver,
@@ -136,28 +136,6 @@ fn way_partitioned_spec_matches_direct_construction() {
     let alloc = way_allocation(config);
     let mut direct = WayPartitionedCache::new(config, &table, &alloc).unwrap();
     assert_trace_parity(&mut direct, OrganizationSpec::WayPartitioned(alloc), &table);
-}
-
-#[test]
-fn profiling_spec_matches_direct_construction_including_profiles() {
-    let (table, trace) = fixture();
-    let config = CacheConfig::new(128, 4).unwrap();
-    let lattice = CacheSizeLattice::new(config.geometry(), 8);
-    let mut direct = ProfilingCache::new(config, &table, lattice.clone());
-    let mut boxed = OrganizationSpec::Profiling(lattice)
-        .build(config, &table)
-        .unwrap();
-    for a in &trace {
-        assert_eq!(direct.access(a), boxed.access(a));
-    }
-    assert_eq!(direct.snapshot(), boxed.snapshot());
-    // The organisation-specific result (the measured profiles) survives the
-    // trait-object round trip bit for bit.
-    let recovered = boxed
-        .into_any()
-        .downcast::<ProfilingCache>()
-        .expect("profiling spec builds a ProfilingCache");
-    assert_eq!(direct.into_profiles(), recovered.into_profiles());
 }
 
 /// A deterministic two-task driver: each task streams loads over its own

@@ -11,10 +11,10 @@
 //!   whole-run curves and for access-count windows, point for point.
 //! * **Sidecar byte-identity**: the sidecar written by the sharded pass
 //!   is byte-identical to the serially written one.
-//! * **Replay shards under all four organisations**: laned replays match
+//! * **Replay shards under all three organisations**: laned replays match
 //!   the serial replay on every cache-side counter and really split into
-//!   four set shards — shared, set-partitioned, overlapping way masks and
-//!   profiling alike.
+//!   four set shards — shared, set-partitioned and overlapping way masks
+//!   alike.
 //!
 //! Requiring lanes on a scenario with a one-set partition is a typed
 //! error.
@@ -26,9 +26,7 @@ use compmem::experiment::{
     run_replay, Experiment, ExperimentConfig, ReplayParallelism, ScenarioSpec,
 };
 use compmem::{CoreError, WindowConfig};
-use compmem_cache::{
-    CacheConfig, CacheSizeLattice, OrganizationSpec, PartitionKey, PartitionMap, WayAllocation,
-};
+use compmem_cache::{CacheConfig, OrganizationSpec, PartitionKey, PartitionMap, WayAllocation};
 use compmem_platform::{
     profile_trace_windowed, profile_trace_windowed_lanes, profile_trace_with_sidecar,
     profile_trace_with_sidecar_lanes, PlatformError, PreparedTrace, SidecarOutcome,
@@ -67,13 +65,10 @@ fn recorded_shared_trace(experiment: &Experiment<impl Fn() -> Application>) -> A
     trace
 }
 
-/// The four organisations exactly as the CLI builds them. The equal way
+/// The three organisations exactly as the CLI builds them. The equal way
 /// split of more keys than ways necessarily shares ways between keys —
 /// asserted, not assumed — so overlapping masks are covered too.
-fn four_organisations(
-    l2: CacheConfig,
-    table: &RegionTable,
-) -> Vec<(&'static str, OrganizationSpec)> {
+fn organisations(l2: CacheConfig, table: &RegionTable) -> Vec<(&'static str, OrganizationSpec)> {
     let keys = PartitionKey::distinct_keys(table);
     assert!(
         keys.len() > l2.geometry().ways() as usize,
@@ -90,10 +85,6 @@ fn four_organisations(
         (
             "way-partitioned",
             OrganizationSpec::WayPartitioned(WayAllocation::equal_split(l2.geometry(), &keys)),
-        ),
-        (
-            "profiling",
-            OrganizationSpec::Profiling(CacheSizeLattice::new(l2.geometry(), 4)),
         ),
     ]
 }
@@ -170,7 +161,7 @@ fn assert_laned_replay_parity(experiment: &Experiment<impl Fn() -> Application>,
     let platform = &experiment.config().platform;
     let l2 = experiment.config().l2;
 
-    for (org_name, organization) in four_organisations(l2, trace.table()) {
+    for (org_name, organization) in organisations(l2, trace.table()) {
         let serial_spec = ScenarioSpec::replay(l2, organization.clone(), trace.clone());
         let laned_spec = ScenarioSpec::replay(l2, organization, trace.clone())
             .with_parallelism(ReplayParallelism::lanes(4));

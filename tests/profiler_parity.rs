@@ -1,25 +1,33 @@
 //! Cross-validation of the single-pass stack-distance profiler against
-//! the shadow-cache simulation it replaced.
+//! per-size simulation.
 //!
-//! Three properties pin the new profile source down:
+//! The reference is [`per_size_profiles`]: a recorded run's L2-bound
+//! refills, each key alone, through one plain LRU cache per lattice size.
+//! It is exact by construction. Four properties pin the profiler down:
 //!
 //! * **Point-for-point parity**: curve-derived `MissProfiles` equal the
-//!   `ProfilingCache`'s per-size shadow simulation at every lattice point,
-//!   on tiny MPEG-2 and tiny JPEG+Canny (the acceptance criterion of the
-//!   profiler issue).
-//! * **All four organisations**: parity is not a property of shared-cache
-//!   traffic — a trace recorded under *any* of the four organisations
-//!   (whose timing shifts the recorded interleaving) profiles to the same
-//!   numbers whether the single-pass profiler or the shadow bank consumes
-//!   it; and per-key access/cold totals are organisation-invariant.
+//!   per-size simulation at every lattice point, on tiny MPEG-2 and tiny
+//!   JPEG+Canny; and the profiling run's outcome is the shared run's (the
+//!   tap does not perturb the run it rides).
+//! * **All three organisations**: parity is not a property of
+//!   shared-cache traffic — a trace recorded under *any* of the three
+//!   organisations (whose timing shifts the recorded interleaving)
+//!   profiles to the per-size simulation's numbers; and per-key
+//!   access/cold totals are organisation-invariant.
+//! * **Generated traffic**: the same holds on a three-task phased, Zipf
+//!   and scan mix from the workload zoo, at two seeds.
 //! * **Optimizer agreement**: `solve_exact`, `solve_greedy` and the
 //!   brute-force `solve_exhaustive` produce identical allocations whether
 //!   the problem is built from curve-derived or simulated profiles.
 
 use compmem::experiment::{Experiment, ExperimentConfig, ScenarioSpec};
 use compmem::optimizer::{solve_exact, solve_exhaustive, solve_greedy};
-use compmem_cache::{CacheConfig, CacheSizeLattice, OrganizationSpec, PartitionKey, PartitionMap};
-use compmem_platform::{profile_trace, ReplaySystem};
+use compmem_cache::{
+    per_size_profiles, CacheConfig, CacheSizeLattice, CurveResolution, MissProfiles,
+    OrganizationSpec, PartitionKey, PartitionMap,
+};
+use compmem_platform::{profile_trace, PreparedTrace};
+use compmem_trace::gen::{generate, GenKind, GenSpec, GenTask};
 use compmem_workloads::apps::{
     jpeg_canny_app, mpeg2_app, Application, JpegCannyParams, Mpeg2Params,
 };
@@ -46,28 +54,57 @@ fn jpeg_experiment() -> Experiment<impl Fn() -> Application> {
     })
 }
 
+fn tiny_lattice() -> CacheSizeLattice {
+    let config = tiny_config();
+    CacheSizeLattice::new(config.l2.geometry(), config.sets_per_unit)
+}
+
+/// The reference profiles of a recorded trace on `lattice`: its L2-bound
+/// refills, each key alone through one LRU cache per lattice size.
+fn simulated_profiles(trace: &PreparedTrace, lattice: &CacheSizeLattice) -> MissProfiles {
+    let config = tiny_config();
+    let filtered = trace
+        .filtered_for(&config.platform)
+        .expect("filter pass succeeds");
+    per_size_profiles(
+        filtered.accesses(),
+        trace.table(),
+        lattice,
+        config.l2.geometry().ways(),
+    )
+}
+
+/// The per-size simulation of the shared baseline's recorded L2-bound
+/// stream (the traffic `run_profiled`'s tap observes).
+fn simulated_shared_profiles(experiment: &Experiment<impl Fn() -> Application>) -> MissProfiles {
+    let (_, trace) = experiment
+        .record_trace(&experiment.shared_spec())
+        .expect("recording succeeds");
+    simulated_profiles(&trace, &tiny_lattice())
+}
+
 fn assert_parity(experiment: &Experiment<impl Fn() -> Application>, app_name: &str) {
     let (curve_outcome, curve_profiles) = experiment.run_profiled().expect("curve run succeeds");
-    let (shadow_outcome, shadow_profiles) = experiment
-        .run_profiled_simulated()
-        .expect("shadow run succeeds");
     // The acceptance criterion: identical misses at every lattice point,
     // for every entity.
     assert_eq!(
-        curve_profiles, shadow_profiles,
+        curve_profiles,
+        simulated_shared_profiles(experiment),
         "{app_name}: single-pass and per-size simulation diverged"
     );
     assert!(
         !curve_profiles.profiles.is_empty(),
         "{app_name}: no entities profiled"
     );
-    // The profiling main cache *is* the shared baseline, so both runs see
-    // identical traffic and L2 behaviour; only the organisation label
-    // differs.
-    assert_eq!(curve_outcome.report, shadow_outcome.report);
-    assert_eq!(curve_outcome.by_key, shadow_outcome.by_key);
-    assert_eq!(curve_outcome.l2_snapshot.organization, "shared");
-    assert_eq!(shadow_outcome.l2_snapshot.organization, "profiling");
+    // The tap is a pure observer: the profiling run *is* the shared
+    // baseline run, counter for counter.
+    let shared = experiment
+        .run(&experiment.shared_spec())
+        .expect("shared run succeeds");
+    assert_eq!(
+        curve_outcome, shared,
+        "{app_name}: the profiling tap perturbed the shared run"
+    );
 }
 
 #[test]
@@ -100,10 +137,9 @@ fn traces_from_all_four_organisations_profile_identically() {
             ),
         ),
         ("way-partitioned", experiment.way_partitioned_spec()),
-        ("profiling", experiment.profiling_spec()),
     ];
 
-    let lattice = CacheSizeLattice::new(geometry, config.sets_per_unit);
+    let lattice = tiny_lattice();
     let mut totals = None;
     for (label, spec) in specs {
         let (_, trace) = experiment.record_trace(&spec).expect("recording succeeds");
@@ -114,27 +150,16 @@ fn traces_from_all_four_organisations_profile_identically() {
         )
         .expect("profiling succeeds");
 
-        // Single-pass vs per-size shadow simulation of the *same* trace:
+        // Single-pass vs per-size simulation of the *same* trace:
         // identical at every lattice point, whichever organisation's
         // timing shaped the recording.
         let single_pass = curves
             .to_profiles(&lattice, geometry.ways())
             .expect("lattice within resolution");
-        let l2 = OrganizationSpec::Profiling(lattice.clone())
-            .build(config.l2, trace.table())
-            .expect("profiling organisation builds");
-        let mut replay = ReplaySystem::new(&experiment.config().platform, l2, &trace)
-            .expect("replay system builds");
-        replay.run();
-        let shadow = replay
-            .into_l2()
-            .into_any()
-            .downcast::<compmem::ProfilingCache>()
-            .expect("profiling organisation downcasts")
-            .into_profiles();
         assert_eq!(
-            single_pass, shadow,
-            "`{label}` recording: single-pass and shadow bank diverged"
+            single_pass,
+            simulated_profiles(&trace, &lattice),
+            "`{label}` recording: single-pass and per-size simulation diverged"
         );
 
         // Per-key access and cold-miss totals do not depend on the
@@ -155,6 +180,58 @@ fn traces_from_all_four_organisations_profile_identically() {
     }
 }
 
+#[test]
+fn curve_profiles_match_per_size_simulation_on_a_generated_mix() {
+    // Three programs from the workload zoo: a phased hot-loop/scan task,
+    // a Zipf task and a streaming scan, sharing the L2.
+    let tasks = vec![
+        GenTask {
+            kind: GenKind::Phased {
+                hot_bytes: 8 * 1024,
+                scan_bytes: 128 * 1024,
+                phase_accesses: 2_048,
+            },
+            accesses: 20_000,
+        },
+        GenTask {
+            kind: GenKind::Zipf {
+                working_set_bytes: 48 * 1024,
+            },
+            accesses: 20_000,
+        },
+        GenTask {
+            kind: GenKind::Scan {
+                footprint_bytes: 256 * 1024,
+            },
+            accesses: 20_000,
+        },
+    ];
+    let platform = tiny_config().platform;
+    let geometry = tiny_config().l2.geometry();
+    let resolution = CurveResolution::for_geometry(geometry, tiny_config().sets_per_unit)
+        .expect("valid resolution");
+    for seed in [7, 11] {
+        let trace = PreparedTrace::from(
+            generate(&GenSpec::mix(tasks.clone(), seed)).expect("valid zoo spec generates"),
+        );
+        let curves = profile_trace(&platform, &trace, resolution).expect("profiling succeeds");
+        let l2_bound: u64 = curves.curves.values().map(|c| c.accesses).sum();
+        assert!(
+            l2_bound > 30_000,
+            "seed {seed}: only {l2_bound} accesses reached the L2"
+        );
+        let profiles = curves
+            .to_profiles(&tiny_lattice(), geometry.ways())
+            .expect("lattice within resolution");
+        assert_eq!(profiles.profiles.len(), 3, "seed {seed}: one key per task");
+        assert_eq!(
+            profiles,
+            simulated_profiles(&trace, &tiny_lattice()),
+            "seed {seed}: single-pass and per-size simulation diverged"
+        );
+    }
+}
+
 type Solver = fn(&compmem::AllocationProblem) -> Result<compmem::Allocation, compmem::CoreError>;
 
 fn assert_optimizer_agreement(experiment: &Experiment<impl Fn() -> Application>, app_name: &str) {
@@ -163,13 +240,10 @@ fn assert_optimizer_agreement(experiment: &Experiment<impl Fn() -> Application>,
         _ => jpeg_canny_app(&JpegCannyParams::tiny()).unwrap(),
     };
     let (_, curve_profiles) = experiment.run_profiled().expect("curve run succeeds");
-    let (_, shadow_profiles) = experiment
-        .run_profiled_simulated()
-        .expect("shadow run succeeds");
+    let simulated = simulated_shared_profiles(experiment);
     let curve_problem =
         experiment.build_allocation_problem(table_app.space.table(), curve_profiles);
-    let shadow_problem =
-        experiment.build_allocation_problem(table_app.space.table(), shadow_profiles);
+    let simulated_problem = experiment.build_allocation_problem(table_app.space.table(), simulated);
 
     // The polynomial solvers run on the full problem; the brute-force
     // reference is exponential in the entity count, so it gets a trimmed
@@ -181,19 +255,19 @@ fn assert_optimizer_agreement(experiment: &Experiment<impl Fn() -> Application>,
         ("exhaustive", solve_exhaustive, true),
     ];
     for (name, solver, trim) in solvers {
-        let (curves, shadow) = if trim {
-            (trimmed(&curve_problem, 6), trimmed(&shadow_problem, 6))
+        let (curves, simulated) = if trim {
+            (trimmed(&curve_problem, 6), trimmed(&simulated_problem, 6))
         } else {
-            (curve_problem.clone(), shadow_problem.clone())
+            (curve_problem.clone(), simulated_problem.clone())
         };
         let from_curves = solver(&curves).expect("feasible");
-        let from_shadow = solver(&shadow).expect("feasible");
+        let from_simulation = solver(&simulated).expect("feasible");
         assert_eq!(
-            from_curves.units, from_shadow.units,
+            from_curves.units, from_simulation.units,
             "{app_name}/{name}: allocations diverged between profile sources"
         );
         assert_eq!(
-            from_curves.predicted_misses, from_shadow.predicted_misses,
+            from_curves.predicted_misses, from_simulation.predicted_misses,
             "{app_name}/{name}: predictions diverged between profile sources"
         );
     }
@@ -242,8 +316,8 @@ fn optimizers_agree_across_profile_sources_on_tiny_jpeg_canny() {
 
 #[test]
 fn curves_convert_to_any_lattice_within_resolution() {
-    // Pay the pass once, sweep many lattices: converting the same curves
-    // on a coarser lattice equals re-simulating the shadow bank on it.
+    // Pay the pass once, sweep many lattices: the same curves convert
+    // on coarser lattices without another run.
     let experiment = mpeg2_experiment();
     let config = tiny_config();
     let (_, curves) = experiment.profile_curves().expect("curve run succeeds");

@@ -16,11 +16,11 @@ use compmem::optimizer::{
 use compmem::profile::{MissProfile, MissProfiles};
 use compmem::{CoreError, OptimizerKind};
 use compmem_cache::{
-    CacheConfig, CacheGeometry, CacheModel, CacheSizeLattice, CurveResolution, OrganizationSpec,
-    PartitionKey, PartitionMap, PartitionSchedule, SetPartitionedCache, SharedCache, WindowConfig,
-    WindowedProfiler,
+    per_size_profiles, CacheConfig, CacheGeometry, CacheModel, CacheSizeLattice, CurveResolution,
+    OrganizationSpec, PartitionKey, PartitionMap, PartitionSchedule, SetPartitionedCache,
+    SharedCache, WindowConfig, WindowedProfiler,
 };
-use compmem_platform::{PlatformConfig, PreparedTrace};
+use compmem_platform::{profile_trace, PlatformConfig, PreparedTrace};
 use compmem_trace::stats::ReuseDistanceHistogram;
 use compmem_trace::{Access, Addr, RegionKind, RegionTable, TaskId};
 use compmem_workloads::apps::{mpeg2_app, Mpeg2Params};
@@ -360,6 +360,30 @@ proptest! {
     ) {
         let trace = two_task_trace(task_a, task_b, &order, 1);
         set_shards_match_serial(&trace, WindowConfig::whole_run());
+    }
+
+    /// Curve-derived profiles equal the per-size simulation: for any
+    /// interleaving of two tasks' streams, the single pass over a trace's
+    /// L2-bound refills converts to exactly the misses of each key alone
+    /// in an LRU cache of every lattice size.
+    #[test]
+    fn curve_profiles_match_the_per_size_simulation(
+        task_a in trace_strategy(192, 300),
+        task_b in trace_strategy(192, 300),
+        order in trace_strategy(2, 600),
+    ) {
+        let trace = two_task_trace(task_a, task_b, &order, 1);
+        let platform = PlatformConfig::default()
+            .processors(2)
+            .l1(CacheConfig::new(4, 2).unwrap());
+        let lattice = CacheSizeLattice::new(CacheGeometry::new(32, 4).unwrap(), 4);
+        let curves =
+            profile_trace(&platform, &trace, CurveResolution::new(4, 32, 4).unwrap()).unwrap();
+        let filtered = trace.filtered_for(&platform).unwrap();
+        prop_assert_eq!(
+            curves.to_profiles(&lattice, 4).unwrap(),
+            per_size_profiles(filtered.accesses(), trace.table(), &lattice, 4)
+        );
     }
 
     /// Set-sharded windowed profiling: for any interleaving and any window

@@ -4,7 +4,7 @@
 //! the organisation the trace was recorded with, the replay's
 //! `CacheSnapshot` (aggregate, per-task, per-region and per-partition
 //! counters) is byte-identical to the live run's, for every one of the
-//! four L2 organisations — and replays are deterministic for every
+//! three L2 organisations — and replays are deterministic for every
 //! replacement policy, including the (seeded) random one.
 
 use std::sync::Arc;
@@ -42,7 +42,7 @@ fn equal_split_partitioned(
     ScenarioSpec::live(l2, OrganizationSpec::SetPartitioned(map))
 }
 
-/// Recording the MPEG-2 application under each of the four organisations
+/// Recording the MPEG-2 application under each of the three organisations
 /// and replaying the trace under the same organisation reproduces the live
 /// run's `CacheSnapshot` byte for byte.
 #[test]
@@ -53,7 +53,6 @@ fn replaying_a_recorded_mpeg2_trace_matches_the_live_snapshot_for_all_organisati
         experiment.shared_spec(),
         equal_split_partitioned(&experiment, &app),
         experiment.way_partitioned_spec(),
-        experiment.profiling_spec(),
     ];
     for spec in specs {
         let label = spec.label();
