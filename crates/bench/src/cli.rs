@@ -1744,7 +1744,7 @@ fn info(
         summary.bytes_per_access()
     );
     // The segment directory is what lets replay tools slice the stream
-    // without a full decode; v1 streams have none and replay as one unit.
+    // without a full decode; only an empty trace has none.
     let segments = trace.trace().segment_directory();
     if segments.is_empty() {
         outln!(

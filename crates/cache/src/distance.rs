@@ -144,23 +144,22 @@ impl CurveResolution {
     /// is zero.
     pub fn new(min_sets: u32, max_sets: u32, ways_cap: u32) -> Result<Self, CacheError> {
         for (parameter, value) in [("min_sets", min_sets), ("max_sets", max_sets)] {
-            if value == 0 || !value.is_power_of_two() {
-                return Err(CacheError::InvalidGeometry {
-                    parameter,
-                    value: u64::from(value),
-                });
+            if !value.is_power_of_two() {
+                return Err(CacheError::not_power_of_two(parameter, u64::from(value)));
             }
         }
         if min_sets > max_sets {
             return Err(CacheError::InvalidGeometry {
                 parameter: "min_sets",
                 value: u64::from(min_sets),
+                rule: format!("exceeds max_sets of {max_sets}"),
             });
         }
         if ways_cap == 0 {
             return Err(CacheError::InvalidGeometry {
                 parameter: "ways_cap",
                 value: 0,
+                rule: "must be at least 1".to_string(),
             });
         }
         Ok(CurveResolution {
@@ -179,10 +178,17 @@ impl CurveResolution {
     /// As for [`CurveResolution::new`] (e.g. `sets_per_unit` not a power
     /// of two or larger than the cache).
     pub fn for_geometry(geometry: CacheGeometry, sets_per_unit: u32) -> Result<Self, CacheError> {
+        if !sets_per_unit.is_power_of_two() {
+            return Err(CacheError::not_power_of_two(
+                "sets_per_unit",
+                u64::from(sets_per_unit),
+            ));
+        }
         if sets_per_unit > geometry.sets() {
             return Err(CacheError::InvalidGeometry {
                 parameter: "sets_per_unit",
                 value: u64::from(sets_per_unit),
+                rule: format!("exceeds the cache's {} sets", geometry.sets()),
             });
         }
         Self::new(sets_per_unit, geometry.sets(), geometry.ways())
@@ -1626,6 +1632,28 @@ mod tests {
             CurveResolution::new(16, 256, 4).unwrap()
         );
         assert!(CurveResolution::for_geometry(g, 512).is_err());
+    }
+
+    #[test]
+    fn resolution_errors_name_the_rule_they_check() {
+        let message = |result: Result<CurveResolution, CacheError>| result.unwrap_err().to_string();
+        let g = CacheGeometry::new(4, 4).unwrap();
+        assert_eq!(
+            message(CurveResolution::for_geometry(g, 16)),
+            "cache sets_per_unit of 16 exceeds the cache's 4 sets"
+        );
+        assert_eq!(
+            message(CurveResolution::for_geometry(g, 3)),
+            "cache sets_per_unit of 3 is not a non-zero power of two"
+        );
+        assert_eq!(
+            message(CurveResolution::new(64, 32, 4)),
+            "cache min_sets of 64 exceeds max_sets of 32"
+        );
+        assert_eq!(
+            message(CurveResolution::new(16, 32, 0)),
+            "cache ways_cap of 0 must be at least 1"
+        );
     }
 
     #[test]

@@ -3,16 +3,32 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::geometry::CacheGeometry;
+
 /// Errors produced while configuring caches and partitions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CacheError {
-    /// A geometry parameter was zero or not a power of two.
+    /// A geometry parameter broke one of its rules — a non-zero power of
+    /// two, a bound, a multiple of the way size — and `rule` says which.
     InvalidGeometry {
         /// Name of the offending parameter.
         parameter: &'static str,
         /// Value supplied.
         value: u64,
+        /// The rule the value breaks, phrased to follow it (e.g. "is not
+        /// a non-zero power of two").
+        rule: String,
+    },
+    /// A partition map or way allocation was applied to a cache of a
+    /// different geometry.
+    GeometryMismatch {
+        /// What was applied (e.g. `"partition map"`).
+        what: &'static str,
+        /// Geometry the map or allocation was built for.
+        found: CacheGeometry,
+        /// Geometry of the cache it was applied to.
+        expected: CacheGeometry,
     },
     /// A partition referenced sets outside the cache.
     PartitionOutOfRange {
@@ -93,12 +109,23 @@ pub enum CacheError {
 impl fmt::Display for CacheError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CacheError::InvalidGeometry { parameter, value } => {
-                write!(
-                    f,
-                    "cache {parameter} of {value} is not a non-zero power of two"
-                )
-            }
+            CacheError::InvalidGeometry {
+                parameter,
+                value,
+                rule,
+            } => write!(f, "cache {parameter} of {value} {rule}"),
+            CacheError::GeometryMismatch {
+                what,
+                found,
+                expected,
+            } => write!(
+                f,
+                "{what} over {} sets x {} ways does not match the cache's {} sets x {} ways",
+                found.sets(),
+                found.ways(),
+                expected.sets(),
+                expected.ways()
+            ),
             CacheError::PartitionOutOfRange {
                 base_set,
                 sets,
@@ -164,6 +191,18 @@ impl fmt::Display for CacheError {
     }
 }
 
+impl CacheError {
+    /// The [`InvalidGeometry`](CacheError::InvalidGeometry) error of a
+    /// parameter that must be a non-zero power of two.
+    pub(crate) fn not_power_of_two(parameter: &'static str, value: u64) -> Self {
+        CacheError::InvalidGeometry {
+            parameter,
+            value,
+            rule: "is not a non-zero power of two".to_string(),
+        }
+    }
+}
+
 impl Error for CacheError {}
 
 #[cfg(test)]
@@ -172,10 +211,7 @@ mod tests {
 
     #[test]
     fn messages_mention_values() {
-        let e = CacheError::InvalidGeometry {
-            parameter: "sets",
-            value: 3,
-        };
+        let e = CacheError::not_power_of_two("sets", 3);
         assert!(e.to_string().contains("sets"));
         assert!(e.to_string().contains('3'));
         let e = CacheError::PartitionOutOfRange {

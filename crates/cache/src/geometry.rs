@@ -35,17 +35,10 @@ impl CacheGeometry {
     /// Returns [`CacheError::InvalidGeometry`] if either parameter is zero or
     /// not a power of two.
     pub fn new(sets: u32, ways: u32) -> Result<Self, CacheError> {
-        if sets == 0 || !sets.is_power_of_two() {
-            return Err(CacheError::InvalidGeometry {
-                parameter: "sets",
-                value: u64::from(sets),
-            });
-        }
-        if ways == 0 || !ways.is_power_of_two() {
-            return Err(CacheError::InvalidGeometry {
-                parameter: "ways",
-                value: u64::from(ways),
-            });
+        for (parameter, value) in [("sets", sets), ("ways", ways)] {
+            if !value.is_power_of_two() {
+                return Err(CacheError::not_power_of_two(parameter, u64::from(value)));
+            }
         }
         Ok(CacheGeometry { sets, ways })
     }
@@ -55,18 +48,31 @@ impl CacheGeometry {
     ///
     /// # Errors
     ///
-    /// Returns [`CacheError::InvalidGeometry`] if the implied set count is
-    /// zero or not a power of two.
+    /// Returns [`CacheError::InvalidGeometry`] if `ways` is zero or not a
+    /// power of two, if `size_bytes` is not a whole number of lines per
+    /// way, or if the implied set count is zero, not a power of two or
+    /// beyond `u32`.
     pub fn with_size(size_bytes: u64, ways: u32) -> Result<Self, CacheError> {
+        if !ways.is_power_of_two() {
+            return Err(CacheError::not_power_of_two("ways", u64::from(ways)));
+        }
         let way_bytes = u64::from(ways) * LINE_SIZE_BYTES;
-        if way_bytes == 0 || !size_bytes.is_multiple_of(way_bytes) {
+        if !size_bytes.is_multiple_of(way_bytes) {
             return Err(CacheError::InvalidGeometry {
                 parameter: "size_bytes",
                 value: size_bytes,
+                rule: format!(
+                    "is not a multiple of {way_bytes} ({ways} ways x {LINE_SIZE_BYTES}-byte lines)"
+                ),
             });
         }
-        let sets = size_bytes / way_bytes;
-        Self::new(sets as u32, ways)
+        let sets =
+            u32::try_from(size_bytes / way_bytes).map_err(|_| CacheError::InvalidGeometry {
+                parameter: "size_bytes",
+                value: size_bytes,
+                rule: format!("implies more than {} sets", u32::MAX),
+            })?;
+        Self::new(sets, ways)
     }
 
     /// Number of sets.
@@ -132,6 +138,36 @@ mod tests {
         assert!(CacheGeometry::new(0, 4).is_err());
         assert!(CacheGeometry::new(64, 0).is_err());
         assert!(CacheGeometry::with_size(100, 4).is_err());
+    }
+
+    #[test]
+    fn with_size_names_the_rule_each_parameter_breaks() {
+        let message = |size_bytes, ways| {
+            CacheGeometry::with_size(size_bytes, ways)
+                .unwrap_err()
+                .to_string()
+        };
+        assert_eq!(
+            message(65536, 3),
+            "cache ways of 3 is not a non-zero power of two"
+        );
+        assert_eq!(
+            message(65536, 0),
+            "cache ways of 0 is not a non-zero power of two"
+        );
+        assert_eq!(
+            message(1024, 32),
+            "cache size_bytes of 1024 is not a multiple of 2048 (32 ways x 64-byte lines)"
+        );
+        assert_eq!(
+            message(49152, 4),
+            "cache sets of 192 is not a non-zero power of two"
+        );
+        // 2^36 + 1024 sets must not truncate to a valid 1024-set cache.
+        assert_eq!(
+            message((1 << 42) + 65536, 1),
+            "cache size_bytes of 4398046576640 implies more than 4294967295 sets"
+        );
     }
 
     #[test]

@@ -439,9 +439,10 @@ impl SetPartitionedCache {
         map: &PartitionMap,
     ) -> Result<FlushStats, CacheError> {
         if map.geometry() != self.inner.geometry() {
-            return Err(CacheError::InvalidGeometry {
-                parameter: "partition-map sets",
-                value: u64::from(map.geometry().sets()),
+            return Err(CacheError::GeometryMismatch {
+                what: "partition map",
+                found: map.geometry(),
+                expected: self.inner.geometry(),
             });
         }
         map.validate_covers(regions)?;
@@ -860,7 +861,7 @@ mod tests {
         .unwrap();
         assert!(matches!(
             cache.repartition(&table, &wrong_geometry),
-            Err(CacheError::InvalidGeometry { .. })
+            Err(CacheError::GeometryMismatch { .. })
         ));
         let uncovered = PartitionMap::pack(
             config.geometry(),

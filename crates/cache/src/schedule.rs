@@ -195,18 +195,20 @@ impl PartitionSchedule {
             match &step.organization {
                 OrganizationSpec::SetPartitioned(map) => {
                     if map.geometry() != geometry {
-                        return Err(CacheError::InvalidGeometry {
-                            parameter: "schedule partition-map sets",
-                            value: u64::from(map.geometry().sets()),
+                        return Err(CacheError::GeometryMismatch {
+                            what: "schedule partition map",
+                            found: map.geometry(),
+                            expected: geometry,
                         });
                     }
                     map.validate_covers(regions)?;
                 }
                 OrganizationSpec::WayPartitioned(allocation) => {
                     if allocation.geometry() != geometry {
-                        return Err(CacheError::InvalidGeometry {
-                            parameter: "schedule way-allocation sets",
-                            value: u64::from(allocation.geometry().sets()),
+                        return Err(CacheError::GeometryMismatch {
+                            what: "schedule way allocation",
+                            found: allocation.geometry(),
+                            expected: geometry,
                         });
                     }
                     allocation.validate_covers(regions)?;
@@ -326,10 +328,13 @@ mod tests {
 
         // A map over the wrong geometry is rejected.
         let other = CacheGeometry::new(128, 4).unwrap();
-        assert!(matches!(
-            good.validate_for(other, &table),
-            Err(CacheError::InvalidGeometry { .. })
-        ));
+        let err = good.validate_for(other, &table).unwrap_err();
+        assert!(matches!(err, CacheError::GeometryMismatch { .. }));
+        assert_eq!(
+            err.to_string(),
+            "schedule partition map over 64 sets x 4 ways does not match \
+             the cache's 128 sets x 4 ways"
+        );
 
         // A step whose map misses a region is rejected.
         let uncovered = PartitionSchedule::new(vec![

@@ -237,9 +237,10 @@ impl WayPartitionedCache {
         allocation: &WayAllocation,
     ) -> Result<FlushStats, CacheError> {
         if allocation.geometry() != self.inner.geometry() {
-            return Err(CacheError::InvalidGeometry {
-                parameter: "way-allocation sets",
-                value: u64::from(allocation.geometry().sets()),
+            return Err(CacheError::GeometryMismatch {
+                what: "way allocation",
+                found: allocation.geometry(),
+                expected: self.inner.geometry(),
             });
         }
         allocation.validate_covers(regions)?;

@@ -43,7 +43,7 @@ use compmem_trace::RegionTable;
 
 use crate::error::CoreError;
 use crate::experiment::{
-    allocation_problem_for_table, by_key_from_regions, phase_allocations_for_table,
+    allocation_problem_for_table, by_key_from_regions, phase_allocations_for_table, replay_serial,
     validate_phase_plan, RunOutcome,
 };
 use crate::optimizer::{self, Allocation, OptimizerKind};
@@ -547,25 +547,11 @@ pub fn replay_controlled(
     // A preinstalled schedule (the oracle) replays through the ordinary
     // scheduled path: same engine, no online loop.
     if let Some(schedule) = policy.preinstalled_schedule() {
-        let schedule = schedule.clone();
-        let l2_model = schedule.initial().build(l2, table)?;
-        let mut system = ReplaySystem::new(platform, l2_model, trace)?;
-        if !schedule.is_static() {
-            system.install_schedule(&schedule, table)?;
-        }
-        let report = system.run();
-        let by_key = by_key_from_regions(table, &report);
-        let l2_snapshot = system.into_l2().snapshot();
         return Ok(ControlledOutcome {
             policy: policy.name().to_string(),
-            outcome: RunOutcome {
-                report,
-                by_key,
-                l2_snapshot,
-                lane_decision: None,
-            },
+            outcome: replay_serial(platform, l2, schedule, trace)?,
             ticks: 0,
-            schedule,
+            schedule: schedule.clone(),
         });
     }
 
@@ -606,12 +592,12 @@ pub fn replay_controlled(
     let mut installed: Vec<ScheduleStep> = Vec::new();
     let mut decision_error: Option<CoreError> = None;
 
-    let report = system.run_controlled(table, |obs| {
+    let report = system.run_controlled(|run| {
         if decision_error.is_some() {
             return None; // inert after the first failed decision
         }
-        for refill in obs.refills {
-            profiler.observe_at(obs.start_cycle, &refill.access);
+        for refill in &run.refills {
+            profiler.observe_at(run.start_cycle, &refill.access);
         }
         let mut decided: Option<PartitionMap> = None;
         while closed < profiler.windows().len() {
@@ -630,7 +616,7 @@ pub fn replay_controlled(
             let tick = ControllerTick {
                 window,
                 curves,
-                at_cycle: obs.start_cycle,
+                at_cycle: run.start_cycle,
                 current: decided.as_ref().unwrap_or(&current),
             };
             match policy.observe(&solver, &tick) {
@@ -648,7 +634,7 @@ pub fn replay_controlled(
             current = map.clone();
             let organization = OrganizationSpec::SetPartitioned(map);
             installed.push(ScheduleStep {
-                at_cycle: obs.start_cycle,
+                at_cycle: run.start_cycle,
                 organization: organization.clone(),
             });
             organization
@@ -706,11 +692,11 @@ pub fn replay_pushed(
     let mut system = ReplaySystem::new(platform, l2_model, trace)?;
     let switches: Vec<ScheduleStep> = schedule.switches().to_vec();
     let mut next = 0usize;
-    let report = system.run_controlled(table, |obs| {
+    let report = system.run_controlled(|run| {
         let mut due: Option<OrganizationSpec> = None;
         // Several boundaries may fall inside one run gap; the last due
         // organisation is the one that should be in force.
-        while next < switches.len() && switches[next].at_cycle <= obs.start_cycle {
+        while next < switches.len() && switches[next].at_cycle <= run.start_cycle {
             due = Some(switches[next].organization.clone());
             next += 1;
         }

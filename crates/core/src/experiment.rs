@@ -465,7 +465,7 @@ fn key_names(app: &Application) -> BTreeMap<PartitionKey, String> {
 
 /// Replays a recorded trace under one partitioning schedule through the
 /// serial [`ReplaySystem`].
-fn replay_serial(
+pub(crate) fn replay_serial(
     platform: &PlatformConfig,
     l2_config: CacheConfig,
     schedule: &PartitionSchedule,
@@ -474,7 +474,7 @@ fn replay_serial(
     let l2 = schedule.initial().build(l2_config, trace.table())?;
     let mut system = ReplaySystem::new(platform, l2, trace)?;
     if !schedule.is_static() {
-        system.install_schedule(schedule, trace.table())?;
+        system.install_schedule(schedule)?;
     }
     let report = system.run();
     let by_key = by_key_from_regions(trace.table(), &report);

@@ -68,16 +68,6 @@ pub enum PlatformError {
         /// The set group that admits no split, and why.
         reason: String,
     },
-    /// An online controller (see
-    /// [`SystemController`](crate::SystemController)) emitted a
-    /// repartition the memory system rejected — an out-of-order boundary
-    /// cycle, a wrong-geometry map or an uncovered region (the rendered
-    /// [`CacheError`](compmem_cache::CacheError)). The run stops at the
-    /// rejecting chunk.
-    ControlCache {
-        /// Rendered message of the cache error.
-        message: String,
-    },
     /// A wire-protocol frame could not be read, written or decoded (the
     /// rendered I/O or framing problem; `std::io::Error` is not `Clone`).
     /// Raised by the `compmem serve` transport — a malformed frame is a
@@ -132,9 +122,6 @@ impl fmt::Display for PlatformError {
                 "{requested} lanes were required but the scenario cannot \
                  split into set shards: {reason}"
             ),
-            PlatformError::ControlCache { message } => {
-                write!(f, "online controller repartition rejected: {message}")
-            }
             PlatformError::Wire { message } => {
                 write!(f, "wire protocol error: {message}")
             }

@@ -493,7 +493,7 @@ mod tests {
     ) -> (SystemReport, Option<StatsByKey<PartitionKey>>) {
         let model = schedule.initial().build(l2, trace.table()).unwrap();
         let mut replay = ReplaySystem::new(&platform(), model, trace).unwrap();
-        replay.install_schedule(schedule, trace.table()).unwrap();
+        replay.install_schedule(schedule).unwrap();
         let report = replay.run();
         let by_partition = replay.memory().l2().stats_by_partition().cloned();
         (report, by_partition)

@@ -107,12 +107,11 @@ pub use profile::{
     SidecarOutcome, TapProfiler, WindowedTapProfiler,
 };
 pub use replay::{
-    AccessTap, FilteredRun, FilteredTrace, NullTap, PreparedTrace, ReplayCounters, ReplayProcessor,
-    ReplaySystem, RunObservation,
+    AccessTap, FilteredRun, FilteredTrace, NullTap, PreparedTrace, ReplayCounters, ReplaySystem,
 };
 pub use scheduler::TaskMapping;
 pub use serve::{
     CommandFailure, CommandHandler, CurveStore, ServeClient, ServeErrorKind, ServeRequest,
     ServeResponse, ServeStats, ServedFrom, Server,
 };
-pub use system::{System, SystemController};
+pub use system::System;

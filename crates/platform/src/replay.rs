@@ -10,15 +10,13 @@
 //!   the binary trace IR is [`TraceWriter`], so recording streams straight
 //!   to a file or an in-memory [`EncodedTrace`].
 //! * **Replay**: a [`ReplaySystem`] rebuilds the hierarchy (fresh L1s, bus,
-//!   any `Box<dyn CacheModel>` L2) and re-issues the decoded trace. Each
-//!   processor of the recorded run becomes a [`ReplayProcessor`] actor on
-//!   the discrete-event [`EventQueue`]: it consumes its runs of accesses in
-//!   recorded global order through
-//!   [`MemorySystem::access_burst`](crate::MemorySystem::access_burst), so
-//!   the whole hierarchy sees exactly the access sequence of the live run
-//!   — cache statistics and snapshots are **bit-identical** to the
-//!   recording run under the same organisation — while skipping workload
-//!   execution, burst dispatch and per-access virtual calls.
+//!   any `Box<dyn CacheModel>` L2) and re-issues the decoded trace: one
+//!   loop walks the recorded runs in global recorded order through
+//!   [`MemorySystem::refill_burst`], so the whole hierarchy sees exactly
+//!   the access sequence of the live run — cache statistics and snapshots
+//!   are **bit-identical** to the recording run under the same
+//!   organisation — while skipping workload execution, burst dispatch and
+//!   per-access virtual calls.
 //!
 //! Replay *cache state* is exact; replay *timing* is a reconstruction:
 //! every run starts at its recorded issue cycle and advances by one cycle
@@ -39,7 +37,6 @@
 //! magnitude fewer accesses, with bus traffic, issue times and L2 state
 //! bit-identical to replaying the full run.
 
-use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -51,7 +48,6 @@ use compmem_trace::codec::{EncodedTrace, TraceSummary, TraceWriter};
 use compmem_trace::{Access, RegionTable};
 
 use crate::config::PlatformConfig;
-use crate::engine::EventQueue;
 use crate::error::PlatformError;
 use crate::memory::{L1Refill, MemorySystem};
 use crate::metrics::{ProcessorReport, SystemReport};
@@ -346,7 +342,7 @@ fn filter_trace(trace: &EncodedTrace, key: FilterKey) -> Result<FilteredTrace, P
     })
 }
 
-/// Summary of one replay processor's work.
+/// Summary of one replayed processor's work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayCounters {
     /// Runs replayed.
@@ -362,92 +358,25 @@ pub struct ReplayCounters {
     pub clock: u64,
 }
 
-/// One recorded processor replayed as a discrete-event actor.
-///
-/// A replay processor holds the sub-sequence of trace runs its recorded
-/// processor issued, as *global sequence numbers* into the trace's decoded
-/// run list. The replay event loop keys processors by the sequence number
-/// of their next run, so popping the earliest event always yields the
-/// globally next run of the recording — the hierarchy sees the exact
-/// recorded interleaving.
-#[derive(Debug)]
-pub struct ReplayProcessor {
-    /// Global run indices in recorded order, front = next.
-    runs: VecDeque<u64>,
-    counters: ReplayCounters,
-}
-
-impl ReplayProcessor {
-    fn new() -> Self {
-        ReplayProcessor {
-            runs: VecDeque::new(),
-            counters: ReplayCounters::default(),
-        }
-    }
-
-    /// Sequence number of the next run to replay, if any work remains.
-    pub fn next_sequence(&self) -> Option<u64> {
-        self.runs.front().copied()
-    }
-
-    /// The counters accumulated so far.
-    pub fn counters(&self) -> ReplayCounters {
-        self.counters
-    }
-
-    /// Replays this processor's next run through the hierarchy; the actor
-    /// is then rescheduled at its next sequence number (or parks when its
-    /// share of the trace is exhausted).
-    fn replay_next(&mut self, memory: &mut MemorySystem, runs: &[FilteredRun]) {
-        let seq = self.runs.pop_front().expect("scheduled with a run pending");
-        let run = &runs[seq as usize];
-        let stats = memory.refill_burst(
-            run.start_cycle,
-            &run.refills,
-            run.data_accesses,
-            run.instr_fetches,
-        );
-        self.counters.runs += 1;
-        self.counters.data_accesses += stats.data_accesses;
-        self.counters.instr_fetches += stats.instr_fetches;
-        self.counters.stall_cycles += stats.stall_cycles;
-        self.counters.clock = run.start_cycle + stats.elapsed;
-    }
-}
-
-/// One pre-replay observation handed to a [`ReplaySystem::run_controlled`]
-/// controller: the globally next recorded run, just before it replays.
-///
-/// The refills are the run's L2-bound stream — the same
-/// organisation-independent data the windowed profilers consume — so a
-/// controller can profile the run *before* replaying it without
-/// disturbing determinism: profiling depends only on the trace and the
-/// L1 filter, never on the L2 organisation the controller is switching.
-#[derive(Debug)]
-pub struct RunObservation<'a> {
-    /// Global sequence number of the run in the recorded interleaving.
-    pub sequence: u64,
-    /// Recorded processor that issued the run.
-    pub processor: usize,
-    /// Recorded issue cycle of the run's first access.
-    pub start_cycle: u64,
-    /// The run's L2-bound refills (its L1 misses), in order.
-    pub refills: &'a [L1Refill],
-}
-
 /// A multiprocessor system that replays a recorded trace instead of
 /// executing a workload.
 ///
 /// The memory hierarchy below the L1s is the live one — the shared bus,
 /// any `Box<dyn CacheModel>` L2, DRAM — while the L1s are pre-applied by
-/// the [`PreparedTrace`]'s cached filter pass. Traffic comes from
-/// [`ReplayProcessor`] actors consuming the filtered runs on the
-/// [`EventQueue`].
+/// the [`PreparedTrace`]'s cached filter pass. Traffic is the filtered
+/// runs, replayed once each in global recorded order.
 #[derive(Debug)]
 pub struct ReplaySystem {
     memory: MemorySystem,
-    processors: Vec<ReplayProcessor>,
+    /// Per-processor counters, indexed by the recorded processor.
+    processors: Vec<ReplayCounters>,
     filtered: Arc<FilteredTrace>,
+    /// The recorded trace, whose region table every switch validates
+    /// against.
+    trace: Arc<EncodedTrace>,
+    /// Index of the next run of `filtered.runs` to replay: a second
+    /// replay of the same system replays nothing.
+    next_run: usize,
 }
 
 impl ReplaySystem {
@@ -470,18 +399,12 @@ impl ReplaySystem {
         let num_processors = (trace.processors() as usize).max(1);
         let memory = MemorySystem::new(&config.processors(num_processors), l2);
         let filtered = trace.filtered_for(config)?;
-        let mut processors: Vec<ReplayProcessor> = (0..num_processors)
-            .map(|_| ReplayProcessor::new())
-            .collect();
-        for (seq, run) in filtered.runs.iter().enumerate() {
-            processors[run.processor as usize]
-                .runs
-                .push_back(seq as u64);
-        }
         Ok(ReplaySystem {
             memory,
-            processors,
+            processors: vec![ReplayCounters::default(); num_processors],
             filtered,
+            trace: Arc::clone(&trace.trace),
+            next_run: 0,
         })
     }
 
@@ -499,18 +422,14 @@ impl ReplaySystem {
     ///
     /// # Errors
     ///
-    /// Propagates schedule validation errors, so a switch can never fail
-    /// mid-replay.
-    pub fn install_schedule(
-        &mut self,
-        schedule: &PartitionSchedule,
-        regions: &RegionTable,
-    ) -> Result<(), CacheError> {
-        self.memory.install_schedule(schedule, regions)
+    /// Propagates schedule validation errors against the trace's region
+    /// table, so a switch can never fail mid-replay.
+    pub fn install_schedule(&mut self, schedule: &PartitionSchedule) -> Result<(), CacheError> {
+        self.memory.install_schedule(schedule, self.trace.table())
     }
 
-    /// The replay processors.
-    pub fn processors(&self) -> &[ReplayProcessor] {
+    /// The per-processor counters, indexed by recorded processor.
+    pub fn processors(&self) -> &[ReplayCounters] {
         &self.processors
     }
 
@@ -520,86 +439,66 @@ impl ReplaySystem {
         self.memory.into_l2()
     }
 
-    /// Replays the whole trace and returns the report.
-    ///
-    /// One discrete-event loop: each replay processor is an event keyed by
-    /// the global sequence number of its next run; popping the earliest
-    /// event replays the globally next recorded run through
-    /// [`MemorySystem::refill_burst`](crate::MemorySystem::refill_burst).
-    /// Because every processor's sequence numbers are increasing, the heap
-    /// minimum is always the next run of the recording — the replayed
-    /// access interleaving is exactly the recorded one.
+    /// Replays the whole trace and returns the report: the
+    /// [`run_controlled`](ReplaySystem::run_controlled) loop under a
+    /// controller that never switches.
     pub fn run(&mut self) -> SystemReport {
-        let filtered = self.filtered.clone();
-        let mut events: EventQueue<usize> = EventQueue::new();
-        for (pi, p) in self.processors.iter().enumerate() {
-            if let Some(seq) = p.next_sequence() {
-                events.push(seq, pi);
-            }
-        }
-        while let Some((_, pi)) = events.pop() {
-            self.processors[pi].replay_next(&mut self.memory, &filtered.runs);
-            if let Some(seq) = self.processors[pi].next_sequence() {
-                events.push(seq, pi);
-            }
-        }
-        // Switches whose boundary lies beyond the last L2-bound refill
-        // still fire (flush, write-backs, log record), exactly as the
-        // live loop's explicit repartition events do — the same schedule
-        // must fire the same switches live and replayed.
-        self.memory.apply_due_repartitions(u64::MAX);
-        self.report()
+        self.run_controlled(|_| None)
+            .expect("a controller that never switches pushes no switch to reject")
     }
 
     /// Replays the whole trace with an online controller in the loop.
     ///
-    /// The event loop is [`run`](ReplaySystem::run)'s, with one extra
-    /// step: before each recorded run replays, `controller` observes it
-    /// (sequence number, recorded start cycle, L2-bound refills — see
-    /// [`RunObservation`]). Returning `Some(organization)` pushes a
-    /// repartition at the run's start cycle through
-    /// [`MemorySystem::push_switch`]; because the run's refill clocks
-    /// start at exactly that cycle, the switch fires at the run's first
-    /// refill — with the same flush accounting, bus charging and
+    /// One loop walks `filtered.runs` in global recorded order — the
+    /// replayed access interleaving is exactly the recorded one. Before
+    /// each run replays through
+    /// [`MemorySystem::refill_burst`](crate::MemorySystem::refill_burst),
+    /// `controller` observes it: its recorded start cycle and its
+    /// L2-bound refills, the same organisation-independent data the
+    /// windowed profilers consume, so a controller can profile the run
+    /// *before* replaying it without disturbing determinism. Returning
+    /// `Some(organization)` pushes a repartition at the run's start cycle
+    /// through [`MemorySystem::push_switch`]; because the run's refill
+    /// clocks start at exactly that cycle, the switch fires at the run's
+    /// first refill — with the same flush accounting, bus charging and
     /// [`RepartitionRecord`](crate::RepartitionRecord) logging an
-    /// installed schedule's switch gets. Trailing switches fire at the
-    /// end, exactly as in `run`.
+    /// installed schedule's switch gets.
+    ///
+    /// Switches whose boundary lies beyond the last L2-bound refill still
+    /// fire at the end (flush, write-backs, log record), exactly as the
+    /// live loop's explicit repartition events do — the same schedule
+    /// must fire the same switches live and replayed.
+    ///
+    /// Every run replays once per system: a second call replays nothing
+    /// and returns the same report.
     ///
     /// # Errors
     ///
     /// Propagates [`MemorySystem::push_switch`] validation errors; the
     /// replay stops at the offending decision.
-    pub fn run_controlled<F>(
-        &mut self,
-        regions: &RegionTable,
-        mut controller: F,
-    ) -> Result<SystemReport, CacheError>
+    pub fn run_controlled<F>(&mut self, mut controller: F) -> Result<SystemReport, CacheError>
     where
-        F: FnMut(&RunObservation<'_>) -> Option<OrganizationSpec>,
+        F: FnMut(&FilteredRun) -> Option<OrganizationSpec>,
     {
-        let filtered = self.filtered.clone();
-        let mut events: EventQueue<usize> = EventQueue::new();
-        for (pi, p) in self.processors.iter().enumerate() {
-            if let Some(seq) = p.next_sequence() {
-                events.push(seq, pi);
-            }
-        }
-        while let Some((seq, pi)) = events.pop() {
-            let run = &filtered.runs[seq as usize];
-            let observation = RunObservation {
-                sequence: seq,
-                processor: run.processor as usize,
-                start_cycle: run.start_cycle,
-                refills: &run.refills,
-            };
-            if let Some(organization) = controller(&observation) {
+        let filtered = Arc::clone(&self.filtered);
+        for run in &filtered.runs[self.next_run..] {
+            if let Some(organization) = controller(run) {
                 self.memory
-                    .push_switch(run.start_cycle, organization, regions)?;
+                    .push_switch(run.start_cycle, organization, self.trace.table())?;
             }
-            self.processors[pi].replay_next(&mut self.memory, &filtered.runs);
-            if let Some(seq) = self.processors[pi].next_sequence() {
-                events.push(seq, pi);
-            }
+            let stats = self.memory.refill_burst(
+                run.start_cycle,
+                &run.refills,
+                run.data_accesses,
+                run.instr_fetches,
+            );
+            let counters = &mut self.processors[run.processor as usize];
+            counters.runs += 1;
+            counters.data_accesses += stats.data_accesses;
+            counters.instr_fetches += stats.instr_fetches;
+            counters.stall_cycles += stats.stall_cycles;
+            counters.clock = run.start_cycle + stats.elapsed;
+            self.next_run += 1;
         }
         self.memory.apply_due_repartitions(u64::MAX);
         Ok(self.report())
@@ -609,20 +508,17 @@ impl ReplaySystem {
         let processors: Vec<ProcessorReport> = self
             .processors
             .iter()
-            .map(|p| {
-                let c = p.counters();
-                ProcessorReport {
-                    cycles: c.clock,
-                    // A data access is one architectural instruction, as in
-                    // live execution; compute phases are not replayed, so
-                    // busy cycles cover the replayed instructions only.
-                    busy_cycles: c.data_accesses,
-                    stall_cycles: c.stall_cycles,
-                    switch_cycles: 0,
-                    idle_cycles: 0,
-                    instructions: c.data_accesses,
-                    task_switches: 0,
-                }
+            .map(|c| ProcessorReport {
+                cycles: c.clock,
+                // A data access is one architectural instruction, as in
+                // live execution; compute phases are not replayed, so
+                // busy cycles cover the replayed instructions only.
+                busy_cycles: c.data_accesses,
+                stall_cycles: c.stall_cycles,
+                switch_cycles: 0,
+                idle_cycles: 0,
+                instructions: c.data_accesses,
+                task_switches: 0,
             })
             .collect();
         let makespan_cycles = processors.iter().map(|p| p.cycles).max().unwrap_or(0);
@@ -759,11 +655,51 @@ mod tests {
         let replayed: u64 = replay
             .processors()
             .iter()
-            .map(|p| p.counters().data_accesses + p.counters().instr_fetches)
+            .map(|p| p.data_accesses + p.instr_fetches)
             .sum();
         assert_eq!(replayed, prepared.accesses());
         assert!(report.makespan_cycles > 0);
         assert_eq!(report.processors.len(), 2);
+    }
+
+    #[test]
+    fn controller_sees_every_filtered_run_once_in_recorded_order() {
+        let (_, trace) = record_run();
+        let prepared = PreparedTrace::from(trace);
+        let config = PlatformConfig::default();
+        let shape = |run: &FilteredRun| (run.processor, run.start_cycle, run.refills.len());
+        let recorded: Vec<_> = prepared
+            .filtered_for(&config)
+            .unwrap()
+            .runs
+            .iter()
+            .map(shape)
+            .collect();
+        // The recording interleaves both processors, so the order is not
+        // trivially one processor's runs after the other's.
+        let handovers = recorded.windows(2).filter(|w| w[0].0 != w[1].0).count();
+        assert!(handovers > 2, "only {handovers} processor handovers");
+
+        let mut replay = ReplaySystem::new(&config, shared_l2(), &prepared).unwrap();
+        let mut observed = Vec::new();
+        replay
+            .run_controlled(|run| {
+                observed.push(shape(run));
+                None
+            })
+            .unwrap();
+        assert_eq!(observed, recorded);
+    }
+
+    #[test]
+    fn a_second_run_replays_nothing() {
+        let (_, trace) = record_run();
+        let prepared = PreparedTrace::from(trace);
+        let mut replay =
+            ReplaySystem::new(&PlatformConfig::default(), shared_l2(), &prepared).unwrap();
+        let first = replay.run();
+        assert!(first.l2.accesses > 0);
+        assert_eq!(replay.run(), first);
     }
 
     #[test]

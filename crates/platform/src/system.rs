@@ -89,37 +89,6 @@ enum LoopEvent {
     Repartition,
 }
 
-/// An online repartitioning agent driving a live [`System`] run.
-///
-/// The run loop shows the controller every run of consecutive memory
-/// operations just before it is issued (the same stream an
-/// [`AccessTap`] records). Returning an organisation appends a switch at
-/// the run's issue cycle via [`MemorySystem::push_switch`]; the flush
-/// fires inside that very burst, at the first refill whose clock reaches
-/// the boundary — identical accounting to a pre-installed
-/// [`PartitionSchedule`] step.
-pub trait SystemController {
-    /// Observes one run of consecutive memory operations about to be
-    /// issued at `now` on `processor`; `Some` requests a repartition at
-    /// `now`.
-    fn observe_run(
-        &mut self,
-        processor: usize,
-        now: u64,
-        accesses: &[Access],
-    ) -> Option<compmem_cache::OrganizationSpec>;
-}
-
-/// Book-keeping of an in-flight controlled run: the controller, the
-/// region table its switches validate against, and the first rejected
-/// push (the controller goes inert once a push fails, and the error is
-/// surfaced when the loop stops).
-struct ControlState<'c> {
-    controller: &'c mut dyn SystemController,
-    regions: &'c RegionTable,
-    error: Option<CacheError>,
-}
-
 impl System {
     /// Builds a system.
     ///
@@ -225,46 +194,6 @@ impl System {
         driver: &mut D,
         tap: &mut T,
     ) -> Result<SystemReport, PlatformError> {
-        self.run_inner(driver, tap, None)
-    }
-
-    /// Runs the workload exactly like [`run_traced`](System::run_traced)
-    /// while `controller` observes every run of memory operations and may
-    /// repartition the live L2 online (see [`SystemController`]).
-    ///
-    /// A controller that never switches does not perturb the simulation:
-    /// the run is byte-identical to [`run`](System::run).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run`](System::run), plus
-    /// [`PlatformError::ControlCache`] when the controller emits a switch
-    /// the memory system rejects (out-of-order cycle, geometry or
-    /// coverage violation); the run stops at the rejecting chunk.
-    pub fn run_controlled<D: WorkloadDriver, T: AccessTap>(
-        &mut self,
-        driver: &mut D,
-        tap: &mut T,
-        regions: &RegionTable,
-        controller: &mut dyn SystemController,
-    ) -> Result<SystemReport, PlatformError> {
-        self.run_inner(
-            driver,
-            tap,
-            Some(ControlState {
-                controller,
-                regions,
-                error: None,
-            }),
-        )
-    }
-
-    fn run_inner<D: WorkloadDriver, T: AccessTap>(
-        &mut self,
-        driver: &mut D,
-        tap: &mut T,
-        mut ctrl: Option<ControlState<'_>>,
-    ) -> Result<SystemReport, PlatformError> {
         let mut procs: Vec<ProcState> = (0..self.config.num_processors)
             .map(|p| ProcState {
                 counters: ProcessorCounters::default(),
@@ -322,12 +251,7 @@ impl System {
                 continue;
             }
 
-            let finished_burst = self.execute_chunk(pi, &mut procs, tap, ctrl.as_mut());
-            if let Some(error) = ctrl.as_ref().and_then(|c| c.error.as_ref()) {
-                return Err(PlatformError::ControlCache {
-                    message: error.to_string(),
-                });
-            }
+            let finished_burst = self.execute_chunk(pi, &mut procs, tap);
             if procs[pi].counters.time > self.config.cycle_limit {
                 return Err(PlatformError::CycleLimitExceeded {
                     limit: self.config.cycle_limit,
@@ -481,7 +405,6 @@ impl System {
         pi: usize,
         procs: &mut [ProcState],
         tap: &mut T,
-        mut ctrl: Option<&mut ControlState<'_>>,
     ) -> bool {
         let mut executed = 0;
         while executed < CHUNK_OPS {
@@ -517,18 +440,6 @@ impl System {
                     running.next = end;
                     let now = p.counters.time;
                     tap.record_run(pi, now, &self.burst_scratch);
-                    if let Some(state) = ctrl.as_deref_mut() {
-                        if state.error.is_none() {
-                            if let Some(org) =
-                                state.controller.observe_run(pi, now, &self.burst_scratch)
-                            {
-                                if let Err(e) = self.memory.push_switch(now, org, state.regions) {
-                                    state.error = Some(e);
-                                    return true; // abort: the loop surfaces the error
-                                }
-                            }
-                        }
-                    }
                     let stats = self.memory.access_burst(pi, now, &self.burst_scratch);
                     let p = &mut procs[pi];
                     p.counters.time += stats.elapsed;
@@ -872,168 +783,5 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b, "two identical runs must produce identical reports");
-    }
-
-    fn two_task_table() -> compmem_trace::RegionTable {
-        let mut table = compmem_trace::RegionTable::new();
-        for t in 0..2u32 {
-            table
-                .insert(
-                    format!("t{t}.data"),
-                    compmem_trace::RegionKind::TaskData {
-                        task: TaskId::new(t),
-                    },
-                    128 * 64,
-                )
-                .unwrap();
-        }
-        table
-    }
-
-    fn live_partition(
-        table: &compmem_trace::RegionTable,
-        sets: &[(u32, u32)],
-    ) -> compmem_cache::PartitionMap {
-        use compmem_cache::{PartitionKey, PartitionMap};
-        let geometry = compmem_cache::CacheGeometry::new(256, 4).unwrap();
-        let entries: Vec<(PartitionKey, u32)> = sets
-            .iter()
-            .map(|&(t, s)| (PartitionKey::Task(TaskId::new(t)), s))
-            .collect();
-        let map = PartitionMap::pack(geometry, &entries).unwrap();
-        map.validate_covers(table).unwrap();
-        map
-    }
-
-    /// A live controller that pushes one repartition the first time it
-    /// observes a run at or past `after` cycles.
-    struct SwitchOnce {
-        after: u64,
-        next: compmem_cache::OrganizationSpec,
-        fired: bool,
-    }
-
-    impl SystemController for SwitchOnce {
-        fn observe_run(
-            &mut self,
-            _processor: usize,
-            now: u64,
-            _accesses: &[Access],
-        ) -> Option<compmem_cache::OrganizationSpec> {
-            if !self.fired && now >= self.after {
-                self.fired = true;
-                return Some(self.next.clone());
-            }
-            None
-        }
-    }
-
-    /// The live control loop applies a mid-run repartition in place: the
-    /// switch lands in the repartition log with its flush accounting, the
-    /// run completes, and a never-switching controller leaves the report
-    /// byte-identical to the uncontrolled run.
-    #[test]
-    fn live_controller_applies_and_logs_a_mid_run_switch() {
-        use compmem_cache::{OrganizationSpec, SetPartitionedCache};
-        let table = two_task_table();
-        let start = live_partition(&table, &[(0, 128), (1, 128)]);
-        let next = live_partition(&table, &[(0, 64), (1, 128)]);
-        let l2_config = CacheConfig::new(256, 4).unwrap();
-        let run = |controller: &mut dyn SystemController| {
-            let config = PlatformConfig::default().processors(2);
-            let mapping = TaskMapping::round_robin(&[TaskId::new(0), TaskId::new(1)], 2);
-            let l2 = Box::new(SetPartitionedCache::new(l2_config, &table, &start).unwrap());
-            let mut system = System::new(config, l2, mapping).unwrap();
-            let mut driver = StridedDriver::new(2, 8, 16);
-            system
-                .run_controlled(&mut driver, &mut crate::replay::NullTap, &table, controller)
-                .unwrap()
-        };
-
-        let controlled = run(&mut SwitchOnce {
-            after: 200,
-            next: OrganizationSpec::SetPartitioned(next),
-            fired: false,
-        });
-        assert_eq!(controlled.repartitions.len(), 1, "exactly one switch fires");
-        let record = &controlled.repartitions[0];
-        assert!(record.at_cycle >= 200);
-        assert!(record.l2_accesses_before > 0);
-        assert!(
-            record.l2_accesses_before < controlled.l2.accesses,
-            "the switch happened mid-run, not at the end"
-        );
-
-        struct NeverLive;
-        impl SystemController for NeverLive {
-            fn observe_run(
-                &mut self,
-                _processor: usize,
-                _now: u64,
-                _accesses: &[Access],
-            ) -> Option<compmem_cache::OrganizationSpec> {
-                None
-            }
-        }
-        let silent = run(&mut NeverLive);
-        let uncontrolled = {
-            let config = PlatformConfig::default().processors(2);
-            let mapping = TaskMapping::round_robin(&[TaskId::new(0), TaskId::new(1)], 2);
-            let l2 = Box::new(SetPartitionedCache::new(l2_config, &table, &start).unwrap());
-            let mut system = System::new(config, l2, mapping).unwrap();
-            let mut driver = StridedDriver::new(2, 8, 16);
-            system.run(&mut driver).unwrap()
-        };
-        assert_eq!(
-            silent, uncontrolled,
-            "a silent live controller is invisible"
-        );
-        assert!(silent.repartitions.is_empty());
-        // Identical traffic either way: the switch only moves sets.
-        assert_eq!(controlled.l2.accesses, uncontrolled.l2.accesses);
-    }
-
-    /// A controller-emitted organisation that fails validation (wrong
-    /// geometry here) stops the run with the typed `ControlCache` error
-    /// instead of corrupting the cache or being silently dropped.
-    #[test]
-    fn live_controller_rejection_surfaces_control_cache_error() {
-        use compmem_cache::{OrganizationSpec, PartitionKey, PartitionMap, SetPartitionedCache};
-        let table = two_task_table();
-        let start = live_partition(&table, &[(0, 128), (1, 128)]);
-        let wrong_geometry = compmem_cache::CacheGeometry::new(128, 4).unwrap();
-        let bogus = PartitionMap::pack(
-            wrong_geometry,
-            &[
-                (PartitionKey::Task(TaskId::new(0)), 64),
-                (PartitionKey::Task(TaskId::new(1)), 64),
-            ],
-        )
-        .unwrap();
-
-        let config = PlatformConfig::default().processors(2);
-        let mapping = TaskMapping::round_robin(&[TaskId::new(0), TaskId::new(1)], 2);
-        let l2 = Box::new(
-            SetPartitionedCache::new(CacheConfig::new(256, 4).unwrap(), &table, &start).unwrap(),
-        );
-        let mut system = System::new(config, l2, mapping).unwrap();
-        let mut driver = StridedDriver::new(2, 8, 16);
-        let mut controller = SwitchOnce {
-            after: 1,
-            next: OrganizationSpec::SetPartitioned(bogus),
-            fired: false,
-        };
-        let err = system
-            .run_controlled(
-                &mut driver,
-                &mut crate::replay::NullTap,
-                &table,
-                &mut controller,
-            )
-            .unwrap_err();
-        assert!(
-            matches!(err, PlatformError::ControlCache { .. }),
-            "expected ControlCache, got {err}"
-        );
     }
 }

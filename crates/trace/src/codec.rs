@@ -43,9 +43,8 @@
 //! the records it walks and rejects a trailer that disagrees, so a
 //! corrupt directory is an error, never a mis-slice.
 //!
-//! Version 1 streams (no `SEGMENT` records, no trailer) remain readable;
-//! [`TraceWriter::v1_compat`] still produces them for interoperability
-//! testing.
+//! Version 2 is the only version read or written; any other version byte
+//! is [`CodecError::UnsupportedVersion`].
 //!
 //! An `ACCESS` tag byte has bit 7 set; bits 0–1 carry the
 //! [`AccessKind`] (0 = ifetch, 1 = load, 2 = store) and bit 2 is the
@@ -86,15 +85,12 @@ use crate::region::{BufferId, RegionId, RegionKind, RegionTable, TaskId};
 
 /// Magic bytes opening every encoded trace.
 pub const TRACE_MAGIC: [u8; 4] = *b"CMTR";
-/// Current version of the trace IR (segmented, with a directory trailer).
+/// Version of the trace IR (segmented, with a directory trailer).
 pub const TRACE_VERSION: u8 = 2;
-/// The legacy unsegmented version, still readable (and producible via
-/// [`TraceWriter::v1_compat`] for compatibility testing).
-pub const TRACE_VERSION_V1: u8 = 1;
-/// Default accesses per segment for v2 writers — small enough that a
-/// multi-second recording yields many independently decodable slices,
-/// large enough that the per-segment context reset (re-emitted
-/// dictionaries, full-width first deltas) stays amortised.
+/// Default accesses per segment — small enough that a multi-second
+/// recording yields many independently decodable slices, large enough
+/// that the per-segment context reset (re-emitted dictionaries,
+/// full-width first deltas) stays amortised.
 pub const DEFAULT_SEGMENT_ACCESSES: u64 = 8192;
 
 /// Monotonic discriminator for atomic-write temp file names, so
@@ -191,8 +187,7 @@ impl std::fmt::Display for CodecError {
             CodecError::UnsupportedVersion { found } => {
                 write!(
                     f,
-                    "unsupported trace version {found} \
-                     (expected {TRACE_VERSION_V1} or {TRACE_VERSION})"
+                    "unsupported trace version {found} (expected {TRACE_VERSION})"
                 )
             }
             CodecError::Corrupt { reason } => write!(f, "corrupt trace: {reason}"),
@@ -526,12 +521,11 @@ pub struct TraceSummary {
     pub processors: u32,
     /// Encoded size in bytes (body and header).
     pub encoded_bytes: u64,
-    /// Number of independently decodable segments (0 for v1 streams and
-    /// empty traces).
+    /// Number of independently decodable segments (0 for empty traces).
     pub segments: u64,
 }
 
-/// One entry of the v2 segment directory: everything needed to slice and
+/// One entry of the segment directory: everything needed to slice and
 /// decode one segment without touching the rest of the stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentEntry {
@@ -629,8 +623,7 @@ pub struct TraceWriter<W: Write> {
     ctx: EncodeContext,
     summary: TraceSummary,
     error: Option<CodecError>,
-    version: u8,
-    /// Accesses per segment before the writer opens a new one (v2 only).
+    /// Accesses per segment before the writer opens a new one.
     segment_accesses: u64,
     segments: Vec<SegmentEntry>,
     current_segment: Option<SegmentEntry>,
@@ -656,17 +649,11 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// Returns the underlying I/O error if the header cannot be written.
     pub fn new(inner: W, table: &RegionTable, processors: u32) -> Result<Self, CodecError> {
-        Self::with_version(
-            inner,
-            table,
-            processors,
-            TRACE_VERSION,
-            DEFAULT_SEGMENT_ACCESSES,
-        )
+        Self::with_segment_accesses(inner, table, processors, DEFAULT_SEGMENT_ACCESSES)
     }
 
-    /// Starts a v2 trace whose segments roll over every
-    /// `segment_accesses` accesses (clamped to at least 1).
+    /// Starts a trace whose segments roll over every `segment_accesses`
+    /// accesses (clamped to at least 1).
     ///
     /// # Errors
     ///
@@ -677,36 +664,9 @@ impl<W: Write> TraceWriter<W> {
         processors: u32,
         segment_accesses: u64,
     ) -> Result<Self, CodecError> {
-        Self::with_version(
-            inner,
-            table,
-            processors,
-            TRACE_VERSION,
-            segment_accesses.max(1),
-        )
-    }
-
-    /// Starts a **legacy v1** trace: no SEGMENT records, no directory
-    /// trailer. Kept so v1 readability stays a tested property rather
-    /// than dead code, and so old tooling can be interoperated with.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error if the header cannot be written.
-    pub fn v1_compat(inner: W, table: &RegionTable, processors: u32) -> Result<Self, CodecError> {
-        Self::with_version(inner, table, processors, TRACE_VERSION_V1, u64::MAX)
-    }
-
-    fn with_version(
-        inner: W,
-        table: &RegionTable,
-        processors: u32,
-        version: u8,
-        segment_accesses: u64,
-    ) -> Result<Self, CodecError> {
         let mut inner = CountingWriter { inner, written: 0 };
         inner.write_all(&TRACE_MAGIC)?;
-        inner.write_all(&[version])?;
+        inner.write_all(&[TRACE_VERSION])?;
         write_region_table(&mut inner, table)?;
         write_varint(&mut inner, u64::from(processors))?;
         Ok(TraceWriter {
@@ -717,8 +677,7 @@ impl<W: Write> TraceWriter<W> {
                 ..TraceSummary::default()
             },
             error: None,
-            version,
-            segment_accesses,
+            segment_accesses: segment_accesses.max(1),
             segments: Vec::new(),
             current_segment: None,
         })
@@ -769,14 +728,12 @@ impl<W: Write> TraceWriter<W> {
     }
 
     fn encode(&mut self, processor: u32, cycle: u64, access: &Access) -> Result<(), CodecError> {
-        if self.version >= TRACE_VERSION {
-            let roll_over = match &self.current_segment {
-                None => true,
-                Some(segment) => segment.accesses >= self.segment_accesses,
-            };
-            if roll_over {
-                self.begin_segment(cycle)?;
-            }
+        let roll_over = match &self.current_segment {
+            None => true,
+            Some(segment) => segment.accesses >= self.segment_accesses,
+        };
+        if roll_over {
+            self.begin_segment(cycle)?;
         }
         // A processor change — or a clock that moved backwards, which plain
         // varint gaps cannot express — opens a new run.
@@ -843,9 +800,8 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    /// Terminates the stream — for v2, appending the segment directory
-    /// trailer — and returns the writer together with the summary
-    /// counters.
+    /// Terminates the stream — appending the segment directory trailer —
+    /// and returns the writer together with the summary counters.
     ///
     /// # Errors
     ///
@@ -857,16 +813,14 @@ impl<W: Write> TraceWriter<W> {
         }
         self.close_segment();
         self.inner.write_all(&[TAG_END])?;
-        if self.version >= TRACE_VERSION {
-            write_varint(&mut self.inner, self.segments.len() as u64)?;
-            for segment in &self.segments {
-                write_varint(&mut self.inner, segment.byte_offset)?;
-                write_varint(&mut self.inner, segment.first_cycle)?;
-                write_varint(&mut self.inner, segment.accesses)?;
-                write_varint(&mut self.inner, segment.regions.len() as u64)?;
-                for region in &segment.regions {
-                    write_varint(&mut self.inner, region.index() as u64)?;
-                }
+        write_varint(&mut self.inner, self.segments.len() as u64)?;
+        for segment in &self.segments {
+            write_varint(&mut self.inner, segment.byte_offset)?;
+            write_varint(&mut self.inner, segment.first_cycle)?;
+            write_varint(&mut self.inner, segment.accesses)?;
+            write_varint(&mut self.inner, segment.regions.len() as u64)?;
+            for region in &segment.regions {
+                write_varint(&mut self.inner, region.index() as u64)?;
             }
         }
         self.summary.segments = self.segments.len() as u64;
@@ -885,7 +839,6 @@ pub struct TraceReader<R: Read> {
     /// readers.
     table_len: usize,
     processors: u32,
-    version: u8,
     task_dict: Vec<TaskId>,
     region_dict: Vec<RegionId>,
     prev_addr: u64,
@@ -898,8 +851,7 @@ pub struct TraceReader<R: Read> {
     /// Decoding one sliced segment: the stream has no header, END record
     /// or trailer, and simply ends at the slice boundary.
     segment_mode: bool,
-    /// Whether records are currently legal (v2 requires them inside a
-    /// SEGMENT; v1 has no segments, so the whole body counts as open).
+    /// Whether records are currently legal (only after a SEGMENT tag).
     segment_open: bool,
     /// Directory entries re-derived from the records actually walked;
     /// compared against the trailer at END.
@@ -912,8 +864,7 @@ pub struct TraceReader<R: Read> {
 }
 
 impl<R: Read> TraceReader<R> {
-    /// Opens a trace: parses and validates the header. Both the current
-    /// (v2, segmented) and the legacy v1 stream format are accepted.
+    /// Opens a trace: parses and validates the header.
     ///
     /// # Errors
     ///
@@ -931,7 +882,7 @@ impl<R: Read> TraceReader<R> {
             return Err(CodecError::BadMagic { found: magic });
         }
         let version = inner.require_byte()?;
-        if version != TRACE_VERSION && version != TRACE_VERSION_V1 {
+        if version != TRACE_VERSION {
             return Err(CodecError::UnsupportedVersion { found: version });
         }
         let table = read_region_table(&mut inner)?;
@@ -944,7 +895,6 @@ impl<R: Read> TraceReader<R> {
             table,
             table_len,
             processors,
-            version,
             task_dict: Vec::new(),
             region_dict: Vec::new(),
             prev_addr: 0,
@@ -955,7 +905,7 @@ impl<R: Read> TraceReader<R> {
             current_processor: None,
             done: false,
             segment_mode: false,
-            segment_open: version == TRACE_VERSION_V1,
+            segment_open: false,
             observed_segments: Vec::new(),
             pending_first_cycle: false,
             directory: None,
@@ -973,13 +923,8 @@ impl<R: Read> TraceReader<R> {
         self.processors
     }
 
-    /// Version of the trace IR this stream was encoded with.
-    pub fn version(&self) -> u8 {
-        self.version
-    }
-
-    /// The segment directory parsed from the trailer — available after
-    /// the whole stream has been decoded, `None` for v1 streams.
+    /// The segment directory parsed from the trailer — available once
+    /// the whole stream has been decoded.
     pub fn directory(&self) -> Option<&[SegmentEntry]> {
         self.directory.as_deref()
     }
@@ -1017,19 +962,17 @@ impl<R: Read> TraceReader<R> {
                         });
                     }
                     self.end_offset = self.inner.offset() - 1;
-                    if self.version >= TRACE_VERSION {
-                        self.finalize_observed_segment();
-                        let directory = self.read_directory()?;
-                        if directory != self.observed_segments {
-                            return Err(CodecError::Corrupt {
-                                reason: "segment directory does not match the stream",
-                            });
-                        }
-                        self.directory = Some(directory);
+                    self.finalize_observed_segment();
+                    let directory = self.read_directory()?;
+                    if directory != self.observed_segments {
+                        return Err(CodecError::Corrupt {
+                            reason: "segment directory does not match the stream",
+                        });
                     }
+                    self.directory = Some(directory);
                     return Ok(None);
                 }
-                TAG_SEGMENT if self.version >= TRACE_VERSION => {
+                TAG_SEGMENT => {
                     // Segment boundary: snapshot the finished segment,
                     // then reset every piece of decode state — the next
                     // records depend on nothing before this tag.
@@ -1227,13 +1170,11 @@ impl<R: Read> TraceReader<R> {
         self.prev_region = Some(region);
         self.prev_size = size;
 
-        if self.version >= TRACE_VERSION {
-            if let Some(segment) = self.observed_segments.last_mut() {
-                segment.accesses += 1;
-                if self.pending_first_cycle {
-                    segment.first_cycle = cycle;
-                    self.pending_first_cycle = false;
-                }
+        if let Some(segment) = self.observed_segments.last_mut() {
+            segment.accesses += 1;
+            if self.pending_first_cycle {
+                segment.first_cycle = cycle;
+                self.pending_first_cycle = false;
             }
         }
 
@@ -1285,7 +1226,6 @@ impl<'a> TraceReader<&'a [u8]> {
             table: RegionTable::new(),
             table_len,
             processors,
-            version: TRACE_VERSION,
             task_dict: Vec::new(),
             region_dict: Vec::new(),
             prev_addr: 0,
@@ -1327,7 +1267,7 @@ pub struct EncodedTrace {
     bytes: Vec<u8>,
     table: RegionTable,
     summary: TraceSummary,
-    /// The v2 segment directory (empty for v1 streams and empty traces).
+    /// The segment directory (empty for empty traces).
     directory: Vec<SegmentEntry>,
     /// Absolute offset of the END tag — the exclusive byte bound of the
     /// last segment.
@@ -1449,8 +1389,8 @@ impl EncodedTrace {
         self.summary.accesses == 0
     }
 
-    /// The v2 segment directory: one entry per independently decodable
-    /// segment. Empty for v1 streams and empty traces.
+    /// The segment directory: one entry per independently decodable
+    /// segment. Empty for empty traces.
     pub fn segment_directory(&self) -> &[SegmentEntry] {
         &self.directory
     }
@@ -1818,44 +1758,16 @@ mod tests {
     }
 
     #[test]
-    fn v1_streams_stay_readable() {
+    fn version_1_header_is_unsupported() {
         let t = table();
-        let accesses = sample_accesses(&t);
-        let mut v1 = TraceWriter::v1_compat(Vec::new(), &t, 2).unwrap();
-        let mut v2 = TraceWriter::with_segment_accesses(Vec::new(), &t, 2, 16).unwrap();
-        for (i, a) in accesses.iter().enumerate() {
-            v1.record((i % 2) as u32, (i * 3) as u64, a);
-            v2.record((i % 2) as u32, (i * 3) as u64, a);
-        }
-        let (v1_bytes, v1_summary) = v1.finish().unwrap();
-        let (v2_bytes, _) = v2.finish().unwrap();
-        assert_eq!(v1_summary.segments, 0);
-        assert_eq!(v1_bytes[4], TRACE_VERSION_V1);
-
-        let old = EncodedTrace::from_bytes(v1_bytes).unwrap();
-        assert_eq!(old.version(), TRACE_VERSION_V1);
-        assert_eq!(old.segment_count(), 0);
-        assert!(old.segment_directory().is_empty());
-        // Same accesses, same run decomposition — segmentation is purely
-        // an encoding concern.
-        let new = EncodedTrace::from_bytes(v2_bytes).unwrap();
-        assert_eq!(old.runs(), new.runs());
-    }
-
-    #[test]
-    fn v1_streams_reject_segment_records() {
-        let t = table();
-        let accesses = sample_accesses(&t);
-        let mut writer = TraceWriter::v1_compat(Vec::new(), &t, 1).unwrap();
-        writer.record(0, 0, &accesses[0]);
-        let (mut bytes, _) = writer.finish().unwrap();
-        // Splice a SEGMENT tag before the END record of the v1 stream.
-        let end = bytes.len() - 1;
-        bytes.insert(end, TAG_SEGMENT);
-        assert!(matches!(
-            EncodedTrace::from_bytes(bytes),
-            Err(CodecError::Corrupt { .. })
-        ));
+        let mut bytes = EncodedTrace::from_accesses(&t, &sample_accesses(&t))
+            .unwrap()
+            .bytes()
+            .to_vec();
+        bytes[4] = 1;
+        let err = EncodedTrace::from_bytes(bytes).unwrap_err();
+        assert!(matches!(err, CodecError::UnsupportedVersion { found: 1 }));
+        assert_eq!(err.to_string(), "unsupported trace version 1 (expected 2)");
     }
 
     #[test]

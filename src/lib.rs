@@ -68,7 +68,7 @@
 //!   `MemorySystem::access_burst`. The `replay` module closes the loop:
 //!   `System::run_traced` records every access through an `AccessTap`
 //!   (e.g. straight into the trace IR), and `ReplaySystem` re-issues a
-//!   recorded trace via `ReplayProcessor` actors on the same event queue —
+//!   recorded trace in one walk over its runs in recorded order —
 //!   bit-identical cache statistics, no workload execution, with the
 //!   organisation-invariant L1 filter cached per trace (`PreparedTrace`).
 //!   Both run loops honour an installed `PartitionSchedule`: repartition
