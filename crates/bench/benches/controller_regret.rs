@@ -7,9 +7,9 @@
 //! * `static_replay` — one equal-split map, no controller: the in-run
 //!   reference every controlled case is gated against;
 //! * `greedy_replay` — the online `Greedy` policy re-solving the exact
-//!   allocation on every closed profiling window and switching through
-//!   the push path (inline windowed profiling + per-window ILP: the most
-//!   expensive causal controller);
+//!   allocation on every closed profiling window and switching at the
+//!   run that closes it (inline windowed profiling + per-window ILP: the
+//!   most expensive causal controller);
 //! * `hysteresis_replay` — `Hysteresis` with the phase detector gating
 //!   the re-solve, a fresh policy per iteration (the detector carries
 //!   state across windows, not across runs);

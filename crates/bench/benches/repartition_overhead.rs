@@ -7,9 +7,11 @@
 //!   run (the pre-schedule behaviour);
 //! * `scheduled_replay` — an 8-switch `PartitionSchedule` alternating
 //!   between two layouts whose every partition moves, so each switch
-//!   flushes the resident lines and re-issues the L2 accesses refill by
-//!   refill (the schedule-pending slow path) — a worst-case bound on the
-//!   engine overhead of dynamic repartitioning.
+//!   flushes every resident line and the following runs re-fetch them —
+//!   a worst-case bound on the engine overhead of dynamic
+//!   repartitioning. Switches apply between runs, so both contestants
+//!   send every run's L2 accesses in one batch; the scheduled replay
+//!   adds one check of the next switch per run plus the flushes.
 //!
 //! The committed `BENCH_repartition.json` baseline records the pair;
 //! `scripts/bench_check` gates their same-run ratio (static/scheduled),
@@ -62,10 +64,10 @@ fn bench_repartition_overhead(c: &mut Criterion) {
         OrganizationSpec::SetPartitioned(map_a),
         Arc::clone(&trace),
     );
-    let scheduled_spec = ScenarioSpec::scheduled_replay(l2, schedule, Arc::clone(&trace));
+    let schedule_spec = ScenarioSpec::scheduled_replay(l2, schedule, Arc::clone(&trace));
 
     // Sanity before timing: every switch fires and flushes lines.
-    let scheduled = run_replay(&platform, &scheduled_spec).expect("scheduled replay succeeds");
+    let scheduled = run_replay(&platform, &schedule_spec).expect("scheduled replay succeeds");
     assert_eq!(scheduled.report.repartitions.len(), SWITCHES as usize);
     assert!(scheduled
         .report
@@ -97,8 +99,7 @@ fn bench_repartition_overhead(c: &mut Criterion) {
     });
     group.bench_function("scheduled_replay", |b| {
         b.iter(|| {
-            let outcome =
-                run_replay(&platform, &scheduled_spec).expect("scheduled replay succeeds");
+            let outcome = run_replay(&platform, &schedule_spec).expect("scheduled replay succeeds");
             black_box(outcome.report.l2.misses)
         })
     });

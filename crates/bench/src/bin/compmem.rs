@@ -50,7 +50,7 @@ use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use compmem_bench::cli;
+use compmem_bench::cli::{self, get, parse_flags};
 use compmem_bench::service::{run_serve, ServeOptions};
 use compmem_platform::{ServeClient, ServeRequest, ServeResponse, ServeStats};
 use compmem_trace::trace_content_hash;
@@ -123,32 +123,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Minimal flag parser: every option takes one value (the same contract
-/// as `compmem_bench::cli::parse_flags`, duplicated here for the two
-/// daemon-side subcommands so the cli module stays sink-pure).
-fn parse_flags(args: &[String]) -> Result<Vec<(String, String)>, String> {
-    let mut out = Vec::new();
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let Some(name) = flag.strip_prefix("--") else {
-            return Err(format!("unexpected argument `{flag}`"));
-        };
-        let value = iter
-            .next()
-            .ok_or_else(|| format!("flag --{name} needs a value"))?;
-        out.push((name.to_string(), value.clone()));
-    }
-    Ok(out)
-}
-
-fn get<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    flags
-        .iter()
-        .rev()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.as_str())
 }
 
 fn serve(args: &[String]) -> Result<(), String> {

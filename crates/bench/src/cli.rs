@@ -92,20 +92,81 @@ pub fn dispatch_preloaded(
     preloaded: Option<&PreloadedTrace>,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    match verb {
-        "record" => record(args, out),
-        "gen" => gen(args, out),
-        "replay" => replay(args, preloaded, out),
-        "sweep" => sweep(args, preloaded, out),
-        "profile" => profile(args, preloaded, out),
-        "sweep-shapes" => sweep_shapes(args, preloaded, out),
-        "info" => info(args, preloaded, out),
-        other => Err(format!("unknown subcommand `{other}`")),
+    let flags = parse_flags(args)?;
+    let run = verb_handler(verb, &flags)?;
+    run(&flags, preloaded, out)
+}
+
+/// A verb's handler: its parsed flags, the caller's preloaded trace and
+/// the output sink.
+type Handler =
+    fn(&[(String, String)], Option<&PreloadedTrace>, &mut dyn Write) -> Result<(), String>;
+
+/// Every verb [`dispatch`] runs: its name, the flags it accepts and its
+/// handler. A verb accepts every flag one of its modes reads, and `info`
+/// also accepts the `--sets-per-unit` the repository benchmark sends it
+/// with the other L2 flags.
+const VERBS: [(&str, &str, Handler); 7] = [
+    ("record", "app scale org out", |flags, _, out| {
+        record(flags, out)
+    }),
+    (
+        "gen",
+        "kind out seed accesses cycles-per-access tasks ws-kb footprint-kb hot-kb scan-kb \
+         phase-accesses",
+        |flags, _, out| gen(flags, out),
+    ),
+    (
+        "replay",
+        "trace l2-kb ways policy sets-per-unit org lanes qos solve save-curves schedule \
+         windows phases save-schedule controller window-cycles margin",
+        replay,
+    ),
+    ("sweep", "trace l2-kb ways jobs lanes", sweep),
+    (
+        "profile",
+        "trace l2-kb ways policy sets-per-unit solve windows window-cycles phases \
+         save-curves lanes",
+        profile,
+    ),
+    (
+        "sweep-shapes",
+        "trace l2-kb ways policy sets-per-unit check-replay save-curves jobs lanes",
+        sweep_shapes,
+    ),
+    (
+        "info",
+        "trace l2-kb ways policy sets-per-unit schedule",
+        info,
+    ),
+];
+
+/// The handler of `verb`, once every flag is one the verb accepts: an
+/// unknown verb, or a flag no mode of the verb reads (which would
+/// otherwise be silently ignored), is an error naming it.
+fn verb_handler(verb: &str, flags: &[(String, String)]) -> Result<Handler, String> {
+    let (_, accepted, run) = VERBS
+        .iter()
+        .find(|(name, ..)| *name == verb)
+        .ok_or_else(|| format!("unknown subcommand `{verb}`"))?;
+    match flags
+        .iter()
+        .find(|(name, _)| !accepted.split_whitespace().any(|flag| flag == name))
+    {
+        None => Ok(*run),
+        Some((name, _)) => Err(format!(
+            "`{verb}` does not take --{name} (it takes --{})",
+            accepted.split_whitespace().collect::<Vec<_>>().join(" --")
+        )),
     }
 }
 
 /// Minimal flag parser: every option takes one value.
-pub(crate) fn parse_flags(args: &[String]) -> Result<Vec<(String, String)>, String> {
+///
+/// # Errors
+///
+/// Names a bare argument, or a flag missing its value.
+pub fn parse_flags(args: &[String]) -> Result<Vec<(String, String)>, String> {
     let mut out = Vec::new();
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
@@ -120,7 +181,8 @@ pub(crate) fn parse_flags(args: &[String]) -> Result<Vec<(String, String)>, Stri
     Ok(out)
 }
 
-pub(crate) fn get<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
+/// The value of the last `--name` among parsed `flags`.
+pub fn get<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
     flags
         .iter()
         .rev()
@@ -152,15 +214,14 @@ fn lanes_flag(flags: &[(String, String)]) -> Result<usize, String> {
     }
 }
 
-fn record(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let app = get(&flags, "app").ok_or("record needs --app jpeg_canny|mpeg2")?;
-    let out_path = get(&flags, "out").ok_or("record needs --out FILE")?;
-    let scale = match get(&flags, "scale") {
+fn record(flags: &[(String, String)], out: &mut dyn Write) -> Result<(), String> {
+    let app = get(flags, "app").ok_or("record needs --app jpeg_canny|mpeg2")?;
+    let out_path = get(flags, "out").ok_or("record needs --out FILE")?;
+    let scale = match get(flags, "scale") {
         None => Scale::Small,
         Some(name) => Scale::parse(name).ok_or_else(|| format!("unknown scale `{name}`"))?,
     };
-    let org = get(&flags, "org").unwrap_or("shared");
+    let org = get(flags, "org").unwrap_or("shared");
 
     let (outcome, trace) = match app {
         "jpeg_canny" => record_with(&jpeg_canny_experiment(scale), org)?,
@@ -215,19 +276,18 @@ fn record_with<F: Fn() -> Application>(
 /// unchanged) from a family name, a seed and per-family knobs — or a
 /// multi-program mix via `--tasks`. The full generator spec is embedded
 /// in the trace's region names; `compmem info` prints it back.
-fn gen(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let path = get(&flags, "out").ok_or("gen needs --out FILE")?;
-    let kind_name = get(&flags, "kind").ok_or("gen needs --kind zipf|scan|chase|phased|mix")?;
-    let seed: u64 = get(&flags, "seed")
+fn gen(flags: &[(String, String)], out: &mut dyn Write) -> Result<(), String> {
+    let path = get(flags, "out").ok_or("gen needs --out FILE")?;
+    let kind_name = get(flags, "kind").ok_or("gen needs --kind zipf|scan|chase|phased|mix")?;
+    let seed: u64 = get(flags, "seed")
         .unwrap_or("42")
         .parse()
         .map_err(|_| "--seed needs a number".to_string())?;
-    let accesses: u64 = get(&flags, "accesses")
+    let accesses: u64 = get(flags, "accesses")
         .unwrap_or("20000")
         .parse()
         .map_err(|_| "--accesses needs a number".to_string())?;
-    let cycles_per_access: u64 = match get(&flags, "cycles-per-access") {
+    let cycles_per_access: u64 = match get(flags, "cycles-per-access") {
         None => DEFAULT_CYCLES_PER_ACCESS,
         Some(v) => v
             .parse()
@@ -236,15 +296,15 @@ fn gen(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 
     let tasks = match kind_name {
         "mix" => parse_task_specs(
-            get(&flags, "tasks").unwrap_or("chase:24,scan:256x4"),
+            get(flags, "tasks").unwrap_or("chase:24,scan:256x4"),
             accesses,
         )?,
         single => {
-            if get(&flags, "tasks").is_some() {
+            if get(flags, "tasks").is_some() {
                 return Err("--tasks is only meaningful with --kind mix".to_string());
             }
             vec![GenTask {
-                kind: single_gen_kind(single, &flags)?,
+                kind: single_gen_kind(single, flags)?,
                 accesses,
             }]
         }
@@ -519,11 +579,7 @@ pub(crate) fn l2_config(flags: &[(String, String)]) -> Result<CacheConfig, Strin
         .unwrap_or("64")
         .parse()
         .map_err(|_| "--l2-kb needs a number".to_string())?;
-    let ways: u32 = get(flags, "ways")
-        .unwrap_or("4")
-        .parse()
-        .map_err(|_| "--ways needs a number".to_string())?;
-    let mut config = CacheConfig::with_size_bytes(kb * 1024, ways).map_err(|e| e.to_string())?;
+    let mut config = l2_of_size(kb, ways_flag(flags)?)?;
     if let Some(name) = get(flags, "policy") {
         let policy = ReplacementPolicy::ALL
             .into_iter()
@@ -532,6 +588,23 @@ pub(crate) fn l2_config(flags: &[(String, String)]) -> Result<CacheConfig, Strin
         config = config.policy(policy);
     }
     Ok(config)
+}
+
+/// L2 associativity: `--ways N`, defaulting to 4.
+fn ways_flag(flags: &[(String, String)]) -> Result<u32, String> {
+    get(flags, "ways")
+        .unwrap_or("4")
+        .parse()
+        .map_err(|_| "--ways needs a number".to_string())
+}
+
+/// The L2 of `kb` KB and `ways` ways. A size whose byte count overflows
+/// is an error naming `--l2-kb`, never a wrapped-around small cache.
+fn l2_of_size(kb: u64, ways: u32) -> Result<CacheConfig, String> {
+    let bytes = kb
+        .checked_mul(1024)
+        .ok_or_else(|| format!("--l2-kb {kb} is too large (its size in bytes overflows)"))?;
+    CacheConfig::with_size_bytes(bytes, ways).map_err(|e| e.to_string())
 }
 
 /// Rejects profiling-backed invocations over a non-LRU L2: the
@@ -808,13 +881,12 @@ fn print_schedule_steps(schedule: &PartitionSchedule, out: &mut dyn Write) -> Re
 }
 
 fn replay(
-    args: &[String],
+    flags: &[(String, String)],
     preloaded: Option<&PreloadedTrace>,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    if let Some(qos) = get(&flags, "qos") {
-        if get(&flags, "controller").is_some() || get(&flags, "schedule").is_some() {
+    if let Some(qos) = get(flags, "qos") {
+        if get(flags, "controller").is_some() || get(flags, "schedule").is_some() {
             return Err(
                 "--qos solves one static floor-constrained partitioning; it is exclusive \
                  with --controller and --schedule"
@@ -822,20 +894,20 @@ fn replay(
             );
         }
         let qos = qos.to_string();
-        return replay_qos(&flags, &qos, preloaded, out);
+        return replay_qos(flags, &qos, preloaded, out);
     }
-    if let Some(name) = get(&flags, "controller") {
-        if get(&flags, "schedule").is_some() {
+    if let Some(name) = get(flags, "controller") {
+        if get(flags, "schedule").is_some() {
             return Err("--controller and --schedule are exclusive".to_string());
         }
-        return replay_controller(&flags, name, preloaded, out);
+        return replay_controller(flags, name, preloaded, out);
     }
-    match get(&flags, "schedule") {
-        None => replay_static(&flags, preloaded, out),
-        Some("phases") => replay_phase_schedule(&flags, preloaded, out),
+    match get(flags, "schedule") {
+        None => replay_static(flags, preloaded, out),
+        Some("phases") => replay_phase_schedule(flags, preloaded, out),
         Some(path) => {
             let path = path.to_string();
-            replay_schedule_file(&flags, &path, preloaded, out)
+            replay_schedule_file(flags, &path, preloaded, out)
         }
     }
 }
@@ -1345,23 +1417,22 @@ fn replay_schedule_file(
 }
 
 fn sweep(
-    args: &[String],
+    flags: &[(String, String)],
     preloaded: Option<&PreloadedTrace>,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let trace = load_trace(&flags, preloaded)?;
-    let sizes: Vec<u64> = get(&flags, "l2-kb")
+    let ways = ways_flag(flags)?;
+    let sizes: Vec<(u64, CacheConfig)> = get(flags, "l2-kb")
         .unwrap_or("64")
         .split(',')
-        .map(|s| s.parse().map_err(|_| format!("bad L2 size `{s}`")))
-        .collect::<Result<_, _>>()?;
-    let ways: u32 = get(&flags, "ways")
-        .unwrap_or("4")
-        .parse()
-        .map_err(|_| "--ways needs a number".to_string())?;
-    let jobs = jobs_flag(&flags)?;
-    let lanes = lanes_flag(&flags)?;
+        .map(|s| {
+            let kb = s.parse().map_err(|_| format!("bad L2 size `{s}`"))?;
+            Ok((kb, l2_of_size(kb, ways)?))
+        })
+        .collect::<Result<_, String>>()?;
+    let trace = load_trace(flags, preloaded)?;
+    let jobs = jobs_flag(flags)?;
+    let lanes = lanes_flag(flags)?;
     // Lanes on a sweep are opportunistic: rows that cannot split (a
     // one-set group) replay serially instead of failing, so the grid
     // always fills. The cache-side counters are identical either way.
@@ -1391,8 +1462,7 @@ fn sweep(
     // entities than ways) are reported in place, and a panicking row
     // surfaces as its own error instead of aborting the sweep.
     let mut grid: Vec<(u64, &str, Result<ScenarioSpec, String>)> = Vec::new();
-    for &kb in &sizes {
-        let l2 = CacheConfig::with_size_bytes(kb * 1024, ways).map_err(|e| e.to_string())?;
+    for &(kb, l2) in &sizes {
         for name in ["shared", "set-partitioned", "way-partitioned"] {
             let spec = organization(name, l2, trace.table()).map(|org| {
                 ScenarioSpec::replay(l2, org, trace.clone()).with_parallelism(parallelism)
@@ -1424,34 +1494,33 @@ fn sweep(
 }
 
 fn profile(
-    args: &[String],
+    flags: &[(String, String)],
     preloaded: Option<&PreloadedTrace>,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let (trace, trace_path) = load_trace_with_path(&flags, preloaded)?;
-    let l2 = l2_config(&flags)?;
+    let (trace, trace_path) = load_trace_with_path(flags, preloaded)?;
+    let l2 = l2_config(flags)?;
     require_lru_for_profiling(l2)?;
     let geometry = l2.geometry();
-    let sets_per_unit: u32 = get(&flags, "sets-per-unit")
+    let sets_per_unit: u32 = get(flags, "sets-per-unit")
         .unwrap_or("16")
         .parse()
         .map_err(|_| "--sets-per-unit needs a number".to_string())?;
     let resolution =
         CurveResolution::for_geometry(geometry, sets_per_unit).map_err(|e| e.to_string())?;
     let lattice = CacheSizeLattice::new(geometry, sets_per_unit);
-    let kind = solver_kind(&flags)?;
-    let window = window_config(&flags)?;
-    let sidecar = save_curves_path(&flags, &trace_path, window)?;
+    let kind = solver_kind(flags)?;
+    let window = window_config(flags)?;
+    let sidecar = save_curves_path(flags, &trace_path, window)?;
     // Validate before the (potentially expensive) profiling pass.
-    let phase_threshold: Option<f64> = get(&flags, "phases")
+    let phase_threshold: Option<f64> = get(flags, "phases")
         .map(|t| {
             t.parse()
                 .map_err(|_| "--phases needs a curve-delta threshold".to_string())
         })
         .transpose()?;
 
-    let lanes = lanes_flag(&flags)?;
+    let lanes = lanes_flag(flags)?;
     let platform = PlatformConfig::default();
     let windowed = profile_with_policy(
         &platform,
@@ -1614,29 +1683,28 @@ fn phase_report(
 }
 
 fn sweep_shapes(
-    args: &[String],
+    flags: &[(String, String)],
     preloaded: Option<&PreloadedTrace>,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let (trace, trace_path) = load_trace_with_path(&flags, preloaded)?;
-    let l2 = l2_config(&flags)?;
+    let (trace, trace_path) = load_trace_with_path(flags, preloaded)?;
+    let l2 = l2_config(flags)?;
     require_lru_for_profiling(l2)?;
     let geometry = l2.geometry();
-    let sets_per_unit: u32 = get(&flags, "sets-per-unit")
+    let sets_per_unit: u32 = get(flags, "sets-per-unit")
         .unwrap_or("16")
         .parse()
         .map_err(|_| "--sets-per-unit needs a number".to_string())?;
     let resolution =
         CurveResolution::for_geometry(geometry, sets_per_unit).map_err(|e| e.to_string())?;
-    let check_replay = match get(&flags, "check-replay").unwrap_or("off") {
+    let check_replay = match get(flags, "check-replay").unwrap_or("off") {
         "on" => true,
         "off" => false,
         other => return Err(format!("--check-replay needs on or off, not `{other}`")),
     };
-    let sidecar = save_curves_path(&flags, &trace_path, WindowConfig::whole_run())?;
-    let jobs = jobs_flag(&flags)?;
-    let lanes = lanes_flag(&flags)?;
+    let sidecar = save_curves_path(flags, &trace_path, WindowConfig::whole_run())?;
+    let jobs = jobs_flag(flags)?;
+    let lanes = lanes_flag(flags)?;
 
     let platform = PlatformConfig::default();
     let windowed = profile_with_policy(
@@ -1721,12 +1789,11 @@ fn verify_sweep_against_replay(
 }
 
 fn info(
-    args: &[String],
+    flags: &[(String, String)],
     preloaded: Option<&PreloadedTrace>,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let (trace, trace_path) = load_trace_with_path(&flags, preloaded)?;
+    let (trace, trace_path) = load_trace_with_path(flags, preloaded)?;
     let summary = trace.summary();
     outln!(
         out,
@@ -1785,8 +1852,8 @@ fn info(
             outln!(out, "  {p}");
         }
     }
-    let l2 = l2_config(&flags)?;
-    if let Some(path) = get(&flags, "schedule") {
+    let l2 = l2_config(flags)?;
+    if let Some(path) = get(flags, "schedule") {
         let schedule = parse_schedule_file(path, l2)?;
         outln!(out, "schedule {path}: {schedule}");
         print_schedule_steps(&schedule, out)?;
@@ -1821,4 +1888,83 @@ fn info(
         Err(e) => outln!(out, "curve sidecar {}: unusable ({e})", sidecar.display()),
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn dispatch_error(command: &str) -> String {
+        let words: Vec<String> = command.split_whitespace().map(String::from).collect();
+        let mut out = Vec::new();
+        let err = dispatch(&words[0], &words[1..], &mut out).unwrap_err();
+        assert!(out.is_empty(), "{command}");
+        err
+    }
+
+    /// Refused before the trace is read: a flag no mode of the verb reads
+    /// (a typo of one it does read included), an overflowing `--l2-kb`
+    /// (by `sweep` before it prints a row) and an unknown verb.
+    #[test]
+    fn unknown_flags_and_overflowing_sizes_are_refused_by_name() {
+        for (verb, flag) in [
+            ("replay", "bogus"),
+            ("profile", "window-cycle"),
+            ("info", "lanes"),
+        ] {
+            let err = dispatch_error(&format!("{verb} --trace t.cmt --{flag} 1"));
+            assert!(
+                err.starts_with(&format!("`{verb}` does not take --{flag} (")),
+                "{err}"
+            );
+        }
+        let huge = "18014398509482048";
+        let overflow = format!("--l2-kb {huge} is too large");
+        let flags = parse_flags(&["--l2-kb".to_string(), huge.to_string()]).unwrap();
+        assert!(l2_config(&flags).unwrap_err().starts_with(&overflow));
+        let err = dispatch_error(&format!("sweep --trace t.cmt --l2-kb 64,{huge}"));
+        assert!(err.starts_with(&overflow), "{err}");
+        assert_eq!(dispatch_error("bogus"), "unknown subcommand `bogus`");
+    }
+
+    /// Every one-shot invocation of docs/CLI.md and of the repository
+    /// benchmark (`benchmark/run.py` and the serve benchmark's requests)
+    /// passes the flag check.
+    #[test]
+    fn every_documented_and_benchmark_invocation_is_accepted() {
+        let documented = include_str!("../../../docs/CLI.md")
+            .lines()
+            .filter_map(|line| line.strip_prefix("$ compmem "))
+            .filter(|command| !command.starts_with("serve") && !command.starts_with("client"));
+        // The benchmark sends its L2 flags to every verb that reads a
+        // trace, whichever mode reads them.
+        let benchmark = [
+            "profile --trace t.cmt",
+            "sweep-shapes --trace t.cmt",
+            "info --trace t.cmt",
+            "replay --trace t.cmt --schedule phases",
+            "replay --trace t.cmt --qos 1.0",
+            "replay --trace t.cmt --controller hysteresis --window-cycles 1000000 --phases 0.1",
+            "replay --trace t.cmt --org shared",
+        ]
+        .map(|command| format!("{command} --l2-kb 512 --sets-per-unit 16"));
+        let setup = [
+            "record --app mpeg2 --scale paper --out t.cmt",
+            "gen --kind mix --tasks phased:24+128+250000,zipf:48,scan:128 --accesses 1000000 \
+             --seed 7 --out t.cmt",
+        ];
+        let mut checked = 0;
+        for command in documented
+            .chain(setup)
+            .chain(benchmark.iter().map(String::as_str))
+        {
+            let words: Vec<String> = command.split_whitespace().map(String::from).collect();
+            let flags = parse_flags(&words[1..]).unwrap();
+            if let Err(e) = verb_handler(&words[0], &flags) {
+                panic!("{command}: {e}");
+            }
+            checked += 1;
+        }
+        assert!(checked >= 30, "only {checked} invocations");
+    }
 }

@@ -509,10 +509,11 @@ impl ControlledOutcome {
 /// profiler ahead of the replay does not peek at timing the controller
 /// could not know). When the profiler closes a window, the policy is
 /// shown the window's curves ([`ControllerTick`]) and may answer with a
-/// map, which is pushed as a switch at the observed run's start cycle —
-/// it fires inside the engine at the first refill reaching that
-/// boundary, with exact [`FlushStats`] accounting, precisely like a
-/// pre-installed [`PartitionSchedule`] step.
+/// map, which repartitions the L2 at the observed run's start cycle,
+/// just before that run replays, with exact [`FlushStats`] accounting —
+/// the rule an installed [`PartitionSchedule`] step at that boundary
+/// follows, so replaying the emitted
+/// [`schedule`](ControlledOutcome::schedule) reproduces the run.
 ///
 /// # Errors
 ///
@@ -661,59 +662,6 @@ pub fn replay_controlled(
         },
         ticks,
         schedule,
-    })
-}
-
-/// Replays a precomputed schedule by **pushing** each switch at the
-/// first run boundary reaching its cycle — the stream-order firing
-/// semantics of the online controller — instead of pre-installing it.
-///
-/// The two semantics differ only in *where inside the stream* a switch
-/// lands: [`ReplaySystem::install_schedule`] fires on the replayed
-/// clock, which can be mid-way through an earlier run whose replayed
-/// timing overshoots the boundary; the push path fires at the boundary
-/// run's first refill, which is all a causal controller can do (its
-/// decision needs the window that the boundary run closes). Replaying
-/// the *offline* schedule through this function therefore gives the
-/// exact reference an online policy must match byte for byte — the
-/// parity test's yardstick.
-///
-/// # Errors
-///
-/// Propagates cache-model, schedule and platform errors.
-pub fn replay_pushed(
-    platform: &PlatformConfig,
-    l2: CacheConfig,
-    schedule: &PartitionSchedule,
-    trace: &Arc<PreparedTrace>,
-) -> Result<ControlledOutcome, CoreError> {
-    let table = trace.table();
-    let l2_model = schedule.initial().build(l2, table)?;
-    let mut system = ReplaySystem::new(platform, l2_model, trace)?;
-    let switches: Vec<ScheduleStep> = schedule.switches().to_vec();
-    let mut next = 0usize;
-    let report = system.run_controlled(|run| {
-        let mut due: Option<OrganizationSpec> = None;
-        // Several boundaries may fall inside one run gap; the last due
-        // organisation is the one that should be in force.
-        while next < switches.len() && switches[next].at_cycle <= run.start_cycle {
-            due = Some(switches[next].organization.clone());
-            next += 1;
-        }
-        due
-    })?;
-    let by_key = by_key_from_regions(table, &report);
-    let l2_snapshot = system.into_l2().snapshot();
-    Ok(ControlledOutcome {
-        policy: "pushed".to_string(),
-        outcome: RunOutcome {
-            report,
-            by_key,
-            l2_snapshot,
-            lane_decision: None,
-        },
-        ticks: 0,
-        schedule: schedule.clone(),
     })
 }
 

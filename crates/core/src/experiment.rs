@@ -34,9 +34,9 @@
 //! the full method of the paper on one application:
 //!
 //! 1. run the application on the conventional **shared** L2 while a
-//!    [`TapProfiler`] measures the per-entity miss-rate curves in the same
-//!    pass (single-pass stack-distance profiling — see
-//!    [`StackDistanceProfiler`]),
+//!    [`WindowedTapProfiler`] measures the per-entity miss-rate curves in
+//!    the same pass (single-pass stack-distance profiling — see
+//!    [`StackDistanceProfiler`](compmem_cache::StackDistanceProfiler)),
 //! 2. size the partitions by minimising the total predicted misses
 //!    (FIFOs pinned to their own size, everything else optimised),
 //! 3. run the application on the **set-partitioned** L2 with that
@@ -56,11 +56,11 @@ use serde::{Deserialize, Serialize};
 use compmem_cache::{
     CacheConfig, CacheSnapshot, CurveResolution, FlushStats, KeyStats, MissRateCurves,
     OrganizationSpec, PartitionKey, PartitionMap, PartitionSchedule, ReplacementPolicy,
-    StackDistanceProfiler, WayAllocation, WindowConfig, WindowedCurves, WindowedProfiler,
+    WayAllocation, WindowConfig, WindowedCurves, WindowedProfiler,
 };
 use compmem_platform::{
     replay_lanes, AccessTap, LaneDecision, LaneReport, NullTap, PlatformConfig, PlatformError,
-    PreparedTrace, ReplaySystem, System, SystemReport, TapProfiler, WindowedTapProfiler,
+    PreparedTrace, ReplaySystem, System, SystemReport, WindowedTapProfiler,
 };
 use compmem_trace::{EncodedTrace, RegionKind, RegionTable, TraceWriter};
 
@@ -183,7 +183,7 @@ pub struct ScenarioSpec {
     pub l2: CacheConfig,
     /// The partitioning policy of the run: the organisation the run
     /// starts under (step 0) plus any repartition events applied to the
-    /// live cache at their cycle boundaries.
+    /// cache at their cycle boundaries (switches run on replays only).
     pub schedule: PartitionSchedule,
     /// Where the memory traffic comes from.
     pub traffic: TrafficSource,
@@ -200,7 +200,12 @@ pub type RunSpec = ScenarioSpec;
 impl ScenarioSpec {
     /// A live-execution scenario under one static organisation.
     pub fn live(l2: CacheConfig, organization: OrganizationSpec) -> Self {
-        Self::scheduled_live(l2, PartitionSchedule::single(organization))
+        ScenarioSpec {
+            l2,
+            schedule: PartitionSchedule::single(organization),
+            traffic: TrafficSource::Live,
+            parallelism: ReplayParallelism::default(),
+        }
     }
 
     /// A replay scenario over a recorded trace under one static
@@ -213,19 +218,9 @@ impl ScenarioSpec {
         Self::scheduled_replay(l2, PartitionSchedule::single(organization), trace)
     }
 
-    /// A live-execution scenario under a time-varying partitioning
-    /// policy.
-    pub fn scheduled_live(l2: CacheConfig, schedule: PartitionSchedule) -> Self {
-        ScenarioSpec {
-            l2,
-            schedule,
-            traffic: TrafficSource::Live,
-            parallelism: ReplayParallelism::default(),
-        }
-    }
-
-    /// A replay scenario under a time-varying partitioning policy: the
-    /// switches apply at their boundaries on the replayed time axis.
+    /// A replay scenario under a time-varying partitioning policy: each
+    /// switch applies just before the first recorded run that starts at
+    /// or after its boundary (the one rule of [`ReplaySystem`]).
     pub fn scheduled_replay(
         l2: CacheConfig,
         schedule: PartitionSchedule,
@@ -489,7 +484,8 @@ pub(crate) fn replay_serial(
 /// Converts a merged lane report into a [`RunOutcome`].
 ///
 /// The cache-side fields (L1/L2 statistics, per-entity attribution, DRAM
-/// and bus-byte traffic) are exactly the serial replay's; timing fields
+/// and bus-byte traffic, repartition records) are exactly the serial
+/// replay's; timing fields
 /// (stalls, bus waits, makespan, per-processor reports) are zero because
 /// lanes do not reconstruct the global transfer interleaving, and the L2
 /// snapshot stays empty because each lane owns only its slice of the
@@ -503,6 +499,7 @@ fn outcome_from_lanes(lanes: LaneReport, table: &RegionTable) -> RunOutcome {
         dram_accesses: lanes.dram_accesses,
         dram_writebacks: lanes.dram_writebacks,
         bus_bytes: lanes.bus_bytes,
+        repartitions: lanes.repartitions,
         ..SystemReport::default()
     };
     let by_key = by_key_from_regions(table, &report);
@@ -1109,7 +1106,9 @@ impl<F: Fn() -> Application> Experiment<F> {
     ///
     /// # Errors
     ///
-    /// Propagates cache, platform and workload errors — including
+    /// Returns [`CoreError::Infeasible`] for a live spec whose schedule
+    /// switches (only replays execute switches), and propagates cache,
+    /// platform and workload errors — including
     /// [`LanesIneligible`](compmem_platform::PlatformError::LanesIneligible)
     /// when the spec *requires* lanes on a scenario that cannot split.
     pub fn run(&self, spec: &ScenarioSpec) -> Result<RunOutcome, CoreError> {
@@ -1130,18 +1129,28 @@ impl<F: Fn() -> Application> Experiment<F> {
     /// application and its platform, and returns the outcome together
     /// with the tap: plain runs, recordings and profiling runs differ
     /// only in their tap.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Infeasible`] for a schedule that switches:
+    /// repartitions apply on the recorded run axis, so a scheduled run
+    /// records the trace once and replays it.
     fn run_live<T: AccessTap>(
         &self,
         spec: &ScenarioSpec,
         tap: impl FnOnce(&Application, &PlatformConfig) -> Result<T, CoreError>,
     ) -> Result<(RunOutcome, T), CoreError> {
+        if !spec.schedule.is_static() {
+            return Err(CoreError::Infeasible {
+                reason: "live execution runs static organisations only; record the trace \
+                         and replay it under the schedule (ScenarioSpec::scheduled_replay)"
+                    .to_string(),
+            });
+        }
         let mut app = (self.factory)();
         let platform = self.platform_for(&app);
         let l2 = spec.organization().build(spec.l2, app.space.table())?;
         let mut system = System::new(platform, l2, app.mapping.clone())?;
-        if !spec.schedule.is_static() {
-            system.install_schedule(&spec.schedule, app.space.table())?;
-        }
         let mut tap = tap(&app, &platform)?;
         let report = system.run_traced(&mut app.network, &mut tap)?;
         let by_key = by_key_from_regions(app.space.table(), &report);
@@ -1206,9 +1215,9 @@ impl<F: Fn() -> Application> Experiment<F> {
         Ok(())
     }
 
-    /// Runs the shared-cache baseline live while a [`TapProfiler`]
-    /// measures the per-entity miss-rate curves in the same pass, and
-    /// returns both.
+    /// Runs the shared-cache baseline live while a whole-run
+    /// [`WindowedTapProfiler`] measures the per-entity miss-rate curves in
+    /// the same pass, and returns both.
     ///
     /// One live execution yields the shared baseline *and* the exact
     /// miss count of every entity at every resolved cache shape (see
@@ -1222,12 +1231,8 @@ impl<F: Fn() -> Application> Experiment<F> {
     /// [`CoreError::NonLruProfiling`] when the configured L2 policy is
     /// not LRU (the curves would not describe the real cache).
     pub fn profile_curves(&self) -> Result<(RunOutcome, MissRateCurves), CoreError> {
-        self.require_lru_for_profiling()?;
-        let (outcome, tap) = self.run_live(&self.shared_spec(), |app, platform| {
-            let profiler = StackDistanceProfiler::new(self.curve_resolution(), app.space.table());
-            Ok(TapProfiler::new(platform, profiler))
-        })?;
-        Ok((outcome, tap.into_curves()))
+        let (outcome, windowed) = self.profile_curves_windowed(WindowConfig::whole_run())?;
+        Ok((outcome, windowed.total))
     }
 
     /// Runs the shared-cache baseline live while a windowed profiler tap
@@ -1293,18 +1298,6 @@ impl<F: Fn() -> Application> Experiment<F> {
             self.config.l2.geometry(),
             self.config.optimizer,
         )
-    }
-
-    /// Spec of the **live** scheduled run executing a phase plan: the
-    /// plan's schedule ([`PhasePlan::to_schedule`]) on this experiment's
-    /// L2 and lattice.
-    ///
-    /// # Errors
-    ///
-    /// Propagates schedule construction errors.
-    pub fn scheduled_spec(&self, plan: &PhasePlan) -> Result<ScenarioSpec, CoreError> {
-        let schedule = plan.to_schedule(&self.lattice(), self.config.l2.geometry())?;
-        Ok(ScenarioSpec::scheduled_live(self.config.l2, schedule))
     }
 
     /// Replays a recorded trace under a time-varying partitioning policy
@@ -1860,7 +1853,10 @@ mod tests {
             (9_000, OrganizationSpec::SetPartitioned(map(32))),
         ])
         .unwrap();
-        let spec = ScenarioSpec::scheduled_live(l2, schedule);
+        let spec = ScenarioSpec {
+            schedule,
+            ..ScenarioSpec::live(l2, OrganizationSpec::Shared)
+        };
         assert_eq!(
             spec.to_string(),
             "64 KB 4-way L2, live traffic, schedule set-partitioned x 3 steps \

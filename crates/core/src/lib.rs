@@ -80,9 +80,9 @@ pub mod profile;
 pub mod report;
 
 pub use controller::{
-    compete, replay_controlled, replay_pushed, ControlledOutcome, ControllerConfig,
-    ControllerPolicy, ControllerTick, CurveFeed, Greedy, Hysteresis, Oracle, PolicyRegret,
-    RegretReport, SolverContext,
+    compete, replay_controlled, ControlledOutcome, ControllerConfig, ControllerPolicy,
+    ControllerTick, CurveFeed, Greedy, Hysteresis, Oracle, PolicyRegret, RegretReport,
+    SolverContext,
 };
 pub use error::CoreError;
 pub use isolation::{run_isolation, IsolationReport, IsolationRun, IsolationSpec};

@@ -30,19 +30,19 @@
 //! depend on the global interleaving of transfers and are reported by the
 //! serial [`ReplaySystem`](crate::ReplaySystem) only.
 //!
-//! Repartition events of a [`PartitionSchedule`] are applied on the
-//! **recorded issue axis** (`run.start_cycle + data_accesses_before`),
-//! which every lane can compute locally. The serial replay applies them
-//! on the stall-inflated reconstructed clock, so a boundary that falls
-//! *inside* a run's stall window may split that run's refills differently;
-//! boundaries placed in the gaps between runs — where phase schedules put
-//! them — agree exactly, and switches past the last refill still fire, as
-//! in the serial loop.
+//! Repartition events of a [`PartitionSchedule`] apply by the serial
+//! replay's one rule: a switch applies just before the first run, in
+//! recorded order, whose recorded start cycle reaches its boundary, and
+//! switches past the last run apply after it. Every lane walks every run
+//! and asks the serial replay's switch queue for the due switches once
+//! per run, so every lane applies every switch at the point of the stream
+//! where the serial replay does, and the lanes' [`RepartitionRecord`]s —
+//! flushes and L2 counters at the switch — add up to the serial ones.
 
 use std::fmt;
 
 use compmem_cache::{
-    CacheConfig, CacheError, CacheModel, CacheStats, FlushStats, OrganizationSpec, PartitionKey,
+    CacheConfig, CacheError, CacheModel, CacheStats, OrganizationSpec, PartitionKey,
     PartitionSchedule, ScheduleStep, StatsByKey,
 };
 use compmem_trace::{RegionId, RegionTable, TaskId, LINE_SIZE_BYTES};
@@ -50,7 +50,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::PlatformConfig;
 use crate::error::PlatformError;
-use crate::replay::{FilteredTrace, PreparedTrace};
+use crate::metrics::RepartitionRecord;
+use crate::replay::{FilteredTrace, PendingSwitches, PreparedTrace};
 
 /// A block of consecutive L2 sets that one set index maps lines into: a
 /// partition or a whole cache.
@@ -182,9 +183,10 @@ pub struct LaneReport {
     pub dram_writebacks: u64,
     /// Bytes transferred over the shared bus.
     pub bus_bytes: u64,
-    /// Lines flushed by each repartition event of the schedule, in
-    /// schedule order, summed over the lanes.
-    pub flushes: Vec<FlushStats>,
+    /// Every repartition event of the schedule, in schedule order: its
+    /// step and boundary, with the flush counts and the L2 counters at the
+    /// switch summed over the lanes.
+    pub repartitions: Vec<RepartitionRecord>,
     /// How the replay split.
     pub decision: LaneDecision,
 }
@@ -201,25 +203,33 @@ struct LaneCounters {
     dram_accesses: u64,
     dram_writebacks: u64,
     bus_bytes: u64,
-    flushes: Vec<FlushStats>,
+    repartitions: Vec<RepartitionRecord>,
 }
 
 impl LaneCounters {
-    /// Applies one repartition event to the lane's cache. Flush traffic
-    /// takes the same path as in the serial replay: one bus transfer and
-    /// one DRAM write-back per dirty line.
+    /// Applies one repartition event to the lane's cache and logs it with
+    /// the lane's L2 counters at the switch. Flush traffic takes the same
+    /// path as in the serial replay: one bus transfer and one DRAM
+    /// write-back per dirty line.
     fn switch(
         &mut self,
         cache: &mut dyn CacheModel,
         step: &ScheduleStep,
         regions: &RegionTable,
     ) -> Result<(), PlatformError> {
+        let before = *cache.stats();
         let flush = cache
             .reconfigure(&step.organization, regions)
             .map_err(lane_cache_error)?;
         self.dram_writebacks += flush.written_back;
         self.bus_bytes += flush.written_back * LINE_SIZE_BYTES;
-        self.flushes.push(flush);
+        self.repartitions.push(RepartitionRecord {
+            step: self.repartitions.len() + 1,
+            at_cycle: step.at_cycle,
+            flush,
+            l2_accesses_before: before.accesses,
+            l2_misses_before: before.misses,
+        });
         Ok(())
     }
 }
@@ -239,18 +249,14 @@ fn replay_shard(
         .build(l2, regions)
         .map_err(lane_cache_error)?;
     let mut counters = LaneCounters::default();
-    let mut switches = schedule.switches().iter().peekable();
+    let mut switches = PendingSwitches::new(schedule);
     for run in &filtered.runs {
+        while let Some(step) = switches.next_due(run.start_cycle) {
+            counters.switch(cache.as_mut(), step, regions)?;
+        }
         for refill in &run.refills {
             if refill.access.addr.line().value() & (shards - 1) != shard {
                 continue;
-            }
-            // The recorded issue axis: hits before this refill advance
-            // the clock one cycle per data access (see the module docs
-            // for how this relates to the serial, stall-inflated clock).
-            let clock = run.start_cycle + refill.data_accesses_before;
-            while let Some(step) = switches.next_if(|step| step.at_cycle <= clock) {
-                counters.switch(cache.as_mut(), step, regions)?;
             }
             // The bus request sequence of the serial path, as bytes:
             // refill transfer, optional L1 write-back, optional DRAM
@@ -270,9 +276,9 @@ fn replay_shard(
             }
         }
     }
-    // Switches whose boundary lies beyond the lane's last refill still
-    // fire, exactly as the serial replay loop fires them at the end.
-    for step in switches {
+    // Switches whose boundary lies beyond the last run still apply, as
+    // the serial replay applies them at the end.
+    while let Some(step) = switches.next_due(u64::MAX) {
         counters.switch(cache.as_mut(), step, regions)?;
     }
     Ok((cache, counters))
@@ -335,7 +341,16 @@ pub fn replay_lanes(
         dram_accesses: 0,
         dram_writebacks: 0,
         bus_bytes: 0,
-        flushes: vec![FlushStats::default(); schedule.switches().len()],
+        repartitions: schedule
+            .switches()
+            .iter()
+            .enumerate()
+            .map(|(i, step)| RepartitionRecord {
+                step: i + 1,
+                at_cycle: step.at_cycle,
+                ..RepartitionRecord::default()
+            })
+            .collect(),
         decision: LaneDecision {
             requested,
             shards,
@@ -356,8 +371,10 @@ pub fn replay_lanes(
         report.dram_accesses += counters.dram_accesses;
         report.dram_writebacks += counters.dram_writebacks;
         report.bus_bytes += counters.bus_bytes;
-        for (total, flush) in report.flushes.iter_mut().zip(counters.flushes) {
-            total.absorb(flush);
+        for (total, lane) in report.repartitions.iter_mut().zip(counters.repartitions) {
+            total.flush.absorb(lane.flush);
+            total.l2_accesses_before += lane.l2_accesses_before;
+            total.l2_misses_before += lane.l2_misses_before;
         }
     }
     Ok(report)
@@ -520,16 +537,14 @@ mod tests {
         assert_eq!(serial.dram_accesses, lanes.dram_accesses, "{context}");
         assert_eq!(serial.dram_writebacks, lanes.dram_writebacks, "{context}");
         assert_eq!(serial.bus_bytes, lanes.bus_bytes, "{context}");
-        let serial_flushes: Vec<FlushStats> = serial
-            .repartitions
-            .iter()
-            .map(|record| record.flush)
-            .collect();
-        assert_eq!(serial_flushes, lanes.flushes, "{context}: flushes");
+        assert_eq!(
+            serial.repartitions, lanes.repartitions,
+            "{context}: repartitions"
+        );
     }
 
-    /// Three steps of one organisation kind: step 0 at cycle 0, step 1 in
-    /// the recorded compute gap, step 2 past the last refill.
+    /// Three layouts of one organisation kind: the first is also the
+    /// static schedule.
     type Steps = [OrganizationSpec; 3];
 
     /// Every organisation of the exactness matrix, as three scheduled
@@ -582,12 +597,11 @@ mod tests {
 
     #[test]
     fn set_shards_match_serial_for_every_organisation_policy_and_schedule() {
-        // The compute phase leaves a recorded-cycle gap orders of
-        // magnitude wider than any intra-run stall shift, so the serial
-        // (stall-inflated) and lane (recorded-axis) clocks cross the
-        // middle boundary at the same refill.
         let trace = record(400_000);
         let runs = trace.trace().runs();
+        // One cycle after a busy run's start: inside the run's own refill
+        // window, where the serial clock and any per-refill clock differ.
+        let busy_boundary = runs[runs.len() / 4].start_cycle + 1;
         let (gap, mid_boundary) = runs
             .windows(2)
             .map(|pair| {
@@ -605,12 +619,13 @@ mod tests {
             for (name, [first, second, third]) in organisations(l2) {
                 let steps = vec![
                     (0, first.clone()),
-                    (mid_boundary, second),
-                    (end_boundary, third),
+                    (busy_boundary, second),
+                    (mid_boundary, third),
+                    (end_boundary, first.clone()),
                 ];
                 let schedules = [
                     ("static", PartitionSchedule::single(first)),
-                    ("3-step", PartitionSchedule::new(steps).unwrap()),
+                    ("4-step", PartitionSchedule::new(steps).unwrap()),
                 ];
                 for (kind, schedule) in schedules {
                     let (serial_report, serial_bp) = serial(l2, &schedule, &trace);

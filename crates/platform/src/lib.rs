@@ -97,14 +97,14 @@ pub use config::{OsRegions, PlatformConfig};
 pub use engine::EventQueue;
 pub use error::PlatformError;
 pub use lanes::{replay_lanes, LaneDecision, LaneReport};
-pub use memory::{BurstStats, L1Refill, MemoryLevel, MemorySystem};
+pub use memory::{BurstStats, L1Refill, MemorySystem};
 pub use metrics::{ProcessorReport, RepartitionRecord, SystemReport};
 pub use op::{Burst, BurstOutcome, Op, WorkloadDriver};
 pub use processor::ProcessorId;
 pub use profile::{
     l1_filter_signature, profile_shards, profile_trace, profile_trace_windowed,
     profile_trace_windowed_lanes, profile_trace_with_sidecar, profile_trace_with_sidecar_lanes,
-    SidecarOutcome, TapProfiler, WindowedTapProfiler,
+    SidecarOutcome, WindowedTapProfiler,
 };
 pub use replay::{
     AccessTap, FilteredRun, FilteredTrace, NullTap, PreparedTrace, ReplayCounters, ReplaySystem,

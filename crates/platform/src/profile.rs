@@ -1,28 +1,30 @@
 //! Streaming feeds for the single-pass stack-distance profiler.
 //!
-//! The [`StackDistanceProfiler`] consumes the **L2-bound** access stream —
-//! the L1 misses, in global issue order — which is exactly the stream the
-//! shared L2 serves. This module provides the two ways to produce that
-//! stream without mounting anything in the hierarchy:
+//! The [`StackDistanceProfiler`](compmem_cache::StackDistanceProfiler)
+//! consumes the **L2-bound** access stream — the L1 misses, in global
+//! issue order — which is exactly the stream the shared L2 serves. This
+//! module provides the two ways to produce that stream without mounting
+//! anything in the hierarchy:
 //!
 //! * [`profile_trace`] profiles a recorded [`PreparedTrace`] through the
 //!   trace's cached L1 filter (the same
 //!   [`filtered_for`](PreparedTrace::filtered_for) pass replays use), so
 //!   profiling a trace that has already been replayed — or replaying a
 //!   trace that has been profiled — pays the L1 simulation only once;
-//! * [`TapProfiler`] profiles a **live** run: it is an [`AccessTap`] for
-//!   [`System::run_traced`](crate::System::run_traced) that carries its
-//!   own bank of private L1s (mirror images of the system's, fed in the
-//!   same order, hence bit-identical) and forwards only the refills to the
-//!   profiler — one live run yields the shared-cache baseline *and* the
-//!   full miss-rate curves, with no trace on disk or in memory.
+//! * [`WindowedTapProfiler`] profiles a **live** run: it is an
+//!   [`AccessTap`] for [`System::run_traced`](crate::System::run_traced)
+//!   that carries its own bank of private L1s (mirror images of the
+//!   system's, fed in the same order, hence bit-identical) and forwards
+//!   only the refills to the profiler — one live run yields the
+//!   shared-cache baseline *and* the full miss-rate curves, with no trace
+//!   on disk or in memory.
 //!
 //! # Windowed profiling
 //!
-//! Each feed has a **windowed** sibling producing a
-//! [`WindowedCurves`] — a [`MissRateCurves`] snapshot per fixed-size
-//! window plus the exact whole-run curves — for phase-aware partitioning:
-//! [`profile_trace_windowed`] and [`WindowedTapProfiler`]. Access-count
+//! Both feeds produce a [`WindowedCurves`] — a [`MissRateCurves`]
+//! snapshot per fixed-size window plus the exact whole-run curves — for
+//! phase-aware partitioning; a [`WindowConfig::whole_run`] pass is the
+//! plain profile ([`profile_trace`] is exactly that). Access-count
 //! windows are exact everywhere. Cycle-based windows use the real issue
 //! cycles for the tap feed, but multiprocessor streams are observed in
 //! *issue order*, which is only approximately chronological (a
@@ -65,8 +67,7 @@
 use std::path::Path;
 
 use compmem_cache::{
-    CurveResolution, MissRateCurves, StackDistanceProfiler, WindowConfig, WindowedCurves,
-    WindowedProfiler,
+    CurveResolution, MissRateCurves, WindowConfig, WindowedCurves, WindowedProfiler,
 };
 use compmem_trace::curves::{trace_content_hash, EncodedCurves};
 use compmem_trace::{Access, CodecError, RegionTable};
@@ -76,7 +77,8 @@ use crate::error::PlatformError;
 use crate::lanes::{run_shards, set_shards};
 use crate::replay::{AccessTap, FilteredTrace, L1Filter, PreparedTrace};
 
-/// An [`AccessTap`] that measures miss-rate curves during a live run.
+/// An [`AccessTap`] that measures **windowed** miss-rate curves during a
+/// live run ([`WindowConfig::whole_run`] gives the plain curves).
 ///
 /// The tap owns a mirror of the private L1s — the same `L1Filter` the
 /// trace filter pass uses, configured identically to the system's.
@@ -84,52 +86,9 @@ use crate::replay::{AccessTap, FilteredTrace, L1Filter, PreparedTrace};
 /// the tap in the same order it enters the hierarchy, so the filter's
 /// caches evolve bit-identically to the system's and the profiler sees
 /// exactly the access stream the shared L2 serves. The tap never perturbs
-/// the simulation.
-#[derive(Debug)]
-pub struct TapProfiler {
-    filter: L1Filter,
-    profiler: StackDistanceProfiler,
-}
-
-impl TapProfiler {
-    /// Creates a tap for a live run under `config` feeding `profiler`.
-    pub fn new(config: &PlatformConfig, profiler: StackDistanceProfiler) -> Self {
-        TapProfiler {
-            filter: L1Filter::for_config(config, config.num_processors),
-            profiler,
-        }
-    }
-
-    /// The profiler accumulated so far.
-    pub fn profiler(&self) -> &StackDistanceProfiler {
-        &self.profiler
-    }
-
-    /// Consumes the tap and extracts the measured curves.
-    pub fn into_curves(self) -> MissRateCurves {
-        self.profiler.into_curves()
-    }
-}
-
-impl AccessTap for TapProfiler {
-    fn record_access(&mut self, processor: usize, _cycle: u64, access: &Access) {
-        // The live system validated the processor index before issuing;
-        // the expect documents the invariant rather than handling input.
-        let refills = self
-            .filter
-            .refills(processor, access)
-            .expect("live runs only issue from configured processors");
-        if refills {
-            self.profiler.observe(access);
-        }
-    }
-}
-
-/// An [`AccessTap`] that measures **windowed** miss-rate curves during a
-/// live run (the phase-aware sibling of [`TapProfiler`]).
-///
-/// Accesses carry their real issue cycle; access-count windows are
-/// exact, cycle windows follow issue order (see the module docs).
+/// the simulation. Accesses carry their real issue cycle; access-count
+/// windows are exact, cycle windows follow issue order (see the module
+/// docs).
 #[derive(Debug)]
 pub struct WindowedTapProfiler {
     filter: L1Filter,
@@ -140,14 +99,9 @@ impl WindowedTapProfiler {
     /// Creates a tap for a live run under `config` feeding `profiler`.
     pub fn new(config: &PlatformConfig, profiler: WindowedProfiler) -> Self {
         WindowedTapProfiler {
-            filter: L1Filter::for_config(config, config.num_processors),
+            filter: L1Filter::new(config.l1i, config.l1d, config.num_processors),
             profiler,
         }
-    }
-
-    /// The windowed profiler accumulated so far.
-    pub fn profiler(&self) -> &WindowedProfiler {
-        &self.profiler
     }
 
     /// Consumes the tap and extracts the windowed curves.
@@ -158,11 +112,13 @@ impl WindowedTapProfiler {
 
 impl AccessTap for WindowedTapProfiler {
     fn record_access(&mut self, processor: usize, cycle: u64, access: &Access) {
-        let refills = self
+        // The live system validated the processor index before issuing;
+        // the expect documents the invariant rather than handling input.
+        let outcome = self
             .filter
-            .refills(processor, access)
+            .access(processor, access)
             .expect("live runs only issue from configured processors");
-        if refills {
+        if !outcome.hit {
             self.profiler.observe_at(cycle, access);
         }
     }
@@ -528,6 +484,23 @@ mod tests {
         TaskMapping::round_robin(&[TaskId::new(0), TaskId::new(1)], 2)
     }
 
+    /// Runs the workload live with a whole-run profiling tap and returns
+    /// the curves it measured.
+    fn live_curves() -> MissRateCurves {
+        let mut system = System::new(
+            platform(),
+            Box::new(compmem_cache::SharedCache::new(l2_config())),
+            mapping(),
+        )
+        .unwrap();
+        let mut tap = WindowedTapProfiler::new(
+            &platform(),
+            WindowedProfiler::new(WindowConfig::whole_run(), resolution(), &region_table()),
+        );
+        system.run_traced(&mut driver(), &mut tap).unwrap();
+        tap.into_windows().total
+    }
+
     /// Runs the workload live with a `TraceWriter` tap and returns the
     /// encoded trace.
     fn record() -> EncodedTrace {
@@ -553,18 +526,7 @@ mod tests {
         let expected = per_size_profiles(filtered.accesses(), prepared.table(), &lattice, 4);
 
         // The same run live, with the tap measuring the curves on the side.
-        let mut system = System::new(
-            platform(),
-            Box::new(compmem_cache::SharedCache::new(l2_config())),
-            mapping(),
-        )
-        .unwrap();
-        let mut tap = TapProfiler::new(
-            &platform(),
-            StackDistanceProfiler::new(resolution(), &region_table()),
-        );
-        system.run_traced(&mut driver(), &mut tap).unwrap();
-        let profiles = tap.into_curves().to_profiles(&lattice, 4).unwrap();
+        let profiles = live_curves().to_profiles(&lattice, 4).unwrap();
         assert_eq!(profiles, expected);
     }
 
@@ -572,20 +534,9 @@ mod tests {
     fn trace_profiles_match_the_live_tap() {
         let prepared = PreparedTrace::from(record());
         let from_trace = profile_trace(&platform(), &prepared, resolution()).unwrap();
-
-        let mut system = System::new(
-            platform(),
-            Box::new(compmem_cache::SharedCache::new(l2_config())),
-            mapping(),
-        )
-        .unwrap();
-        let mut tap = TapProfiler::new(
-            &platform(),
-            StackDistanceProfiler::new(resolution(), &region_table()),
-        );
-        system.run_traced(&mut driver(), &mut tap).unwrap();
-        assert!(tap.profiler().accesses() > 0);
-        assert_eq!(tap.into_curves(), from_trace);
+        let live = live_curves();
+        assert!(live.accesses() > 0);
+        assert_eq!(live, from_trace);
     }
 
     #[test]
@@ -667,8 +618,9 @@ mod tests {
             compmem_cache::WindowedProfiler::new(window, resolution(), &region_table()),
         );
         system.run_traced(&mut driver(), &mut tap).unwrap();
-        assert!(tap.profiler().accesses() > 0);
-        assert_eq!(tap.into_windows().total, plain);
+        let live = tap.into_windows().total;
+        assert!(live.accesses() > 0);
+        assert_eq!(live, plain);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use std::sync::{Arc, Mutex};
 
 use compmem_cache::{
     CacheConfig, CacheError, CacheModel, CacheStats, OrganizationSpec, PartitionSchedule,
-    SetAssocCache,
+    ScheduleStep, SetAssocCache,
 };
 use compmem_trace::codec::{EncodedTrace, TraceSummary, TraceWriter};
 use compmem_trace::{Access, RegionTable};
@@ -147,8 +147,8 @@ struct FilterKey {
 /// This is the **single** definition of "L2-bound" in the crate: the
 /// trace filter pass ([`PreparedTrace::filtered_for`]) and the
 /// stack-distance profiler feeds ([`profile_trace`](crate::profile_trace),
-/// [`TapProfiler`](crate::TapProfiler)) all route accesses through it, so
-/// the streams they see cannot drift apart.
+/// [`WindowedTapProfiler`](crate::WindowedTapProfiler)) all route accesses
+/// through it, so the streams they see cannot drift apart.
 #[derive(Debug)]
 pub(crate) struct L1Filter {
     l1i: Vec<SetAssocCache>,
@@ -163,11 +163,6 @@ impl L1Filter {
             l1i: (0..processors).map(|_| SetAssocCache::new(l1i)).collect(),
             l1d: (0..processors).map(|_| SetAssocCache::new(l1d)).collect(),
         }
-    }
-
-    /// Builds the filter for a platform's L1 configurations.
-    pub(crate) fn for_config(config: &PlatformConfig, processors: usize) -> Self {
-        Self::new(config.l1i, config.l1d, processors)
     }
 
     /// Runs one access through the owning processor's L1 and returns its
@@ -195,16 +190,6 @@ impl L1Filter {
                 processors,
             })?;
         Ok(l1.access(access))
-    }
-
-    /// Runs one access through the filter; returns `true` if it misses
-    /// (and therefore travels to the L2).
-    pub(crate) fn refills(
-        &mut self,
-        processor: usize,
-        access: &Access,
-    ) -> Result<bool, PlatformError> {
-        Ok(!self.access(processor, access)?.hit)
     }
 
     /// Aggregate statistics over all private L1 caches.
@@ -358,6 +343,37 @@ pub struct ReplayCounters {
     pub clock: u64,
 }
 
+/// The switches of an installed schedule not applied yet, and the one
+/// rule of when each applies (see [`ReplaySystem`]): the serial replay and
+/// every set-sharded lane walk the runs asking it for the due switches.
+#[derive(Debug, Default)]
+pub(crate) struct PendingSwitches {
+    steps: Vec<ScheduleStep>,
+    next: usize,
+}
+
+impl PendingSwitches {
+    /// The switches of `schedule` (every step after step 0), none applied.
+    pub(crate) fn new(schedule: &PartitionSchedule) -> Self {
+        PendingSwitches {
+            steps: schedule.switches().to_vec(),
+            next: 0,
+        }
+    }
+
+    /// Takes the next switch due just before a run that starts at
+    /// `start_cycle` — its boundary is at or before that cycle — if any.
+    /// `u64::MAX` takes the switches left after the last run.
+    pub(crate) fn next_due(&mut self, start_cycle: u64) -> Option<&ScheduleStep> {
+        let step = self
+            .steps
+            .get(self.next)
+            .filter(|step| step.at_cycle <= start_cycle)?;
+        self.next += 1;
+        Some(step)
+    }
+}
+
 /// A multiprocessor system that replays a recorded trace instead of
 /// executing a workload.
 ///
@@ -365,6 +381,17 @@ pub struct ReplayCounters {
 /// any `Box<dyn CacheModel>` L2, DRAM — while the L1s are pre-applied by
 /// the [`PreparedTrace`]'s cached filter pass. Traffic is the filtered
 /// runs, replayed once each in global recorded order.
+///
+/// # The time axis of repartitions
+///
+/// Every repartition applies by one rule: a switch at cycle `C` applies
+/// just before the first run, in recorded order, whose recorded start
+/// cycle is at least `C`, and switches past the last run apply after
+/// it. Installed schedules and controller decisions both follow it, as
+/// do the set-sharded lanes and the windowed profilers (which clock every
+/// refill at its run's start), so no run is ever split by a switch. The
+/// replay and the lanes ask one queue, `PendingSwitches`, which
+/// installed switches are due.
 #[derive(Debug)]
 pub struct ReplaySystem {
     memory: MemorySystem,
@@ -374,6 +401,8 @@ pub struct ReplaySystem {
     /// The recorded trace, whose region table every switch validates
     /// against.
     trace: Arc<EncodedTrace>,
+    /// The installed schedule's switches not applied yet.
+    switches: PendingSwitches,
     /// Index of the next run of `filtered.runs` to replay: a second
     /// replay of the same system replays nothing.
     next_run: usize,
@@ -404,6 +433,7 @@ impl ReplaySystem {
             processors: vec![ReplayCounters::default(); num_processors],
             filtered,
             trace: Arc::clone(&trace.trace),
+            switches: PendingSwitches::default(),
             next_run: 0,
         })
     }
@@ -413,19 +443,30 @@ impl ReplaySystem {
         &self.memory
     }
 
-    /// Installs a [`PartitionSchedule`] on the replay: every switch
-    /// applies to the live L2 at its boundary on the replayed time axis —
-    /// the first refill whose reconstructed issue clock reaches the
-    /// boundary already runs under the new organisation, splitting its
-    /// run if necessary (see
-    /// [`MemorySystem::install_schedule`](crate::MemorySystem::install_schedule)).
+    /// Installs the switches of a [`PartitionSchedule`] (every step after
+    /// the implicit step 0, whose organisation the L2 was built with):
+    /// each applies just before the first run whose recorded start cycle
+    /// reaches its boundary (see the [type docs](ReplaySystem)), through
+    /// [`MemorySystem::repartition`].
     ///
     /// # Errors
     ///
-    /// Propagates schedule validation errors against the trace's region
-    /// table, so a switch can never fail mid-replay.
+    /// Propagates [`PartitionSchedule::validate_for`] errors against the
+    /// L2's geometry and the trace's region table, and returns
+    /// [`CacheError::ReconfigureUnsupported`] when the first switch is of
+    /// another organisation kind than the L2, so a switch can never fail
+    /// mid-replay.
     pub fn install_schedule(&mut self, schedule: &PartitionSchedule) -> Result<(), CacheError> {
-        self.memory.install_schedule(schedule, self.trace.table())
+        let l2 = self.memory.l2();
+        schedule.validate_for(l2.geometry(), self.trace.table())?;
+        if let Some(first) = schedule.switches().first() {
+            let (from, to) = (l2.organization(), first.organization.label());
+            if from != to {
+                return Err(CacheError::ReconfigureUnsupported { from, to });
+            }
+        }
+        self.switches = PendingSwitches::new(schedule);
+        Ok(())
     }
 
     /// The per-processor counters, indexed by recorded processor.
@@ -444,47 +485,41 @@ impl ReplaySystem {
     /// controller that never switches.
     pub fn run(&mut self) -> SystemReport {
         self.run_controlled(|_| None)
-            .expect("a controller that never switches pushes no switch to reject")
+            .expect("installed switches were validated and no controller switches")
     }
 
     /// Replays the whole trace with an online controller in the loop.
     ///
     /// One loop walks `filtered.runs` in global recorded order — the
-    /// replayed access interleaving is exactly the recorded one. Before
-    /// each run replays through
-    /// [`MemorySystem::refill_burst`](crate::MemorySystem::refill_burst),
-    /// `controller` observes it: its recorded start cycle and its
-    /// L2-bound refills, the same organisation-independent data the
-    /// windowed profilers consume, so a controller can profile the run
-    /// *before* replaying it without disturbing determinism. Returning
-    /// `Some(organization)` pushes a repartition at the run's start cycle
-    /// through [`MemorySystem::push_switch`]; because the run's refill
-    /// clocks start at exactly that cycle, the switch fires at the run's
-    /// first refill — with the same flush accounting, bus charging and
-    /// [`RepartitionRecord`](crate::RepartitionRecord) logging an
-    /// installed schedule's switch gets.
-    ///
-    /// Switches whose boundary lies beyond the last L2-bound refill still
-    /// fire at the end (flush, write-backs, log record), exactly as the
-    /// live loop's explicit repartition events do — the same schedule
-    /// must fire the same switches live and replayed.
+    /// replayed access interleaving is exactly the recorded one. At each
+    /// run the due installed switches apply first; then `controller`
+    /// observes the run — its recorded start cycle and L2-bound refills,
+    /// the organisation-independent data the windowed profilers consume —
+    /// and a `Some(organization)` repartitions the L2 at the run's start
+    /// cycle ([`MemorySystem::repartition`]) before the run replays
+    /// through [`MemorySystem::refill_burst`]: the one rule of the
+    /// [type docs](ReplaySystem), with the same flush accounting and
+    /// [`RepartitionRecord`](crate::RepartitionRecord) logging as an
+    /// installed switch. Installed switches past the last run apply at
+    /// the end.
     ///
     /// Every run replays once per system: a second call replays nothing
     /// and returns the same report.
     ///
     /// # Errors
     ///
-    /// Propagates [`MemorySystem::push_switch`] validation errors; the
-    /// replay stops at the offending decision.
+    /// Propagates [`MemorySystem::repartition`] errors; the replay stops
+    /// at the offending decision.
     pub fn run_controlled<F>(&mut self, mut controller: F) -> Result<SystemReport, CacheError>
     where
         F: FnMut(&FilteredRun) -> Option<OrganizationSpec>,
     {
         let filtered = Arc::clone(&self.filtered);
         for run in &filtered.runs[self.next_run..] {
+            self.apply_installed_switches(run.start_cycle)?;
             if let Some(organization) = controller(run) {
                 self.memory
-                    .push_switch(run.start_cycle, organization, self.trace.table())?;
+                    .repartition(run.start_cycle, &organization, self.trace.table())?;
             }
             let stats = self.memory.refill_burst(
                 run.start_cycle,
@@ -500,8 +535,18 @@ impl ReplaySystem {
             counters.clock = run.start_cycle + stats.elapsed;
             self.next_run += 1;
         }
-        self.memory.apply_due_repartitions(u64::MAX);
+        self.apply_installed_switches(u64::MAX)?;
         Ok(self.report())
+    }
+
+    /// Applies every installed switch due just before a run that starts
+    /// at `start_cycle`.
+    fn apply_installed_switches(&mut self, start_cycle: u64) -> Result<(), CacheError> {
+        while let Some(step) = self.switches.next_due(start_cycle) {
+            self.memory
+                .repartition(step.at_cycle, &step.organization, self.trace.table())?;
+        }
+        Ok(())
     }
 
     fn report(&self) -> SystemReport {

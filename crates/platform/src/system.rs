@@ -3,8 +3,8 @@
 
 use std::collections::VecDeque;
 
-use compmem_cache::{CacheError, CacheModel, PartitionSchedule};
-use compmem_trace::{Access, RegionTable, TaskId, LINE_SIZE_BYTES};
+use compmem_cache::CacheModel;
+use compmem_trace::{Access, TaskId, LINE_SIZE_BYTES};
 
 use crate::config::PlatformConfig;
 use crate::engine::EventQueue;
@@ -76,17 +76,6 @@ pub struct System {
     /// each run traverses the hierarchy through one
     /// [`MemorySystem::access_burst`] call.
     burst_scratch: Vec<Access>,
-    /// Boundary cycles of an installed [`PartitionSchedule`]'s switches;
-    /// each becomes a repartition event on the run's event heap.
-    switch_cycles: Vec<u64>,
-}
-
-/// One entry of the run loop's event heap: a processor becoming ready,
-/// or a scheduled repartition boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LoopEvent {
-    Processor(usize),
-    Repartition,
 }
 
 impl System {
@@ -109,28 +98,7 @@ impl System {
             memory,
             mapping,
             burst_scratch: Vec::new(),
-            switch_cycles: Vec::new(),
         })
-    }
-
-    /// Installs a [`PartitionSchedule`] on the system: every switch of
-    /// the schedule becomes a repartition event of the run loop, applied
-    /// to the live L2 at its exact cycle boundary (the L2 the system was
-    /// built with must be the schedule's step 0). See
-    /// [`MemorySystem::install_schedule`] for the flush accounting.
-    ///
-    /// # Errors
-    ///
-    /// Propagates schedule validation errors, so a switch can never fail
-    /// mid-run.
-    pub fn install_schedule(
-        &mut self,
-        schedule: &PartitionSchedule,
-        regions: &RegionTable,
-    ) -> Result<(), CacheError> {
-        self.memory.install_schedule(schedule, regions)?;
-        self.switch_cycles = schedule.switches().iter().map(|s| s.at_cycle).collect();
-        Ok(())
     }
 
     /// The platform configuration.
@@ -206,32 +174,17 @@ impl System {
             })
             .collect();
 
-        let mut ready: EventQueue<LoopEvent> = EventQueue::new();
+        let mut ready: EventQueue<usize> = EventQueue::new();
         for (pi, p) in procs.iter().enumerate() {
             if !p.queue.is_empty() {
-                ready.push(0, LoopEvent::Processor(pi));
+                ready.push(0, pi);
             }
-        }
-        // Each scheduled switch is its own event, so a repartition fires
-        // at its exact boundary even across gaps with no memory traffic
-        // (the memory system additionally applies due switches at every
-        // access's issue clock, which is what makes mid-burst boundaries
-        // exact).
-        for &at_cycle in &self.switch_cycles {
-            ready.push(at_cycle, LoopEvent::Repartition);
         }
         // Latest cycle at which a wake-up event happened; parked processors
         // fast-forward (accounting idle cycles) to it when they resume.
         let mut last_event_time: u64 = 0;
 
-        while let Some((at, event)) = ready.pop() {
-            let pi = match event {
-                LoopEvent::Repartition => {
-                    self.memory.apply_due_repartitions(at);
-                    continue;
-                }
-                LoopEvent::Processor(pi) => pi,
-            };
+        while let Some((_, pi)) = ready.pop() {
             if procs[pi].running.is_none() && procs[pi].queue.is_empty() {
                 continue; // processor finished all of its tasks
             }
@@ -243,7 +196,7 @@ impl System {
                     Self::wake_parked(&mut procs, &mut ready);
                 }
                 if outcome.scheduled {
-                    ready.push(procs[pi].counters.time, LoopEvent::Processor(pi));
+                    ready.push(procs[pi].counters.time, pi);
                 } else if !procs[pi].queue.is_empty() {
                     procs[pi].parked = true;
                     procs[pi].was_parked = true;
@@ -261,7 +214,7 @@ impl System {
                 last_event_time = last_event_time.max(procs[pi].counters.time);
                 Self::wake_parked(&mut procs, &mut ready);
             }
-            ready.push(procs[pi].counters.time, LoopEvent::Processor(pi));
+            ready.push(procs[pi].counters.time, pi);
         }
 
         // The heap drained: every processor either finished or parked with
@@ -276,11 +229,11 @@ impl System {
 
     /// Re-inserts every parked processor into the event heap at its current
     /// local clock (idle-time accounting happens when it next dispatches).
-    fn wake_parked(procs: &mut [ProcState], ready: &mut EventQueue<LoopEvent>) {
+    fn wake_parked(procs: &mut [ProcState], ready: &mut EventQueue<usize>) {
         for (pi, p) in procs.iter_mut().enumerate() {
             if p.parked {
                 p.parked = false;
-                ready.push(p.counters.time, LoopEvent::Processor(pi));
+                ready.push(p.counters.time, pi);
             }
         }
     }

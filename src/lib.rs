@@ -71,17 +71,19 @@
 //!   recorded trace in one walk over its runs in recorded order —
 //!   bit-identical cache statistics, no workload execution, with the
 //!   organisation-invariant L1 filter cached per trace (`PreparedTrace`).
-//!   Both run loops honour an installed `PartitionSchedule`: repartition
-//!   events apply at their exact cycle boundaries (mid-burst boundaries
-//!   split the L2 batch), flush write-backs are charged through the
-//!   bus/DRAM timing path, and every fired switch is logged as a
-//!   `RepartitionRecord` in the `SystemReport`.
+//!   A replay honours an installed `PartitionSchedule` and a controller's
+//!   decisions by one rule: a switch applies just before the first run,
+//!   in recorded order, whose recorded start cycle reaches its boundary
+//!   (switches past the last run apply after it), so no run is split;
+//!   flush write-backs are charged through the bus/DRAM timing path, and
+//!   every fired switch is logged as a `RepartitionRecord` in the
+//!   `SystemReport`.
 //!   The `profile` module feeds the stack-distance profiler from both
-//!   traffic sources: `profile_trace` (a prepared trace, through the same
-//!   cached L1 filter replays use) and `TapProfiler` (an `AccessTap`
-//!   carrying its own mirror L1 bank, so one live run yields the shared
-//!   baseline *and* the full miss-rate curves) — each with a windowed
-//!   sibling (`profile_trace_windowed`, `WindowedTapProfiler`), and
+//!   traffic sources: `profile_trace_windowed` (a prepared trace, through
+//!   the same cached L1 filter replays use) and `WindowedTapProfiler` (an
+//!   `AccessTap` carrying its own mirror L1 bank, so one live run yields
+//!   the shared baseline *and* the full miss-rate curves) — a whole-run
+//!   window gives the plain curves (`profile_trace`), and
 //!   `profile_trace_with_sidecar` persists curves in the `.curves`
 //!   sidecar and skips the L1 filter entirely when a matching sidecar
 //!   exists. The `lanes` module splits one replay — and

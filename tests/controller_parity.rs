@@ -6,13 +6,14 @@
 //! the clairvoyant curve feed, the online `Greedy` policy must
 //! reproduce the offline `PhasePlan::to_schedule` run **byte for byte**
 //! — same switch sequence, same `RepartitionRecord`s (boundaries and
-//! flush stats), same final cache snapshot. And a controller that never
-//! switches must be invisible: its run is the static run.
+//! flush stats), same final cache snapshot: pushed and installed switches
+//! apply by the same rule. And a controller that never switches must be
+//! invisible: its run is the static run.
 
 use std::sync::Arc;
 
 use compmem::controller::{
-    replay_controlled, replay_pushed, ControllerConfig, ControllerPolicy, ControllerTick, Greedy,
+    replay_controlled, ControllerConfig, ControllerPolicy, ControllerTick, CurveFeed, Greedy,
     SolverContext,
 };
 use compmem::experiment::{
@@ -120,53 +121,34 @@ fn greedy_on_oracle_feed_reproduces_the_offline_schedule_byte_for_byte() {
     );
     assert_eq!(online.ticks, windowed.windows.len() - 1);
 
-    // The pre-installed offline replay fires on the replayed clock —
-    // possibly a few refills *before* the boundary run, when an earlier
-    // run's replayed timing overshoots the boundary — so only the switch
-    // boundaries are comparable against it.
-    let offline_boundaries: Vec<u64> = offline
-        .report
-        .repartitions
-        .iter()
-        .map(|r| r.at_cycle)
-        .collect();
-    let online_boundaries: Vec<u64> = online
-        .outcome
-        .report
-        .repartitions
-        .iter()
-        .map(|r| r.at_cycle)
-        .collect();
-    assert_eq!(online_boundaries, offline_boundaries);
-
-    // The byte-for-byte reference: the *same offline schedule* replayed
-    // with the controller's stream-order firing semantics (each switch
-    // at its boundary run). Decisions and execution must now coincide
-    // exactly — same `RepartitionRecord`s, flush stats, snapshot, all.
-    let pushed = replay_pushed(&f.platform, f.l2, &offline_schedule, &f.trace).unwrap();
+    // The installed offline schedule and the pushed online decisions
+    // apply by the one rule (just before the first run reaching each
+    // boundary), so the runs coincide exactly — same
+    // `RepartitionRecord`s, flush stats, snapshot, all.
     assert_eq!(
-        online.outcome.report.repartitions, pushed.outcome.report.repartitions,
+        online.outcome.report.repartitions, offline.report.repartitions,
         "every fired switch must match: boundary cycle and flush stats"
     );
-    assert_eq!(
-        online.outcome, pushed.outcome,
-        "the whole run must be identical"
-    );
+    assert_eq!(online.outcome, offline, "the whole run must be identical");
 }
 
-/// A policy that observes every window but never switches.
-struct Never;
+/// A policy that records the curves of every tick and never switches.
+#[derive(Default)]
+struct Recorder {
+    curves: Vec<MissRateCurves>,
+}
 
-impl ControllerPolicy for Never {
+impl ControllerPolicy for Recorder {
     fn name(&self) -> &str {
-        "never"
+        "recorder"
     }
 
     fn observe(
         &mut self,
         _solver: &SolverContext<'_>,
-        _tick: &ControllerTick<'_>,
+        tick: &ControllerTick<'_>,
     ) -> Result<Option<PartitionMap>, CoreError> {
+        self.curves.push(tick.curves.clone());
         Ok(None)
     }
 }
@@ -190,8 +172,16 @@ fn never_switching_controller_is_byte_identical_to_the_static_run() {
     .unwrap();
 
     let config = ControllerConfig::cycles(f.window_cycles, f.resolution).unwrap();
-    let online =
-        replay_controlled(&f.platform, f.l2, &f.lattice, &f.trace, &mut Never, &config).unwrap();
+    let mut recorder = Recorder::default();
+    let online = replay_controlled(
+        &f.platform,
+        f.l2,
+        &f.lattice,
+        &f.trace,
+        &mut recorder,
+        &config,
+    )
+    .unwrap();
 
     assert_eq!(
         online.outcome, static_outcome,
@@ -247,7 +237,7 @@ fn controller_rejects_access_count_windows() {
         window: WindowConfig::accesses(400).unwrap(),
         resolution: f.resolution,
         optimizer: OptimizerKind::ExactIlp,
-        feed: compmem::controller::CurveFeed::Measured,
+        feed: CurveFeed::Measured,
     };
     let err = replay_controlled(
         &f.platform,
@@ -296,26 +286,35 @@ fn measured_feed_controller_is_deterministic() {
     assert_eq!(first.schedule.switches().len(), first.ticks);
 }
 
-/// `MissRateCurves` is consumed by the controller exactly as produced by
-/// the profiler: the online profiler's windows equal the offline pass's
-/// windows on the same stream (sanity anchor for the feeds).
+/// `MissRateCurves` reach a policy exactly as the offline profiler
+/// measures them: under the measured feed, the curves the controller's
+/// online profiler hands out equal the offline pass's windows — every
+/// one but the last, which closes after the last run, when no run is
+/// left to switch before.
 #[test]
 fn online_and_offline_profilers_agree_on_windows() {
     let f = fixture();
     let window = WindowConfig::cycles(f.window_cycles).unwrap();
-    let a: Vec<MissRateCurves> =
+    let offline: Vec<MissRateCurves> =
         profile_trace_windowed(&f.platform, &f.trace, f.resolution, window)
             .unwrap()
             .windows
             .into_iter()
             .map(|w| w.curves)
             .collect();
-    let b: Vec<MissRateCurves> =
-        profile_trace_windowed(&f.platform, &f.trace, f.resolution, window)
-            .unwrap()
-            .windows
-            .into_iter()
-            .map(|w| w.curves)
-            .collect();
-    assert_eq!(a, b);
+    assert!(offline.len() >= 3, "{} windows", offline.len());
+
+    let config = ControllerConfig::cycles(f.window_cycles, f.resolution).unwrap();
+    let mut recorder = Recorder::default();
+    let online = replay_controlled(
+        &f.platform,
+        f.l2,
+        &f.lattice,
+        &f.trace,
+        &mut recorder,
+        &config,
+    )
+    .unwrap();
+    assert_eq!(online.ticks, offline.len() - 1);
+    assert_eq!(recorder.curves, offline[..offline.len() - 1]);
 }

@@ -8,7 +8,9 @@ use proptest::prelude::*;
 use compmem::controller::{
     replay_controlled, ControllerConfig, ControllerPolicy, ControllerTick, SolverContext,
 };
-use compmem::experiment::{run_replay, Experiment, ExperimentConfig, RunOutcome, ScenarioSpec};
+use compmem::experiment::{
+    run_replay, Experiment, ExperimentConfig, ReplayParallelism, RunOutcome, ScenarioSpec,
+};
 use compmem::optimizer::{
     solve_equal_split, solve_exact, solve_exhaustive, solve_greedy, AllocationEntity,
     AllocationProblem,
@@ -20,7 +22,7 @@ use compmem_cache::{
     OrganizationSpec, PartitionKey, PartitionMap, PartitionSchedule, SetPartitionedCache,
     SharedCache, WindowConfig, WindowedProfiler,
 };
-use compmem_platform::{profile_trace, PlatformConfig, PreparedTrace};
+use compmem_platform::{profile_trace, PlatformConfig, PreparedTrace, ReplaySystem, SystemReport};
 use compmem_trace::stats::ReuseDistanceHistogram;
 use compmem_trace::{Access, Addr, RegionKind, RegionTable, TaskId};
 use compmem_workloads::apps::{mpeg2_app, Mpeg2Params};
@@ -415,8 +417,8 @@ proptest! {
     /// `pack_stable` chained against the previously installed map — has
     /// the target geometry and covers every region. The schedule
     /// assembled from the whole run passes
-    /// [`PartitionSchedule::validate_for`], the exact check
-    /// `MemorySystem::push_switch` applies before installing.
+    /// [`PartitionSchedule::validate_for`], the check
+    /// `ReplaySystem::install_schedule` applies before installing.
     #[test]
     fn controller_solver_maps_always_validate(
         task_a in trace_strategy(192, 300),
@@ -574,4 +576,111 @@ proptest! {
         prop_assert!(online.outcome.report.repartitions.is_empty());
         prop_assert!(online.schedule.is_static());
     }
+
+    /// One time axis for repartitions: wherever the boundaries fall —
+    /// anywhere in the run, exactly on a run's start, one cycle past it,
+    /// past the last run — the serial replay of a schedule, its split
+    /// into two set-sharded lanes and a controller pushing the same maps
+    /// at the run that reaches each boundary reconfigure the L2 at the
+    /// same point of the stream: same cache-side counters and the same
+    /// flushes and L2 counters, switch for switch.
+    #[test]
+    fn serial_laned_and_pushed_switches_apply_at_the_same_run(
+        draws in prop::collection::vec((0u64..4, 0u64..1 << 40), 1..5),
+    ) {
+        let f = controller_fixture();
+        let runs = &f.trace.filtered_for(&f.platform).unwrap().runs;
+        let last = runs.last().unwrap().start_cycle;
+        let mut boundaries: Vec<u64> = draws
+            .iter()
+            .map(|&(kind, x)| {
+                let start = runs[(x % runs.len() as u64) as usize].start_cycle;
+                match kind {
+                    0 => 1 + x % (f.makespan + 1_000_000),
+                    1 => start.max(1),
+                    2 => start + 1,
+                    _ => last + 1 + x % 1_000_000,
+                }
+            })
+            .collect();
+        boundaries.sort_unstable();
+        boundaries.dedup();
+        // The run each boundary applies before (`runs.len()`: after the
+        // last run). A controller pushes at most one map per run, so keep
+        // one boundary per run; any number may follow the last run.
+        let crossing = |b: u64| runs.iter().position(|r| r.start_cycle >= b).unwrap_or(runs.len());
+        let mut seen = std::collections::BTreeSet::new();
+        boundaries.retain(|&b| crossing(b) == runs.len() || seen.insert(crossing(b)));
+
+        let keys = PartitionKey::distinct_keys(f.trace.table());
+        let steps: Vec<(u64, OrganizationSpec)> = std::iter::once(0)
+            .chain(draws.iter().map(|&(_, x)| x >> 8))
+            .zip(std::iter::once(0).chain(boundaries.iter().copied()))
+            .map(|(x, at_cycle)| (at_cycle, two_set_map(f.l2.geometry(), &keys, x)))
+            .collect();
+        let schedule = PartitionSchedule::new(steps).unwrap();
+        let spec = ScenarioSpec::scheduled_replay(f.l2, schedule.clone(), Arc::clone(&f.trace));
+        let serial = run_replay(&f.platform, &spec).unwrap();
+        let laned = run_replay(
+            &f.platform,
+            &spec.with_parallelism(ReplayParallelism::required_lanes(2)),
+        )
+        .unwrap();
+        prop_assert_eq!(laned.lane_decision.map(|d| d.shards), Some(2));
+
+        // Pushed: the controller returns each map at its boundary's run;
+        // boundaries past the last run have no run to push at, so they
+        // are installed and apply after the walk.
+        let initial = schedule.initial();
+        let mut system =
+            ReplaySystem::new(&f.platform, initial.build(f.l2, f.trace.table()).unwrap(), &f.trace)
+                .unwrap();
+        let (pushes, trailing): (Vec<_>, Vec<_>) = schedule
+            .switches()
+            .iter()
+            .map(|step| (crossing(step.at_cycle), step))
+            .partition(|(run, _)| *run < runs.len());
+        let trailing = std::iter::once((0, initial.clone()))
+            .chain(trailing.iter().map(|(_, step)| (step.at_cycle, step.organization.clone())));
+        system.install_schedule(&PartitionSchedule::new(trailing.collect()).unwrap()).unwrap();
+        let mut index = 0;
+        let pushed = system
+            .run_controlled(|_| {
+                index += 1;
+                let due = pushes.iter().find(|(run, _)| *run == index - 1);
+                due.map(|(_, step)| step.organization.clone())
+            })
+            .unwrap();
+
+        prop_assert_eq!(serial.report.repartitions.len(), schedule.switches().len());
+        prop_assert_eq!(&serial.report.repartitions, &laned.report.repartitions);
+        prop_assert_eq!(&serial.by_key, &laned.by_key);
+        let cache_side = |r: &SystemReport| {
+            let switches: Vec<_> = r
+                .repartitions
+                .iter()
+                .map(|x| (x.step, x.flush, x.l2_accesses_before, x.l2_misses_before))
+                .collect();
+            let traffic = (r.dram_accesses, r.dram_writebacks, r.bus_bytes);
+            (r.l2, r.l2_by_task.clone(), r.l2_by_region.clone(), traffic, switches)
+        };
+        prop_assert_eq!(cache_side(&serial.report), cache_side(&laned.report));
+        prop_assert_eq!(cache_side(&serial.report), cache_side(&pushed));
+    }
+}
+
+/// A set-partitioned map of `keys` in 2-set units, so every group splits
+/// into two set shards: `x` rotates the packing order (moving partitions)
+/// and widens some keys to 4 sets within the cache.
+fn two_set_map(geometry: CacheGeometry, keys: &[PartitionKey], x: u64) -> OrganizationSpec {
+    let wide = (x >> 20) as usize % ((geometry.sets() / 2) as usize - keys.len() + 1);
+    let mut keys = keys.to_vec();
+    let rotation = x as usize % keys.len();
+    keys.rotate_left(rotation);
+    let sizes: Vec<(PartitionKey, u32)> = keys
+        .into_iter()
+        .enumerate()
+        .map(|(i, key)| (key, if i < wide { 4 } else { 2 }))
+        .collect();
+    OrganizationSpec::SetPartitioned(PartitionMap::pack(geometry, &sizes).unwrap())
 }

@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use compmem::experiment::{run_replay, Experiment, ExperimentConfig, ScenarioSpec};
+use compmem::CoreError;
 use compmem_cache::{
     CacheConfig, OrganizationSpec, PartitionKey, PartitionMap, PartitionSchedule, WayAllocation,
 };
@@ -161,9 +162,8 @@ fn mid_run_repartition_is_deterministic_and_charges_its_flushes() {
     assert!(first.report.l2.misses >= static_outcome.report.l2.misses);
 }
 
-/// A switch whose boundary lies beyond the last access still fires —
-/// replay matches the live loop's explicit repartition events, so the
-/// same schedule fires the same switches on both paths.
+/// A switch whose boundary lies beyond the last run still fires, after
+/// the last run, so every switch of a schedule is applied and logged.
 #[test]
 fn trailing_switches_fire_on_replay_too() {
     let experiment = mpeg2_experiment();
@@ -187,7 +187,7 @@ fn trailing_switches_fire_on_replay_too() {
     assert_eq!(
         outcome.report.repartitions.len(),
         1,
-        "a trailing switch must fire at end of replay, as it does live"
+        "a trailing switch must fire at the end of the replay"
     );
     assert_eq!(outcome.report.repartitions[0].at_cycle, beyond);
     assert!(outcome.report.repartitions[0].flush.invalidated > 0);
@@ -214,8 +214,9 @@ fn online_phase_detector_agrees_with_offline_on_tiny_mpeg2() {
     }
 }
 
-/// `Experiment::run` executes scheduled specs through the same single
-/// driver as static ones, live and replayed.
+/// `Experiment::run` executes scheduled replay specs through the same
+/// single driver as static ones, and refuses a live spec whose schedule
+/// switches with a typed error pointing at replay.
 #[test]
 fn scheduled_specs_run_through_the_single_experiment_driver() {
     let experiment = mpeg2_experiment();
@@ -251,12 +252,15 @@ fn scheduled_specs_run_through_the_single_experiment_driver() {
         .unwrap();
     assert_eq!(replay_outcome.report.repartitions.len(), 1);
 
-    // Live scheduled run: same engine, schedule installed on the live
-    // event loop; deterministic.
-    let live_spec = ScenarioSpec::scheduled_live(l2, schedule);
-    let once = experiment.run(&live_spec).unwrap();
-    let twice = experiment.run(&live_spec).unwrap();
-    assert_eq!(once, twice, "live scheduled runs must be deterministic");
-    assert_eq!(once.report.repartitions.len(), 1);
-    assert_eq!(once.l2_snapshot.organization, "set-partitioned");
+    // Live execution runs static organisations only: a switching
+    // schedule is refused up front, naming the replay path.
+    let live_spec = ScenarioSpec {
+        schedule,
+        ..experiment.shared_spec()
+    };
+    let err = experiment.run(&live_spec).unwrap_err();
+    assert!(
+        matches!(&err, CoreError::Infeasible { reason } if reason.contains("replay")),
+        "{err:?}"
+    );
 }
