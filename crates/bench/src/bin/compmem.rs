@@ -8,17 +8,22 @@
 //! compmem record       --app jpeg_canny|mpeg2 [--scale paper|small|tiny]
 //!                      [--org shared|way-partitioned] --out FILE
 //! compmem gen          --kind zipf|scan|chase|phased|mix --out FILE [--seed N]
-//!                      [--accesses N] [--ws-kb N] [--footprint-kb N] [--hot-kb N]
-//!                      [--scan-kb N] [--phase-accesses N] [--cycles-per-access N]
-//!                      [--tasks family[:SIZE][xMULT],...]
-//! compmem replay       --trace FILE [--org ORG] [--l2-kb N] [--ways N]
-//!                      [--policy lru|fifo|tree-plru|random] [--lanes N]
-//!                      [--qos RATE|key=rate,... [--sets-per-unit N] [--solve KIND]]
-//!                      [--schedule phases|PATH [--sets-per-unit N] [--windows N]
-//!                       [--phases DELTA] [--solve KIND] [--save-schedule PATH]]
-//!                      [--controller greedy|hysteresis|oracle|compete
+//!                      [--accesses N] [--cycles-per-access N], and by kind
+//!                      zipf|chase [--ws-kb N], scan [--footprint-kb N],
+//!                      phased [--hot-kb N] [--scan-kb N] [--phase-accesses N],
+//!                      mix [--tasks family[:SIZE][xMULT],...]
+//! compmem replay       --trace FILE [--l2-kb N] [--ways N]
+//!                      [--policy lru|fifo|tree-plru|random], and one of
+//!                      [--org ORG] [--lanes N]
+//!                      --qos RATE|key=rate,... [--sets-per-unit N] [--solve KIND]
+//!                       [--save-curves auto|off|PATH]
+//!                      --schedule phases [--sets-per-unit N] [--windows N]
+//!                       [--phases DELTA] [--solve KIND] [--save-curves auto|off|PATH]
+//!                       [--save-schedule PATH]
+//!                      --schedule PATH [--lanes N]
+//!                      --controller greedy|hysteresis|oracle|compete
 //!                       --window-cycles N [--sets-per-unit N] [--phases DELTA]
-//!                       [--margin M] [--solve KIND]]
+//!                       [--margin M] [--solve KIND]
 //! compmem sweep        --trace FILE [--l2-kb N[,N...]] [--ways N] [--jobs N] [--lanes N]
 //! compmem profile      --trace FILE [--l2-kb N] [--ways N] [--sets-per-unit N]
 //!                      [--solve exact-ilp|greedy|equal-split]
@@ -64,16 +69,17 @@ fn usage() {
         "usage:\n  compmem record --app jpeg_canny|mpeg2 [--scale paper|small|tiny] \
          [--org shared|way-partitioned] --out FILE\n  compmem gen \
          --kind zipf|scan|chase|phased|mix --out FILE [--seed N] [--accesses N] \
-         [--ws-kb N] [--footprint-kb N] [--hot-kb N] [--scan-kb N] [--phase-accesses N] \
-         [--cycles-per-access N] [--tasks family[:SIZE][xMULT],...]\n  \
-         compmem replay --trace FILE \
-         [--org ORG] [--l2-kb N] [--ways N] [--policy lru|fifo|tree-plru|random] \
-         [--lanes N] \
-         [--qos RATE|key=rate,... [--sets-per-unit N] [--solve KIND]] \
-         [--schedule phases|PATH [--sets-per-unit N] [--windows N] [--phases DELTA] \
-         [--solve KIND] [--save-schedule PATH]] \
-         [--controller greedy|hysteresis|oracle|compete --window-cycles N \
-         [--sets-per-unit N] [--phases DELTA] [--margin M] [--solve KIND]]\n  \
+         [--cycles-per-access N], and by kind zipf|chase [--ws-kb N], scan \
+         [--footprint-kb N], phased [--hot-kb N] [--scan-kb N] [--phase-accesses N], \
+         mix [--tasks family[:SIZE][xMULT],...]\n  \
+         compmem replay --trace FILE [--l2-kb N] [--ways N] \
+         [--policy lru|fifo|tree-plru|random], and one of [--org ORG] [--lanes N] | \
+         --qos RATE|key=rate,... [--sets-per-unit N] [--solve KIND] \
+         [--save-curves auto|off|PATH] | --schedule phases [--sets-per-unit N] \
+         [--windows N] [--phases DELTA] [--solve KIND] [--save-curves auto|off|PATH] \
+         [--save-schedule PATH] | --schedule PATH [--lanes N] | \
+         --controller greedy|hysteresis|oracle|compete --window-cycles N \
+         [--sets-per-unit N] [--phases DELTA] [--margin M] [--solve KIND]\n  \
          compmem sweep --trace FILE [--l2-kb N[,N...]] [--ways N] [--jobs N] [--lanes N]\n  \
          compmem profile --trace FILE [--l2-kb N] [--ways N] [--sets-per-unit N] \
          [--solve exact-ilp|greedy|equal-split] [--windows N | --window-cycles N] \

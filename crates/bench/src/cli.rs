@@ -30,8 +30,8 @@ use compmem_cache::{
     PartitionSchedule, ReplacementPolicy, WayAllocation, WindowConfig, WindowedCurves,
 };
 use compmem_platform::{
-    profile_shards, profile_trace_windowed_lanes, profile_trace_with_sidecar_lanes, PlatformConfig,
-    PreparedTrace, SidecarOutcome,
+    load_sidecar, profile_shards, profile_trace_windowed_lanes, profile_trace_with_sidecar_lanes,
+    PlatformConfig, PreparedTrace, SidecarOutcome,
 };
 use compmem_trace::gen::{generate, provenance, GenKind, GenSpec, GenTask};
 use compmem_trace::{
@@ -97,66 +97,174 @@ pub fn dispatch_preloaded(
     run(&flags, preloaded, out)
 }
 
-/// A verb's handler: its parsed flags, the caller's preloaded trace and
+/// A mode's handler: its parsed flags, the caller's preloaded trace and
 /// the output sink.
 type Handler =
     fn(&[(String, String)], Option<&PreloadedTrace>, &mut dyn Write) -> Result<(), String>;
 
-/// Every verb [`dispatch`] runs: its name, the flags it accepts and its
-/// handler. A verb accepts every flag one of its modes reads, and `info`
-/// also accepts the `--sets-per-unit` the repository benchmark sends it
-/// with the other L2 flags.
-const VERBS: [(&str, &str, Handler); 7] = [
-    ("record", "app scale org out", |flags, _, out| {
-        record(flags, out)
-    }),
-    (
-        "gen",
-        "kind out seed accesses cycles-per-access tasks ws-kb footprint-kb hot-kb scan-kb \
-         phase-accesses",
-        |flags, _, out| gen(flags, out),
-    ),
-    (
-        "replay",
-        "trace l2-kb ways policy sets-per-unit org lanes qos solve save-curves schedule \
-         windows phases save-schedule controller window-cycles margin",
-        replay,
-    ),
-    ("sweep", "trace l2-kb ways jobs lanes", sweep),
-    (
-        "profile",
-        "trace l2-kb ways policy sets-per-unit solve windows window-cycles phases \
-         save-curves lanes",
-        profile,
-    ),
-    (
-        "sweep-shapes",
-        "trace l2-kb ways policy sets-per-unit check-replay save-curves jobs lanes",
-        sweep_shapes,
-    ),
-    (
-        "info",
-        "trace l2-kb ways policy sets-per-unit schedule",
-        info,
-    ),
+/// The flag that selects a mode of a verb.
+enum Select {
+    /// The verb's default mode.
+    Always,
+    /// The flag is present.
+    Flag(&'static str),
+    /// The flag has this value.
+    Value(&'static str, &'static str),
+}
+
+/// One mode of a verb [`dispatch`] runs: its name (the verb and the flag
+/// that selects it), the flags it takes and its handler.
+struct Mode {
+    name: &'static str,
+    select: Select,
+    flags: &'static str,
+    run: Handler,
+}
+
+impl Mode {
+    fn verb(&self) -> &str {
+        self.name
+            .split_once(' ')
+            .map_or(self.name, |(verb, _)| verb)
+    }
+
+    fn selected_by(&self, flags: &[(String, String)]) -> bool {
+        match self.select {
+            Select::Always => true,
+            Select::Flag(flag) => get(flags, flag).is_some(),
+            Select::Value(flag, value) => get(flags, flag) == Some(value),
+        }
+    }
+}
+
+/// Every mode of every verb, a verb's modes in the order they are tested.
+/// A mode takes the flags it reads; the static `replay` and `info` also
+/// take the `--sets-per-unit` the repository benchmark sends them with
+/// the other L2 flags.
+const MODES: [Mode; 15] = [
+    Mode {
+        name: "record",
+        select: Select::Always,
+        flags: "app scale org out",
+        run: |flags, _, out| record(flags, out),
+    },
+    Mode {
+        name: "gen --kind zipf",
+        select: Select::Value("kind", "zipf"),
+        flags: "kind out seed accesses cycles-per-access ws-kb",
+        run: |flags, _, out| gen(flags, out),
+    },
+    Mode {
+        name: "gen --kind scan",
+        select: Select::Value("kind", "scan"),
+        flags: "kind out seed accesses cycles-per-access footprint-kb",
+        run: |flags, _, out| gen(flags, out),
+    },
+    Mode {
+        name: "gen --kind chase",
+        select: Select::Value("kind", "chase"),
+        flags: "kind out seed accesses cycles-per-access ws-kb",
+        run: |flags, _, out| gen(flags, out),
+    },
+    Mode {
+        name: "gen --kind phased",
+        select: Select::Value("kind", "phased"),
+        flags: "kind out seed accesses cycles-per-access hot-kb scan-kb phase-accesses",
+        run: |flags, _, out| gen(flags, out),
+    },
+    Mode {
+        name: "gen --kind mix",
+        select: Select::Value("kind", "mix"),
+        flags: "kind out seed accesses cycles-per-access tasks",
+        run: |flags, _, out| gen(flags, out),
+    },
+    Mode {
+        name: "replay --qos",
+        select: Select::Flag("qos"),
+        flags: "trace qos l2-kb ways policy sets-per-unit solve save-curves",
+        run: replay_qos,
+    },
+    Mode {
+        name: "replay --controller",
+        select: Select::Flag("controller"),
+        flags: "trace controller window-cycles l2-kb ways policy sets-per-unit phases margin \
+                solve",
+        run: replay_controller,
+    },
+    Mode {
+        name: "replay --schedule phases",
+        select: Select::Value("schedule", "phases"),
+        flags: "trace schedule l2-kb ways policy sets-per-unit solve windows phases \
+                save-curves save-schedule",
+        run: replay_phase_schedule,
+    },
+    Mode {
+        name: "replay --schedule FILE",
+        select: Select::Flag("schedule"),
+        flags: "trace schedule l2-kb ways policy lanes",
+        run: replay_schedule_file,
+    },
+    Mode {
+        name: "replay",
+        select: Select::Always,
+        flags: "trace org l2-kb ways policy sets-per-unit lanes",
+        run: replay_static,
+    },
+    Mode {
+        name: "sweep",
+        select: Select::Always,
+        flags: "trace l2-kb ways jobs lanes",
+        run: sweep,
+    },
+    Mode {
+        name: "profile",
+        select: Select::Always,
+        flags: "trace l2-kb ways policy sets-per-unit solve windows window-cycles phases \
+                save-curves lanes",
+        run: profile,
+    },
+    Mode {
+        name: "sweep-shapes",
+        select: Select::Always,
+        flags: "trace l2-kb ways policy sets-per-unit check-replay save-curves jobs lanes",
+        run: sweep_shapes,
+    },
+    Mode {
+        name: "info",
+        select: Select::Always,
+        flags: "trace l2-kb ways policy sets-per-unit schedule",
+        run: info,
+    },
 ];
 
-/// The handler of `verb`, once every flag is one the verb accepts: an
-/// unknown verb, or a flag no mode of the verb reads (which would
-/// otherwise be silently ignored), is an error naming it.
+/// The handler of the mode `verb` runs in, once every flag is one that
+/// mode takes: an unknown verb, a `gen` without a known `--kind`, or a
+/// flag the mode does not read (which would otherwise be silently
+/// ignored) is an error naming it.
 fn verb_handler(verb: &str, flags: &[(String, String)]) -> Result<Handler, String> {
-    let (_, accepted, run) = VERBS
+    let modes: Vec<&Mode> = MODES.iter().filter(|mode| mode.verb() == verb).collect();
+    if modes.is_empty() {
+        return Err(format!("unknown subcommand `{verb}`"));
+    }
+    let mode = modes
         .iter()
-        .find(|(name, ..)| *name == verb)
-        .ok_or_else(|| format!("unknown subcommand `{verb}`"))?;
+        .find(|mode| mode.selected_by(flags))
+        .ok_or_else(|| {
+            let names: Vec<&str> = modes.iter().map(|mode| mode.name).collect();
+            format!("`{verb}` needs one of: {}", names.join(", "))
+        })?;
     match flags
         .iter()
-        .find(|(name, _)| !accepted.split_whitespace().any(|flag| flag == name))
+        .find(|(name, _)| !mode.flags.split_whitespace().any(|flag| flag == name))
     {
-        None => Ok(*run),
+        None => Ok(mode.run),
         Some((name, _)) => Err(format!(
-            "`{verb}` does not take --{name} (it takes --{})",
-            accepted.split_whitespace().collect::<Vec<_>>().join(" --")
+            "`{}` does not take --{name} (it takes --{})",
+            mode.name,
+            mode.flags
+                .split_whitespace()
+                .collect::<Vec<_>>()
+                .join(" --")
         )),
     }
 }
@@ -272,9 +380,9 @@ fn record_with<F: Fn() -> Application>(
 }
 
 /// The workload zoo front door: `compmem gen` synthesises a deterministic
-/// scenario trace (standard v2 IR, so every other subcommand consumes it
-/// unchanged) from a family name, a seed and per-family knobs — or a
-/// multi-program mix via `--tasks`. The full generator spec is embedded
+/// scenario trace (the standard trace IR, so every other subcommand
+/// consumes it unchanged) from a family name, a seed and per-family
+/// knobs — or a multi-program mix via `--tasks`. The full generator spec is embedded
 /// in the trace's region names; `compmem info` prints it back.
 fn gen(flags: &[(String, String)], out: &mut dyn Write) -> Result<(), String> {
     let path = get(flags, "out").ok_or("gen needs --out FILE")?;
@@ -299,12 +407,21 @@ fn gen(flags: &[(String, String)], out: &mut dyn Write) -> Result<(), String> {
             get(flags, "tasks").unwrap_or("chase:24,scan:256x4"),
             accesses,
         )?,
-        single => {
-            if get(flags, "tasks").is_some() {
-                return Err("--tasks is only meaningful with --kind mix".to_string());
-            }
+        family => {
+            let names = gen_params(family).unwrap_or_default();
+            let params = names
+                .iter()
+                .map(|name| {
+                    get(flags, name)
+                        .map(|value| {
+                            positive(value)
+                                .ok_or_else(|| format!("--{name} needs a number of at least 1"))
+                        })
+                        .transpose()
+                })
+                .collect::<Result<Vec<_>, String>>()?;
             vec![GenTask {
-                kind: single_gen_kind(single, flags)?,
+                kind: gen_kind(family, &params, |i, kb| format!("--{} {kb}", names[i]))?,
                 accesses,
             }]
         }
@@ -337,43 +454,67 @@ fn gen(flags: &[(String, String)], out: &mut dyn Write) -> Result<(), String> {
     Ok(())
 }
 
-/// One single-family [`GenKind`] from the `gen` flags, with the zoo's
-/// canonical defaults (zipf 32 KB, scan 256 KB, chase 24 KB, phased
-/// 8 KB hot + 128 KB scan every 2048 accesses).
-fn single_gen_kind(name: &str, flags: &[(String, String)]) -> Result<GenKind, String> {
-    let kb = |flag: &str, default_kb: u64| -> Result<u64, String> {
-        match get(flags, flag) {
-            None => Ok(default_kb * 1024),
-            Some(v) => match v.parse::<u64>() {
-                Ok(n) if n >= 1 => Ok(n * 1024),
-                _ => Err(format!("--{flag} needs a size in KB")),
-            },
-        }
+/// The size parameters of each generator family, in the order a
+/// `--tasks` entry lists them, as the `gen --kind` flags that set them
+/// (KB sizes, and a phase length in accesses).
+const GEN_PARAMS: [(&str, &[&str]); 4] = [
+    ("zipf", &["ws-kb"]),
+    ("scan", &["footprint-kb"]),
+    ("chase", &["ws-kb"]),
+    ("phased", &["hot-kb", "scan-kb", "phase-accesses"]),
+];
+
+/// The [`GEN_PARAMS`] of generator family `family`, if it is one.
+fn gen_params(family: &str) -> Option<&'static [&'static str]> {
+    GEN_PARAMS
+        .iter()
+        .find(|(name, _)| *name == family)
+        .map(|(_, params)| *params)
+}
+
+/// A number of at least 1.
+fn positive(value: &str) -> Option<u64> {
+    value.parse().ok().filter(|&n| n >= 1)
+}
+
+/// `kb` KB in bytes. An overflow is an error naming `subject`, never a
+/// wrapped-around small size.
+fn kb_to_bytes(kb: u64, subject: impl FnOnce() -> String) -> Result<u64, String> {
+    kb.checked_mul(1024)
+        .ok_or_else(|| format!("{} is too large (its size in bytes overflows)", subject()))
+}
+
+/// Builds generator family `family` from its [`GEN_PARAMS`], a missing
+/// one taking the zoo's default: zipf 32 KB, scan 256 KB, chase 24 KB,
+/// phased 8 KB hot + 128 KB scan every 2,048 accesses. `subject(i, kb)`
+/// names parameter `i` when its size in bytes overflows.
+fn gen_kind(
+    family: &str,
+    params: &[Option<u64>],
+    subject: impl Fn(usize, u64) -> String,
+) -> Result<GenKind, String> {
+    let param = |i: usize, default: u64| params.get(i).copied().flatten().unwrap_or(default);
+    let bytes = |i: usize, default_kb: u64| {
+        let kb = param(i, default_kb);
+        kb_to_bytes(kb, || subject(i, kb))
     };
-    match name {
-        "zipf" => Ok(GenKind::Zipf {
-            working_set_bytes: kb("ws-kb", 32)?,
-        }),
-        "scan" => Ok(GenKind::Scan {
-            footprint_bytes: kb("footprint-kb", 256)?,
-        }),
-        "chase" => Ok(GenKind::Chase {
-            working_set_bytes: kb("ws-kb", 24)?,
-        }),
-        "phased" => Ok(GenKind::Phased {
-            hot_bytes: kb("hot-kb", 8)?,
-            scan_bytes: kb("scan-kb", 128)?,
-            phase_accesses: match get(flags, "phase-accesses") {
-                None => 2_048,
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| "--phase-accesses needs a number".to_string())?,
-            },
-        }),
-        other => Err(format!(
-            "unknown generator family `{other}` (use zipf, scan, chase, phased or mix)"
-        )),
-    }
+    Ok(match family {
+        "zipf" => GenKind::Zipf {
+            working_set_bytes: bytes(0, 32)?,
+        },
+        "scan" => GenKind::Scan {
+            footprint_bytes: bytes(0, 256)?,
+        },
+        "chase" => GenKind::Chase {
+            working_set_bytes: bytes(0, 24)?,
+        },
+        "phased" => GenKind::Phased {
+            hot_bytes: bytes(0, 8)?,
+            scan_bytes: bytes(1, 128)?,
+            phase_accesses: param(2, 2_048),
+        },
+        other => return Err(format!("unknown generator family `{other}`")),
+    })
 }
 
 /// Parses the `--tasks` mix grammar: comma-separated `family[:SIZE][xN]`
@@ -385,7 +526,8 @@ fn parse_task_specs(spec: &str, base_accesses: u64) -> Result<Vec<GenTask>, Stri
     let mut tasks = Vec::new();
     for entry in spec.split(',') {
         let entry = entry.trim();
-        let bad = |what: &str| format!("--tasks entry `{entry}`: {what}");
+        let subject = || format!("--tasks entry `{entry}`");
+        let bad = |what: &str| format!("{}: {what}", subject());
         let (head, mult) = match entry.rsplit_once('x') {
             Some((head, m))
                 if !head.is_empty() && !m.is_empty() && m.bytes().all(|b| b.is_ascii_digit()) =>
@@ -397,54 +539,31 @@ fn parse_task_specs(spec: &str, base_accesses: u64) -> Result<Vec<GenTask>, Stri
         if mult == 0 {
             return Err(bad("multiplier must be at least 1"));
         }
-        let (family, params) = match head.split_once(':') {
+        let (family, sizes) = match head.split_once(':') {
             None => (head, None),
             Some((f, p)) => (f, Some(p)),
         };
-        let size_kb = |default_kb: u64| -> Result<u64, String> {
-            match params {
-                None => Ok(default_kb * 1024),
-                Some(v) => match v.parse::<u64>() {
-                    Ok(n) if n >= 1 => Ok(n * 1024),
-                    _ => Err(bad("size must be a KB count")),
-                },
-            }
+        let names = gen_params(family).ok_or_else(|| bad(&format!("unknown family `{family}`")))?;
+        let grammar = match names.len() {
+            1 => "size must be a KB count",
+            _ => "phased params are HOT+SCAN[+PHASE]",
         };
-        let kind = match family {
-            "zipf" => GenKind::Zipf {
-                working_set_bytes: size_kb(32)?,
-            },
-            "scan" => GenKind::Scan {
-                footprint_bytes: size_kb(256)?,
-            },
-            "chase" => GenKind::Chase {
-                working_set_bytes: size_kb(24)?,
-            },
-            "phased" => {
-                let parts: Vec<&str> = params.map_or_else(Vec::new, |p| p.split('+').collect());
-                if parts.len() > 3 {
-                    return Err(bad("phased params are HOT+SCAN[+PHASE]"));
-                }
-                let num = |i: usize, default: u64| -> Result<u64, String> {
-                    match parts.get(i) {
-                        None => Ok(default),
-                        Some(v) => match v.parse::<u64>() {
-                            Ok(n) if n >= 1 => Ok(n),
-                            _ => Err(bad("phased params are HOT+SCAN[+PHASE]")),
-                        },
-                    }
-                };
-                GenKind::Phased {
-                    hot_bytes: num(0, 8)? * 1024,
-                    scan_bytes: num(1, 128)? * 1024,
-                    phase_accesses: num(2, 2_048)?,
-                }
-            }
-            other => return Err(bad(&format!("unknown family `{other}`"))),
-        };
+        let parts: Vec<&str> = sizes.map_or_else(Vec::new, |p| p.split('+').collect());
+        if parts.len() > names.len() {
+            return Err(bad(grammar));
+        }
+        let params = parts
+            .iter()
+            .map(|part| positive(part).map(Some).ok_or_else(|| bad(grammar)))
+            .collect::<Result<Vec<_>, String>>()?;
         tasks.push(GenTask {
-            kind,
-            accesses: base_accesses * mult,
+            kind: gen_kind(family, &params, |_, _| subject())?,
+            accesses: base_accesses.checked_mul(mult).ok_or_else(|| {
+                format!(
+                    "{} is too large (--accesses times its multiplier overflows)",
+                    subject()
+                )
+            })?,
         });
     }
     Ok(tasks)
@@ -478,7 +597,7 @@ fn load_trace_with_path(
 /// `TRACE.wN.curves` / `TRACE.cyN.curves` for windowed passes), so a
 /// windowed profile and a whole-run `sweep-shapes` each keep their own
 /// persisted curves instead of rewriting a shared file back and forth.
-pub(crate) fn save_curves_path(
+fn save_curves_path(
     flags: &[(String, String)],
     trace_path: &Path,
     window: WindowConfig,
@@ -501,7 +620,7 @@ pub(crate) fn save_curves_path(
 
 /// The window configuration of a profiling invocation (`--windows` /
 /// `--window-cycles`; default: one whole-run window).
-pub(crate) fn window_config(flags: &[(String, String)]) -> Result<WindowConfig, String> {
+fn window_config(flags: &[(String, String)]) -> Result<WindowConfig, String> {
     match (get(flags, "windows"), get(flags, "window-cycles")) {
         (Some(_), Some(_)) => Err("--windows and --window-cycles are exclusive".to_string()),
         (Some(n), None) => {
@@ -574,7 +693,7 @@ fn profile_with_policy(
     Ok(windowed)
 }
 
-pub(crate) fn l2_config(flags: &[(String, String)]) -> Result<CacheConfig, String> {
+fn l2_config(flags: &[(String, String)]) -> Result<CacheConfig, String> {
     let kb: u64 = get(flags, "l2-kb")
         .unwrap_or("64")
         .parse()
@@ -598,12 +717,10 @@ fn ways_flag(flags: &[(String, String)]) -> Result<u32, String> {
         .map_err(|_| "--ways needs a number".to_string())
 }
 
-/// The L2 of `kb` KB and `ways` ways. A size whose byte count overflows
-/// is an error naming `--l2-kb`, never a wrapped-around small cache.
+/// The L2 of `kb` KB and `ways` ways; an overflowing size is an error
+/// naming `--l2-kb`.
 fn l2_of_size(kb: u64, ways: u32) -> Result<CacheConfig, String> {
-    let bytes = kb
-        .checked_mul(1024)
-        .ok_or_else(|| format!("--l2-kb {kb} is too large (its size in bytes overflows)"))?;
+    let bytes = kb_to_bytes(kb, || format!("--l2-kb {kb}"))?;
     CacheConfig::with_size_bytes(bytes, ways).map_err(|e| e.to_string())
 }
 
@@ -620,6 +737,47 @@ fn require_lru_for_profiling(l2: CacheConfig) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// The L2 of a profiling-backed invocation, checked to be LRU, with the
+/// profiling resolution and the allocation lattice its `--sets-per-unit`
+/// sets.
+fn profiling_shape(
+    flags: &[(String, String)],
+) -> Result<(CacheConfig, CurveResolution, CacheSizeLattice), String> {
+    let l2 = l2_config(flags)?;
+    require_lru_for_profiling(l2)?;
+    let sets_per_unit: u32 = get(flags, "sets-per-unit")
+        .unwrap_or("16")
+        .parse()
+        .map_err(|_| "--sets-per-unit needs a number".to_string())?;
+    let resolution =
+        CurveResolution::for_geometry(l2.geometry(), sets_per_unit).map_err(|e| e.to_string())?;
+    let lattice = CacheSizeLattice::new(l2.geometry(), sets_per_unit);
+    Ok((l2, resolution, lattice))
+}
+
+/// Whether `verb` (`profile` or `sweep-shapes`) with `args` would reuse
+/// its persisted curve sidecar over `trace` — the check behind the
+/// `reusing persisted curves` line, made by [`load_sidecar`] before any
+/// profiling. `false` for every other verb and for invalid flags.
+pub fn reuses_sidecar(verb: &str, args: &[String], trace: &PreloadedTrace) -> bool {
+    let reuses = || -> Result<bool, String> {
+        let flags = parse_flags(args)?;
+        let window = match verb {
+            "profile" => window_config(&flags)?,
+            "sweep-shapes" => WindowConfig::whole_run(),
+            _ => return Ok(false),
+        };
+        let (_, resolution, _) = profiling_shape(&flags)?;
+        let Some(sidecar) = save_curves_path(&flags, &trace.path, window)? else {
+            return Ok(false);
+        };
+        let config = PlatformConfig::default();
+        let loaded = load_sidecar(&config, &trace.trace, resolution, window, &sidecar);
+        Ok(matches!(loaded, Ok(Some(_))))
+    };
+    reuses().unwrap_or(false)
 }
 
 fn organization(
@@ -880,38 +1038,6 @@ fn print_schedule_steps(schedule: &PartitionSchedule, out: &mut dyn Write) -> Re
     Ok(())
 }
 
-fn replay(
-    flags: &[(String, String)],
-    preloaded: Option<&PreloadedTrace>,
-    out: &mut dyn Write,
-) -> Result<(), String> {
-    if let Some(qos) = get(flags, "qos") {
-        if get(flags, "controller").is_some() || get(flags, "schedule").is_some() {
-            return Err(
-                "--qos solves one static floor-constrained partitioning; it is exclusive \
-                 with --controller and --schedule"
-                    .to_string(),
-            );
-        }
-        let qos = qos.to_string();
-        return replay_qos(flags, &qos, preloaded, out);
-    }
-    if let Some(name) = get(flags, "controller") {
-        if get(flags, "schedule").is_some() {
-            return Err("--controller and --schedule are exclusive".to_string());
-        }
-        return replay_controller(flags, name, preloaded, out);
-    }
-    match get(flags, "schedule") {
-        None => replay_static(flags, preloaded, out),
-        Some("phases") => replay_phase_schedule(flags, preloaded, out),
-        Some(path) => {
-            let path = path.to_string();
-            replay_schedule_file(flags, &path, preloaded, out)
-        }
-    }
-}
-
 /// The floor-constrained replay behind `replay --qos`: profile the trace
 /// (reusing its curve sidecar when present), solve the allocation under
 /// per-key QoS floors ([`solve_with_floors`]), replay through the
@@ -920,30 +1046,14 @@ fn replay(
 /// solver's typed `QosInfeasible` error, surfaced as a nonzero exit.
 fn replay_qos(
     flags: &[(String, String)],
-    qos: &str,
     preloaded: Option<&PreloadedTrace>,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    if get(flags, "lanes").is_some() {
-        return Err(
-            "replay --qos validates a floor-solved partitioning end to end; --lanes is \
-             not supported here (use a static replay of the solved schedule)"
-                .to_string(),
-        );
-    }
     let (trace, trace_path) = load_trace_with_path(flags, preloaded)?;
-    let l2 = l2_config(flags)?;
-    require_lru_for_profiling(l2)?;
+    let (l2, resolution, lattice) = profiling_shape(flags)?;
     let geometry = l2.geometry();
-    let sets_per_unit: u32 = get(flags, "sets-per-unit")
-        .unwrap_or("16")
-        .parse()
-        .map_err(|_| "--sets-per-unit needs a number".to_string())?;
-    let resolution =
-        CurveResolution::for_geometry(geometry, sets_per_unit).map_err(|e| e.to_string())?;
-    let lattice = CacheSizeLattice::new(geometry, sets_per_unit);
     let kind = solver_kind(flags)?;
-    let floors = parse_qos_floors(qos, trace.table())?;
+    let floors = parse_qos_floors(get(flags, "qos").unwrap_or_default(), trace.table())?;
 
     let window = WindowConfig::whole_run();
     let sidecar = save_curves_path(flags, &trace_path, window)?;
@@ -1073,7 +1183,6 @@ fn parse_qos_floors(spec: &str, table: &RegionTable) -> Result<Vec<QosFloor>, St
 /// offline oracle on the same traffic and print the regret table.
 fn replay_controller(
     flags: &[(String, String)],
-    name: &str,
     preloaded: Option<&PreloadedTrace>,
     out: &mut dyn Write,
 ) -> Result<(), String> {
@@ -1081,24 +1190,9 @@ fn replay_controller(
         compete, replay_controlled, ControllerPolicy, Greedy, Hysteresis, Oracle,
     };
 
-    if get(flags, "lanes").is_some() {
-        return Err(
-            "replay --controller drives the timing loop end to end; --lanes is not \
-             supported here (use a static or schedule-file replay)"
-                .to_string(),
-        );
-    }
+    let name = get(flags, "controller").unwrap_or_default();
     let trace = load_trace(flags, preloaded)?;
-    let l2 = l2_config(flags)?;
-    require_lru_for_profiling(l2)?;
-    let geometry = l2.geometry();
-    let sets_per_unit: u32 = get(flags, "sets-per-unit")
-        .unwrap_or("16")
-        .parse()
-        .map_err(|_| "--sets-per-unit needs a number".to_string())?;
-    let resolution =
-        CurveResolution::for_geometry(geometry, sets_per_unit).map_err(|e| e.to_string())?;
-    let lattice = CacheSizeLattice::new(geometry, sets_per_unit);
+    let (l2, resolution, lattice) = profiling_shape(flags)?;
     let window_cycles: u64 = get(flags, "window-cycles")
         .ok_or("replay --controller needs --window-cycles N (the control clock)")?
         .parse()
@@ -1255,24 +1349,9 @@ fn replay_phase_schedule(
     preloaded: Option<&PreloadedTrace>,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    if get(flags, "lanes").is_some() {
-        return Err(
-            "replay --schedule phases validates a timing-derived schedule end to end; \
-             --lanes is not supported here (use a static or schedule-file replay)"
-                .to_string(),
-        );
-    }
     let (trace, trace_path) = load_trace_with_path(flags, preloaded)?;
-    let l2 = l2_config(flags)?;
-    require_lru_for_profiling(l2)?;
+    let (l2, resolution, lattice) = profiling_shape(flags)?;
     let geometry = l2.geometry();
-    let sets_per_unit: u32 = get(flags, "sets-per-unit")
-        .unwrap_or("16")
-        .parse()
-        .map_err(|_| "--sets-per-unit needs a number".to_string())?;
-    let resolution =
-        CurveResolution::for_geometry(geometry, sets_per_unit).map_err(|e| e.to_string())?;
-    let lattice = CacheSizeLattice::new(geometry, sets_per_unit);
     let kind = solver_kind(flags)?;
     let windows: u64 = get(flags, "windows")
         .unwrap_or("400")
@@ -1375,10 +1454,10 @@ fn print_repartition_report(
 /// Replays the trace under a schedule file (`replay --schedule PATH`).
 fn replay_schedule_file(
     flags: &[(String, String)],
-    path: &str,
     preloaded: Option<&PreloadedTrace>,
     out: &mut dyn Write,
 ) -> Result<(), String> {
+    let path = get(flags, "schedule").unwrap_or_default();
     let trace = load_trace(flags, preloaded)?;
     let l2 = l2_config(flags)?;
     let schedule = parse_schedule_file(path, l2)?;
@@ -1499,16 +1578,8 @@ fn profile(
     out: &mut dyn Write,
 ) -> Result<(), String> {
     let (trace, trace_path) = load_trace_with_path(flags, preloaded)?;
-    let l2 = l2_config(flags)?;
-    require_lru_for_profiling(l2)?;
+    let (l2, resolution, lattice) = profiling_shape(flags)?;
     let geometry = l2.geometry();
-    let sets_per_unit: u32 = get(flags, "sets-per-unit")
-        .unwrap_or("16")
-        .parse()
-        .map_err(|_| "--sets-per-unit needs a number".to_string())?;
-    let resolution =
-        CurveResolution::for_geometry(geometry, sets_per_unit).map_err(|e| e.to_string())?;
-    let lattice = CacheSizeLattice::new(geometry, sets_per_unit);
     let kind = solver_kind(flags)?;
     let window = window_config(flags)?;
     let sidecar = save_curves_path(flags, &trace_path, window)?;
@@ -1545,7 +1616,7 @@ fn profile(
     outln!(
         out,
         "misses per entity by exclusive partition size ({} sets = {} B per unit):",
-        sets_per_unit,
+        lattice.sets_per_unit,
         lattice.unit_bytes(geometry)
     );
     print_profile_table(&lattice, &profiles, out)?;
@@ -1688,15 +1759,7 @@ fn sweep_shapes(
     out: &mut dyn Write,
 ) -> Result<(), String> {
     let (trace, trace_path) = load_trace_with_path(flags, preloaded)?;
-    let l2 = l2_config(flags)?;
-    require_lru_for_profiling(l2)?;
-    let geometry = l2.geometry();
-    let sets_per_unit: u32 = get(flags, "sets-per-unit")
-        .unwrap_or("16")
-        .parse()
-        .map_err(|_| "--sets-per-unit needs a number".to_string())?;
-    let resolution =
-        CurveResolution::for_geometry(geometry, sets_per_unit).map_err(|e| e.to_string())?;
+    let (_, resolution, _) = profiling_shape(flags)?;
     let check_replay = match get(flags, "check-replay").unwrap_or("off") {
         "on" => true,
         "off" => false,
@@ -1810,24 +1873,6 @@ fn info(
         summary.encoded_bytes,
         summary.bytes_per_access()
     );
-    // The segment directory is what lets replay tools slice the stream
-    // without a full decode; only an empty trace has none.
-    let segments = trace.trace().segment_directory();
-    if segments.is_empty() {
-        outln!(
-            out,
-            "segment directory: none (v{} stream replays as a single unit)",
-            trace.trace().version()
-        );
-    } else {
-        outln!(
-            out,
-            "segment directory: {} segments, ~{} accesses/segment, {} region snapshots",
-            segments.len(),
-            summary.accesses / segments.len() as u64,
-            segments.iter().map(|s| s.regions.len()).sum::<usize>()
-        );
-    }
     // The embedded region table is the identity the codec validates every
     // DEF_REGION record against — print it in full (index, name, kind,
     // address range, size) so corrupt-trace errors can be acted on.
@@ -1925,6 +1970,178 @@ mod tests {
         let err = dispatch_error(&format!("sweep --trace t.cmt --l2-kb 64,{huge}"));
         assert!(err.starts_with(&overflow), "{err}");
         assert_eq!(dispatch_error("bogus"), "unknown subcommand `bogus`");
+    }
+
+    /// A flag that only another mode of the verb reads is refused by the
+    /// selected mode, by name; that is also what keeps `--qos`,
+    /// `--controller` and `--schedule` apart and `--lanes` off the modes
+    /// that replay more than once or under a controller.
+    #[test]
+    fn each_mode_refuses_the_flags_only_another_mode_reads() {
+        for (command, mode, flag) in [
+            (
+                "replay --trace t.cmt --schedule phases --window-cycles 1000",
+                "replay --schedule phases",
+                "window-cycles",
+            ),
+            (
+                "replay --trace t.cmt --qos 1.0 --windows 7",
+                "replay --qos",
+                "windows",
+            ),
+            (
+                "replay --trace t.cmt --qos 1.0 --margin 3",
+                "replay --qos",
+                "margin",
+            ),
+            (
+                "replay --trace t.cmt --qos 1.0 --controller greedy",
+                "replay --qos",
+                "controller",
+            ),
+            (
+                "replay --trace t.cmt --controller greedy --schedule phases",
+                "replay --controller",
+                "schedule",
+            ),
+            (
+                "replay --trace t.cmt --qos 1.0 --lanes 2",
+                "replay --qos",
+                "lanes",
+            ),
+            (
+                "replay --trace t.cmt --controller greedy --lanes 2",
+                "replay --controller",
+                "lanes",
+            ),
+            (
+                "replay --trace t.cmt --schedule phases --lanes 2",
+                "replay --schedule phases",
+                "lanes",
+            ),
+            (
+                "replay --trace t.cmt --schedule s.sched --windows 4",
+                "replay --schedule FILE",
+                "windows",
+            ),
+            (
+                "replay --trace t.cmt --org shared --phases 0.1",
+                "replay",
+                "phases",
+            ),
+            (
+                "gen --kind zipf --footprint-kb 9 --out t.cmt",
+                "gen --kind zipf",
+                "footprint-kb",
+            ),
+            (
+                "gen --kind scan --tasks scan:8 --out t.cmt",
+                "gen --kind scan",
+                "tasks",
+            ),
+            (
+                "gen --kind mix --ws-kb 8 --out t.cmt",
+                "gen --kind mix",
+                "ws-kb",
+            ),
+        ] {
+            let err = dispatch_error(command);
+            assert!(
+                err.starts_with(&format!("`{mode}` does not take --{flag} (")),
+                "{command}: {err}"
+            );
+        }
+        assert!(
+            dispatch_error("gen --out t.cmt").starts_with("`gen` needs one of: gen --kind zipf")
+        );
+        assert!(dispatch_error("gen --kind zip --out t.cmt").starts_with("`gen` needs one of:"));
+        // The schedule-file and static modes take --lanes.
+        for command in [
+            "replay --trace t.cmt --schedule s.sched --lanes 2",
+            "replay --trace t.cmt --org shared --lanes 2",
+        ] {
+            let words: Vec<String> = command.split_whitespace().map(String::from).collect();
+            assert!(verb_handler(&words[0], &parse_flags(&words[1..]).unwrap()).is_ok());
+        }
+    }
+
+    /// `--kind` flags and `--tasks` entries build a family through one
+    /// function with one set of defaults, and every KB size and access
+    /// multiplier that overflows is an error naming its flag or entry.
+    #[test]
+    fn gen_sizes_and_multipliers_that_overflow_are_refused_by_name() {
+        let kinds = |tasks: &str| -> Vec<GenKind> {
+            parse_task_specs(tasks, 10)
+                .unwrap()
+                .into_iter()
+                .map(|task| task.kind)
+                .collect()
+        };
+        let defaults = kinds("zipf,scan,chase,phased");
+        let flagged: Vec<GenKind> = GEN_PARAMS
+            .iter()
+            .map(|(family, _)| gen_kind(family, &[], |_, _| unreachable!()).unwrap())
+            .collect();
+        assert_eq!(defaults, flagged);
+        assert_eq!(
+            defaults[3],
+            GenKind::Phased {
+                hot_bytes: 8 * 1024,
+                scan_bytes: 128 * 1024,
+                phase_accesses: 2_048
+            }
+        );
+        assert_eq!(
+            kinds("phased:24+128+250000")[0],
+            gen_kind(
+                "phased",
+                &[Some(24), Some(128), Some(250_000)],
+                |_, _| unreachable!()
+            )
+            .unwrap()
+        );
+
+        let huge = "18014398509482048";
+        let out =
+            std::env::temp_dir().join(format!("compmem-gen-overflow-{}.cmt", std::process::id()));
+        let out = out.to_str().unwrap();
+        for (args, named) in [
+            (
+                format!("--kind zipf --ws-kb {huge} --accesses 100"),
+                format!("--ws-kb {huge}"),
+            ),
+            (
+                format!("--kind chase --ws-kb {huge}"),
+                format!("--ws-kb {huge}"),
+            ),
+            (
+                format!("--kind scan --footprint-kb {huge}"),
+                format!("--footprint-kb {huge}"),
+            ),
+            (
+                format!("--kind phased --scan-kb {huge}"),
+                format!("--scan-kb {huge}"),
+            ),
+            (
+                format!("--kind mix --tasks scan:{huge}"),
+                format!("--tasks entry `scan:{huge}`"),
+            ),
+            (
+                format!("--kind mix --tasks chase:24,phased:8+{huge}"),
+                format!("--tasks entry `phased:8+{huge}`"),
+            ),
+            (
+                "--kind mix --tasks chase:24x4611686018427387905 --accesses 4".to_string(),
+                "--tasks entry `chase:24x4611686018427387905`".to_string(),
+            ),
+        ] {
+            let err = dispatch_error(&format!("gen {args} --out {out}"));
+            assert!(
+                err.starts_with(&format!("{named} is too large (")),
+                "{args}: {err}"
+            );
+        }
+        assert!(!Path::new(out).exists());
     }
 
     /// Every one-shot invocation of docs/CLI.md and of the repository

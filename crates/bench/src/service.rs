@@ -12,11 +12,11 @@
 //! therefore byte-identical to the one-shot invocation by construction.
 //!
 //! The **hit/miss split**: before evaluating, the handler classifies the
-//! request. `info` and any `profile`/`sweep-shapes` whose persisted
-//! sidecar passes the full reuse validation (trace hash, L1 filter
-//! signature, resolution, window config — the same checks
-//! `profile_trace_with_sidecar` applies) are *cache hits*: they run
-//! analytically on the connection thread, no L1 filter pass, no queueing.
+//! request. `info` and any `profile`/`sweep-shapes` that
+//! [`cli::reuses_sidecar`] says will reuse its persisted sidecar (by
+//! `load_sidecar`, the one reuse check every profiling verb applies) are
+//! *cache hits*: they run analytically on the connection thread, no L1
+//! filter pass, no queueing.
 //! Everything else is a *cache miss* and is submitted to a shared
 //! [`WorkQueue`] — the front end of `executor::run_batch` — so however
 //! many clients are connected, at most `jobs` measurement threads run.
@@ -24,12 +24,9 @@
 use std::sync::Arc;
 
 use compmem::executor::WorkQueue;
-use compmem_cache::{CurveResolution, WindowConfig, WindowedCurves};
 use compmem_platform::{
-    l1_filter_signature, CommandFailure, CommandHandler, CurveStore, PlatformConfig,
-    ServeErrorKind, ServedFrom, Server,
+    CommandFailure, CommandHandler, CurveStore, ServeErrorKind, ServedFrom, Server,
 };
-use compmem_trace::EncodedCurves;
 
 use crate::cli;
 
@@ -131,17 +128,13 @@ impl CommandHandler for DaemonHandler {
         argv.extend(prefix);
         argv.extend(args.iter().cloned());
 
-        let served_from = match verb {
-            // `info` is pure inspection — always analytic.
-            "info" => ServedFrom::Cache,
-            // `schedule` replays the trace twice — always measurement.
-            "schedule" => ServedFrom::Pool,
-            // `profile` / `sweep-shapes` are analytic iff the persisted
-            // sidecar would pass the reuse validation.
-            _ => match sidecar_answers(store, trace, verb, &argv) {
-                true => ServedFrom::Cache,
-                false => ServedFrom::Pool,
-            },
+        // `info` is pure inspection — always analytic; `schedule` replays
+        // the trace twice — always measurement; `profile` / `sweep-shapes`
+        // are analytic iff they will reuse the persisted sidecar.
+        let served_from = if verb == "info" || cli::reuses_sidecar(verb, &argv, &preloaded) {
+            ServedFrom::Cache
+        } else {
+            ServedFrom::Pool
         };
 
         match served_from {
@@ -175,59 +168,6 @@ impl CommandHandler for DaemonHandler {
             }
         }
     }
-}
-
-/// Whether the persisted sidecar of this request would pass the full
-/// reuse validation — the daemon-side twin of the profiling layer's
-/// `try_load_sidecar` checks (trace hash, L1 filter signature,
-/// resolution, window config). `false` on *any* doubt: a misclassified
-/// miss merely queues an analytic request, while a misclassified hit
-/// would run a measurement pass on the connection thread.
-fn sidecar_answers(store: &CurveStore, trace: u64, verb: &str, argv: &[String]) -> bool {
-    let Ok(flags) = cli::parse_flags(argv) else {
-        return false;
-    };
-    let Ok(l2) = cli::l2_config(&flags) else {
-        return false;
-    };
-    // sweep-shapes always profiles whole-run; profile follows --windows /
-    // --window-cycles.
-    let window = if verb == "sweep-shapes" {
-        WindowConfig::whole_run()
-    } else {
-        match cli::window_config(&flags) {
-            Ok(window) => window,
-            Err(_) => return false,
-        }
-    };
-    let Ok(Some(sidecar)) = cli::save_curves_path(&flags, &store.trace_path(trace), window) else {
-        return false;
-    };
-    let Ok(sets_per_unit) = cli::get(&flags, "sets-per-unit").unwrap_or("16").parse() else {
-        return false;
-    };
-    let Ok(resolution) = CurveResolution::for_geometry(l2.geometry(), sets_per_unit) else {
-        return false;
-    };
-    let Ok(prepared) = store.get(trace) else {
-        return false;
-    };
-    let Ok(encoded) = EncodedCurves::read_from(&sidecar) else {
-        return false;
-    };
-    if encoded
-        .validate_for_trace(prepared.trace().bytes())
-        .is_err()
-    {
-        return false;
-    }
-    if encoded.header().l1_signature != l1_filter_signature(&PlatformConfig::default()) {
-        return false;
-    }
-    let Ok(windowed) = WindowedCurves::from_sidecar(&encoded) else {
-        return false;
-    };
-    windowed.resolution == resolution && windowed.config == window
 }
 
 /// Configuration of a `compmem serve` invocation.

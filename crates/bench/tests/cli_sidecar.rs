@@ -100,8 +100,8 @@ fn second_profile_invocation_reuses_the_sidecar_byte_identically() {
     // `info` reports the sidecar as matching the trace.
     let info = run(&["info", "--trace", trace.to_str().unwrap()]);
     assert!(stdout(&info).contains("matches this trace"));
-    assert!(stdout(&info).contains("trace IR version 2"));
-    assert!(stdout(&info).contains("segment directory"));
+    assert!(stdout(&info).contains("trace IR version 3"));
+    assert!(!stdout(&info).contains("segment"));
     assert!(stdout(&info).contains("embedded region table"));
 
     // A corrupted sidecar is re-measured, not trusted and not fatal.

@@ -13,7 +13,8 @@ use std::sync::Arc;
 use compmem_bench::cli;
 use compmem_bench::service::DaemonHandler;
 use compmem_platform::{
-    CurveStore, ServeClient, ServeErrorKind, ServeRequest, ServeResponse, Server,
+    CommandHandler, CurveStore, ServeClient, ServeErrorKind, ServeRequest, ServeResponse,
+    ServedFrom, Server,
 };
 use compmem_trace::{trace_content_hash, EncodedCurves};
 
@@ -317,5 +318,94 @@ fn concurrent_clients_get_byte_identical_responses_and_a_consistent_store() {
         .expect("server thread panicked")
         .expect("server run loop failed");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The daemon answers a `profile` or `sweep-shapes` request from the cache
+/// exactly when that request reuses its persisted sidecar, whatever state
+/// the sidecar is in: absent, matching, written at another
+/// `--sets-per-unit` or `--windows`, corrupt, or copied from another
+/// trace.
+#[test]
+fn daemon_hits_are_exactly_the_requests_that_reuse_their_sidecar() {
+    let dir = std::env::temp_dir().join(format!("compmem-serve-classify-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace_file = record_tiny_trace(&dir);
+    let store = CurveStore::open(dir.join("store")).unwrap();
+    let (hash, _) = store
+        .put_bytes(std::fs::read(&trace_file).unwrap())
+        .unwrap();
+    let stored = store.trace_path(hash);
+    let stored_str = stored.to_str().unwrap().to_string();
+    let sidecar = compmem_trace::curves::sidecar_path(&stored);
+    let sidecar_str = sidecar.to_str().unwrap().to_string();
+
+    // A sidecar measured over another trace, at the request's own
+    // configuration.
+    let other = dir.join("other.cmt");
+    let other_sidecar = dir.join("other.curves");
+    one_shot(
+        "gen",
+        &[
+            "--kind",
+            "zipf",
+            "--accesses",
+            "2000",
+            "--out",
+            other.to_str().unwrap(),
+        ],
+    );
+    one_shot("profile", &{
+        let mut a = vec!["--trace", other.to_str().unwrap()];
+        a.extend(with_tiny_l2(&[]));
+        a
+    });
+
+    // Each state writes the whole-run sidecar the requests read.
+    let write_at = |extra: &[&str]| {
+        let _ = std::fs::remove_file(&sidecar);
+        let mut args = vec!["--trace", &stored_str, "--save-curves", &sidecar_str];
+        args.extend(with_tiny_l2(&[]));
+        args.extend(extra);
+        one_shot("profile", &args);
+    };
+    let handler = DaemonHandler::new(1);
+    let args: Vec<String> = with_tiny_l2(&[]).iter().map(|s| s.to_string()).collect();
+    for verb in ["profile", "sweep-shapes"] {
+        for state in [
+            "absent",
+            "matching",
+            "at another --sets-per-unit",
+            "at another --windows",
+            "corrupt",
+            "from another trace",
+        ] {
+            match state {
+                "absent" => {
+                    let _ = std::fs::remove_file(&sidecar);
+                }
+                "matching" => write_at(&[]),
+                "at another --sets-per-unit" => write_at(&["--sets-per-unit", "1"]),
+                "at another --windows" => write_at(&["--windows", "4"]),
+                "corrupt" => std::fs::write(&sidecar, b"not a sidecar").unwrap(),
+                _ => {
+                    std::fs::copy(&other_sidecar, &sidecar).unwrap();
+                }
+            }
+            let (bytes, from) = handler.evaluate(&store, hash, verb, &args).unwrap();
+            let reused = String::from_utf8_lossy(&bytes).contains("reusing persisted curves");
+            assert_eq!(
+                from == ServedFrom::Cache,
+                reused,
+                "{verb} with the sidecar {state}: served from {from:?}"
+            );
+            assert_eq!(
+                reused,
+                state == "matching",
+                "{verb} with the sidecar {state}"
+            );
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -979,31 +979,19 @@ pub fn curve_delta(a: &MissRateCurves, b: &MissRateCurves) -> f64 {
     mix + behaviour
 }
 
-/// Streaming phase detection: the online (single-pass) variant of the
-/// offline curve-delta detector ([`WindowedCurves::phases`]).
+/// Streaming phase detection: the one curve-delta phase rule, applied
+/// window by window.
 ///
-/// The detector consumes windows **as they close** — e.g. straight from a
-/// [`WindowedProfiler`] during a live run — so a repartition schedule can
-/// be derived without a second pass over the stream. It keeps only the
-/// previous window's curves plus an EWMA of the deltas seen inside the
-/// current phase: a window opens a new phase when the smoothed delta
-/// crosses the threshold, and the EWMA restarts at each boundary (so one
-/// detected jump never lingers into the next phase).
-///
-/// With `alpha = 1.0` the smoothing is the identity and the decisions are
-/// *exactly* the offline detector's; lower `alpha` trades detection lag
-/// for robustness against single-window spikes. The default (0.7) keeps
-/// the two detectors in agreement whenever consecutive deltas are clearly
-/// on one side of the threshold, which the agreement test pins down on
-/// the tiny MPEG-2 workload.
+/// A window opens a new phase when its [`curve_delta`] from the previous
+/// window exceeds the threshold. The detector consumes windows **as they
+/// close** — e.g. straight from a [`WindowedProfiler`] during a live run —
+/// and keeps only the previous window's curves, so the online controller
+/// and the offline [`WindowedCurves::phases`] (which folds this detector
+/// over a finished pass) segment a run identically.
 #[derive(Debug)]
 pub struct OnlinePhaseDetector {
     threshold: f64,
-    alpha: f64,
     previous: Option<MissRateCurves>,
-    /// EWMA of the deltas inside the current phase (`None` right after a
-    /// boundary, so the next delta re-initialises it).
-    ewma: Option<f64>,
     /// Index the next observed window will get.
     next_index: usize,
     /// First window of the currently open phase.
@@ -1011,38 +999,14 @@ pub struct OnlinePhaseDetector {
 }
 
 impl OnlinePhaseDetector {
-    /// The default EWMA smoothing factor.
-    pub const DEFAULT_ALPHA: f64 = 0.7;
-
-    /// Creates a detector with the default smoothing.
+    /// Creates a detector splitting at curve-delta `threshold`.
     pub fn new(threshold: f64) -> Self {
-        Self::with_smoothing(threshold, Self::DEFAULT_ALPHA)
-    }
-
-    /// Creates a detector with an explicit smoothing factor in `(0, 1]`
-    /// (`1.0` reproduces the offline detector's decisions exactly).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn with_smoothing(threshold: f64, alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "EWMA smoothing factor must be in (0, 1], got {alpha}"
-        );
         OnlinePhaseDetector {
             threshold,
-            alpha,
             previous: None,
-            ewma: None,
             next_index: 0,
             phase_start: 0,
         }
-    }
-
-    /// The smoothed delta of the current phase, if any delta was seen.
-    pub fn smoothed_delta(&self) -> Option<f64> {
-        self.ewma
     }
 
     /// Observes the next window's curves. When the window opens a new
@@ -1058,17 +1022,9 @@ impl OnlinePhaseDetector {
         self.next_index += 1;
         let mut completed = None;
         if let Some(previous) = &self.previous {
-            let delta = curve_delta(previous, curves);
-            let smoothed = match self.ewma {
-                Some(ewma) => self.alpha * delta + (1.0 - self.alpha) * ewma,
-                None => delta,
-            };
-            if smoothed > self.threshold {
+            if curve_delta(previous, curves) > self.threshold {
                 completed = Some((self.phase_start, index - 1));
                 self.phase_start = index;
-                self.ewma = None;
-            } else {
-                self.ewma = Some(smoothed);
             }
         }
         self.previous = Some(curves.clone());
@@ -1346,7 +1302,8 @@ impl WindowedCurves {
         sum
     }
 
-    /// Segments the windows into phases: consecutive windows whose
+    /// Segments the windows into phases by folding an
+    /// [`OnlinePhaseDetector`] over them: consecutive windows whose
     /// [`curve_delta`] stays `<= threshold` merge into one phase; a
     /// window farther than that from its predecessor opens a new phase.
     ///
@@ -1354,37 +1311,6 @@ impl WindowedCurves {
     /// tolerating sampling noise; the whole-run pass (one window) always
     /// yields exactly one phase.
     pub fn phases(&self, threshold: f64) -> Vec<Phase> {
-        let mut phases: Vec<Phase> = Vec::new();
-        let mut boundaries: Vec<usize> = vec![0];
-        for (i, pair) in self.windows.windows(2).enumerate() {
-            if curve_delta(&pair[0].curves, &pair[1].curves) > threshold {
-                boundaries.push(i + 1);
-            }
-        }
-        if self.windows.is_empty() {
-            return phases;
-        }
-        boundaries.push(self.windows.len());
-        for pair in boundaries.windows(2) {
-            let (first, last) = (pair[0], pair[1] - 1);
-            phases.push(Phase {
-                first_window: first,
-                last_window: last,
-                start_cycle: self.windows[first].start_cycle,
-                end_cycle: self.windows[last].end_cycle,
-                curves: self.merged(first, last),
-            });
-        }
-        phases
-    }
-
-    /// Segments the windows with the **streaming** detector
-    /// ([`OnlinePhaseDetector`] at its default smoothing) instead of the
-    /// offline one — the segmentation a live run deriving its schedule
-    /// on the fly would produce. With clearly separated deltas the two
-    /// detectors agree; see [`OnlinePhaseDetector`] for when they can
-    /// differ.
-    pub fn phases_online(&self, threshold: f64) -> Vec<Phase> {
         let mut detector = OnlinePhaseDetector::new(threshold);
         let mut ranges: Vec<(usize, usize)> = Vec::new();
         for window in &self.windows {
@@ -1919,64 +1845,9 @@ mod tests {
     }
 
     #[test]
-    fn online_detector_agrees_with_the_offline_one_on_clear_phases() {
-        // The same two-phase stream as `phase_detector_splits_a_two_phase_stream`.
-        let regions = region_table();
-        let resolution = CurveResolution::new(16, 64, 4).unwrap();
-        let mut profiler =
-            WindowedProfiler::new(WindowConfig::accesses(500).unwrap(), resolution, &regions);
-        let base0 = regions.region(RegionId::new(0)).base;
-        let base1 = regions.region(RegionId::new(1)).base;
-        for i in 0..2000u64 {
-            profiler.observe(&Access::load(
-                base0.offset(i % 8 * 64),
-                4,
-                TaskId::new(0),
-                RegionId::new(0),
-            ));
-        }
-        for i in 0..2000u64 {
-            profiler.observe(&Access::load(
-                base1.offset(i * 64 % (512 * 1024)),
-                4,
-                TaskId::new(1),
-                RegionId::new(1),
-            ));
-        }
-        let windowed = profiler.finish();
-        for threshold in [0.1, 10.0] {
-            let offline = windowed.phases(threshold);
-            let online = windowed.phases_online(threshold);
-            assert_eq!(
-                online, offline,
-                "threshold {threshold}: detectors must agree on clear phases"
-            );
-        }
-        // alpha = 1.0 reproduces the offline decisions by construction,
-        // at any threshold.
-        for threshold in [0.0, 0.05, 0.3, 1.0] {
-            let mut exact = OnlinePhaseDetector::with_smoothing(threshold, 1.0);
-            let mut ranges = Vec::new();
-            for w in &windowed.windows {
-                ranges.extend(exact.observe(&w.curves));
-            }
-            ranges.extend(exact.finish());
-            let offline: Vec<(usize, usize)> = windowed
-                .phases(threshold)
-                .iter()
-                .map(|p| (p.first_window, p.last_window))
-                .collect();
-            assert_eq!(ranges, offline, "alpha=1.0 at threshold {threshold}");
-        }
-    }
-
-    #[test]
-    fn online_detector_is_streaming_and_resets_its_ewma_at_boundaries() {
-        let mut detector = OnlinePhaseDetector::new(0.1);
-        assert_eq!(detector.smoothed_delta(), None);
+    fn online_detector_closes_each_phase_when_the_jump_arrives() {
         // No windows at all: no trailing phase.
         assert_eq!(OnlinePhaseDetector::new(0.1).finish(), None);
-        // One window: a single trailing phase.
         let regions = region_table();
         let resolution = CurveResolution::new(16, 64, 4).unwrap();
         let base = regions.region(RegionId::new(0)).base;
@@ -1994,17 +1865,45 @@ mod tests {
         };
         let quiet = curves_of(0);
         let wild = curves_of(4096);
+        assert!(curve_delta(&quiet, &wild) > 0.1);
+        let mut detector = OnlinePhaseDetector::new(0.1);
         assert_eq!(detector.observe(&quiet), None);
         assert_eq!(detector.observe(&quiet), None);
-        let smoothed_before = detector.smoothed_delta().unwrap();
-        assert!(smoothed_before <= 0.1);
-        // A jump closes the phase [0, 1] and resets the EWMA.
+        // The jump closes the phase [0, 1] as the window that makes it
+        // arrives, and `finish` closes the tail.
         assert_eq!(detector.observe(&wild), Some((0, 1)));
-        assert_eq!(detector.smoothed_delta(), None);
-        assert_eq!(detector.finish(), Some((2, 2)));
+        assert_eq!(detector.observe(&wild), None);
+        assert_eq!(detector.finish(), Some((2, 3)));
 
-        let result = std::panic::catch_unwind(|| OnlinePhaseDetector::with_smoothing(0.1, 0.0));
-        assert!(result.is_err(), "alpha outside (0, 1] must panic");
+        // A drift whose every step stays at the threshold opens no phase:
+        // each window is compared with the previous one, not with the
+        // phase's first, and a delta equal to the threshold does not split.
+        // The traffic moves from task 0 to task 1 in two half steps.
+        let mix_of = |task1_accesses: u64| {
+            let mut p = StackDistanceProfiler::new(resolution, &regions);
+            for i in 0..200u64 {
+                let region = RegionId::new(u32::from(i < task1_accesses));
+                p.observe(&Access::load(
+                    regions.region(region).base,
+                    4,
+                    TaskId::new(region.index() as u32),
+                    region,
+                ));
+            }
+            p.into_curves()
+        };
+        let drift = [mix_of(0), mix_of(100), mix_of(200)];
+        let steps = [
+            curve_delta(&drift[0], &drift[1]),
+            curve_delta(&drift[1], &drift[2]),
+        ];
+        let threshold = steps[0].max(steps[1]);
+        assert!(curve_delta(&drift[0], &drift[2]) > threshold);
+        let mut detector = OnlinePhaseDetector::new(threshold);
+        for window in &drift {
+            assert_eq!(detector.observe(window), None);
+        }
+        assert_eq!(detector.finish(), Some((0, 2)));
     }
 
     #[test]

@@ -305,22 +305,12 @@ pub struct Hysteresis {
 impl Hysteresis {
     /// A detector-gated policy: phase threshold `threshold` (see
     /// [`curve_delta`](compmem_cache::curve_delta)), switch margin
-    /// `margin` (a switch needs `savings > margin × flush_cost`).
-    /// Uses an unsmoothed detector (`alpha = 1.0`), whose decisions
-    /// match the offline segmentation window for window.
+    /// `margin` (a switch needs `savings > margin × flush_cost`). Its
+    /// detector's decisions match the offline segmentation window for
+    /// window.
     pub fn new(threshold: f64, margin: f64) -> Self {
-        Self::with_smoothing(threshold, 1.0, margin)
-    }
-
-    /// As [`new`](Hysteresis::new) with EWMA smoothing factor `alpha`
-    /// on the detector's deltas.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn with_smoothing(threshold: f64, alpha: f64, margin: f64) -> Self {
         Hysteresis {
-            detector: OnlinePhaseDetector::with_smoothing(threshold, alpha),
+            detector: OnlinePhaseDetector::new(threshold),
             margin,
         }
     }

@@ -102,7 +102,7 @@ pub use metrics::{ProcessorReport, RepartitionRecord, SystemReport};
 pub use op::{Burst, BurstOutcome, Op, WorkloadDriver};
 pub use processor::ProcessorId;
 pub use profile::{
-    l1_filter_signature, profile_shards, profile_trace, profile_trace_windowed,
+    l1_filter_signature, load_sidecar, profile_shards, profile_trace, profile_trace_windowed,
     profile_trace_windowed_lanes, profile_trace_with_sidecar, profile_trace_with_sidecar_lanes,
     SidecarOutcome, WindowedTapProfiler,
 };

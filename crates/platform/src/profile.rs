@@ -337,7 +337,7 @@ pub fn profile_trace_with_sidecar_lanes(
     sidecar: &Path,
     jobs: usize,
 ) -> Result<(WindowedCurves, SidecarOutcome), PlatformError> {
-    let rejection = match try_load_sidecar(config, trace, resolution, window, sidecar) {
+    let rejection = match load_sidecar(config, trace, resolution, window, sidecar) {
         Ok(Some(windowed)) => return Ok((windowed, SidecarOutcome::Reused)),
         Ok(None) => None,
         Err(reason) => Some(reason),
@@ -373,9 +373,18 @@ pub fn l1_filter_signature(config: &PlatformConfig) -> u64 {
     trace_content_hash(&fields)
 }
 
-/// Attempts to load a matching sidecar: `Ok(None)` when the file does not
-/// exist, `Err(reason)` when it exists but is corrupt or mismatched.
-fn try_load_sidecar(
+/// Loads the sidecar at `sidecar` if it may stand in for profiling
+/// `trace` at `resolution` and `window` behind `config`'s L1s, or
+/// returns `Ok(None)` when no file is there. This is the one definition
+/// of sidecar reuse: every profiling verb and the `compmem serve`
+/// daemon's hit/miss classification go through it. It checks the trace
+/// hash, the L1 filter signature, the resolution and the window config.
+///
+/// # Errors
+///
+/// Why the sidecar cannot stand in, when the file exists but is corrupt
+/// or belongs to another trace or configuration.
+pub fn load_sidecar(
     config: &PlatformConfig,
     trace: &PreparedTrace,
     resolution: CurveResolution,

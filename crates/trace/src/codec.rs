@@ -11,39 +11,24 @@
 //! A trace is one byte stream:
 //!
 //! ```text
-//! header  := magic "CMTR" | version u8 (=2) | region table | varint processors
+//! header  := magic "CMTR" | version u8 (=3) | region table | varint processors
 //! regions := varint count | { varint name_len | name bytes
 //!                            | kind tag u8 | [varint task-or-buffer id]
 //!                            | varint size }*
-//! body    := { segment }* | END | directory
-//! segment := SEGMENT (0x04) { record }*
+//! body    := { record }* | END
 //! record  := DEF_TASK   (0x01) varint raw_task_id
 //!          | DEF_REGION (0x02) varint raw_region_id
 //!          | RUN        (0x03) varint processor | zigzag cycle_delta
 //!          | ACCESS     (0x80|flags) …
 //! END     := 0x00
-//! directory := varint segment_count
-//!            | { varint byte_offset | varint first_cycle | varint accesses
-//!              | varint region_count | { varint raw_region_id }* }*
 //! ```
 //!
-//! # Segments (version 2)
+//! Nothing follows `END`. The codec context — both dictionaries, the
+//! previous address/cycle/task/region/size and the current processor —
+//! runs from the first record to `END` without a reset, so a trace
+//! decodes in one pass from its header.
 //!
-//! A `SEGMENT` record **fully resets** the codec context: both
-//! dictionaries, the previous address/cycle/task/region/size and the
-//! current processor. Every segment therefore decodes independently from
-//! its byte offset with fresh state — the property the **segment
-//! directory** trailer exploits. The directory (written after `END`)
-//! lists, per segment, its absolute byte offset, the cycle of its first
-//! access, its access count and a snapshot of the region ids it
-//! references, so a consumer can slice the encoded bytes and decode one
-//! segment — or many concurrently — without a full-file pass
-//! ([`EncodedTrace::segment_runs`]). Full-stream validation
-//! ([`EncodedTrace::from_bytes`]) re-derives every directory entry from
-//! the records it walks and rejects a trailer that disagrees, so a
-//! corrupt directory is an error, never a mis-slice.
-//!
-//! Version 2 is the only version read or written; any other version byte
+//! Version 3 is the only version read or written; any other version byte
 //! is [`CodecError::UnsupportedVersion`].
 //!
 //! An `ACCESS` tag byte has bit 7 set; bits 0–1 carry the
@@ -85,13 +70,8 @@ use crate::region::{BufferId, RegionId, RegionKind, RegionTable, TaskId};
 
 /// Magic bytes opening every encoded trace.
 pub const TRACE_MAGIC: [u8; 4] = *b"CMTR";
-/// Version of the trace IR (segmented, with a directory trailer).
-pub const TRACE_VERSION: u8 = 2;
-/// Default accesses per segment — small enough that a multi-second
-/// recording yields many independently decodable slices, large enough
-/// that the per-segment context reset (re-emitted dictionaries,
-/// full-width first deltas) stays amortised.
-pub const DEFAULT_SEGMENT_ACCESSES: u64 = 8192;
+/// Version of the trace IR: one record stream from the header to END.
+pub const TRACE_VERSION: u8 = 3;
 
 /// Monotonic discriminator for atomic-write temp file names, so
 /// concurrent writers within one process never collide.
@@ -125,7 +105,6 @@ const TAG_END: u8 = 0x00;
 const TAG_DEF_TASK: u8 = 0x01;
 const TAG_DEF_REGION: u8 = 0x02;
 const TAG_RUN: u8 = 0x03;
-const TAG_SEGMENT: u8 = 0x04;
 const TAG_ACCESS: u8 = 0x80;
 const FLAG_REPEAT: u8 = 0x04;
 
@@ -259,9 +238,6 @@ pub(crate) struct ByteSource<R: Read> {
     buf: Vec<u8>,
     pos: usize,
     len: usize,
-    /// Bytes consumed by completed buffer blocks (the stream offset of
-    /// `buf[0]`); the absolute offset of the next byte is `base + pos`.
-    base: u64,
 }
 
 impl<R: Read> ByteSource<R> {
@@ -271,22 +247,10 @@ impl<R: Read> ByteSource<R> {
             buf: vec![0u8; 64 * 1024],
             pos: 0,
             len: 0,
-            base: 0,
         }
     }
 
-    /// Absolute stream offset of the next unread byte. Drives the segment
-    /// directory: the writer records where each SEGMENT tag landed, the
-    /// validator re-derives the same offsets while decoding.
-    #[inline]
-    pub(crate) fn offset(&self) -> u64 {
-        self.base + self.pos as u64
-    }
-
     fn refill(&mut self) -> Result<(), CodecError> {
-        // `refill` is only called with the buffer fully consumed
-        // (`pos == len`), so the block it replaces advances `base` whole.
-        self.base += self.len as u64;
         loop {
             match self.inner.read(&mut self.buf) {
                 Ok(n) => {
@@ -521,24 +485,6 @@ pub struct TraceSummary {
     pub processors: u32,
     /// Encoded size in bytes (body and header).
     pub encoded_bytes: u64,
-    /// Number of independently decodable segments (0 for empty traces).
-    pub segments: u64,
-}
-
-/// One entry of the segment directory: everything needed to slice and
-/// decode one segment without touching the rest of the stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentEntry {
-    /// Absolute byte offset of the segment's SEGMENT tag.
-    pub byte_offset: u64,
-    /// Cycle of the segment's first access.
-    pub first_cycle: u64,
-    /// Accesses encoded in the segment.
-    pub accesses: u64,
-    /// The regions the segment references (its region-dictionary
-    /// snapshot, sorted by raw id) — lets per-key consumers skip segments
-    /// that cannot contain their regions.
-    pub regions: Vec<RegionId>,
 }
 
 impl TraceSummary {
@@ -576,40 +522,6 @@ impl EncodeContext {
             current_processor: None,
         }
     }
-
-    /// The segment-boundary reset: every field back to its stream-start
-    /// state, so the following records decode with no history.
-    fn reset(&mut self) {
-        self.task_dict.clear();
-        self.region_dict.clear();
-        self.prev_addr = 0;
-        self.prev_cycle = 0;
-        self.prev_task = None;
-        self.prev_region = None;
-        self.prev_size = 0;
-        self.current_processor = None;
-    }
-}
-
-/// A writer wrapper counting bytes as they pass — the segment directory
-/// records absolute byte offsets, so the encoder must know where every
-/// SEGMENT tag lands even behind an opaque sink.
-#[derive(Debug)]
-struct CountingWriter<W: Write> {
-    inner: W,
-    written: u64,
-}
-
-impl<W: Write> Write for CountingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.written += n as u64;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
 }
 
 /// Streaming encoder of the trace IR.
@@ -619,14 +531,10 @@ impl<W: Write> Write for CountingWriter<W> {
 /// by [`finish`](TraceWriter::finish).
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
-    inner: CountingWriter<W>,
+    inner: W,
     ctx: EncodeContext,
     summary: TraceSummary,
     error: Option<CodecError>,
-    /// Accesses per segment before the writer opens a new one.
-    segment_accesses: u64,
-    segments: Vec<SegmentEntry>,
-    current_segment: Option<SegmentEntry>,
 }
 
 impl std::fmt::Debug for EncodeContext {
@@ -640,31 +548,12 @@ impl std::fmt::Debug for EncodeContext {
 
 impl<W: Write> TraceWriter<W> {
     /// Starts a trace: writes the header (magic, version, the embedded
-    /// region table and the processor count) to `inner`. Segments roll
-    /// over every [`DEFAULT_SEGMENT_ACCESSES`] accesses; use
-    /// [`with_segment_accesses`](TraceWriter::with_segment_accesses) to
-    /// tune that.
+    /// region table and the processor count) to `inner`.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error if the header cannot be written.
-    pub fn new(inner: W, table: &RegionTable, processors: u32) -> Result<Self, CodecError> {
-        Self::with_segment_accesses(inner, table, processors, DEFAULT_SEGMENT_ACCESSES)
-    }
-
-    /// Starts a trace whose segments roll over every `segment_accesses`
-    /// accesses (clamped to at least 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error if the header cannot be written.
-    pub fn with_segment_accesses(
-        inner: W,
-        table: &RegionTable,
-        processors: u32,
-        segment_accesses: u64,
-    ) -> Result<Self, CodecError> {
-        let mut inner = CountingWriter { inner, written: 0 };
+    pub fn new(mut inner: W, table: &RegionTable, processors: u32) -> Result<Self, CodecError> {
         inner.write_all(&TRACE_MAGIC)?;
         inner.write_all(&[TRACE_VERSION])?;
         write_region_table(&mut inner, table)?;
@@ -677,9 +566,6 @@ impl<W: Write> TraceWriter<W> {
                 ..TraceSummary::default()
             },
             error: None,
-            segment_accesses: segment_accesses.max(1),
-            segments: Vec::new(),
-            current_segment: None,
         })
     }
 
@@ -701,40 +587,7 @@ impl<W: Write> TraceWriter<W> {
         }
     }
 
-    /// Closes the open segment (snapshotting its region dictionary into
-    /// the directory entry) and opens a new one at the current byte
-    /// offset, resetting the whole encode context.
-    fn begin_segment(&mut self, cycle: u64) -> Result<(), CodecError> {
-        self.close_segment();
-        let byte_offset = self.inner.written;
-        self.inner.write_all(&[TAG_SEGMENT])?;
-        self.ctx.reset();
-        self.current_segment = Some(SegmentEntry {
-            byte_offset,
-            first_cycle: cycle,
-            accesses: 0,
-            regions: Vec::new(),
-        });
-        Ok(())
-    }
-
-    fn close_segment(&mut self) {
-        if let Some(mut segment) = self.current_segment.take() {
-            let mut ids: Vec<u32> = self.ctx.region_dict.keys().copied().collect();
-            ids.sort_unstable();
-            segment.regions = ids.into_iter().map(RegionId::new).collect();
-            self.segments.push(segment);
-        }
-    }
-
     fn encode(&mut self, processor: u32, cycle: u64, access: &Access) -> Result<(), CodecError> {
-        let roll_over = match &self.current_segment {
-            None => true,
-            Some(segment) => segment.accesses >= self.segment_accesses,
-        };
-        if roll_over {
-            self.begin_segment(cycle)?;
-        }
         // A processor change — or a clock that moved backwards, which plain
         // varint gaps cannot express — opens a new run.
         if self.ctx.current_processor != Some(processor) || cycle < self.ctx.prev_cycle {
@@ -794,14 +647,11 @@ impl<W: Write> TraceWriter<W> {
         self.ctx.prev_region = Some(access.region);
         self.ctx.prev_size = access.size;
         self.summary.accesses += 1;
-        if let Some(segment) = &mut self.current_segment {
-            segment.accesses += 1;
-        }
         Ok(())
     }
 
-    /// Terminates the stream — appending the segment directory trailer —
-    /// and returns the writer together with the summary counters.
+    /// Terminates the stream with its END record and returns the writer
+    /// together with the summary counters.
     ///
     /// # Errors
     ///
@@ -811,21 +661,9 @@ impl<W: Write> TraceWriter<W> {
         if let Some(e) = self.error.take() {
             return Err(e);
         }
-        self.close_segment();
         self.inner.write_all(&[TAG_END])?;
-        write_varint(&mut self.inner, self.segments.len() as u64)?;
-        for segment in &self.segments {
-            write_varint(&mut self.inner, segment.byte_offset)?;
-            write_varint(&mut self.inner, segment.first_cycle)?;
-            write_varint(&mut self.inner, segment.accesses)?;
-            write_varint(&mut self.inner, segment.regions.len() as u64)?;
-            for region in &segment.regions {
-                write_varint(&mut self.inner, region.index() as u64)?;
-            }
-        }
-        self.summary.segments = self.segments.len() as u64;
         self.inner.flush()?;
-        Ok((self.inner.inner, self.summary))
+        Ok((self.inner, self.summary))
     }
 }
 
@@ -834,10 +672,6 @@ impl<W: Write> TraceWriter<W> {
 pub struct TraceReader<R: Read> {
     inner: ByteSource<R>,
     table: RegionTable,
-    /// Bound for DEF_REGION validation; equals `table.len()` for
-    /// whole-stream readers, and is injected for table-less segment-slice
-    /// readers.
-    table_len: usize,
     processors: u32,
     task_dict: Vec<TaskId>,
     region_dict: Vec<RegionId>,
@@ -848,19 +682,6 @@ pub struct TraceReader<R: Read> {
     prev_size: u16,
     current_processor: Option<u32>,
     done: bool,
-    /// Decoding one sliced segment: the stream has no header, END record
-    /// or trailer, and simply ends at the slice boundary.
-    segment_mode: bool,
-    /// Whether records are currently legal (only after a SEGMENT tag).
-    segment_open: bool,
-    /// Directory entries re-derived from the records actually walked;
-    /// compared against the trailer at END.
-    observed_segments: Vec<SegmentEntry>,
-    pending_first_cycle: bool,
-    directory: Option<Vec<SegmentEntry>>,
-    /// Absolute offset of the END tag, once seen (the exclusive byte
-    /// bound of the last segment).
-    end_offset: u64,
 }
 
 impl<R: Read> TraceReader<R> {
@@ -889,11 +710,9 @@ impl<R: Read> TraceReader<R> {
         let processors = u32::try_from(inner.read_varint()?).map_err(|_| CodecError::Corrupt {
             reason: "processor count exceeds 32 bits",
         })?;
-        let table_len = table.len();
         Ok(TraceReader {
             inner,
             table,
-            table_len,
             processors,
             task_dict: Vec::new(),
             region_dict: Vec::new(),
@@ -904,12 +723,6 @@ impl<R: Read> TraceReader<R> {
             prev_size: 0,
             current_processor: None,
             done: false,
-            segment_mode: false,
-            segment_open: false,
-            observed_segments: Vec::new(),
-            pending_first_cycle: false,
-            directory: None,
-            end_offset: 0,
         })
     }
 
@@ -921,12 +734,6 @@ impl<R: Read> TraceReader<R> {
     /// Number of processors the trace was recorded on.
     pub fn processors(&self) -> u32 {
         self.processors
-    }
-
-    /// The segment directory parsed from the trailer — available once
-    /// the whole stream has been decoded.
-    pub fn directory(&self) -> Option<&[SegmentEntry]> {
-        self.directory.as_deref()
     }
 
     /// Decodes the next access record, or `None` at the end of the trace.
@@ -944,10 +751,6 @@ impl<R: Read> TraceReader<R> {
                 Some(t) => t,
                 None => {
                     self.done = true;
-                    if self.segment_mode {
-                        // A sliced segment simply ends at its byte bound.
-                        return Ok(None);
-                    }
                     return Err(CodecError::Corrupt {
                         reason: "stream ends without an END record",
                     });
@@ -956,46 +759,9 @@ impl<R: Read> TraceReader<R> {
             match tag {
                 TAG_END => {
                     self.done = true;
-                    if self.segment_mode {
-                        return Err(CodecError::Corrupt {
-                            reason: "segment slice contains an END record",
-                        });
-                    }
-                    self.end_offset = self.inner.offset() - 1;
-                    self.finalize_observed_segment();
-                    let directory = self.read_directory()?;
-                    if directory != self.observed_segments {
-                        return Err(CodecError::Corrupt {
-                            reason: "segment directory does not match the stream",
-                        });
-                    }
-                    self.directory = Some(directory);
                     return Ok(None);
                 }
-                TAG_SEGMENT => {
-                    // Segment boundary: snapshot the finished segment,
-                    // then reset every piece of decode state — the next
-                    // records depend on nothing before this tag.
-                    let byte_offset = self.inner.offset() - 1;
-                    self.finalize_observed_segment();
-                    self.task_dict.clear();
-                    self.region_dict.clear();
-                    self.prev_addr = 0;
-                    self.prev_cycle = 0;
-                    self.prev_task = None;
-                    self.prev_region = None;
-                    self.prev_size = 0;
-                    self.current_processor = None;
-                    self.segment_open = true;
-                    self.pending_first_cycle = true;
-                    self.observed_segments.push(SegmentEntry {
-                        byte_offset,
-                        first_cycle: 0,
-                        accesses: 0,
-                        regions: Vec::new(),
-                    });
-                }
-                TAG_DEF_TASK if self.segment_open => {
+                TAG_DEF_TASK => {
                     let raw = u32::try_from(self.inner.read_varint()?).map_err(|_| {
                         CodecError::Corrupt {
                             reason: "task id exceeds 32 bits",
@@ -1003,7 +769,7 @@ impl<R: Read> TraceReader<R> {
                     })?;
                     self.task_dict.push(TaskId::new(raw));
                 }
-                TAG_DEF_REGION if self.segment_open => {
+                TAG_DEF_REGION => {
                     let raw = u32::try_from(self.inner.read_varint()?).map_err(|_| {
                         CodecError::Corrupt {
                             reason: "region id exceeds 32 bits",
@@ -1011,10 +777,9 @@ impl<R: Read> TraceReader<R> {
                     })?;
                     // A trace is a self-contained scenario: every region an
                     // access names must exist in the embedded table, or
-                    // consumers indexing per-region state (the profiler,
-                    // the profiling organisation) would be handed a bogus
-                    // index.
-                    if raw as usize >= self.table_len {
+                    // consumers indexing per-region state (the profiler)
+                    // would be handed a bogus index.
+                    if raw as usize >= self.table.len() {
                         self.done = true;
                         return Err(CodecError::Corrupt {
                             reason: "region id outside the embedded region table",
@@ -1022,7 +787,7 @@ impl<R: Read> TraceReader<R> {
                     }
                     self.region_dict.push(RegionId::new(raw));
                 }
-                TAG_RUN if self.segment_open => {
+                TAG_RUN => {
                     let processor = u32::try_from(self.inner.read_varint()?).map_err(|_| {
                         CodecError::Corrupt {
                             reason: "processor id exceeds 32 bits",
@@ -1032,22 +797,7 @@ impl<R: Read> TraceReader<R> {
                     self.current_processor = Some(processor);
                     self.prev_cycle = self.prev_cycle.wrapping_add(delta as u64);
                 }
-                t if t & TAG_ACCESS != 0 && self.segment_open => {
-                    return self.decode_access(t).map(Some)
-                }
-                TAG_DEF_TASK | TAG_DEF_REGION | TAG_RUN => {
-                    debug_assert!(!self.segment_open);
-                    self.done = true;
-                    return Err(CodecError::Corrupt {
-                        reason: "record outside a segment",
-                    });
-                }
-                t if t & TAG_ACCESS != 0 => {
-                    self.done = true;
-                    return Err(CodecError::Corrupt {
-                        reason: "record outside a segment",
-                    });
-                }
+                t if t & TAG_ACCESS != 0 => return self.decode_access(t).map(Some),
                 _ => {
                     self.done = true;
                     return Err(CodecError::Corrupt {
@@ -1056,56 +806,6 @@ impl<R: Read> TraceReader<R> {
                 }
             }
         }
-    }
-
-    /// Completes the directory entry of the segment just walked: its
-    /// region snapshot is exactly the DEF_REGION records seen since the
-    /// SEGMENT tag (the dictionary resets there).
-    fn finalize_observed_segment(&mut self) {
-        if let Some(segment) = self.observed_segments.last_mut() {
-            if segment.regions.is_empty() {
-                let mut ids: Vec<u32> = self.region_dict.iter().map(|r| r.index() as u32).collect();
-                ids.sort_unstable();
-                segment.regions = ids.into_iter().map(RegionId::new).collect();
-            }
-        }
-    }
-
-    /// Parses the directory trailer following the END record.
-    fn read_directory(&mut self) -> Result<Vec<SegmentEntry>, CodecError> {
-        let count = self.inner.read_varint()?;
-        if count > 1_000_000 {
-            return Err(CodecError::Corrupt {
-                reason: "implausible segment count",
-            });
-        }
-        let mut entries = Vec::with_capacity(count.min(4096) as usize);
-        for _ in 0..count {
-            let byte_offset = self.inner.read_varint()?;
-            let first_cycle = self.inner.read_varint()?;
-            let accesses = self.inner.read_varint()?;
-            let region_count = self.inner.read_varint()?;
-            if region_count > 1_000_000 {
-                return Err(CodecError::Corrupt {
-                    reason: "implausible segment region count",
-                });
-            }
-            let mut regions = Vec::with_capacity(region_count.min(4096) as usize);
-            for _ in 0..region_count {
-                let raw =
-                    u32::try_from(self.inner.read_varint()?).map_err(|_| CodecError::Corrupt {
-                        reason: "region id exceeds 32 bits",
-                    })?;
-                regions.push(RegionId::new(raw));
-            }
-            entries.push(SegmentEntry {
-                byte_offset,
-                first_cycle,
-                accesses,
-                regions,
-            });
-        }
-        Ok(entries)
     }
 
     fn decode_access(&mut self, tag: u8) -> Result<TraceRecord, CodecError> {
@@ -1170,14 +870,6 @@ impl<R: Read> TraceReader<R> {
         self.prev_region = Some(region);
         self.prev_size = size;
 
-        if let Some(segment) = self.observed_segments.last_mut() {
-            segment.accesses += 1;
-            if self.pending_first_cycle {
-                segment.first_cycle = cycle;
-                self.pending_first_cycle = false;
-            }
-        }
-
         let access = Access {
             addr: Addr::new(addr),
             kind,
@@ -1216,35 +908,6 @@ impl<R: Read> TraceReader<R> {
     }
 }
 
-impl<'a> TraceReader<&'a [u8]> {
-    /// A reader over one sliced segment: no header, no END record — the
-    /// slice begins with the SEGMENT tag (whose context reset makes the
-    /// decode self-contained) and ends at the next segment's byte offset.
-    fn for_segment(slice: &'a [u8], table_len: usize, processors: u32) -> Self {
-        TraceReader {
-            inner: ByteSource::new(slice),
-            table: RegionTable::new(),
-            table_len,
-            processors,
-            task_dict: Vec::new(),
-            region_dict: Vec::new(),
-            prev_addr: 0,
-            prev_cycle: 0,
-            prev_task: None,
-            prev_region: None,
-            prev_size: 0,
-            current_processor: None,
-            done: false,
-            segment_mode: true,
-            segment_open: false,
-            observed_segments: Vec::new(),
-            pending_first_cycle: false,
-            directory: None,
-            end_offset: 0,
-        }
-    }
-}
-
 impl<R: Read> Iterator for TraceReader<R> {
     type Item = Result<TraceRecord, CodecError>;
 
@@ -1267,11 +930,6 @@ pub struct EncodedTrace {
     bytes: Vec<u8>,
     table: RegionTable,
     summary: TraceSummary,
-    /// The segment directory (empty for empty traces).
-    directory: Vec<SegmentEntry>,
-    /// Absolute offset of the END tag — the exclusive byte bound of the
-    /// last segment.
-    body_end: u64,
     decoded_runs: OnceLock<Vec<TraceRun>>,
 }
 
@@ -1305,9 +963,6 @@ impl EncodedTrace {
                 reason: "trailing bytes after END record",
             });
         }
-        let directory = reader.directory.take().unwrap_or_default();
-        let body_end = reader.end_offset;
-        let segments = directory.len() as u64;
         let table = reader.table;
         let encoded_bytes = bytes.len() as u64;
         let decoded_runs = OnceLock::new();
@@ -1322,10 +977,7 @@ impl EncodedTrace {
                 runs,
                 processors,
                 encoded_bytes,
-                segments,
             },
-            directory,
-            body_end,
             decoded_runs,
         })
     }
@@ -1389,46 +1041,6 @@ impl EncodedTrace {
         self.summary.accesses == 0
     }
 
-    /// The segment directory: one entry per independently decodable
-    /// segment. Empty for empty traces.
-    pub fn segment_directory(&self) -> &[SegmentEntry] {
-        &self.directory
-    }
-
-    /// Number of independently decodable segments.
-    pub fn segment_count(&self) -> usize {
-        self.directory.len()
-    }
-
-    /// Decodes one segment from its byte slice — no full-file pass, no
-    /// state from any other segment (the SEGMENT tag opening the slice
-    /// resets the whole codec context). Runs that span a segment
-    /// boundary in [`runs`](EncodedTrace::runs) appear split here;
-    /// re-merging adjacent same-processor runs at the seams
-    /// ([`merge_segment_runs`]) reconstructs the full-stream
-    /// decomposition exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= segment_count()` (the directory is the bound).
-    pub fn segment_runs(&self, index: usize) -> Vec<TraceRun> {
-        let entry = &self.directory[index];
-        let start = entry.byte_offset as usize;
-        let end = self
-            .directory
-            .get(index + 1)
-            .map(|next| next.byte_offset as usize)
-            .unwrap_or(self.body_end as usize);
-        let mut reader = TraceReader::for_segment(
-            &self.bytes[start..end],
-            self.table.len(),
-            self.summary.processors,
-        );
-        // The same bytes passed full-stream validation and segment state
-        // is self-contained, so a slice decode cannot fail.
-        reader.collect_runs().expect("validated at construction")
-    }
-
     /// Opens a streaming reader over the encoded bytes.
     pub fn reader(&self) -> TraceReader<&[u8]> {
         TraceReader::new(self.bytes.as_slice()).expect("validated at construction")
@@ -1465,25 +1077,6 @@ impl EncodedTrace {
     pub fn read_from(path: impl AsRef<Path>) -> Result<Self, CodecError> {
         Self::from_bytes(std::fs::read(path).map_err(CodecError::Io)?)
     }
-}
-
-/// Stitches per-segment run chunks (in directory order) back into the
-/// full-stream run decomposition: a run opening a chunk continues the
-/// previous chunk's last run when both belong to the same processor —
-/// exactly the rule the full-stream [`TraceReader::collect_runs`] applies
-/// at a segment seam (the seam itself never splits a run on cycle
-/// grounds; only a processor change does).
-pub fn merge_segment_runs(chunks: impl IntoIterator<Item = Vec<TraceRun>>) -> Vec<TraceRun> {
-    let mut out: Vec<TraceRun> = Vec::new();
-    for run in chunks.into_iter().flatten() {
-        match out.last_mut() {
-            Some(prev) if prev.processor == run.processor => {
-                prev.accesses.extend(run.accesses);
-            }
-            _ => out.push(run),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1703,109 +1296,97 @@ mod tests {
         ));
     }
 
-    /// Re-merges adjacent same-processor runs — what the full-stream
-    /// `collect_runs` does across a segment seam.
-    fn merge_runs(segments: Vec<Vec<TraceRun>>) -> Vec<TraceRun> {
-        merge_segment_runs(segments)
-    }
-
-    #[test]
-    fn segment_directory_roundtrips_and_slices_decode_independently() {
-        let t = table();
-        let accesses = sample_accesses(&t);
-        // A tiny segment target forces many segments over the sample.
-        let mut writer = TraceWriter::with_segment_accesses(Vec::new(), &t, 2, 16).unwrap();
-        for (i, a) in accesses.iter().enumerate() {
-            writer.record((i % 2) as u32, (i * 3) as u64, a);
-        }
-        let (bytes, summary) = writer.finish().unwrap();
-        assert!(summary.segments > 3, "got {} segments", summary.segments);
-
-        let trace = EncodedTrace::from_bytes(bytes).unwrap();
-        assert_eq!(trace.version(), TRACE_VERSION);
-        assert_eq!(trace.segment_count() as u64, summary.segments);
-        let directory = trace.segment_directory();
-        // Offsets are strictly increasing and the access counts cover the
-        // stream exactly.
-        for pair in directory.windows(2) {
-            assert!(pair[0].byte_offset < pair[1].byte_offset);
-        }
-        let total: u64 = directory.iter().map(|s| s.accesses).sum();
-        assert_eq!(total, accesses.len() as u64);
-        // Every segment's first cycle matches its first decoded access,
-        // and its region snapshot covers the regions the slice names.
-        let mut all_runs = Vec::new();
-        for (i, entry) in directory.iter().enumerate() {
-            let runs = trace.segment_runs(i);
-            let first = &runs[0];
-            assert_eq!(first.start_cycle, entry.first_cycle, "segment {i}");
-            let decoded: u64 = runs.iter().map(|r| r.accesses.len() as u64).sum();
-            assert_eq!(decoded, entry.accesses, "segment {i}");
-            for run in &runs {
-                for access in &run.accesses {
-                    assert!(
-                        entry.regions.contains(&access.region),
-                        "segment {i} snapshot misses {:?}",
-                        access.region
-                    );
-                }
-            }
-            all_runs.push(runs);
-        }
-        // Concatenating the slice decodes (merging at the seams)
-        // reconstructs the full-stream run decomposition bit for bit.
-        assert_eq!(merge_runs(all_runs), trace.runs());
-    }
-
     #[test]
     fn version_1_header_is_unsupported() {
         let t = table();
-        let mut bytes = EncodedTrace::from_accesses(&t, &sample_accesses(&t))
-            .unwrap()
-            .bytes()
-            .to_vec();
-        bytes[4] = 1;
-        let err = EncodedTrace::from_bytes(bytes).unwrap_err();
-        assert!(matches!(err, CodecError::UnsupportedVersion { found: 1 }));
-        assert_eq!(err.to_string(), "unsupported trace version 1 (expected 2)");
+        let good = EncodedTrace::from_accesses(&t, &sample_accesses(&t)).unwrap();
+        assert_eq!(good.version(), TRACE_VERSION);
+        // Versions 1 and 2 are refused by their version byte alone: no
+        // compatibility path reads them.
+        for old in [1u8, 2] {
+            let mut bytes = good.bytes().to_vec();
+            bytes[4] = old;
+            let err = EncodedTrace::from_bytes(bytes).unwrap_err();
+            assert!(matches!(err, CodecError::UnsupportedVersion { found } if found == old));
+            assert_eq!(
+                err.to_string(),
+                format!("unsupported trace version {old} (expected 3)")
+            );
+        }
     }
 
+    /// Each check a hand-made record stream can meet rejects it with its
+    /// own reason; the unassigned tag 0x04 is an unknown record.
     #[test]
-    fn corrupt_directory_is_rejected() {
-        let t = table();
-        let accesses = sample_accesses(&t);
-        let mut writer = TraceWriter::with_segment_accesses(Vec::new(), &t, 2, 16).unwrap();
-        for (i, a) in accesses.iter().enumerate() {
-            writer.record((i % 2) as u32, (i * 3) as u64, a);
-        }
-        let (good, _) = writer.finish().unwrap();
-        let trace = EncodedTrace::from_bytes(good.clone()).unwrap();
-        let trailer_start = {
-            // END tag position: last byte of the last segment's slice.
-            let last = trace.segment_directory().last().unwrap();
-            assert!(last.byte_offset < good.len() as u64);
-            // Find END by decoding: body_end is not public, so locate the
-            // trailer as everything after the last segment's bytes.
-            let mut reader = TraceReader::new(good.as_slice()).unwrap();
-            while reader.next_record().unwrap().is_some() {}
-            reader.end_offset as usize
-        };
-        // Flipping any byte of the trailer (after END) must be caught by
-        // the observed-vs-directory comparison or the trailer parser.
-        for pos in trailer_start + 1..good.len() {
-            let mut bad = good.clone();
-            bad[pos] ^= 0x01;
-            assert!(
-                EncodedTrace::from_bytes(bad).is_err(),
-                "trailer corruption at byte {pos} was accepted"
-            );
-        }
-        // Truncating the trailer anywhere must fail too.
-        for cut in trailer_start..good.len() {
-            assert!(
-                EncodedTrace::from_bytes(good[..cut].to_vec()).is_err(),
-                "trailer truncation at {cut} was accepted"
-            );
+    fn every_record_check_rejects_its_input() {
+        // The header of a one-processor trace over `table()` (two regions).
+        let (header, _) = TraceWriter::new(Vec::new(), &table(), 1)
+            .unwrap()
+            .finish()
+            .unwrap();
+        let header = &header[..header.len() - 1];
+        let decode = |body: &[u8]| EncodedTrace::from_bytes([header, body].concat());
+        const RUN: [u8; 3] = [TAG_RUN, 0, 0];
+        const DEFS: [u8; 4] = [TAG_DEF_TASK, 0, TAG_DEF_REGION, 0];
+        // A load of 4 bytes by task 0 in region 0, address and gap 0.
+        const LOAD: [u8; 6] = [TAG_ACCESS | 1, 0, 0, 4, 0, 0];
+        let valid = [&RUN[..], &DEFS, &LOAD, &[TAG_END]].concat();
+        assert_eq!(decode(&valid).unwrap().accesses(), 1);
+
+        let with_load = |load: &[u8]| [&RUN[..], &DEFS, load, &[TAG_END]].concat();
+        for (body, reason) in [
+            (vec![0x04, TAG_END], "unknown record tag"),
+            (
+                vec![TAG_DEF_REGION, 2, TAG_END],
+                "region id outside the embedded region table",
+            ),
+            (
+                [&DEFS[..], &LOAD, &[TAG_END]].concat(),
+                "access before any RUN record",
+            ),
+            (
+                with_load(&[TAG_ACCESS | 1, 1, 0, 4, 0, 0]),
+                "undefined task dictionary entry 1",
+            ),
+            (
+                with_load(&[TAG_ACCESS | 1, 0, 1, 4, 0, 0]),
+                "undefined region dictionary entry 1",
+            ),
+            (
+                with_load(&[TAG_ACCESS | 3, 0, 0, 4, 0, 0]),
+                "invalid access kind",
+            ),
+            (
+                with_load(&[TAG_ACCESS | 1, 0, 0, 0xf0, 0xa2, 0x04, 0, 0]),
+                "access size exceeds 16 bits",
+            ),
+            (
+                // A RUN moving the clock back by one from 0 wraps it to
+                // u64::MAX; a gap of one then overflows.
+                [
+                    &[TAG_RUN, 0, 1][..],
+                    &DEFS,
+                    &[TAG_ACCESS | 1, 0, 0, 4, 0, 1],
+                    &[TAG_END],
+                ]
+                .concat(),
+                "cycle counter overflows",
+            ),
+            (
+                [&RUN[..], &[TAG_ACCESS | FLAG_REPEAT | 1, 0, 0], &[TAG_END]].concat(),
+                "context-repeat access with no previous access",
+            ),
+            (
+                valid[..valid.len() - 1].to_vec(),
+                "stream ends without an END record",
+            ),
+            (
+                [&valid[..], &[TAG_END]].concat(),
+                "trailing bytes after END record",
+            ),
+        ] {
+            let err = decode(&body).unwrap_err().to_string();
+            assert!(err.contains(reason), "{body:02x?}: {err}");
         }
     }
 

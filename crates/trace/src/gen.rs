@@ -9,7 +9,7 @@
 //!
 //! The workload zoo ([`GenSpec`] / [`generate`]) builds on them: a
 //! deterministic, seed-parameterised scenario generator that emits
-//! standard v2 [`EncodedTrace`]s, so every layer above this crate
+//! standard [`EncodedTrace`]s, so every layer above this crate
 //! (profiling, shape sweeps, schedules, replay lanes, the online
 //! controller, `compmem serve`) consumes synthetic scenarios with zero
 //! changes. Four task families ([`GenKind`]) cover the canonical cache

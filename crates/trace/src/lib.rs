@@ -78,8 +78,8 @@ pub mod stats;
 pub use access::{Access, AccessKind};
 pub use addr::{Addr, LineAddr, LINE_SIZE_BYTES};
 pub use codec::{
-    write_file_atomic, CodecError, EncodedTrace, SegmentEntry, TraceReader, TraceRecord, TraceRun,
-    TraceSummary, TraceWriter, DEFAULT_SEGMENT_ACCESSES,
+    write_file_atomic, CodecError, EncodedTrace, TraceReader, TraceRecord, TraceRun, TraceSummary,
+    TraceWriter,
 };
 pub use curves::{
     trace_content_hash, CurveEntry, CurveHeader, CurveReader, CurveWriter, EncodedCurves,

@@ -1,11 +1,11 @@
 //! Property tests of the workload zoo: identical specs produce
 //! byte-identical traces, different seeds produce different traces, and
-//! every generated trace is a valid v2 stream — codec-validated,
-//! segment-decodable, provenance-round-trippable.
+//! every generated trace is a valid v3 stream — codec-validated,
+//! decodable to every access, provenance-round-trippable.
 
 use proptest::prelude::*;
 
-use compmem_trace::codec::EncodedTrace;
+use compmem_trace::codec::{EncodedTrace, TraceReader};
 use compmem_trace::gen::{generate, parse_region_name, provenance, GenKind, GenSpec, GenTask};
 
 /// Raw ingredients of one arbitrary task: family selector, two footprint
@@ -93,9 +93,9 @@ proptest! {
     }
 
     /// Every generated trace passes strict codec validation and decodes
-    /// segment by segment to exactly its access count.
+    /// to runs covering exactly its access count.
     #[test]
-    fn generated_traces_validate_and_decode_segment_by_segment(
+    fn generated_traces_validate_and_decode_to_every_access(
         seed in 0u64..=u64::MAX,
         cycles in 1u64..9,
         raw in raw_tasks(),
@@ -109,18 +109,15 @@ proptest! {
         let revalidated = EncodedTrace::from_bytes(trace.bytes().to_vec()).unwrap();
         prop_assert_eq!(revalidated.summary(), trace.summary());
 
-        // The v2 segment directory decodes independently and covers the
-        // whole stream.
-        let per_segment: u64 = (0..trace.segment_count())
-            .map(|i| {
-                trace
-                    .segment_runs(i)
-                    .iter()
-                    .map(|run| run.accesses.len() as u64)
-                    .sum::<u64>()
-            })
+        // A fresh streaming decode yields runs covering the whole stream.
+        let decoded: u64 = TraceReader::new(trace.bytes())
+            .unwrap()
+            .collect_runs()
+            .unwrap()
+            .iter()
+            .map(|run| run.accesses.len() as u64)
             .sum();
-        prop_assert_eq!(per_segment, spec.total_accesses());
+        prop_assert_eq!(decoded, spec.total_accesses());
     }
 
     /// Provenance region names round-trip the full spec of every task.

@@ -51,8 +51,8 @@
 //!   shape, and a `WindowedProfiler` emits a `MissRateCurves` snapshot
 //!   per fixed-size window (differences of cumulative snapshots — summing
 //!   windows reconstructs the whole run exactly) with a curve-delta
-//!   phase detector (`WindowedCurves::phases`) and a streaming EWMA
-//!   variant (`OnlinePhaseDetector` / `WindowedCurves::phases_online`).
+//!   phase rule, applied window by window by `OnlinePhaseDetector` and
+//!   folded over a finished pass by `WindowedCurves::phases`.
 //!   Partitioning is additionally a **time-varying policy**: a
 //!   `PartitionSchedule` orders `(at_cycle, OrganizationSpec)` steps, and
 //!   `CacheModel::reconfigure` applies a new `PartitionMap` /

@@ -193,25 +193,42 @@ fn trailing_switches_fire_on_replay_too() {
     assert!(outcome.report.repartitions[0].flush.invalidated > 0);
 }
 
-/// The streaming EWMA phase detector agrees with the offline curve-delta
-/// detector on the tiny MPEG-2 workload — the configuration the CLI's
-/// `replay --schedule phases` uses — so a schedule derived online (no
-/// second pass) segments the run identically.
+/// `WindowedCurves::phases` — the one phase rule `replay --schedule
+/// phases` and the online controller share — splits tiny MPEG-2 exactly
+/// where consecutive windows' curve delta exceeds the threshold, checked
+/// against a reference computed here from `curve_delta` alone.
 #[test]
 fn online_phase_detector_agrees_with_offline_on_tiny_mpeg2() {
-    use compmem_cache::WindowConfig;
+    use compmem_cache::{curve_delta, WindowConfig};
     let experiment = mpeg2_experiment();
     let window = WindowConfig::accesses(400).unwrap();
     let (_, windowed) = experiment.profile_curves_windowed(window).unwrap();
-    assert!(windowed.windows.len() > 1, "enough traffic for 2+ windows");
-    for threshold in [0.1, 0.5, 10.0] {
-        let offline = windowed.phases(threshold);
-        let online = windowed.phases_online(threshold);
-        assert_eq!(
-            online, offline,
-            "threshold {threshold}: the detectors must segment tiny MPEG-2 identically"
-        );
+    let windows = &windowed.windows;
+    assert!(windows.len() > 1, "enough traffic for 2+ windows");
+    let deltas: Vec<f64> = windows
+        .windows(2)
+        .map(|pair| curve_delta(&pair[0].curves, &pair[1].curves))
+        .collect();
+    // Thresholds at each delta itself pin the strict `>` and the
+    // comparison with the previous window, not the phase's first one.
+    for threshold in [0.1, 0.5, 10.0].into_iter().chain(deltas.iter().copied()) {
+        let expected: Vec<usize> = std::iter::once(0)
+            .chain((1..windows.len()).filter(|&i| deltas[i - 1] > threshold))
+            .collect();
+        let phases = windowed.phases(threshold);
+        let starts: Vec<usize> = phases.iter().map(|p| p.first_window).collect();
+        assert_eq!(starts, expected, "threshold {threshold}: phase starts");
+        // The phases tile the windows.
+        for pair in phases.windows(2) {
+            assert_eq!(pair[0].last_window + 1, pair[1].first_window);
+        }
+        assert_eq!(phases.last().unwrap().last_window, windows.len() - 1);
     }
+    assert!(
+        windowed.phases(0.1).len() > 1,
+        "tiny MPEG-2 has phases at 0.1"
+    );
+    assert_eq!(windowed.phases(10.0).len(), 1);
 }
 
 /// `Experiment::run` executes scheduled replay specs through the same
