@@ -6,8 +6,9 @@
 //! shared L2 — either by executing the application live through the
 //! Kahn-process-network runtime (`live_mpeg2`) or by replaying the
 //! recorded trace through `ReplaySystem` (`replay_mpeg2`); a cold
-//! validate-and-decode benchmark (`decode_cold`) isolates the codec cost
-//! a sweep pays once. Both simulation
+//! `EncodedTrace::from_bytes` (`decode_cold`: one validating pass over a
+//! fresh copy of the bytes, keeping only the summary) isolates the codec
+//! cost every verb that loads a trace pays. Both simulation
 //! paths produce bit-identical L2 snapshots (asserted at start-up), so the
 //! ratio of the two medians is the speed-up sweeps enjoy; the committed
 //! `BENCH_trace.json` baseline is produced with
@@ -59,7 +60,7 @@ fn bench_trace_replay(c: &mut Criterion) {
         b.iter(|| {
             let cold =
                 EncodedTrace::from_bytes(trace.trace().bytes().to_vec()).expect("bytes round-trip");
-            black_box(cold.runs().len())
+            black_box(cold.summary().runs)
         })
     });
     group.finish();

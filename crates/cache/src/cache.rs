@@ -10,7 +10,7 @@ use compmem_trace::{Access, LineAddr, RegionId, TaskId};
 use crate::config::CacheConfig;
 use crate::geometry::CacheGeometry;
 use crate::replacement::ReplacementPolicy;
-use crate::set::CacheSet;
+use crate::set::SetArray;
 use crate::stats::{CacheStats, StatsByKey};
 
 /// A line evicted by a fill.
@@ -75,14 +75,16 @@ type LineSet = HashSet<LineAddr, BuildHasherDefault<LineAddrHasher>>;
 /// per-region miss attribution.
 ///
 /// The cache operates on whatever set index the caller supplies, so the same
-/// core serves the conventional organisation (modulo indexing) and the
-/// paper's set-partitioned organisation (index translated through the
-/// OS-loaded partition table).
+/// core serves the conventional organisation (the line address masked by
+/// the set count) and the paper's set-partitioned organisation (index
+/// translated through the OS-loaded partition table). The ways of every
+/// set live in flat arrays: an access allocates nothing beyond the
+/// amortised growth of the cold-miss tracker.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
     policy: ReplacementPolicy,
-    sets: Vec<CacheSet>,
+    sets: SetArray,
     stats: CacheStats,
     by_task: StatsByKey<TaskId>,
     by_region: StatsByKey<RegionId>,
@@ -93,13 +95,10 @@ impl SetAssocCache {
     /// Creates an empty cache from a configuration.
     pub fn new(config: CacheConfig) -> Self {
         let geometry = config.geometry();
-        let sets = (0..geometry.sets())
-            .map(|i| CacheSet::new(geometry.ways(), config.random_seed() ^ u64::from(i)))
-            .collect();
         SetAssocCache {
             geometry,
             policy: config.replacement_policy(),
-            sets,
+            sets: SetArray::new(geometry.sets(), geometry.ways(), config.random_seed()),
             stats: CacheStats::new(),
             by_task: StatsByKey::new(),
             by_region: StatsByKey::new(),
@@ -117,7 +116,7 @@ impl SetAssocCache {
         self.policy
     }
 
-    /// Accesses the cache with conventional (modulo) set indexing.
+    /// Accesses the cache with conventional set indexing.
     pub fn access(&mut self, access: &Access) -> AccessOutcome {
         let index = self.geometry.index_of(access.addr.line());
         self.access_at(index, u64::MAX, access)
@@ -142,7 +141,8 @@ impl SetAssocCache {
         );
         let line = access.addr.line();
         let tag = self.geometry.tag_of(line);
-        let outcome = self.sets[set_index.index()].access(
+        let outcome = self.sets.access(
+            set_index as usize,
             tag,
             access.kind.is_write(),
             allowed_ways,
@@ -171,26 +171,24 @@ impl SetAssocCache {
     /// indexing; no statistics or replacement state is updated).
     pub fn probe(&self, line: LineAddr) -> bool {
         let index = self.geometry.index_of(line);
-        self.sets[index.index()].probe(self.geometry.tag_of(line))
+        self.probe_at(index, line)
     }
 
     /// Returns `true` if `line` is resident in the given set.
     pub fn probe_at(&self, set_index: u32, line: LineAddr) -> bool {
-        self.sets[set_index.index()].probe(self.geometry.tag_of(line))
+        self.sets
+            .probe(set_index as usize, self.geometry.tag_of(line))
     }
 
     /// Number of lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(CacheSet::occupancy).sum()
+        self.sets.occupancy()
     }
 
     /// Invalidates the whole cache, returning the number of dirty lines that
     /// would have been written back.
     pub fn flush(&mut self) -> u64 {
-        let mut dirty = 0;
-        for set in &mut self.sets {
-            dirty += set.flush().len() as u64;
-        }
+        let dirty = self.sets.flush();
         self.seen_lines.clear();
         dirty
     }
@@ -210,7 +208,7 @@ impl SetAssocCache {
             "set index {set_index} out of range ({} sets)",
             self.geometry.sets()
         );
-        self.sets[set_index.index()].invalidate_ways(u64::MAX)
+        self.sets.invalidate_ways(set_index as usize, u64::MAX)
     }
 
     /// Invalidates the ways selected by `mask` in **every** set, returning
@@ -219,8 +217,8 @@ impl SetAssocCache {
     pub fn flush_ways(&mut self, mask: u64) -> (u64, u64) {
         let mut invalidated = 0;
         let mut dirty = 0;
-        for set in &mut self.sets {
-            let (i, d) = set.invalidate_ways(mask);
+        for set in 0..self.geometry.sets() as usize {
+            let (i, d) = self.sets.invalidate_ways(set, mask);
             invalidated += i;
             dirty += d;
         }
@@ -247,16 +245,6 @@ impl SetAssocCache {
         self.stats = CacheStats::new();
         self.by_task = StatsByKey::new();
         self.by_region = StatsByKey::new();
-    }
-}
-
-trait SetIndexExt {
-    fn index(self) -> usize;
-}
-
-impl SetIndexExt for u32 {
-    fn index(self) -> usize {
-        self as usize
     }
 }
 

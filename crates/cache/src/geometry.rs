@@ -100,9 +100,11 @@ impl CacheGeometry {
         self.sets as u64 * self.ways as u64
     }
 
-    /// The set a line maps to under conventional (modulo) indexing.
+    /// The set a line maps to under conventional indexing: the line
+    /// address modulo the set count, taken as a mask (the count is a power
+    /// of two).
     pub const fn index_of(&self, line: LineAddr) -> u32 {
-        (line.value() % self.sets as u64) as u32
+        (line.value() & (self.sets as u64 - 1)) as u32
     }
 
     /// The tag of a line: the full line address is used as tag so that any

@@ -104,9 +104,11 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// The set an address line maps to inside this partition.
+    /// The set an address line maps to inside this partition: the line
+    /// address modulo the group's set count, taken as a mask (the count
+    /// is a power of two).
     pub fn index_of(&self, line: compmem_trace::LineAddr) -> u32 {
-        self.base_set + (line.value() % u64::from(self.sets)) as u32
+        self.base_set + (line.value() & u64::from(self.sets - 1)) as u32
     }
 
     /// One-past-the-last set of the group.

@@ -583,11 +583,11 @@ pub fn replay_controlled(
     let mut installed: Vec<ScheduleStep> = Vec::new();
     let mut decision_error: Option<CoreError> = None;
 
-    let report = system.run_controlled(|run| {
+    let report = system.run_controlled(|run, refills| {
         if decision_error.is_some() {
             return None; // inert after the first failed decision
         }
-        for refill in &run.refills {
+        for refill in refills {
             profiler.observe_at(run.start_cycle, &refill.access);
         }
         let mut decided: Option<PartitionMap> = None;

@@ -82,6 +82,9 @@ pub enum PlatformError {
         /// Rendered message of the store failure.
         message: String,
     },
+    /// A trace's L1 filter pass yields more L2-bound refills than a
+    /// [`FilteredTrace`](crate::FilteredTrace) indexes (`u32::MAX`).
+    TooManyRefills,
 }
 
 impl fmt::Display for PlatformError {
@@ -127,6 +130,9 @@ impl fmt::Display for PlatformError {
             }
             PlatformError::Store { message } => {
                 write!(f, "curve store error: {message}")
+            }
+            PlatformError::TooManyRefills => {
+                write!(f, "the trace has more than {} L2-bound refills", u32::MAX)
             }
         }
     }

@@ -254,7 +254,7 @@ fn replay_shard(
         while let Some(step) = switches.next_due(run.start_cycle) {
             counters.switch(cache.as_mut(), step, regions)?;
         }
-        for refill in &run.refills {
+        for refill in filtered.refills_of(run) {
             if refill.access.addr.line().value() & (shards - 1) != shard {
                 continue;
             }
@@ -598,7 +598,8 @@ mod tests {
     #[test]
     fn set_shards_match_serial_for_every_organisation_policy_and_schedule() {
         let trace = record(400_000);
-        let runs = trace.trace().runs();
+        let filtered = trace.filtered_for(&platform()).unwrap();
+        let runs = &filtered.runs;
         // One cycle after a busy run's start: inside the run's own refill
         // window, where the serial clock and any per-refill clock differ.
         let busy_boundary = runs[runs.len() / 4].start_cycle + 1;

@@ -175,7 +175,7 @@ fn profile_shard(
 ) -> WindowedCurves {
     let mut profiler = WindowedProfiler::new(window, resolution, regions);
     for run in &filtered.runs {
-        for refill in &run.refills {
+        for refill in filtered.refills_of(run) {
             if refill.access.addr.line().value() & (shards - 1) == shard {
                 profiler.observe_at(run.start_cycle, &refill.access);
             } else {

@@ -30,21 +30,32 @@
 //! L1 caches do not depend on the L2 organisation at all: the L2-bound
 //! refill stream — which access misses the L1, in what order, with which
 //! dirty victims — is a function of the trace and the L1 configuration
-//! alone. A [`PreparedTrace`] therefore filters the decoded runs through
-//! the L1s **once** per L1 configuration and caches the result; every
+//! alone. A [`PreparedTrace`] therefore filters the trace through the L1s
+//! **once** per L1 configuration and caches the result; every
 //! [`ReplaySystem`] built from it replays only the refills (via
 //! [`MemorySystem::refill_burst`]), typically one to two orders of
 //! magnitude fewer accesses, with bus traffic, issue times and L2 state
 //! bit-identical to replaying the full run.
+//!
+//! The filter streams records straight from the encoded bytes
+//! ([`EncodedTrace::reader`]) and nothing decoded outlives it: the result
+//! is one [`FilteredTrace`] holding a single refill vector in global
+//! recorded order plus one [`FilteredRun`] header per run — its processor,
+//! start cycle, access counts and the range of its refills
+//! ([`FilteredTrace::refills_of`]). Runs split by the codec's one rule,
+//! [`RunSplitter`]. Replay, the set-sharded lanes, the profiler feeds and
+//! the online controller all read slices of that one vector, so no step
+//! from decode to L2 allocates per run or per access.
 
 use std::io::Write;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use compmem_cache::{
     CacheConfig, CacheError, CacheModel, CacheStats, OrganizationSpec, PartitionSchedule,
     ScheduleStep, SetAssocCache,
 };
-use compmem_trace::codec::{EncodedTrace, TraceSummary, TraceWriter};
+use compmem_trace::codec::{EncodedTrace, RunSplitter, TraceSummary, TraceWriter};
 use compmem_trace::{Access, RegionTable};
 
 use crate::config::PlatformConfig;
@@ -94,29 +105,35 @@ impl<W: Write> AccessTap for TraceWriter<W> {
     }
 }
 
-/// One recorded run filtered through the private L1s: only the L2-bound
-/// refills remain, plus the counts needed to reconstruct timing.
+/// The header of one recorded run filtered through the private L1s: the
+/// range of its L2-bound refills in [`FilteredTrace::refills`], plus the
+/// counts needed to reconstruct timing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FilteredRun {
     /// Processor that issued the run.
     pub processor: u32,
     /// Cycle at which the first access of the run issued.
     pub start_cycle: u64,
-    /// The L1 misses of the run, in issue order.
-    pub refills: Vec<L1Refill>,
+    /// The L1 misses of the run, in issue order, as a range of
+    /// [`FilteredTrace::refills`] (read them with
+    /// [`FilteredTrace::refills_of`]).
+    pub refills: Range<u32>,
     /// Loads and stores in the full (unfiltered) run.
     pub data_accesses: u64,
     /// Instruction fetches in the full (unfiltered) run.
     pub instr_fetches: u64,
 }
 
-/// A trace filtered through one L1 configuration: the refill runs and the
-/// L1 statistics the filter pass accumulated (which are exactly the L1
-/// statistics any replay of the trace would produce).
+/// A trace filtered through one L1 configuration: the run headers, the one
+/// refill vector they index, and the L1 statistics the filter pass
+/// accumulated (which are exactly the L1 statistics any replay of the
+/// trace would produce).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FilteredTrace {
     /// The filtered runs in global recorded order.
     pub runs: Vec<FilteredRun>,
+    /// Every run's L1 misses, run after run in global recorded order.
+    pub refills: Vec<L1Refill>,
     /// Aggregate statistics over all private L1 caches.
     pub l1_aggregate: CacheStats,
     /// Number of processors.
@@ -124,13 +141,15 @@ pub struct FilteredTrace {
 }
 
 impl FilteredTrace {
+    /// The L1 misses of `run`, in issue order.
+    pub fn refills_of(&self, run: &FilteredRun) -> &[L1Refill] {
+        &self.refills[run.refills.start as usize..run.refills.end as usize]
+    }
+
     /// The L2-bound accesses (every refill's access) in global recorded
     /// order: the stream the L2 and the profilers see.
     pub fn accesses(&self) -> impl Iterator<Item = &Access> {
-        self.runs
-            .iter()
-            .flat_map(|run| &run.refills)
-            .map(|refill| &refill.access)
+        self.refills.iter().map(|refill| &refill.access)
     }
 }
 
@@ -204,10 +223,9 @@ impl L1Filter {
 
 /// A recorded trace prepared for repeated replay.
 ///
-/// Wraps the [`EncodedTrace`] together with a cache of L1-filtered run
-/// lists keyed by L1 configuration, so an organisation sweep pays the
-/// decode once (cached inside the trace) and the L1 simulation once per
-/// distinct L1 configuration — usually once.
+/// Wraps the [`EncodedTrace`] together with a cache of L1-filtered traces
+/// keyed by L1 configuration, so an organisation sweep pays the decode and
+/// the L1 simulation once per distinct L1 configuration — usually once.
 #[derive(Debug)]
 pub struct PreparedTrace {
     trace: Arc<EncodedTrace>,
@@ -289,39 +307,47 @@ impl PreparedTrace {
     }
 }
 
-/// Runs the decoded trace through fresh private L1s, keeping only the
-/// refills.
+/// Streams the trace's records from its bytes through fresh private L1s,
+/// keeping only the refills: one refill vector, one header per run.
 fn filter_trace(trace: &EncodedTrace, key: FilterKey) -> Result<FilteredTrace, PlatformError> {
     let processors = (trace.processors() as usize).max(1);
     let mut filter = L1Filter::new(key.l1i, key.l1d, processors);
-    let mut runs = Vec::with_capacity(trace.runs().len());
-    for run in trace.runs() {
-        let mut filtered = FilteredRun {
-            processor: run.processor,
-            start_cycle: run.start_cycle,
-            refills: Vec::new(),
-            data_accesses: 0,
-            instr_fetches: 0,
-        };
-        for access in &run.accesses {
-            let outcome = filter.access(run.processor as usize, access)?;
-            if !outcome.hit {
-                filtered.refills.push(L1Refill {
-                    access: *access,
-                    data_accesses_before: filtered.data_accesses,
-                    l1_victim_dirty: outcome.evicted.is_some_and(|e| e.dirty),
-                });
-            }
-            if access.kind.is_instruction() {
-                filtered.instr_fetches += 1;
-            } else {
-                filtered.data_accesses += 1;
-            }
+    let mut runs: Vec<FilteredRun> = Vec::with_capacity(trace.summary().runs as usize);
+    let mut refills = Vec::new();
+    let mut splitter = RunSplitter::default();
+    for record in trace.reader() {
+        let record = record.expect("validated at construction");
+        if splitter.starts_run(&record) {
+            let start = refills.len() as u32;
+            runs.push(FilteredRun {
+                processor: record.processor,
+                start_cycle: record.cycle,
+                refills: start..start,
+                data_accesses: 0,
+                instr_fetches: 0,
+            });
         }
-        runs.push(filtered);
+        let run = runs.last_mut().expect("the first record starts a run");
+        let access = record.access;
+        let outcome = filter.access(record.processor as usize, &access)?;
+        if !outcome.hit {
+            refills.push(L1Refill {
+                access,
+                data_accesses_before: run.data_accesses,
+                l1_victim_dirty: outcome.evicted.is_some_and(|e| e.dirty),
+            });
+            run.refills.end =
+                u32::try_from(refills.len()).map_err(|_| PlatformError::TooManyRefills)?;
+        }
+        if access.kind.is_instruction() {
+            run.instr_fetches += 1;
+        } else {
+            run.data_accesses += 1;
+        }
     }
     Ok(FilteredTrace {
         runs,
+        refills,
         l1_aggregate: filter.aggregate_stats(),
         processors,
     })
@@ -484,7 +510,7 @@ impl ReplaySystem {
     /// [`run_controlled`](ReplaySystem::run_controlled) loop under a
     /// controller that never switches.
     pub fn run(&mut self) -> SystemReport {
-        self.run_controlled(|_| None)
+        self.run_controlled(|_, _| None)
             .expect("installed switches were validated and no controller switches")
     }
 
@@ -493,8 +519,9 @@ impl ReplaySystem {
     /// One loop walks `filtered.runs` in global recorded order — the
     /// replayed access interleaving is exactly the recorded one. At each
     /// run the due installed switches apply first; then `controller`
-    /// observes the run — its recorded start cycle and L2-bound refills,
-    /// the organisation-independent data the windowed profilers consume —
+    /// observes the run — its header (recorded start cycle) and its
+    /// L2-bound refills, the organisation-independent data the windowed
+    /// profilers consume —
     /// and a `Some(organization)` repartitions the L2 at the run's start
     /// cycle ([`MemorySystem::repartition`]) before the run replays
     /// through [`MemorySystem::refill_burst`]: the one rule of the
@@ -512,18 +539,19 @@ impl ReplaySystem {
     /// at the offending decision.
     pub fn run_controlled<F>(&mut self, mut controller: F) -> Result<SystemReport, CacheError>
     where
-        F: FnMut(&FilteredRun) -> Option<OrganizationSpec>,
+        F: FnMut(&FilteredRun, &[L1Refill]) -> Option<OrganizationSpec>,
     {
         let filtered = Arc::clone(&self.filtered);
         for run in &filtered.runs[self.next_run..] {
+            let refills = filtered.refills_of(run);
             self.apply_installed_switches(run.start_cycle)?;
-            if let Some(organization) = controller(run) {
+            if let Some(organization) = controller(run, refills) {
                 self.memory
                     .repartition(run.start_cycle, &organization, self.trace.table())?;
             }
             let stats = self.memory.refill_burst(
                 run.start_cycle,
-                &run.refills,
+                refills,
                 run.data_accesses,
                 run.instr_fetches,
             );
@@ -728,7 +756,8 @@ mod tests {
         let mut replay = ReplaySystem::new(&config, shared_l2(), &prepared).unwrap();
         let mut observed = Vec::new();
         replay
-            .run_controlled(|run| {
+            .run_controlled(|run, refills| {
+                assert_eq!(refills.len(), run.refills.len());
                 observed.push(shape(run));
                 None
             })
@@ -759,10 +788,17 @@ mod tests {
         let c = prepared.filtered_for(&other).unwrap();
         assert!(!Arc::ptr_eq(&a, &c), "different L1 config refilters");
         assert!(c.l1_aggregate.misses > a.l1_aggregate.misses);
-        // Refill totals never exceed the unfiltered access count.
+        // Refill totals never exceed the unfiltered access count, and the
+        // run headers tile the one refill vector in order.
         let refills: usize = a.runs.iter().map(|r| r.refills.len()).sum();
         assert!(refills > 0);
         assert!((refills as u64) < prepared.accesses());
+        assert_eq!(refills, a.refills.len());
+        let mut next = 0;
+        for run in &a.runs {
+            assert_eq!(run.refills.start, next);
+            next = run.refills.end;
+        }
     }
 
     #[test]
@@ -782,6 +818,39 @@ mod tests {
             }
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// The filter splits runs by the codec's one rule: a processor change
+    /// starts a run, a clock regression on the same processor does not.
+    #[test]
+    fn runs_split_on_processor_change_and_clock_regression() {
+        let table = region_table();
+        let access =
+            |line: u64| Access::load(Addr::new(line * 64), 4, TaskId::new(0), RegionId::new(0));
+        let mut writer = TraceWriter::new(Vec::new(), &table, 2).unwrap();
+        writer.record(0, 100, &access(0));
+        writer.record(0, 110, &access(1));
+        writer.record(1, 50, &access(2)); // processor change
+        writer.record(1, 40, &access(3)); // clock regression within a processor
+        let (bytes, summary) = writer.finish().unwrap();
+        assert_eq!(summary.runs, 3, "the encoder re-anchors the clock");
+        let prepared = PreparedTrace::from(EncodedTrace::from_bytes(bytes).unwrap());
+        assert_eq!(prepared.summary().runs, 2);
+        let filtered = prepared.filtered_for(&PlatformConfig::default()).unwrap();
+        let runs: Vec<_> = filtered
+            .runs
+            .iter()
+            .map(|run| {
+                (
+                    run.processor,
+                    run.start_cycle,
+                    run.data_accesses,
+                    run.refills.clone(),
+                )
+            })
+            .collect();
+        // Four distinct lines: every access is a cold L1 miss.
+        assert_eq!(runs, [(0, 100, 2, 0..2), (1, 50, 2, 2..4)]);
     }
 
     #[test]

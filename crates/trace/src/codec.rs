@@ -59,10 +59,9 @@
 //! reported as a [`CodecError`], never a panic.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 use crate::access::{Access, AccessKind};
 use crate::addr::Addr;
@@ -226,119 +225,91 @@ fn write_zigzag<W: Write>(w: &mut W, value: i64) -> std::io::Result<()> {
     write_varint(w, ((value << 1) ^ (value >> 63)) as u64)
 }
 
-/// A buffered byte cursor over a reader.
-///
-/// The decoder consumes the stream byte by byte (varints, tags); going
-/// through `Read::read` per byte costs more than the whole simulation, so
-/// every read is served from a block buffer instead. Shared with the curve
-/// sidecar codec (`crate::curves`), which has the same decoding needs.
-#[derive(Debug)]
-pub(crate) struct ByteSource<R: Read> {
-    inner: R,
-    buf: Vec<u8>,
-    pos: usize,
-    len: usize,
+/// Why a byte-level read failed: the reason of a
+/// [`CodecError::Corrupt`], small enough that the decode hot path returns
+/// it in registers; `?` converts it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Corrupt(pub(crate) &'static str);
+
+impl From<Corrupt> for CodecError {
+    #[cold]
+    fn from(value: Corrupt) -> Self {
+        CodecError::Corrupt { reason: value.0 }
+    }
 }
 
-impl<R: Read> ByteSource<R> {
-    pub(crate) fn new(inner: R) -> Self {
-        ByteSource {
-            inner,
-            buf: vec![0u8; 64 * 1024],
-            pos: 0,
-            len: 0,
-        }
-    }
+/// A byte cursor over an in-memory trace or sidecar.
+///
+/// Every reader decodes a slice it already holds, so the cursor reads the
+/// slice in place: a byte is one bounds check, with no copy into a block
+/// buffer and no I/O error path. Shared with the curve sidecar codec
+/// (`crate::curves`), which has the same decoding needs.
+#[derive(Debug, Clone)]
+pub(crate) struct ByteSource<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
 
-    fn refill(&mut self) -> Result<(), CodecError> {
-        loop {
-            match self.inner.read(&mut self.buf) {
-                Ok(n) => {
-                    self.pos = 0;
-                    self.len = n;
-                    return Ok(());
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(CodecError::Io(e)),
-            }
-        }
+impl<'a> ByteSource<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        ByteSource { bytes, pos: 0 }
     }
 
     #[inline]
-    pub(crate) fn next_byte(&mut self) -> Result<Option<u8>, CodecError> {
-        if self.pos < self.len {
-            let byte = self.buf[self.pos];
-            self.pos += 1;
-            return Ok(Some(byte));
-        }
-        self.refill()?;
-        if self.len == 0 {
-            return Ok(None);
-        }
-        self.pos = 1;
-        Ok(Some(self.buf[0]))
+    pub(crate) fn next_byte(&mut self) -> Option<u8> {
+        let byte = *self.bytes.get(self.pos)?;
+        self.pos += 1;
+        Some(byte)
     }
 
     #[inline]
-    pub(crate) fn require_byte(&mut self) -> Result<u8, CodecError> {
-        self.next_byte()?.ok_or(CodecError::Corrupt {
-            reason: "unexpected end of stream",
-        })
+    pub(crate) fn require_byte(&mut self) -> Result<u8, Corrupt> {
+        self.next_byte().ok_or(Corrupt("unexpected end of stream"))
     }
 
-    pub(crate) fn read_exact(&mut self, out: &mut [u8]) -> Result<(), CodecError> {
-        let mut written = 0;
-        while written < out.len() {
-            if self.pos == self.len {
-                self.refill()?;
-                if self.len == 0 {
-                    return Err(CodecError::Corrupt {
-                        reason: "unexpected end of stream",
-                    });
-                }
-            }
-            let take = (self.len - self.pos).min(out.len() - written);
-            out[written..written + take].copy_from_slice(&self.buf[self.pos..self.pos + take]);
-            self.pos += take;
-            written += take;
-        }
+    pub(crate) fn read_exact(&mut self, out: &mut [u8]) -> Result<(), Corrupt> {
+        let end = self
+            .pos
+            .checked_add(out.len())
+            .filter(|&end| end <= self.bytes.len())
+            .ok_or(Corrupt("unexpected end of stream"))?;
+        out.copy_from_slice(&self.bytes[self.pos..end]);
+        self.pos = end;
         Ok(())
     }
 
     /// Returns `true` if any byte remains (used to reject trailing
     /// garbage).
-    pub(crate) fn has_more(&mut self) -> Result<bool, CodecError> {
-        if self.pos < self.len {
-            return Ok(true);
-        }
-        self.refill()?;
-        Ok(self.len > 0)
+    pub(crate) fn has_more(&self) -> bool {
+        self.pos < self.bytes.len()
     }
 
-    pub(crate) fn read_varint(&mut self) -> Result<u64, CodecError> {
+    /// Reads an LEB128 varint. Its tenth byte can only carry bit 63, so a
+    /// larger tenth byte, or an eleventh, overflows `u64`; the check sits
+    /// off the common path of short varints.
+    #[inline]
+    pub(crate) fn read_varint(&mut self) -> Result<u64, Corrupt> {
+        const LAST_SHIFT: u32 = 7 * (MAX_VARINT_BYTES - 1);
         let mut value: u64 = 0;
         let mut shift = 0u32;
         loop {
             let byte = self.require_byte()?;
-            if shift >= 7 * MAX_VARINT_BYTES - 7 && byte > 1 {
-                return Err(CodecError::Corrupt {
-                    reason: "varint overflows 64 bits",
-                });
-            }
             value |= u64::from(byte & 0x7f) << shift;
             if byte & 0x80 == 0 {
+                if shift == LAST_SHIFT && byte > 1 {
+                    return Err(Corrupt("varint overflows 64 bits"));
+                }
                 return Ok(value);
             }
             shift += 7;
-            if shift >= 7 * MAX_VARINT_BYTES {
-                return Err(CodecError::Corrupt {
-                    reason: "varint longer than 10 bytes",
-                });
+            if shift > LAST_SHIFT {
+                return Err(Corrupt("varint overflows 64 bits"));
             }
         }
     }
 
-    fn read_zigzag(&mut self) -> Result<i64, CodecError> {
+    #[inline]
+    fn read_zigzag(&mut self) -> Result<i64, Corrupt> {
         let raw = self.read_varint()?;
         Ok(((raw >> 1) as i64) ^ -((raw & 1) as i64))
     }
@@ -362,8 +333,8 @@ fn kind_tag(kind: RegionKind) -> (u8, Option<u64>) {
     }
 }
 
-fn kind_from_tag<R: Read>(tag: u8, r: &mut ByteSource<R>) -> Result<RegionKind, CodecError> {
-    let id = |r: &mut ByteSource<R>| -> Result<u32, CodecError> {
+fn kind_from_tag(tag: u8, r: &mut ByteSource<'_>) -> Result<RegionKind, CodecError> {
+    let id = |r: &mut ByteSource<'_>| -> Result<u32, CodecError> {
         u32::try_from(r.read_varint()?).map_err(|_| CodecError::Corrupt {
             reason: "region-kind owner id exceeds 32 bits",
         })
@@ -417,7 +388,7 @@ fn write_region_table<W: Write>(w: &mut W, table: &RegionTable) -> std::io::Resu
     Ok(())
 }
 
-fn read_region_table<R: Read>(r: &mut ByteSource<R>) -> Result<RegionTable, CodecError> {
+fn read_region_table(r: &mut ByteSource<'_>) -> Result<RegionTable, CodecError> {
     let count = r.read_varint()?;
     // A region costs at least 3 bytes; anything claiming more regions than
     // bytes conceivably left is corrupt rather than worth allocating for.
@@ -463,15 +434,59 @@ pub struct TraceRecord {
     pub access: Access,
 }
 
-/// A maximal stretch of accesses issued by one processor in recorded order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceRun {
-    /// Processor that issued the run.
-    pub processor: u32,
-    /// Cycle at which the first access of the run issued.
-    pub start_cycle: u64,
-    /// The accesses, in issue order.
-    pub accesses: Vec<Access>,
+/// The one rule grouping decoded records into *runs*: maximal stretches
+/// of accesses issued by one processor in recorded order.
+///
+/// A processor change starts a run. A clock regression on the same
+/// processor does not: the encoder writes a `RUN` record there only to
+/// re-anchor the cycle clock, so the stretch stays one run. The trace
+/// summary counts runs by this rule and the L1 filter of
+/// `compmem-platform` splits its refill stream by it, so the two never
+/// disagree.
+///
+/// ```
+/// use compmem_trace::codec::{EncodedTrace, RunSplitter, TraceWriter};
+/// use compmem_trace::{Access, Addr, RegionId, RegionKind, RegionTable, TaskId};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut table = RegionTable::new();
+/// let task = TaskId::new(0);
+/// table.insert("t0.data", RegionKind::TaskData { task }, 4096)?;
+/// let access = Access::load(Addr::new(0), 4, task, RegionId::new(0));
+/// let mut writer = TraceWriter::new(Vec::new(), &table, 2)?;
+/// writer.record(0, 100, &access);
+/// writer.record(1, 50, &access); // a processor change: a new run
+/// writer.record(1, 40, &access); // a clock regression: the same run
+/// let (bytes, _) = writer.finish()?;
+/// let trace = EncodedTrace::from_bytes(bytes)?;
+///
+/// let mut splitter = RunSplitter::default();
+/// let mut starts = Vec::new();
+/// for record in trace.reader() {
+///     let record = record?;
+///     if splitter.starts_run(&record) {
+///         starts.push(record.cycle);
+///     }
+/// }
+/// assert_eq!(starts, [100, 50]);
+/// assert_eq!(trace.summary().runs, 2);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunSplitter {
+    processor: Option<u32>,
+}
+
+impl RunSplitter {
+    /// Whether `record`, the next record in recorded order, starts a new
+    /// run.
+    #[inline]
+    pub fn starts_run(&mut self, record: &TraceRecord) -> bool {
+        let starts = self.processor != Some(record.processor);
+        self.processor = Some(record.processor);
+        starts
+    }
 }
 
 /// Counters describing an encoded trace.
@@ -479,7 +494,8 @@ pub struct TraceRun {
 pub struct TraceSummary {
     /// Total accesses encoded.
     pub accesses: u64,
-    /// Number of runs (contiguous same-processor stretches).
+    /// Number of runs (contiguous same-processor stretches, split by
+    /// [`RunSplitter`]).
     pub runs: u64,
     /// Number of processors the trace was recorded on.
     pub processors: u32,
@@ -667,10 +683,10 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-/// Streaming decoder of the trace IR.
+/// Streaming decoder of the trace IR, reading an in-memory byte slice.
 #[derive(Debug)]
-pub struct TraceReader<R: Read> {
-    inner: ByteSource<R>,
+pub struct TraceReader<'a> {
+    inner: ByteSource<'a>,
     table: RegionTable,
     processors: u32,
     task_dict: Vec<TaskId>,
@@ -684,15 +700,15 @@ pub struct TraceReader<R: Read> {
     done: bool,
 }
 
-impl<R: Read> TraceReader<R> {
+impl<'a> TraceReader<'a> {
     /// Opens a trace: parses and validates the header.
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] for I/O failures, a wrong magic or version,
-    /// or a corrupt region table.
-    pub fn new(inner: R) -> Result<Self, CodecError> {
-        let mut inner = ByteSource::new(inner);
+    /// Returns a [`CodecError`] for a wrong magic or version, or a
+    /// truncated or corrupt header.
+    pub fn new(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        let mut inner = ByteSource::new(bytes);
         let mut magic = [0u8; 4];
         inner
             .read_exact(&mut magic)
@@ -742,116 +758,86 @@ impl<R: Read> TraceReader<R> {
     ///
     /// Returns a [`CodecError`] on corrupt input; the reader is then
     /// exhausted.
+    #[inline]
     pub fn next_record(&mut self) -> Result<Option<TraceRecord>, CodecError> {
         if self.done {
             return Ok(None);
         }
+        let next = self.decode_next();
+        if !matches!(next, Ok(Some(_))) {
+            self.done = true;
+        }
+        next
+    }
+
+    #[inline]
+    fn decode_next(&mut self) -> Result<Option<TraceRecord>, CodecError> {
         loop {
-            let tag = match self.inner.next_byte()? {
-                Some(t) => t,
-                None => {
-                    self.done = true;
-                    return Err(CodecError::Corrupt {
-                        reason: "stream ends without an END record",
-                    });
-                }
-            };
+            let tag = self
+                .inner
+                .next_byte()
+                .ok_or(Corrupt("stream ends without an END record"))?;
+            if tag & TAG_ACCESS != 0 {
+                return self.decode_access(tag).map(Some);
+            }
             match tag {
-                TAG_END => {
-                    self.done = true;
-                    return Ok(None);
+                TAG_RUN => {
+                    let processor = u32::try_from(self.inner.read_varint()?)
+                        .map_err(|_| Corrupt("processor id exceeds 32 bits"))?;
+                    let delta = self.inner.read_zigzag()?;
+                    self.current_processor = Some(processor);
+                    self.prev_cycle = self.prev_cycle.wrapping_add(delta as u64);
                 }
+                TAG_END => return Ok(None),
                 TAG_DEF_TASK => {
-                    let raw = u32::try_from(self.inner.read_varint()?).map_err(|_| {
-                        CodecError::Corrupt {
-                            reason: "task id exceeds 32 bits",
-                        }
-                    })?;
+                    let raw = u32::try_from(self.inner.read_varint()?)
+                        .map_err(|_| Corrupt("task id exceeds 32 bits"))?;
                     self.task_dict.push(TaskId::new(raw));
                 }
                 TAG_DEF_REGION => {
-                    let raw = u32::try_from(self.inner.read_varint()?).map_err(|_| {
-                        CodecError::Corrupt {
-                            reason: "region id exceeds 32 bits",
-                        }
-                    })?;
+                    let raw = u32::try_from(self.inner.read_varint()?)
+                        .map_err(|_| Corrupt("region id exceeds 32 bits"))?;
                     // A trace is a self-contained scenario: every region an
                     // access names must exist in the embedded table, or
                     // consumers indexing per-region state (the profiler)
                     // would be handed a bogus index.
                     if raw as usize >= self.table.len() {
-                        self.done = true;
-                        return Err(CodecError::Corrupt {
-                            reason: "region id outside the embedded region table",
-                        });
+                        return Err(Corrupt("region id outside the embedded region table").into());
                     }
                     self.region_dict.push(RegionId::new(raw));
                 }
-                TAG_RUN => {
-                    let processor = u32::try_from(self.inner.read_varint()?).map_err(|_| {
-                        CodecError::Corrupt {
-                            reason: "processor id exceeds 32 bits",
-                        }
-                    })?;
-                    let delta = self.inner.read_zigzag()?;
-                    self.current_processor = Some(processor);
-                    self.prev_cycle = self.prev_cycle.wrapping_add(delta as u64);
-                }
-                t if t & TAG_ACCESS != 0 => return self.decode_access(t).map(Some),
-                _ => {
-                    self.done = true;
-                    return Err(CodecError::Corrupt {
-                        reason: "unknown record tag",
-                    });
-                }
+                _ => return Err(Corrupt("unknown record tag").into()),
             }
         }
     }
 
+    #[inline]
     fn decode_access(&mut self, tag: u8) -> Result<TraceRecord, CodecError> {
-        let processor = self.current_processor.ok_or(CodecError::Corrupt {
-            reason: "access before any RUN record",
-        })?;
+        let processor = self
+            .current_processor
+            .ok_or(Corrupt("access before any RUN record"))?;
         let kind = match tag & 0x03 {
             0 => AccessKind::InstrFetch,
             1 => AccessKind::Load,
             2 => AccessKind::Store,
-            _ => {
-                self.done = true;
-                return Err(CodecError::Corrupt {
-                    reason: "invalid access kind",
-                });
-            }
+            _ => return Err(Corrupt("invalid access kind").into()),
         };
         let (task, region, size) = if tag & FLAG_REPEAT != 0 {
             match (self.prev_task, self.prev_region) {
                 (Some(t), Some(r)) => (t, r, self.prev_size),
-                _ => {
-                    self.done = true;
-                    return Err(CodecError::Corrupt {
-                        reason: "context-repeat access with no previous access",
-                    });
-                }
+                _ => return Err(Corrupt("context-repeat access with no previous access").into()),
             }
         } else {
             let task_idx = self.inner.read_varint()?;
-            let task = *self.task_dict.get(task_idx as usize).ok_or(
-                CodecError::UndefinedDictionaryEntry {
-                    kind: "task",
-                    index: task_idx,
-                },
-            )?;
+            let Some(&task) = self.task_dict.get(task_idx as usize) else {
+                return Err(undefined("task", task_idx));
+            };
             let region_idx = self.inner.read_varint()?;
-            let region = *self.region_dict.get(region_idx as usize).ok_or(
-                CodecError::UndefinedDictionaryEntry {
-                    kind: "region",
-                    index: region_idx,
-                },
-            )?;
-            let size =
-                u16::try_from(self.inner.read_varint()?).map_err(|_| CodecError::Corrupt {
-                    reason: "access size exceeds 16 bits",
-                })?;
+            let Some(&region) = self.region_dict.get(region_idx as usize) else {
+                return Err(undefined("region", region_idx));
+            };
+            let size = u16::try_from(self.inner.read_varint()?)
+                .map_err(|_| Corrupt("access size exceeds 16 bits"))?;
             (task, region, size)
         };
         let addr_delta = self.inner.read_zigzag()?;
@@ -860,9 +846,7 @@ impl<R: Read> TraceReader<R> {
         let cycle = self
             .prev_cycle
             .checked_add(gap)
-            .ok_or(CodecError::Corrupt {
-                reason: "cycle counter overflows",
-            })?;
+            .ok_or(Corrupt("cycle counter overflows"))?;
 
         self.prev_addr = addr;
         self.prev_cycle = cycle;
@@ -883,34 +867,17 @@ impl<R: Read> TraceReader<R> {
             access,
         })
     }
-
-    /// Decodes the whole remaining trace into per-processor runs, in global
-    /// recorded order.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] on corrupt input.
-    pub fn collect_runs(&mut self) -> Result<Vec<TraceRun>, CodecError> {
-        let mut runs: Vec<TraceRun> = Vec::new();
-        while let Some(record) = self.next_record()? {
-            match runs.last_mut() {
-                Some(run) if run.processor == record.processor => {
-                    run.accesses.push(record.access);
-                }
-                _ => runs.push(TraceRun {
-                    processor: record.processor,
-                    start_cycle: record.cycle,
-                    accesses: vec![record.access],
-                }),
-            }
-        }
-        Ok(runs)
-    }
 }
 
-impl<R: Read> Iterator for TraceReader<R> {
+#[cold]
+fn undefined(kind: &'static str, index: u64) -> CodecError {
+    CodecError::UndefinedDictionaryEntry { kind, index }
+}
+
+impl Iterator for TraceReader<'_> {
     type Item = Result<TraceRecord, CodecError>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         self.next_record().transpose()
     }
@@ -923,18 +890,20 @@ impl<R: Read> Iterator for TraceReader<R> {
 /// rejected with a [`CodecError`], never a panic), so holders of an
 /// `EncodedTrace` can decode it without error handling surprises.
 ///
-/// The decoded runs are cached lazily, so a sweep replaying one `Arc`'d
-/// trace across many organisations decodes it once.
+/// It keeps the bytes and the summary of that validating pass, never the
+/// decoded accesses: a consumer streams them from the bytes with
+/// [`reader`](EncodedTrace::reader) — the L1 filter of `compmem-platform`
+/// does so once per L1 configuration — so a trace costs its encoded size
+/// in memory, not its decoded size.
 #[derive(Debug, Clone)]
 pub struct EncodedTrace {
     bytes: Vec<u8>,
     table: RegionTable,
     summary: TraceSummary,
-    decoded_runs: OnceLock<Vec<TraceRun>>,
 }
 
 /// Equality is over the encoded bytes (the table and summary derive from
-/// them; the lazy run cache is ignored).
+/// them).
 impl PartialEq for EncodedTrace {
     fn eq(&self, other: &Self) -> bool {
         self.bytes == other.bytes
@@ -951,24 +920,23 @@ impl EncodedTrace {
     /// Returns a [`CodecError`] if the stream is truncated, corrupt, of an
     /// unsupported version or has trailing garbage after its END record.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, CodecError> {
-        let mut reader = TraceReader::new(bytes.as_slice())?;
-        // Validation must walk every record anyway, so keep the decoded
-        // runs and seed the lazy cache — the stream is parsed exactly once.
-        let decoded = reader.collect_runs()?;
-        let accesses = decoded.iter().map(|r| r.accesses.len() as u64).sum();
-        let runs = decoded.len() as u64;
-        let processors = reader.processors();
-        if reader.inner.has_more()? {
+        let mut reader = TraceReader::new(&bytes)?;
+        // One pass validates every record and counts what the summary
+        // needs; nothing decoded is kept.
+        let mut splitter = RunSplitter::default();
+        let (mut accesses, mut runs) = (0u64, 0u64);
+        while let Some(record) = reader.next_record()? {
+            accesses += 1;
+            runs += u64::from(splitter.starts_run(&record));
+        }
+        if reader.inner.has_more() {
             return Err(CodecError::Corrupt {
                 reason: "trailing bytes after END record",
             });
         }
+        let processors = reader.processors;
         let table = reader.table;
         let encoded_bytes = bytes.len() as u64;
-        let decoded_runs = OnceLock::new();
-        decoded_runs
-            .set(decoded)
-            .expect("freshly created cache is empty");
         Ok(EncodedTrace {
             bytes,
             table,
@@ -978,7 +946,6 @@ impl EncodedTrace {
                 processors,
                 encoded_bytes,
             },
-            decoded_runs,
         })
     }
 
@@ -1041,22 +1008,11 @@ impl EncodedTrace {
         self.summary.accesses == 0
     }
 
-    /// Opens a streaming reader over the encoded bytes.
-    pub fn reader(&self) -> TraceReader<&[u8]> {
-        TraceReader::new(self.bytes.as_slice()).expect("validated at construction")
-    }
-
-    /// The trace decoded into per-processor runs in global recorded order.
-    ///
-    /// The decode happens once per trace and is cached, so replaying the
-    /// same trace under many organisations pays the codec cost a single
-    /// time.
-    pub fn runs(&self) -> &[TraceRun] {
-        self.decoded_runs.get_or_init(|| {
-            self.reader()
-                .collect_runs()
-                .expect("validated at construction")
-        })
+    /// Opens a streaming reader over the encoded bytes. The trace was
+    /// validated at construction, so the reader yields every record
+    /// without error.
+    pub fn reader(&self) -> TraceReader<'_> {
+        TraceReader::new(&self.bytes).expect("validated at construction")
     }
 
     /// Writes the encoded bytes to a file (atomically: temp file +
@@ -1203,17 +1159,23 @@ mod tests {
         writer.record(1, 50, &a[2]); // processor change
         writer.record(1, 40, &a[3]); // clock regression within a processor
         let (bytes, summary) = writer.finish().unwrap();
+        // The encoder re-anchors the clock with a RUN record at the
+        // regression...
         assert_eq!(summary.runs, 3);
         let trace = EncodedTrace::from_bytes(bytes).unwrap();
-        let runs = trace.runs();
-        // The clock-regression run merges back into the previous processor-1
-        // run when collected (same processor, contiguous).
-        assert_eq!(runs.len(), 2);
-        assert_eq!(runs[0].processor, 0);
-        assert_eq!(runs[0].start_cycle, 100);
-        assert_eq!(runs[0].accesses.len(), 2);
-        assert_eq!(runs[1].processor, 1);
-        assert_eq!(runs[1].accesses.len(), 2);
+        // ...but the stretch stays one run: (processor, start cycle,
+        // accesses) per run, by the one grouping rule.
+        let mut splitter = RunSplitter::default();
+        let mut runs: Vec<(u32, u64, usize)> = Vec::new();
+        for record in trace.reader() {
+            let record = record.unwrap();
+            if splitter.starts_run(&record) {
+                runs.push((record.processor, record.cycle, 0));
+            }
+            runs.last_mut().unwrap().2 += 1;
+        }
+        assert_eq!(runs, [(0, 100, 2), (1, 50, 2)]);
+        assert_eq!(trace.summary().runs, 2);
     }
 
     #[test]
@@ -1221,7 +1183,8 @@ mod tests {
         let t = RegionTable::new();
         let trace = EncodedTrace::from_accesses(&t, &[]).unwrap();
         assert!(trace.is_empty());
-        assert_eq!(trace.runs().len(), 0);
+        assert_eq!(trace.summary().runs, 0);
+        assert_eq!(trace.reader().count(), 0);
         assert_eq!(trace.table().len(), 0);
     }
 
@@ -1388,6 +1351,23 @@ mod tests {
             let err = decode(&body).unwrap_err().to_string();
             assert!(err.contains(reason), "{body:02x?}: {err}");
         }
+    }
+
+    #[test]
+    fn varints_decode_to_64_bits_and_no_further() {
+        let decode = |bytes: &[u8]| ByteSource::new(bytes).read_varint().map_err(|e| e.0);
+        for value in [0, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
+            let mut bytes = Vec::new();
+            write_varint(&mut bytes, value).unwrap();
+            assert_eq!(decode(&bytes), Ok(value));
+        }
+        let max = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        assert_eq!(decode(&max), Ok(u64::MAX));
+        let overflow = "varint overflows 64 bits";
+        // A tenth byte above 1, and a tenth byte that continues.
+        assert_eq!(decode(&[&max[..9], &[0x02]].concat()), Err(overflow));
+        assert_eq!(decode(&[&max[..9], &[0x81, 0x00]].concat()), Err(overflow));
+        assert_eq!(decode(&[0x80, 0x80]), Err("unexpected end of stream"));
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //! Decoding is strict: every branch is bounds-checked and corrupt input is
 //! reported as a [`CodecError`], never a panic.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 use crate::codec::{write_varint, ByteSource, CodecError};
@@ -164,8 +164,8 @@ fn key_tag(key: SidecarKey) -> (u8, Option<u64>) {
     }
 }
 
-fn key_from_tag<R: Read>(tag: u8, r: &mut ByteSource<R>) -> Result<SidecarKey, CodecError> {
-    let id = |r: &mut ByteSource<R>| -> Result<u32, CodecError> {
+fn key_from_tag(tag: u8, r: &mut ByteSource<'_>) -> Result<SidecarKey, CodecError> {
+    let id = |r: &mut ByteSource<'_>| -> Result<u32, CodecError> {
         u32::try_from(r.read_varint()?).map_err(|_| CodecError::Corrupt {
             reason: "curve key id exceeds 32 bits",
         })
@@ -400,10 +400,7 @@ impl<W: Write> CurveWriter<W> {
 
 // ----- decoding -----
 
-fn read_entry<R: Read>(
-    r: &mut ByteSource<R>,
-    header: &CurveHeader,
-) -> Result<CurveEntry, CodecError> {
+fn read_entry(r: &mut ByteSource<'_>, header: &CurveHeader) -> Result<CurveEntry, CodecError> {
     let tag = r.require_byte()?;
     let key = key_from_tag(tag, r)?;
     let accesses = r.read_varint()?;
@@ -440,8 +437,8 @@ fn read_entry<R: Read>(
     })
 }
 
-fn read_entries<R: Read>(
-    r: &mut ByteSource<R>,
+fn read_entries(
+    r: &mut ByteSource<'_>,
     header: &CurveHeader,
 ) -> Result<Vec<CurveEntry>, CodecError> {
     let count = r.read_varint()?;
@@ -464,25 +461,26 @@ fn read_entries<R: Read>(
     Ok(entries)
 }
 
-/// Streaming decoder of the curve sidecar IR.
+/// Streaming decoder of the curve sidecar IR, reading an in-memory byte
+/// slice.
 #[derive(Debug)]
-pub struct CurveReader<R: Read> {
-    inner: ByteSource<R>,
+pub struct CurveReader<'a> {
+    inner: ByteSource<'a>,
     header: CurveHeader,
     next_index: u64,
     total: Option<Vec<CurveEntry>>,
     done: bool,
 }
 
-impl<R: Read> CurveReader<R> {
+impl<'a> CurveReader<'a> {
     /// Opens a sidecar: parses and validates the header.
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] for I/O failures, a wrong magic or
-    /// version, or an invalid header.
-    pub fn new(inner: R) -> Result<Self, CodecError> {
-        let mut inner = ByteSource::new(inner);
+    /// Returns a [`CodecError`] for a wrong magic or version, or a
+    /// truncated or invalid header.
+    pub fn new(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        let mut inner = ByteSource::new(bytes);
         let mut magic = [0u8; 4];
         inner
             .read_exact(&mut magic)
@@ -582,7 +580,7 @@ impl<R: Read> CurveReader<R> {
             }
             TAG_TOTAL => {
                 let total = read_entries(&mut self.inner, &self.header)?;
-                match self.inner.next_byte()? {
+                match self.inner.next_byte() {
                     Some(TAG_END) => {}
                     _ => {
                         return Err(CodecError::Corrupt {
@@ -590,7 +588,7 @@ impl<R: Read> CurveReader<R> {
                         });
                     }
                 }
-                if self.inner.has_more()? {
+                if self.inner.has_more() {
                     return Err(CodecError::Corrupt {
                         reason: "trailing bytes after END record",
                     });

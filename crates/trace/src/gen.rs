@@ -202,6 +202,11 @@ pub fn interleave(streams: Vec<Vec<Access>>) -> Vec<Access> {
 
 // === The workload zoo ====================================================
 
+/// The largest footprint one generated task may span: 1 GB. Zipf and
+/// chase tables hold one word per line of it, so the bound caps each at
+/// 128 MB whatever the access budget.
+pub const MAX_FOOTPRINT_BYTES: u64 = 1 << 30;
+
 /// Default cycles between consecutive interleaved accesses of a generated
 /// trace. Matched to the platform's pipelined issue rate so controller
 /// windows measured in cycles line up with access counts.
@@ -452,8 +457,9 @@ impl GenSpec {
 /// Why a [`GenSpec`] could not be generated.
 #[derive(Debug)]
 pub enum GenError {
-    /// The spec itself is malformed (no tasks, zero accesses, zero-sized
-    /// footprint, zero-length phases, a zero issue rate).
+    /// The spec itself is malformed (no tasks, zero accesses, a zero-sized
+    /// footprint or one over [`MAX_FOOTPRINT_BYTES`], zero-length phases,
+    /// a zero issue rate).
     InvalidSpec {
         /// What is wrong with the spec.
         reason: String,
@@ -613,8 +619,16 @@ pub fn generate(spec: &GenSpec) -> Result<EncodedTrace, GenError> {
         if task.accesses == 0 {
             return Err(invalid(format!("task {i} has an access budget of 0")));
         }
-        if task.kind.footprint_bytes() == 0 {
+        let footprint = task.kind.footprint_bytes();
+        if footprint == 0 {
             return Err(invalid(format!("task {i} has a zero-byte footprint")));
+        }
+        if footprint > MAX_FOOTPRINT_BYTES {
+            return Err(invalid(format!(
+                "task {i} has a {} footprint, over the {} bound",
+                fmt_bytes(footprint),
+                fmt_bytes(MAX_FOOTPRINT_BYTES)
+            )));
         }
         if let GenKind::Phased { phase_accesses, .. } = task.kind {
             if phase_accesses == 0 {
@@ -804,11 +818,10 @@ mod tests {
         for kind in zoo_kinds() {
             let trace = generate(&GenSpec::single(kind, 7, 500)).unwrap();
             let region = &trace.table().regions()[0];
-            for run in trace.runs() {
-                for access in &run.accesses {
-                    assert!(access.addr >= region.base);
-                    assert!(access.addr < region.base.offset(region.size));
-                }
+            for record in trace.reader() {
+                let access = record.unwrap().access;
+                assert!(access.addr >= region.base);
+                assert!(access.addr < region.base.offset(region.size));
             }
         }
     }
@@ -838,11 +851,7 @@ mod tests {
         // The 1:4 budget ratio must hold at every point, not just in
         // aggregate: after any 50-access window the victim has issued
         // 10 ± 1 of them.
-        let issuers: Vec<u32> = trace
-            .runs()
-            .iter()
-            .flat_map(|run| std::iter::repeat_n(run.processor, run.accesses.len()))
-            .collect();
+        let issuers: Vec<u32> = trace.reader().map(|r| r.unwrap().processor).collect();
         for window in issuers.chunks(50) {
             let t0 = window.iter().filter(|&&p| p == 0).count();
             assert!((9..=11).contains(&t0), "unbalanced window: {t0}/50 from t0");
@@ -913,6 +922,66 @@ mod tests {
         }
     }
 
+    /// A footprint over the bound is refused by name before any per-line
+    /// table is sized from it; the bound itself still generates.
+    #[test]
+    fn zoo_rejects_footprints_over_the_bound() {
+        let huge = GenKind::Zipf {
+            working_set_bytes: 100_000_000 * 1024,
+        };
+        let spec = GenSpec::mix(
+            vec![
+                GenTask {
+                    kind: GenKind::Scan {
+                        footprint_bytes: 4096,
+                    },
+                    accesses: 10,
+                },
+                GenTask {
+                    kind: huge,
+                    accesses: 10,
+                },
+            ],
+            1,
+        );
+        let err = generate(&spec).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "invalid generator spec: task 1 has a 100000000 KB footprint, \
+             over the 1048576 KB bound"
+        );
+        for kind in [
+            GenKind::Scan {
+                footprint_bytes: MAX_FOOTPRINT_BYTES + 1,
+            },
+            GenKind::Chase {
+                working_set_bytes: MAX_FOOTPRINT_BYTES + 64,
+            },
+            GenKind::Phased {
+                hot_bytes: 1024,
+                scan_bytes: MAX_FOOTPRINT_BYTES * 2,
+                phase_accesses: 10,
+            },
+        ] {
+            assert!(
+                matches!(
+                    generate(&GenSpec::single(kind, 1, 10)),
+                    Err(GenError::InvalidSpec { .. })
+                ),
+                "{kind:?} was not rejected"
+            );
+        }
+        let at_bound = GenKind::Scan {
+            footprint_bytes: MAX_FOOTPRINT_BYTES,
+        };
+        assert_eq!(
+            generate(&GenSpec::single(at_bound, 1, 10))
+                .unwrap()
+                .accesses(),
+            10
+        );
+    }
+
     #[test]
     fn zoo_cycles_are_uniform_and_nondecreasing() {
         let spec = GenSpec::single(
@@ -924,11 +993,12 @@ mod tests {
         );
         let trace = generate(&spec).unwrap();
         let mut last = None;
-        for run in trace.runs() {
+        for (i, record) in trace.reader().enumerate() {
+            let cycle = record.unwrap().cycle;
             if let Some(prev) = last {
-                assert!(run.start_cycle >= prev);
+                assert_eq!(cycle, prev + spec.cycles_per_access, "access {i}");
             }
-            last = Some(run.start_cycle);
+            last = Some(cycle);
         }
     }
 }

@@ -78,8 +78,8 @@ pub mod stats;
 pub use access::{Access, AccessKind};
 pub use addr::{Addr, LineAddr, LINE_SIZE_BYTES};
 pub use codec::{
-    write_file_atomic, CodecError, EncodedTrace, TraceReader, TraceRecord, TraceRun, TraceSummary,
-    TraceWriter,
+    write_file_atomic, CodecError, EncodedTrace, RunSplitter, TraceReader, TraceRecord,
+    TraceSummary, TraceWriter,
 };
 pub use curves::{
     trace_content_hash, CurveEntry, CurveHeader, CurveReader, CurveWriter, EncodedCurves,

@@ -106,17 +106,16 @@ proptest! {
             prop_assert_eq!(record.access, *access);
         }
 
-        // The validated in-memory form agrees and its run decomposition
-        // covers every access exactly once, in order.
+        // The validated in-memory form agrees: its reader yields every
+        // access exactly once, in order, and its run count follows the
+        // processor changes.
         let trace = EncodedTrace::from_bytes(bytes).unwrap();
         prop_assert_eq!(trace.accesses(), records.len() as u64);
-        let replayed: Vec<Access> = trace
-            .runs()
-            .iter()
-            .flat_map(|run| run.accesses.iter().copied())
-            .collect();
+        let replayed: Vec<Access> = trace.reader().map(|r| r.unwrap().access).collect();
         let originals: Vec<Access> = records.iter().map(|(_, _, a)| *a).collect();
         prop_assert_eq!(replayed, originals);
+        let handovers = records.windows(2).filter(|w| w[0].0 != w[1].0).count();
+        prop_assert_eq!(trace.summary().runs, (handovers + usize::from(!records.is_empty())) as u64);
     }
 
     /// Flipping any single byte of a valid stream (or truncating it) must
@@ -146,8 +145,8 @@ proptest! {
             Err(CodecError::Io(_)) => prop_assert!(false, "no I/O happens in memory"),
             Err(_) => {}
             Ok(trace) => {
-                let decoded: u64 = trace.runs().iter().map(|r| r.accesses.len() as u64).sum();
-                prop_assert_eq!(decoded, trace.accesses());
+                let decoded: Result<Vec<_>, _> = trace.reader().collect();
+                prop_assert_eq!(decoded.unwrap().len() as u64, trace.accesses());
             }
         }
 

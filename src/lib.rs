@@ -26,7 +26,10 @@
 //!   and per-task/region dictionaries behind streaming
 //!   `TraceWriter`/`TraceReader` codecs and the validated in-memory
 //!   `EncodedTrace`; a trace embeds its region table, so it is a
-//!   self-contained scenario. Its `curves` module is the **curve sidecar
+//!   self-contained scenario. `EncodedTrace` validates its bytes in one
+//!   pass and keeps only their summary; `TraceReader` decodes straight
+//!   from the byte slice, and `RunSplitter` is the one rule grouping its
+//!   records into runs. Its `curves` module is the **curve sidecar
 //!   IR**: miss-rate curves persisted in a `.curves` file next to the
 //!   trace, bound to the exact trace bytes by content hash, so stale or
 //!   foreign sidecars are rejected (`CodecError`, never a panic).
@@ -35,7 +38,10 @@
 //!   implement the **object-safe `CacheModel` trait** — including a
 //!   default-implemented `access_batch`, so whole runs of accesses cost
 //!   one virtual dispatch — and `OrganizationSpec` builds any of them as a
-//!   `Box<dyn CacheModel>` from plain data. Per-key statistics and uniform
+//!   `Box<dyn CacheModel>` from plain data. Their common core,
+//!   `SetAssocCache`, keeps every set's ways in flat arrays, indexes sets
+//!   by mask and picks victims under all four policies without
+//!   allocating. Per-key statistics and uniform
 //!   `CacheSnapshot`s live here too. The miss-vs-size profiles
 //!   (`MissProfiles`) that feed the optimiser are produced by the
 //!   **single-pass `StackDistanceProfiler`**: per-key, per-set bounded
@@ -71,6 +77,10 @@
 //!   recorded trace in one walk over its runs in recorded order —
 //!   bit-identical cache statistics, no workload execution, with the
 //!   organisation-invariant L1 filter cached per trace (`PreparedTrace`).
+//!   The filter streams records from the trace bytes into one
+//!   `FilteredTrace`: a single refill vector plus a header per run
+//!   holding its range, which replay, lanes, profilers and the
+//!   controller read as slices.
 //!   A replay honours an installed `PartitionSchedule` and a controller's
 //!   decisions by one rule: a switch applies just before the first run,
 //!   in recorded order, whose recorded start cycle reaches its boundary

@@ -645,7 +645,7 @@ proptest! {
         system.install_schedule(&PartitionSchedule::new(trailing.collect()).unwrap()).unwrap();
         let mut index = 0;
         let pushed = system
-            .run_controlled(|_| {
+            .run_controlled(|_, _| {
                 index += 1;
                 let due = pushes.iter().find(|(run, _)| *run == index - 1);
                 due.map(|(_, step)| step.organization.clone())
