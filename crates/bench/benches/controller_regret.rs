@@ -8,13 +8,14 @@
 //!   reference every controlled case is gated against;
 //! * `greedy_replay` — the online `Greedy` policy re-solving the exact
 //!   allocation on every closed profiling window and switching at the
-//!   run that closes it (inline windowed profiling + per-window ILP: the
-//!   most expensive causal controller);
+//!   run that closes it (one windowed profiling pass + per-window ILP:
+//!   the most expensive causal controller);
 //! * `hysteresis_replay` — `Hysteresis` with the phase detector gating
 //!   the re-solve, a fresh policy per iteration (the detector carries
 //!   state across windows, not across runs);
 //! * `oracle_replay` — the offline plan (computed once, outside the
-//!   timing loop) replayed through its pre-installed schedule.
+//!   timing loop, from the same windowed curves `compete` reads) replayed
+//!   through its pre-installed schedule.
 //!
 //! A second pair measures the same quotient on workload-zoo traffic:
 //! `static_zoo_mix` vs `hysteresis_zoo_mix` replay a generated
@@ -43,7 +44,7 @@ use compmem_bench::{mpeg2_experiment, Scale};
 use compmem_cache::{
     CacheConfig, CacheSizeLattice, CurveResolution, OrganizationSpec, PartitionKey, PartitionMap,
 };
-use compmem_platform::{PlatformConfig, PreparedTrace};
+use compmem_platform::{profile_trace_windowed, PlatformConfig, PreparedTrace};
 use compmem_trace::gen::{generate, GenKind, GenSpec, GenTask};
 
 const SETS_PER_UNIT: u32 = 4; // Scale::Small's allocation-unit granule
@@ -116,8 +117,18 @@ fn bench_controller_regret(c: &mut Criterion) {
         Arc::clone(&trace),
     );
 
-    let mut oracle = Oracle::plan(&platform, l2, &lattice, &trace, PHASE_THRESHOLD, &config)
-        .expect("offline planning succeeds");
+    let curves = profile_trace_windowed(&platform, &trace, config.resolution, config.window)
+        .expect("profiling succeeds");
+    let mut oracle = Oracle::plan(
+        &platform,
+        l2,
+        &lattice,
+        &trace,
+        &curves,
+        PHASE_THRESHOLD,
+        &config,
+    )
+    .expect("offline planning succeeds");
 
     // Sanity before timing: the competition reconciles exactly — the
     // oracle's regret is zero, every cost is misses plus flush traffic,
@@ -127,8 +138,16 @@ fn bench_controller_regret(c: &mut Criterion) {
         let mut hysteresis = Hysteresis::new(PHASE_THRESHOLD, SWITCH_MARGIN);
         let mut policies: Vec<&mut dyn ControllerPolicy> =
             vec![&mut greedy, &mut hysteresis, &mut oracle];
-        let (outcomes, report) = compete(&platform, l2, &lattice, &trace, &mut policies, &config)
-            .expect("competition succeeds");
+        let (outcomes, report) = compete(
+            &platform,
+            l2,
+            &lattice,
+            &trace,
+            &curves,
+            &mut policies,
+            &config,
+        )
+        .expect("competition succeeds");
         assert_eq!(report.baseline, "oracle");
         for (outcome, entry) in outcomes.iter().zip(&report.entries) {
             assert_eq!(entry.cost, outcome.cost());

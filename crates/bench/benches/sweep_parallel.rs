@@ -2,7 +2,7 @@
 //!
 //! Two parallel paths ride on the recorded small-scale MPEG-2 trace. The
 //! *sweep* pair times the same three-organisation replay batch on the
-//! work-stealing pool with one worker (`serial_sweep`) and four workers
+//! bounded batch pool with one worker (`serial_sweep`) and four workers
 //! (`jobs4_sweep`); their ratio is the wall-clock speed-up `compmem sweep
 //! --jobs 4` enjoys on the measuring machine. The *lane* trio times the
 //! set-partitioned replay split into independent set shards merged back

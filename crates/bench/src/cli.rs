@@ -30,8 +30,8 @@ use compmem_cache::{
     PartitionSchedule, ReplacementPolicy, WayAllocation, WindowConfig, WindowedCurves,
 };
 use compmem_platform::{
-    load_sidecar, profile_shards, profile_trace_windowed_lanes, profile_trace_with_sidecar_lanes,
-    PlatformConfig, PreparedTrace, SidecarOutcome,
+    load_sidecar, profile_shards, profile_trace_windowed, profile_trace_windowed_lanes,
+    profile_trace_with_sidecar_lanes, PlatformConfig, PreparedTrace, SidecarOutcome,
 };
 use compmem_trace::gen::{generate, provenance, GenKind, GenSpec, GenTask};
 use compmem_trace::{
@@ -1180,15 +1180,14 @@ fn parse_qos_floors(spec: &str, table: &RegionTable) -> Result<Vec<QosFloor>, St
 /// The online control loop behind `replay --controller`: replay the
 /// trace with a self-tuning policy re-solving on each closed profiling
 /// window, or (`--controller compete`) race greedy, hysteresis and the
-/// offline oracle on the same traffic and print the regret table.
+/// offline oracle on the same traffic and print the regret table. Every
+/// mode profiles once and runs through `compete`.
 fn replay_controller(
     flags: &[(String, String)],
     preloaded: Option<&PreloadedTrace>,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    use compmem::controller::{
-        compete, replay_controlled, ControllerPolicy, Greedy, Hysteresis, Oracle,
-    };
+    use compmem::controller::{compete, ControllerPolicy, Greedy, Hysteresis, Oracle};
 
     let name = get(flags, "controller").unwrap_or_default();
     let trace = load_trace(flags, preloaded)?;
@@ -1209,16 +1208,39 @@ fn replay_controller(
         .map_err(|e| e.to_string())?;
     config.optimizer = solver_kind(flags)?;
     let platform = PlatformConfig::default();
+    if !matches!(name, "greedy" | "hysteresis" | "oracle" | "compete") {
+        return Err(format!(
+            "unknown controller `{name}` (use greedy, hysteresis, oracle or compete)"
+        ));
+    }
+
+    let curves = profile_trace_windowed(&platform, &trace, config.resolution, config.window)
+        .map_err(|e| e.to_string())?;
+    let mut greedy = Greedy;
+    let mut hysteresis = Hysteresis::new(threshold, margin);
+    let mut oracle = matches!(name, "oracle" | "compete")
+        .then(|| Oracle::plan(&platform, l2, &lattice, &trace, &curves, threshold, &config))
+        .transpose()
+        .map_err(|e| e.to_string())?;
+    let mut policies: Vec<&mut dyn ControllerPolicy> = match name {
+        "greedy" => vec![&mut greedy],
+        "hysteresis" => vec![&mut hysteresis],
+        "oracle" => vec![],
+        _ => vec![&mut greedy, &mut hysteresis],
+    };
+    policies.extend(oracle.as_mut().map(|o| o as &mut dyn ControllerPolicy));
+    let (outcomes, report) = compete(
+        &platform,
+        l2,
+        &lattice,
+        &trace,
+        &curves,
+        &mut policies,
+        &config,
+    )
+    .map_err(|e| e.to_string())?;
 
     if name == "compete" {
-        let mut greedy = Greedy;
-        let mut hysteresis = Hysteresis::new(threshold, margin);
-        let mut oracle = Oracle::plan(&platform, l2, &lattice, &trace, threshold, &config)
-            .map_err(|e| e.to_string())?;
-        let mut policies: Vec<&mut dyn ControllerPolicy> =
-            vec![&mut greedy, &mut hysteresis, &mut oracle];
-        let (outcomes, report) = compete(&platform, l2, &lattice, &trace, &mut policies, &config)
-            .map_err(|e| e.to_string())?;
         outln!(
             out,
             "controller competition on {} accesses: windows of {window_cycles} cycles, \
@@ -1239,21 +1261,7 @@ fn replay_controller(
         return Ok(());
     }
 
-    let mut policy: Box<dyn ControllerPolicy> = match name {
-        "greedy" => Box::new(Greedy),
-        "hysteresis" => Box::new(Hysteresis::new(threshold, margin)),
-        "oracle" => Box::new(
-            Oracle::plan(&platform, l2, &lattice, &trace, threshold, &config)
-                .map_err(|e| e.to_string())?,
-        ),
-        other => {
-            return Err(format!(
-                "unknown controller `{other}` (use greedy, hysteresis, oracle or compete)"
-            ))
-        }
-    };
-    let outcome = replay_controlled(&platform, l2, &lattice, &trace, policy.as_mut(), &config)
-        .map_err(|e| e.to_string())?;
+    let outcome = &outcomes[0];
     outln!(
         out,
         "controlled replay of {} accesses: policy `{}`, {} windows of {window_cycles} \
@@ -1535,11 +1543,12 @@ fn sweep(
         trace.accesses()
     );
     // The whole (size x organisation) grid is one batch on the bounded
-    // work-stealing pool: at most `jobs` worker threads regardless of how
-    // many sizes are swept, with slow rows (big partitioned replays)
-    // stolen by idle workers. Rows whose spec cannot be built (e.g. more
-    // entities than ways) are reported in place, and a panicking row
-    // surfaces as its own error instead of aborting the sweep.
+    // pool: at most `jobs` worker threads regardless of how many sizes
+    // are swept, each free worker taking the next row, so slow rows (big
+    // partitioned replays) never leave the others idle. Rows whose spec
+    // cannot be built (e.g. more entities than ways) are reported in
+    // place, and a panicking row surfaces as its own error instead of
+    // aborting the sweep.
     let mut grid: Vec<(u64, &str, Result<ScenarioSpec, String>)> = Vec::new();
     for &(kb, l2) in &sizes {
         for name in ["shared", "set-partitioned", "way-partitioned"] {
@@ -1832,7 +1841,7 @@ fn verify_sweep_against_replay(
     jobs: usize,
 ) -> Result<(), String> {
     // Every shape replays the same immutable trace, so the cross-check
-    // fans out on the work-stealing pool like the main sweep does.
+    // fans out on the bounded pool like the main sweep does.
     let outcomes = compmem::executor::run_batch(&sweep.points, jobs, |_, point| {
         let l2 = CacheConfig::new(point.sets, point.ways).map_err(CoreError::from)?;
         let spec = ScenarioSpec::replay(l2, OrganizationSpec::Shared, Arc::clone(trace));

@@ -1104,30 +1104,6 @@ impl WindowedProfiler {
         }
     }
 
-    /// The window configuration.
-    pub fn config(&self) -> WindowConfig {
-        self.config
-    }
-
-    /// The resolution of the pass.
-    pub fn resolution(&self) -> CurveResolution {
-        self.profiler.resolution()
-    }
-
-    /// Total accesses observed so far.
-    pub fn accesses(&self) -> u64 {
-        self.observed
-    }
-
-    /// The windows closed so far, in stream order. The currently open
-    /// window is not included until it closes — this is what lets an
-    /// online controller poll the profiler mid-stream: a growing length
-    /// marks a window boundary, and the last element carries the curves
-    /// of the window that just completed.
-    pub fn windows(&self) -> &[CurveWindow] {
-        &self.windows
-    }
-
     /// Observes one access of the L2-bound stream, issued at `cycle`.
     ///
     /// A cycle-windowed pass closes the current window before observing

@@ -3,14 +3,19 @@
 //! The offline pipeline of [`experiment`](crate::experiment) measures a
 //! whole recorded run, segments it into phases and *then* derives a
 //! [`PartitionSchedule`] — it knows the future. This module runs the same
-//! machinery **online**: a [`WindowedProfiler`] rides the replayed access
-//! stream, and every time a profiling window closes a
+//! machinery **online**: every time a profiling window closes, a
 //! [`ControllerPolicy`] may re-solve the allocation problem on the
-//! *measured* curves of that window and repartition the live L2 at the
-//! very next run boundary. The loop is strictly causal — the policy that
-//! acts at the boundary of window `N + 1` has only seen windows
-//! `0 ..= N` — so its decisions lag the offline oracle by one window,
-//! and the gap between the two is the controller's *regret*, measured by
+//! *measured* curves and repartition the live L2 at the run that closes
+//! it.
+//!
+//! The curves depend only on the L2-bound stream, so one windowed pass
+//! ([`profile_trace_windowed`]) serves every policy, the [`Oracle`]'s
+//! plan and [`compete`]. Every refill is one profiled access and a cycle
+//! window closes only on a run's first refill, so window `N` closes at
+//! the first run with refills whose first refill is stream access
+//! `Σ accesses(0..=N)`; there the causal feed shows window `N`
+//! ([`CurveFeed`]). A causal policy thus lags the offline oracle by one
+//! window, and the gap is the controller's *regret*, measured by
 //! [`compete`] in misses plus flush write-backs on identical traffic.
 //!
 //! Three reference policies span the design space:
@@ -30,15 +35,18 @@
 //! byte-identical traffic and their miss deltas are attributable to the
 //! control decisions alone.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use compmem_cache::FlushStats;
 use compmem_cache::{
     CacheConfig, CacheGeometry, CacheSizeLattice, CurveResolution, MissRateCurves,
     OnlinePhaseDetector, OrganizationSpec, PartitionKey, PartitionMap, PartitionSchedule,
-    ReplacementPolicy, ScheduleStep, WindowConfig, WindowKind, WindowedProfiler,
+    ReplacementPolicy, WindowConfig, WindowKind, WindowedCurves,
 };
-use compmem_platform::{profile_trace_windowed, PlatformConfig, PreparedTrace, ReplaySystem};
+use compmem_platform::{
+    profile_trace_windowed, PlatformConfig, PlatformError, PreparedTrace, ReplaySystem,
+};
 use compmem_trace::RegionTable;
 
 use crate::error::CoreError;
@@ -130,7 +138,7 @@ impl SolverContext<'_> {
 
 /// One observation handed to a policy: a profiling window just closed
 /// (or, under [`CurveFeed::Oracle`], is just opening) and the engine is
-/// at a run boundary where a repartition can be installed.
+/// at the run that closes it, where a repartition can be installed.
 #[derive(Debug)]
 pub struct ControllerTick<'a> {
     /// Index of the window `curves` describe.
@@ -147,15 +155,15 @@ pub struct ControllerTick<'a> {
 /// controller loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CurveFeed {
-    /// **Causal** (the default): at the boundary opening window `N + 1`
-    /// the policy sees the measured curves of the just-closed window
-    /// `N`. This is what a real controller can know; its one-window lag
-    /// is the source of regret.
+    /// **Causal** (the default): the tick at the run that closes window
+    /// `N` carries window `N`'s curves, and the default start map is an
+    /// equal split. This is what a real controller can know; its
+    /// one-window lag is the source of regret.
     Measured,
-    /// **Clairvoyant**: the whole trace is profiled up front and the
-    /// tick at the same boundary carries the curves of the *opening*
-    /// window `N + 1`. A [`Greedy`] policy on this feed reproduces the
-    /// offline per-window schedule switch for switch (the parity test),
+    /// **Clairvoyant**: the same tick carries the curves of window
+    /// `N + 1`, the one that run opens, and the start map solves window
+    /// 0. A [`Greedy`] policy on this feed reproduces the offline
+    /// per-window schedule switch for switch (the parity test),
     /// isolating the lag from every other difference.
     Oracle,
 }
@@ -171,7 +179,7 @@ pub struct ControllerConfig {
     /// close *mid*-run, after boundary refills already replayed — the
     /// driver rejects the configuration rather than silently lag.
     pub window: WindowConfig,
-    /// Resolution of the online profiler.
+    /// Resolution of the profiled curves.
     pub resolution: CurveResolution,
     /// Solver used for every re-solve.
     pub optimizer: OptimizerKind,
@@ -210,9 +218,9 @@ pub trait ControllerPolicy {
     fn name(&self) -> &str;
 
     /// The map the run starts under. With curves available (the
-    /// clairvoyant feed profiles window 0 up front) the default solves
-    /// them; otherwise it falls back to an equal split — a causal
-    /// controller knows nothing before the first window closes.
+    /// clairvoyant feed shows window 0) the default solves them;
+    /// otherwise it falls back to an equal split — a causal controller
+    /// knows nothing before the first window closes.
     ///
     /// # Errors
     ///
@@ -379,25 +387,26 @@ fn cost_of(outcome: &RunOutcome) -> u64 {
 }
 
 impl Oracle {
-    /// Plans the oracle schedule for a trace: profiles it windowed,
-    /// segments phases at `threshold`, runs the static-vs-scheduled
-    /// validation replay and keeps the cheaper policy.
+    /// Plans the oracle schedule for a trace from its windowed `curves`
+    /// (as [`compete`] takes them): segments phases at `threshold`, runs
+    /// the static-vs-scheduled validation replay and keeps the cheaper
+    /// policy.
     ///
     /// # Errors
     ///
-    /// Propagates profiling, solver, schedule and platform errors.
+    /// Propagates solver, schedule and platform errors.
     pub fn plan(
         platform: &PlatformConfig,
         l2: CacheConfig,
         lattice: &CacheSizeLattice,
         trace: &PreparedTrace,
+        curves: &WindowedCurves,
         threshold: f64,
         config: &ControllerConfig,
     ) -> Result<Self, CoreError> {
         let geometry = l2.geometry();
-        let windowed = profile_trace_windowed(platform, trace, config.resolution, config.window)?;
         let plan = phase_allocations_for_table(
-            &windowed,
+            curves,
             threshold,
             trace.table(),
             lattice,
@@ -494,15 +503,14 @@ impl ControlledOutcome {
 
 /// Replays a recorded trace under an online controller policy.
 ///
-/// The engine observes every run of the replayed stream *before* it
-/// executes (profiling is organisation-independent, so feeding the
-/// profiler ahead of the replay does not peek at timing the controller
-/// could not know). When the profiler closes a window, the policy is
-/// shown the window's curves ([`ControllerTick`]) and may answer with a
-/// map, which repartitions the L2 at the observed run's start cycle,
-/// just before that run replays, with exact [`FlushStats`] accounting —
-/// the rule an installed [`PartitionSchedule`] step at that boundary
-/// follows, so replaying the emitted
+/// A [preinstalled](ControllerPolicy::preinstalled_schedule) schedule
+/// replays as is. Otherwise one [`profile_trace_windowed`] pass measures
+/// the curves, and at each run that closes a window (see the module
+/// docs) the policy is shown a window's curves ([`ControllerTick`]) and
+/// may answer with a map, which repartitions the L2 at that run's start
+/// cycle, just before the run replays, with exact [`FlushStats`]
+/// accounting — the rule an installed [`PartitionSchedule`] step at that
+/// boundary follows, so replaying the emitted
 /// [`schedule`](ControlledOutcome::schedule) reproduces the run.
 ///
 /// # Errors
@@ -511,8 +519,8 @@ impl ControlledOutcome {
 ///   not LRU — the controller's curves would be fiction;
 /// * [`CoreError::Infeasible`] if the window kind is not
 ///   [`WindowKind::Cycles`] (see [`ControllerConfig::window`]);
-/// * solver, map-packing, schedule and platform errors from the
-///   decision loop and the replay.
+/// * profiling, solver, map-packing, schedule and platform errors from
+///   the decision loop and the replay.
 pub fn replay_controlled(
     platform: &PlatformConfig,
     l2: CacheConfig,
@@ -521,22 +529,27 @@ pub fn replay_controlled(
     policy: &mut dyn ControllerPolicy,
     config: &ControllerConfig,
 ) -> Result<ControlledOutcome, CoreError> {
+    let profile = || profile_trace_windowed(platform, trace, config.resolution, config.window);
+    run_policy(platform, l2, lattice, trace, policy, config, profile)
+}
+
+/// One controlled replay: the checks in order (LRU, the preinstalled
+/// schedule, which needs no curves, the window kind), and only then
+/// `curves()` and the online loop over them, one tick per closed window.
+fn run_policy<C: Borrow<WindowedCurves>>(
+    platform: &PlatformConfig,
+    l2: CacheConfig,
+    lattice: &CacheSizeLattice,
+    trace: &Arc<PreparedTrace>,
+    policy: &mut dyn ControllerPolicy,
+    config: &ControllerConfig,
+    curves: impl FnOnce() -> Result<C, PlatformError>,
+) -> Result<ControlledOutcome, CoreError> {
     if l2.replacement_policy() != ReplacementPolicy::Lru {
         return Err(CoreError::NonLruProfiling {
             policy: l2.replacement_policy().to_string(),
         });
     }
-    let table = trace.table();
-    let geometry = l2.geometry();
-    let solver = SolverContext {
-        table,
-        lattice,
-        geometry,
-        optimizer: config.optimizer,
-    };
-
-    // A preinstalled schedule (the oracle) replays through the ordinary
-    // scheduled path: same engine, no online loop.
     if let Some(schedule) = policy.preinstalled_schedule() {
         return Ok(ControlledOutcome {
             policy: policy.name().to_string(),
@@ -545,7 +558,6 @@ pub fn replay_controlled(
             schedule: schedule.clone(),
         });
     }
-
     if config.window.kind != WindowKind::Cycles {
         return Err(CoreError::Infeasible {
             reason: format!(
@@ -555,90 +567,64 @@ pub fn replay_controlled(
             ),
         });
     }
+    let curves = curves()?;
+    let curves = curves.borrow();
 
-    // The clairvoyant feed profiles the whole trace up front; the causal
-    // feed starts blind.
-    let precomputed = match config.feed {
-        CurveFeed::Oracle => Some(profile_trace_windowed(
-            platform,
-            trace,
-            config.resolution,
-            config.window,
-        )?),
-        CurveFeed::Measured => None,
+    let table = trace.table();
+    let solver = SolverContext {
+        table,
+        lattice,
+        geometry: l2.geometry(),
+        optimizer: config.optimizer,
     };
-    let initial_curves = precomputed
-        .as_ref()
-        .and_then(|w| w.windows.first())
-        .map(|w| &w.curves);
-    let initial = policy.initial_map(&solver, initial_curves)?;
-
+    // The clairvoyant feed shows the window a tick's run opens and solves
+    // window 0 for the start map; the causal feed starts blind.
+    let (lookahead, start_curves) = match config.feed {
+        CurveFeed::Measured => (0, None),
+        CurveFeed::Oracle => (1, curves.windows.first().map(|w| &w.curves)),
+    };
+    let initial = policy.initial_map(&solver, start_curves)?;
     let l2_model = OrganizationSpec::SetPartitioned(initial.clone()).build(l2, table)?;
     let mut system = ReplaySystem::new(platform, l2_model, trace)?;
 
-    let mut profiler = WindowedProfiler::new(config.window, config.resolution, table);
-    let mut closed = 0usize; // windows already shown to the policy
+    // Window `ticks` closes at the run whose first refill is stream access
+    // `closes_at`; the last window closes past every refill, so never.
+    let mut closes_at = curves.windows.first().map_or(0, |w| w.curves.accesses());
     let mut ticks = 0usize;
-    let mut current = initial.clone();
-    let mut installed: Vec<ScheduleStep> = Vec::new();
+    let mut steps = vec![(0, OrganizationSpec::SetPartitioned(initial.clone()))];
+    let mut current = initial;
     let mut decision_error: Option<CoreError> = None;
 
     let report = system.run_controlled(|run, refills| {
-        if decision_error.is_some() {
-            return None; // inert after the first failed decision
+        let closing = !refills.is_empty() && u64::from(run.refills.start) == closes_at;
+        if !closing || decision_error.is_some() {
+            return None;
         }
-        for refill in refills {
-            profiler.observe_at(run.start_cycle, &refill.access);
-        }
-        let mut decided: Option<PartitionMap> = None;
-        while closed < profiler.windows().len() {
-            let tick_source = match (&precomputed, config.feed) {
-                (Some(windowed), CurveFeed::Oracle) => windowed
-                    .windows
-                    .get(closed + 1)
-                    .map(|w| (closed + 1, &w.curves)),
-                _ => Some((closed, &profiler.windows()[closed].curves)),
-            };
-            closed += 1;
-            let Some((window, curves)) = tick_source else {
-                continue; // clairvoyant feed past the last window: nothing to open
-            };
-            ticks += 1;
-            let tick = ControllerTick {
-                window,
-                curves,
-                at_cycle: run.start_cycle,
-                current: decided.as_ref().unwrap_or(&current),
-            };
-            match policy.observe(&solver, &tick) {
-                // First decision of the boundary wins, mirroring the
-                // offline schedule's folding of same-cycle steps.
-                Ok(Some(map)) if decided.is_none() => decided = Some(map),
-                Ok(_) => {}
-                Err(e) => {
-                    decision_error = Some(e);
-                    return None;
-                }
+        let window = ticks + lookahead;
+        ticks += 1;
+        closes_at += curves.windows[ticks].curves.accesses();
+        let tick = ControllerTick {
+            window,
+            curves: &curves.windows[window].curves,
+            at_cycle: run.start_cycle,
+            current: &current,
+        };
+        match policy.observe(&solver, &tick) {
+            Ok(decision) => decision.map(|map| {
+                current = map.clone();
+                let organization = OrganizationSpec::SetPartitioned(map);
+                steps.push((run.start_cycle, organization.clone()));
+                organization
+            }),
+            Err(e) => {
+                decision_error = Some(e);
+                None
             }
         }
-        decided.map(|map| {
-            current = map.clone();
-            let organization = OrganizationSpec::SetPartitioned(map);
-            installed.push(ScheduleStep {
-                at_cycle: run.start_cycle,
-                organization: organization.clone(),
-            });
-            organization
-        })
     })?;
     if let Some(error) = decision_error {
         return Err(error);
     }
-
-    let mut steps: Vec<(u64, OrganizationSpec)> =
-        vec![(0, OrganizationSpec::SetPartitioned(initial))];
-    steps.extend(installed.into_iter().map(|s| (s.at_cycle, s.organization)));
-    let schedule = PartitionSchedule::new(steps)?;
 
     let by_key = by_key_from_regions(table, &report);
     let l2_snapshot = system.into_l2().snapshot();
@@ -651,7 +637,7 @@ pub fn replay_controlled(
             lane_decision: None,
         },
         ticks,
-        schedule,
+        schedule: PartitionSchedule::new(steps)?,
     })
 }
 
@@ -731,26 +717,45 @@ impl RegretReport {
     }
 }
 
-/// Runs every policy on the **same** recorded trace under one
-/// configuration and charges each against the oracle (any policy whose
+/// Runs every policy on the **same** recorded trace and the same
+/// `curves` ([`profile_trace_windowed`] under `config`) and charges each
+/// against the oracle (any policy whose
 /// [`preinstalled_schedule`](ControllerPolicy::preinstalled_schedule)
-/// is set and whose name is `"oracle"`).
+/// is set and whose name is `"oracle"`). Each run is the policy's
+/// [`replay_controlled`] run.
 ///
 /// # Errors
 ///
-/// As for [`replay_controlled`], for whichever policy fails first.
+/// [`CoreError::CurvesMismatch`] if `curves` have another window
+/// configuration or resolution than `config`, or another access count
+/// than the trace's L2-bound refills; otherwise as for
+/// [`replay_controlled`], for whichever policy fails first.
 pub fn compete(
     platform: &PlatformConfig,
     l2: CacheConfig,
     lattice: &CacheSizeLattice,
     trace: &Arc<PreparedTrace>,
+    curves: &WindowedCurves,
     policies: &mut [&mut dyn ControllerPolicy],
     config: &ControllerConfig,
 ) -> Result<(Vec<ControlledOutcome>, RegretReport), CoreError> {
+    // The loop reads window boundaries off the curves' access counts.
+    let refills = trace.filtered_for(platform)?.refills.len() as u64;
+    let profiled = (curves.config, curves.resolution, curves.total.accesses());
+    if profiled != (config.window, config.resolution, refills) {
+        return Err(CoreError::CurvesMismatch {
+            reason: format!(
+                "profiled with {:?} windows at {:?} over {} L2-bound accesses, but the \
+                 replay has {:?} windows at {:?} over {refills} refills",
+                profiled.0, profiled.1, profiled.2, config.window, config.resolution
+            ),
+        });
+    }
     let mut outcomes = Vec::with_capacity(policies.len());
     for policy in policies.iter_mut() {
-        outcomes.push(replay_controlled(
-            platform, l2, lattice, trace, *policy, config,
+        let measured = || Ok(curves);
+        outcomes.push(run_policy(
+            platform, l2, lattice, trace, *policy, config, measured,
         )?);
     }
     let report = RegretReport::from_outcomes(&outcomes);

@@ -40,6 +40,12 @@ pub enum CoreError {
         /// Display name of the offending replacement policy.
         policy: String,
     },
+    /// Windowed curves handed to the controller do not describe the
+    /// replay (see [`compete`](crate::controller::compete)).
+    CurvesMismatch {
+        /// What differs.
+        reason: String,
+    },
     /// A QoS floor cannot be honoured: no candidate size keeps the
     /// entity's predicted miss rate at or under its stated bound, or the
     /// floors' combined minimum sizes exceed the cache. Rates are carried
@@ -91,6 +97,7 @@ impl fmt::Display for CoreError {
                 "stack-distance profiling is exact for LRU only; the scenario's L2 uses \
                  `{policy}` (switch the L2 to LRU)"
             ),
+            CoreError::CurvesMismatch { reason } => write!(f, "mismatched curves: {reason}"),
             CoreError::QosInfeasible { key, reason } => {
                 write!(f, "QoS floor for `{key}` is unsatisfiable: {reason}")
             }

@@ -1,4 +1,4 @@
-//! Bounded work-stealing executor for batches of independent work items.
+//! Bounded executor for batches of independent work items.
 //!
 //! [`Experiment::run_all`](crate::experiment::Experiment::run_all), the
 //! optimiser ablation and the `compmem sweep` CLI all evaluate a *fleet*
@@ -11,12 +11,12 @@
 //! * **Bounded**: at most `jobs` worker threads (default
 //!   [`default_jobs`], the host's available parallelism), never more
 //!   than there are items.
-//! * **Work-stealing**: items are seeded round-robin across per-worker
-//!   deques; a worker drains its own queue from the front and, when
-//!   empty, steals from the *back* of a sibling's queue. Items have
-//!   wildly different costs (a 4 MiB way-partitioned replay vs a 32 KiB
-//!   shared one), so static striping alone would leave workers idle
-//!   while one queue still holds the expensive tail.
+//! * **Self-balancing**: one shared atomic cursor hands out item
+//!   indices; every worker that finishes an item claims the next one.
+//!   Items have wildly different costs (a 4 MiB way-partitioned replay
+//!   vs a 32 KiB shared one), and a free worker always takes the next
+//!   item, so no worker idles while items remain — static striping would
+//!   leave workers idle while one stripe still holds the expensive tail.
 //! * **Panic-isolating**: each item runs under
 //!   [`catch_unwind`]; a panicking item yields
 //!   [`CoreError::WorkerPanicked`] in *its* result slot while the rest of
@@ -27,15 +27,14 @@
 //! the determinism tests in `experiment` assert byte-identical
 //! [`CacheSnapshot`](compmem_cache::CacheSnapshot)s for 1 vs N jobs.
 //!
-//! The pool is deliberately `std`-only (scoped threads + mutex-guarded
-//! deques, no channels): batches are coarse-grained — each item is a full
-//! cache simulation, milliseconds at minimum — so queue-operation
-//! latency is irrelevant and the simple locked deque is indistinguishable
-//! from a lock-free one here.
+//! The pool is deliberately `std`-only (scoped threads and one atomic
+//! counter): batches are coarse-grained — each item is a full cache
+//! simulation, milliseconds at minimum — so handing out one index per
+//! item costs nothing measurable.
 
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 
 use crate::error::CoreError;
@@ -59,9 +58,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Evaluates `work` over every item of `items` on a bounded work-stealing
-/// pool of at most `jobs` threads and returns the results **in input
-/// order**.
+/// Evaluates `work` over every item of `items` on a bounded pool of at
+/// most `jobs` threads and returns the results **in input order**.
 ///
 /// `jobs` is clamped to `1..=items.len()`; `jobs <= 1` (or a single
 /// item) degenerates to an inline serial loop on the calling thread, so
@@ -94,79 +92,32 @@ where
             .collect();
     }
 
-    // Seed the per-worker deques round-robin. No work is ever *added*
-    // after this point, so a worker that finds every queue empty can
-    // terminate — there is nothing left to wait for, and no parking or
-    // wake-up machinery is needed.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| {
-            Mutex::new(
-                (0..items.len())
-                    .filter(|i| i % workers == w)
-                    .collect::<VecDeque<usize>>(),
-            )
-        })
-        .collect();
-
-    let mut slots: Vec<Option<Result<R, CoreError>>> = (0..items.len()).map(|_| None).collect();
-
+    // Every free worker claims the next unclaimed index and fills that
+    // item's slot. No work is ever added, so a worker that finds the
+    // cursor past the end is done. The cursor publishes no data (each
+    // slot's mutex and the scope's join order the results), so `Relaxed`
+    // suffices for it.
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<Result<R, CoreError>>>> =
+        items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        let queues = &queues;
-        let run_one = &run_one;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut done: Vec<(usize, Result<R, CoreError>)> = Vec::new();
-                    loop {
-                        // Own queue first (front — preserves the seeded
-                        // order), then steal from siblings (back — takes
-                        // the work farthest from the owner's cursor).
-                        let mut next = queues[w]
-                            .lock()
-                            .expect("executor queue poisoned")
-                            .pop_front();
-                        if next.is_none() {
-                            for offset in 1..workers {
-                                let victim = (w + offset) % workers;
-                                next = queues[victim]
-                                    .lock()
-                                    .expect("executor queue poisoned")
-                                    .pop_back();
-                                if next.is_some() {
-                                    break;
-                                }
-                            }
-                        }
-                        match next {
-                            Some(i) => done.push((i, run_one(i, &items[i]))),
-                            None => break,
-                        }
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            // The per-item `catch_unwind` means the worker body itself
-            // cannot panic; a join error would indicate a bug in the
-            // executor, and the affected slots degrade to
-            // `WorkerPanicked` below instead of aborting the batch.
-            if let Ok(done) = handle.join() {
-                for (i, result) in done {
-                    slots[i] = Some(result);
-                }
-            }
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let result = run_one(i, item);
+                *slots[i].lock().expect("executor slot poisoned") = Some(result);
+            });
         }
     });
-
+    // `run_one` catches every panic of `work`, so every worker runs to the
+    // end of the batch and every slot is filled.
     slots
         .into_iter()
         .map(|slot| {
-            slot.unwrap_or_else(|| {
-                Err(CoreError::WorkerPanicked {
-                    message: "worker thread died before reporting its results".to_string(),
-                })
-            })
+            slot.into_inner()
+                .expect("executor slot poisoned")
+                .expect("every item runs once")
         })
         .collect()
 }
@@ -186,14 +137,14 @@ struct QueueShared<R> {
 
 /// A long-lived front end over [`run_batch`]: jobs submitted from any
 /// thread are batched by a single dispatcher thread and evaluated on the
-/// same bounded work-stealing pool, so concurrent producers share one
-/// worker budget instead of each spawning their own threads.
+/// same bounded pool, so concurrent producers share one worker budget
+/// instead of each spawning their own threads.
 ///
 /// This is the scheduling half of `compmem serve`: every cache-miss
 /// request becomes one [`WorkQueue::submit`], and however many clients
 /// are connected, at most `jobs` measurement threads ever run. The
 /// dispatcher drains *all* pending jobs into each batch, so a burst of
-/// requests is load-balanced by `run_batch`'s stealing rather than
+/// requests is load-balanced by `run_batch`'s shared cursor rather than
 /// handled strictly FIFO-serially.
 ///
 /// Panic isolation carries over from [`run_batch`]: a panicking job

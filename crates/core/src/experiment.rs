@@ -25,7 +25,7 @@
 //! Because specs are plain data (traces are shared by `Arc`) and the
 //! application factory is a pure function, independent runs are
 //! embarrassingly parallel: [`Experiment::run_all`] fans a batch of specs
-//! out across the bounded work-stealing pool of
+//! out across the bounded worker pool of
 //! [`executor`] ([`Experiment::run_all_jobs`] picks the
 //! worker count), and [`Experiment::compare_optimizers`] solves the three
 //! partition-sizing strategies concurrently on the same pool.
@@ -1403,7 +1403,7 @@ impl<F: Fn() -> Application> Experiment<F> {
 }
 
 impl<F: Fn() -> Application + Sync> Experiment<F> {
-    /// Runs a batch of independent specs on the bounded work-stealing
+    /// Runs a batch of independent specs on the bounded batch
     /// executor with [`executor::default_jobs`] workers and returns the
     /// outcomes in spec order.
     ///
@@ -1435,7 +1435,7 @@ impl<F: Fn() -> Application + Sync> Experiment<F> {
 
     /// Compares the three partition-sizing strategies on already-measured
     /// profiles (the optimiser ablation), solving them in parallel on the
-    /// work-stealing executor.
+    /// batch executor.
     ///
     /// The profiles are typically curve-derived
     /// ([`Experiment::run_profiled`]); the table names the entities and
@@ -1580,7 +1580,8 @@ mod tests {
             mpeg2_app(&params).expect("valid params")
         });
         // Replay traffic so every jobs count sees the identical access
-        // stream; a fleet larger than any worker count exercises stealing.
+        // stream; a fleet larger than any worker count exercises the
+        // shared cursor.
         let (_, trace) = experiment.record_trace(&experiment.shared_spec()).unwrap();
         let mut specs = Vec::new();
         for kb in [16u64, 32, 64] {

@@ -10,7 +10,7 @@
 //! analytically on the connection thread (the **cache-hit** path, no L1
 //! filter pass); the rest queue onto a caller-provided worker pool (the
 //! daemon wires them to `compmem::executor::WorkQueue`, so concurrent
-//! clients share one bounded work-stealing budget).
+//! clients share one bounded worker budget).
 //!
 //! The module is transport and storage only: it knows nothing about
 //! scenarios. Command evaluation is injected through [`CommandHandler`],

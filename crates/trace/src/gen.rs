@@ -207,6 +207,11 @@ pub fn interleave(streams: Vec<Vec<Access>>) -> Vec<Access> {
 /// 128 MB whatever the access budget.
 pub const MAX_FOOTPRINT_BYTES: u64 = 1 << 30;
 
+/// The most accesses one generated trace may hold, over all its tasks:
+/// `u32::MAX`, the most L2-bound refills the platform's L1 filter can
+/// index (every access could miss L1).
+pub const MAX_TOTAL_ACCESSES: u64 = u32::MAX as u64;
+
 /// Default cycles between consecutive interleaved accesses of a generated
 /// trace. Matched to the platform's pipelined issue rate so controller
 /// windows measured in cycles line up with access counts.
@@ -448,9 +453,12 @@ impl GenSpec {
         }
     }
 
-    /// Total accesses across all tasks.
+    /// Total accesses across all tasks, saturating at `u64::MAX`: exact
+    /// for every spec [`generate`] accepts.
     pub fn total_accesses(&self) -> u64 {
-        self.tasks.iter().map(|t| t.accesses).sum()
+        self.tasks
+            .iter()
+            .fold(0, |total, t| total.saturating_add(t.accesses))
     }
 }
 
@@ -459,7 +467,7 @@ impl GenSpec {
 pub enum GenError {
     /// The spec itself is malformed (no tasks, zero accesses, a zero-sized
     /// footprint or one over [`MAX_FOOTPRINT_BYTES`], zero-length phases,
-    /// a zero issue rate).
+    /// a zero issue rate, more than [`MAX_TOTAL_ACCESSES`] accesses).
     InvalidSpec {
         /// What is wrong with the spec.
         reason: String,
@@ -635,6 +643,13 @@ pub fn generate(spec: &GenSpec) -> Result<EncodedTrace, GenError> {
                 return Err(invalid(format!("task {i} has a zero-length phase")));
             }
         }
+    }
+    // Summed in u128, which no number of u64 budgets can overflow.
+    let total: u128 = spec.tasks.iter().map(|t| u128::from(t.accesses)).sum();
+    if total > u128::from(MAX_TOTAL_ACCESSES) {
+        return Err(invalid(format!(
+            "the tasks total {total} accesses, over the {MAX_TOTAL_ACCESSES} bound"
+        )));
     }
 
     let mut table = RegionTable::new();
@@ -979,6 +994,44 @@ mod tests {
                 .unwrap()
                 .accesses(),
             10
+        );
+    }
+
+    /// A total access budget over the bound is refused by name before any
+    /// task stream is collected, also when the sum overflows `u64`.
+    #[test]
+    fn zoo_rejects_totals_over_the_access_bound() {
+        let scan = GenKind::Scan {
+            footprint_bytes: 128 * 1024,
+        };
+        let err = generate(&GenSpec::single(scan, 1, 10_000_000_000))
+            .unwrap_err()
+            .to_string();
+        assert_eq!(
+            err,
+            "invalid generator spec: the tasks total 10000000000 accesses, \
+             over the 4294967295 bound"
+        );
+        let half = 1 << 63;
+        let overflowing = GenSpec::mix(
+            vec![
+                GenTask {
+                    kind: scan,
+                    accesses: half,
+                },
+                GenTask {
+                    kind: scan,
+                    accesses: half,
+                },
+            ],
+            1,
+        );
+        assert_eq!(overflowing.total_accesses(), u64::MAX);
+        let err = generate(&overflowing).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "invalid generator spec: the tasks total 18446744073709551616 accesses, \
+             over the 4294967295 bound"
         );
     }
 

@@ -18,7 +18,7 @@ use compmem::controller::{
 };
 use compmem::experiment::{Experiment, ExperimentConfig};
 use compmem_cache::{CacheConfig, CacheSizeLattice, CurveResolution};
-use compmem_platform::{PlatformConfig, PreparedTrace, SystemReport};
+use compmem_platform::{profile_trace_windowed, PlatformConfig, PreparedTrace, SystemReport};
 use compmem_workloads::apps::{
     jpeg_canny_app, mpeg2_app, Application, JpegCannyParams, Mpeg2Params,
 };
@@ -62,11 +62,15 @@ fn arena<F: Fn() -> Application>(app: F) -> Arena {
 fn run_competition(a: &Arena) -> (Vec<ControlledOutcome>, RegretReport) {
     let mut greedy = Greedy;
     let mut hysteresis = Hysteresis::new(PHASE_THRESHOLD, SWITCH_MARGIN);
+    let curves =
+        profile_trace_windowed(&a.platform, &a.trace, a.config.resolution, a.config.window)
+            .unwrap();
     let mut oracle = Oracle::plan(
         &a.platform,
         a.l2,
         &a.lattice,
         &a.trace,
+        &curves,
         PHASE_THRESHOLD,
         &a.config,
     )
@@ -78,6 +82,7 @@ fn run_competition(a: &Arena) -> (Vec<ControlledOutcome>, RegretReport) {
         a.l2,
         &a.lattice,
         &a.trace,
+        &curves,
         &mut policies,
         &a.config,
     )

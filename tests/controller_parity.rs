@@ -9,12 +9,16 @@
 //! flush stats), same final cache snapshot: pushed and installed switches
 //! apply by the same rule. And a controller that never switches must be
 //! invisible: its run is the static run.
+//!
+//! Causality is an index rule over the one windowed profile: the tick
+//! for window `N` falls at the run holding window `N + 1`'s first refill,
+//! and no causal policy sees a window before that run.
 
 use std::sync::Arc;
 
 use compmem::controller::{
-    replay_controlled, ControllerConfig, ControllerPolicy, ControllerTick, CurveFeed, Greedy,
-    SolverContext,
+    compete, replay_controlled, ControllerConfig, ControllerPolicy, ControllerTick, CurveFeed,
+    Greedy, SolverContext,
 };
 use compmem::experiment::{
     phase_allocations_for_table, run_replay, Experiment, ExperimentConfig, ScenarioSpec,
@@ -25,7 +29,9 @@ use compmem_cache::{
     PartitionMap, ReplacementPolicy, WindowConfig,
 };
 use compmem_platform::{profile_trace_windowed, PlatformConfig, PreparedTrace};
-use compmem_workloads::apps::{mpeg2_app, Application, Mpeg2Params};
+use compmem_workloads::apps::{
+    jpeg_canny_app, mpeg2_app, Application, JpegCannyParams, Mpeg2Params,
+};
 
 const SETS_PER_UNIT: u32 = 2;
 
@@ -132,9 +138,11 @@ fn greedy_on_oracle_feed_reproduces_the_offline_schedule_byte_for_byte() {
     assert_eq!(online.outcome, offline, "the whole run must be identical");
 }
 
-/// A policy that records the curves of every tick and never switches.
+/// A policy that records every tick's window, cycle and curves and never
+/// switches.
 #[derive(Default)]
 struct Recorder {
+    ticks: Vec<(usize, u64)>,
     curves: Vec<MissRateCurves>,
 }
 
@@ -148,6 +156,7 @@ impl ControllerPolicy for Recorder {
         _solver: &SolverContext<'_>,
         tick: &ControllerTick<'_>,
     ) -> Result<Option<PartitionMap>, CoreError> {
+        self.ticks.push((tick.window, tick.at_cycle));
         self.curves.push(tick.curves.clone());
         Ok(None)
     }
@@ -287,8 +296,8 @@ fn measured_feed_controller_is_deterministic() {
 }
 
 /// `MissRateCurves` reach a policy exactly as the offline profiler
-/// measures them: under the measured feed, the curves the controller's
-/// online profiler hands out equal the offline pass's windows — every
+/// measures them: under the measured feed, the curves the controller
+/// hands out equal the offline pass's windows — every
 /// one but the last, which closes after the last run, when no run is
 /// left to switch before.
 #[test]
@@ -317,4 +326,115 @@ fn online_and_offline_profilers_agree_on_windows() {
     .unwrap();
     assert_eq!(online.ticks, offline.len() - 1);
     assert_eq!(recorder.curves, offline[..offline.len() - 1]);
+}
+
+/// The loop ticks exactly once per window but the last, at the start
+/// cycle of the first run holding a refill of the next window, and shows
+/// that tick window `N` (causal feed) or `N + 1` (clairvoyant feed). The
+/// expected ticks come from the filtered runs and the windows' access
+/// counts alone (every refill is one profiled access).
+#[test]
+fn each_window_ticks_once_at_the_run_that_closes_it() {
+    let f = fixture();
+    let filtered = f.trace.filtered_for(&f.platform).unwrap();
+    // The finer grid puts window edges right after runs without refills.
+    for window_cycles in [f.window_cycles, f.window_cycles / 10] {
+        let window = WindowConfig::cycles(window_cycles).unwrap();
+        let windows = profile_trace_windowed(&f.platform, &f.trace, f.resolution, window)
+            .unwrap()
+            .windows;
+        let mut first_refill = 0u64;
+        let mut closing_cycles = Vec::new();
+        for w in &windows[..windows.len() - 1] {
+            first_refill += w.curves.accesses();
+            let run = filtered
+                .runs
+                .iter()
+                .find(|r| {
+                    u64::from(r.refills.start) <= first_refill
+                        && first_refill < u64::from(r.refills.end)
+                })
+                .expect("a later window has a first refill");
+            closing_cycles.push(run.start_cycle);
+        }
+        assert!(closing_cycles.len() >= 2, "{} windows", windows.len());
+
+        for (feed, shown) in [(CurveFeed::Measured, 0), (CurveFeed::Oracle, 1)] {
+            let config = ControllerConfig {
+                feed,
+                ..ControllerConfig::cycles(window_cycles, f.resolution).unwrap()
+            };
+            let mut recorder = Recorder::default();
+            let online = replay_controlled(
+                &f.platform,
+                f.l2,
+                &f.lattice,
+                &f.trace,
+                &mut recorder,
+                &config,
+            )
+            .unwrap();
+            let expected: Vec<(usize, u64)> = closing_cycles
+                .iter()
+                .enumerate()
+                .map(|(n, &cycle)| (n + shown, cycle))
+                .collect();
+            assert_eq!(
+                recorder.ticks, expected,
+                "{feed:?} feed, {window_cycles}-cycle windows"
+            );
+            let expected_curves: Vec<&MissRateCurves> =
+                expected.iter().map(|&(w, _)| &windows[w].curves).collect();
+            assert!(
+                recorder.curves.iter().eq(expected_curves),
+                "{feed:?} feed: a tick carried another window's curves"
+            );
+            assert_eq!(online.ticks, expected.len());
+        }
+    }
+}
+
+/// `compete` refuses curves that do not describe the replay, with the
+/// typed `CoreError::CurvesMismatch`: curves profiled at another window
+/// length, at another resolution, or over another trace's L2-bound
+/// stream would put every tick at the wrong run.
+#[test]
+fn compete_refuses_curves_of_another_replay() {
+    let f = fixture();
+    let config = ControllerConfig::cycles(f.window_cycles, f.resolution).unwrap();
+    let other_window = WindowConfig::cycles(f.window_cycles * 2).unwrap();
+    let other_resolution =
+        CurveResolution::for_geometry(f.l2.geometry(), SETS_PER_UNIT * 2).unwrap();
+    assert_ne!(other_resolution, f.resolution);
+    let jpeg = Experiment::new(tiny_config(), || {
+        jpeg_canny_app(&JpegCannyParams::tiny()).expect("valid params")
+    });
+    let (_, other_trace) = jpeg.record_trace(&jpeg.shared_spec()).unwrap();
+    let other_stream =
+        profile_trace_windowed(&f.platform, &other_trace, f.resolution, config.window).unwrap();
+    let refills = f.trace.filtered_for(&f.platform).unwrap().refills.len() as u64;
+    assert_ne!(other_stream.total.accesses(), refills);
+
+    for curves in [
+        profile_trace_windowed(&f.platform, &f.trace, f.resolution, other_window).unwrap(),
+        profile_trace_windowed(&f.platform, &f.trace, other_resolution, config.window).unwrap(),
+        other_stream,
+    ] {
+        let mut greedy = Greedy;
+        let mut policies: [&mut dyn ControllerPolicy; 1] = [&mut greedy];
+        let err = compete(
+            &f.platform,
+            f.l2,
+            &f.lattice,
+            &f.trace,
+            &curves,
+            &mut policies,
+            &config,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, CoreError::CurvesMismatch { .. }),
+            "expected CurvesMismatch, got {err:?}"
+        );
+    }
 }
