@@ -75,11 +75,9 @@ fn bench_sweep_parallel(c: &mut Criterion) {
     // same set-partitioned organisation.
     let schedule = PartitionSchedule::single(OrganizationSpec::SetPartitioned(set_map));
     let reference = &serial[1].as_ref().expect("replay succeeds").report;
-    let lanes = replay_lanes(&platform, l2, &schedule, &trace, 4).expect("lane replay succeeds");
-    assert!(
-        lanes.decision.shards > 1,
-        "the trace must split into set shards"
-    );
+    let (lanes, decision) =
+        replay_lanes(&platform, l2, &schedule, &trace, 4).expect("lane replay succeeds");
+    assert!(decision.shards > 1, "the trace must split into set shards");
     assert_eq!(lanes.l1, reference.l1);
     assert_eq!(lanes.l2, reference.l2);
     assert_eq!(lanes.dram_accesses, reference.dram_accesses);
@@ -87,7 +85,7 @@ fn bench_sweep_parallel(c: &mut Criterion) {
     println!(
         "trace: {} accesses, {} set shards over {} keys",
         trace.accesses(),
-        lanes.decision.shards,
+        decision.shards,
         keys.len()
     );
 
@@ -143,7 +141,7 @@ fn bench_sweep_parallel(c: &mut Criterion) {
     for jobs in [1usize, 2, 4] {
         group.bench_function(format!("lanes{jobs}").as_str(), |b| {
             b.iter(|| {
-                let report = replay_lanes(&platform, l2, &schedule, &trace, jobs)
+                let (report, _) = replay_lanes(&platform, l2, &schedule, &trace, jobs)
                     .expect("lane replay succeeds");
                 black_box(report.l2.misses)
             })

@@ -34,8 +34,9 @@
 //! the full method of the paper on one application:
 //!
 //! 1. run the application on the conventional **shared** L2 while a
-//!    [`WindowedTapProfiler`] measures the per-entity miss-rate curves in
-//!    the same pass (single-pass stack-distance profiling — see
+//!    [`WindowedProfiler`] tap measures the per-entity miss-rate curves
+//!    from the system's own L1 refills in the same pass (single-pass
+//!    stack-distance profiling — see
 //!    [`StackDistanceProfiler`](compmem_cache::StackDistanceProfiler)),
 //! 2. size the partitions by minimising the total predicted misses
 //!    (FIFOs pinned to their own size, everything else optimised),
@@ -59,8 +60,8 @@ use compmem_cache::{
     WayAllocation, WindowConfig, WindowedCurves, WindowedProfiler,
 };
 use compmem_platform::{
-    replay_lanes, AccessTap, LaneDecision, LaneReport, NullTap, PlatformConfig, PlatformError,
-    PreparedTrace, ReplaySystem, System, SystemReport, WindowedTapProfiler,
+    replay_lanes, AccessTap, LaneDecision, NullTap, PlatformConfig, PlatformError, PreparedTrace,
+    ReplaySystem, System, SystemReport,
 };
 use compmem_trace::{EncodedTrace, RegionKind, RegionTable, TraceWriter};
 
@@ -191,11 +192,6 @@ pub struct ScenarioSpec {
     /// Defaults to serial.
     pub parallelism: ReplayParallelism,
 }
-
-/// The pre-replay name of [`ScenarioSpec`], kept for continuity: a
-/// `RunSpec` is a scenario whose traffic source defaults to live
-/// execution.
-pub type RunSpec = ScenarioSpec;
 
 impl ScenarioSpec {
     /// A live-execution scenario under one static organisation.
@@ -481,36 +477,6 @@ pub(crate) fn replay_serial(
     })
 }
 
-/// Converts a merged lane report into a [`RunOutcome`].
-///
-/// The cache-side fields (L1/L2 statistics, per-entity attribution, DRAM
-/// and bus-byte traffic, repartition records) are exactly the serial
-/// replay's; timing fields
-/// (stalls, bus waits, makespan, per-processor reports) are zero because
-/// lanes do not reconstruct the global transfer interleaving, and the L2
-/// snapshot stays empty because each lane owns only its slice of the
-/// organisation. [`RunOutcome::lane_decision`] records the split.
-fn outcome_from_lanes(lanes: LaneReport, table: &RegionTable) -> RunOutcome {
-    let report = SystemReport {
-        l1: lanes.l1,
-        l2: lanes.l2,
-        l2_by_task: lanes.l2_by_task.iter().map(|(k, v)| (*k, *v)).collect(),
-        l2_by_region: lanes.l2_by_region.iter().map(|(k, v)| (*k, *v)).collect(),
-        dram_accesses: lanes.dram_accesses,
-        dram_writebacks: lanes.dram_writebacks,
-        bus_bytes: lanes.bus_bytes,
-        repartitions: lanes.repartitions,
-        ..SystemReport::default()
-    };
-    let by_key = by_key_from_regions(table, &report);
-    RunOutcome {
-        report,
-        by_key,
-        l2_snapshot: CacheSnapshot::default(),
-        lane_decision: Some(lanes.decision),
-    }
-}
-
 /// Replays a recorded trace under one schedule with the requested
 /// parallelism: through the serial [`ReplaySystem`] (full timing
 /// reconstruction), or split into set shards.
@@ -529,8 +495,15 @@ fn replay_outcome(
             laned => Some(laned?),
         },
     };
+    // Lanes report cache-side counters only (timing fields zero), and no
+    // lane holds the whole L2, so the snapshot stays empty.
     match laned {
-        Some(report) => Ok(outcome_from_lanes(report, trace.table())),
+        Some((report, decision)) => Ok(RunOutcome {
+            by_key: by_key_from_regions(trace.table(), &report),
+            report,
+            l2_snapshot: CacheSnapshot::default(),
+            lane_decision: Some(decision),
+        }),
         None => replay_serial(platform, l2, schedule, trace),
     }
 }
@@ -1061,7 +1034,7 @@ impl<F: Fn() -> Application> Experiment<F> {
     ///
     /// Returns [`CoreError::CapacityExceeded`] if the allocation does not
     /// fit, or a cache error if the packed map is invalid.
-    pub fn partitioned_spec(&self, allocation: &Allocation) -> Result<RunSpec, CoreError> {
+    pub fn partitioned_spec(&self, allocation: &Allocation) -> Result<ScenarioSpec, CoreError> {
         let lattice = self.lattice();
         if allocation.total_units > lattice.total_units {
             return Err(CoreError::CapacityExceeded {
@@ -1216,7 +1189,7 @@ impl<F: Fn() -> Application> Experiment<F> {
     }
 
     /// Runs the shared-cache baseline live while a whole-run
-    /// [`WindowedTapProfiler`] measures the per-entity miss-rate curves in
+    /// [`WindowedProfiler`] tap measures the per-entity miss-rate curves in
     /// the same pass, and returns both.
     ///
     /// One live execution yields the shared baseline *and* the exact
@@ -1255,12 +1228,14 @@ impl<F: Fn() -> Application> Experiment<F> {
         window: WindowConfig,
     ) -> Result<(RunOutcome, WindowedCurves), CoreError> {
         self.require_lru_for_profiling()?;
-        let (outcome, tap) = self.run_live(&self.shared_spec(), |app, platform| {
-            let profiler =
-                WindowedProfiler::new(window, self.curve_resolution(), app.space.table());
-            Ok(WindowedTapProfiler::new(platform, profiler))
+        let (outcome, profiler) = self.run_live(&self.shared_spec(), |app, _| {
+            Ok(WindowedProfiler::new(
+                window,
+                self.curve_resolution(),
+                app.space.table(),
+            ))
         })?;
-        Ok((outcome, tap.into_windows()))
+        Ok((outcome, profiler.finish()))
     }
 
     /// Evaluates the analytic L2 size × associativity sweep from one set

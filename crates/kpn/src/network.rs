@@ -109,11 +109,6 @@ impl NetworkBuilder {
         TaskId::new(self.processes.len() as u32)
     }
 
-    /// The buffer identifier the next FIFO or frame buffer will receive.
-    pub fn next_buffer_id(&self) -> BufferId {
-        BufferId::new(self.next_buffer)
-    }
-
     /// Adds a process with its memory layout and returns its task id.
     ///
     /// # Panics

@@ -11,47 +11,50 @@
 //! (seeded `seed ^ set_index`) — and each first-touch entry then belongs
 //! to exactly one residue class of lines.
 //!
-//! Lane `i` of `N` therefore replays only the L2-bound refills with
-//! `line % N == i`, against its own full copy of the scheduled L2, on its
-//! own thread. Nothing a lane skips could have touched the sets it uses,
-//! so the lanes' counters add up to the serial replay's exactly. This
-//! holds for every organisation and every replacement policy, shared
-//! caches, overlapping way masks and Random replacement included.
-//! One rule picks `N` for replay and profiling alike: the largest power
-//! of two that is at most the request and meets the condition. A run whose smallest group is a
+//! Lane `i` of `N` is therefore an ordinary serial replay over a subset of
+//! the sets (Nicol, Greenberg & Lubachevsky, "Massively parallel
+//! algorithms for trace-driven cache simulations", IEEE TPDS 1994): a
+//! [`ReplaySystem`] with its own full copy of the scheduled L2, the
+//! schedule installed through
+//! [`install_schedule`](ReplaySystem::install_schedule), restricted to the
+//! L2-bound refills with `line % N == i`, on its own thread. Nothing a
+//! lane skips could have touched the sets it uses, so the lanes' counters
+//! add up to the serial replay's exactly — by construction, since every
+//! lane runs the serial accounting itself. This holds for every
+//! organisation and every replacement policy, shared caches, overlapping
+//! way masks and Random replacement included. One rule picks `N` for
+//! replay and profiling alike: the largest power of two that is at most
+//! the request and meets the condition. A run whose smallest group is a
 //! single set cannot split.
 //!
-//! What merges exactly: the L2 aggregate [`CacheStats`], the per-task /
-//! per-region / per-partition attributions, DRAM accesses and
-//! write-backs, bus *bytes* (every bus transfer of the serial timing path
-//! is a per-refill or per-flush constant) and the flushes of every
-//! repartition event (a flushed set is non-empty in one lane only). What
-//! does not: timing — bus wait cycles, stall cycles and the makespan
-//! depend on the global interleaving of transfers and are reported by the
-//! serial [`ReplaySystem`](crate::ReplaySystem) only.
+//! What merges exactly: the L2 aggregate [`CacheStats`](compmem_cache::CacheStats),
+//! the per-task and per-region attributions, DRAM accesses and
+//! write-backs, bus *bytes* (every bus transfer is a per-refill or
+//! per-flush constant) and the flushes of every repartition event (a
+//! flushed set is non-empty in one lane only). What does not: timing —
+//! bus wait cycles, stall cycles and the makespan depend on the global
+//! interleaving of transfers and are reported by the serial
+//! [`ReplaySystem`] only; the merged report leaves them zero.
 //!
-//! Repartition events of a [`PartitionSchedule`] apply by the serial
-//! replay's one rule: a switch applies just before the first run, in
-//! recorded order, whose recorded start cycle reaches its boundary, and
-//! switches past the last run apply after it. Every lane walks every run
-//! and asks the serial replay's switch queue for the due switches once
-//! per run, so every lane applies every switch at the point of the stream
-//! where the serial replay does, and the lanes' [`RepartitionRecord`]s —
-//! flushes and L2 counters at the switch — add up to the serial ones.
+//! Every lane walks every run and asks its replay's switch queue for the
+//! due switches once per run, so every lane applies every switch at the
+//! point of the stream where the serial replay does, and the lanes'
+//! [`RepartitionRecord`](crate::RepartitionRecord)s — flushes and L2
+//! counters at the switch — add up to the serial ones.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use compmem_cache::{
-    CacheConfig, CacheError, CacheModel, CacheStats, OrganizationSpec, PartitionKey,
-    PartitionSchedule, ScheduleStep, StatsByKey,
+    CacheConfig, CacheError, KeyStats, OrganizationSpec, PartitionSchedule, ScheduleStep,
 };
-use compmem_trace::{RegionId, RegionTable, TaskId, LINE_SIZE_BYTES};
+use compmem_trace::Access;
 use serde::{Deserialize, Serialize};
 
 use crate::config::PlatformConfig;
 use crate::error::PlatformError;
-use crate::metrics::RepartitionRecord;
-use crate::replay::{FilteredTrace, PendingSwitches, PreparedTrace};
+use crate::metrics::SystemReport;
+use crate::replay::{PreparedTrace, ReplaySystem};
 
 /// A block of consecutive L2 sets that one set index maps lines into: a
 /// partition or a whole cache.
@@ -118,18 +121,35 @@ pub(crate) fn set_shards(requested: usize, groups: impl IntoIterator<Item = (u32
         .fold(1 << requested.max(1).ilog2(), usize::min)
 }
 
-/// Runs `run(shard)` for every shard on its own scoped thread — the
-/// shard count never exceeds the caller's worker cap — and returns the
-/// results in shard order.
-pub(crate) fn run_shards<T: Send>(shards: usize, run: impl Fn(u64) -> T + Sync) -> Vec<T> {
+/// Set shard `index` of a power-of-two shard count: the lines with
+/// `line % count == index`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SetShard {
+    mask: u64,
+    index: u64,
+}
+
+impl SetShard {
+    /// Whether `access`'s line belongs to the shard.
+    #[inline]
+    pub(crate) fn owns(self, access: &Access) -> bool {
+        access.addr.line().value() & self.mask == self.index
+    }
+}
+
+/// Runs `run(shard)` for every shard of `shards` (a power of two) on its
+/// own scoped thread — the shard count never exceeds the caller's worker
+/// cap — and returns the results in shard order.
+pub(crate) fn run_shards<T: Send>(shards: usize, run: impl Fn(SetShard) -> T + Sync) -> Vec<T> {
+    let mask = shards as u64 - 1;
     if shards <= 1 {
-        return vec![run(0)];
+        return vec![run(SetShard { mask, index: 0 })];
     }
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..shards as u64)
-            .map(|shard| {
+            .map(|index| {
                 let run = &run;
-                scope.spawn(move || run(shard))
+                scope.spawn(move || run(SetShard { mask, index }))
             })
             .collect();
         workers
@@ -156,138 +176,26 @@ pub struct LaneDecision {
     pub smallest_group: u32,
 }
 
-/// Cache-side result of a lane replay, merged over all lanes.
-///
-/// Field for field this matches the corresponding members of
-/// [`SystemReport`](crate::SystemReport) (timing fields excluded, see the
-/// module docs); the parity tests assert equality against a serial
-/// [`ReplaySystem`](crate::ReplaySystem) run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaneReport {
-    /// Aggregate statistics over all private L1 caches (from the shared
-    /// filter pass; identical for every lane count).
-    pub l1: CacheStats,
-    /// Aggregate L2 statistics, merged over the lanes.
-    pub l2: CacheStats,
-    /// Per-task L2 statistics.
-    pub l2_by_task: StatsByKey<TaskId>,
-    /// Per-region L2 statistics.
-    pub l2_by_region: StatsByKey<RegionId>,
-    /// Per-partition-key L2 statistics, for organisations that attribute
-    /// accesses to partitions.
-    pub l2_by_partition: Option<StatsByKey<PartitionKey>>,
-    /// Accesses served by DRAM (L2 misses).
-    pub dram_accesses: u64,
-    /// Dirty L2 lines written back to DRAM (evictions plus repartition
-    /// flushes).
-    pub dram_writebacks: u64,
-    /// Bytes transferred over the shared bus.
-    pub bus_bytes: u64,
-    /// Every repartition event of the schedule, in schedule order: its
-    /// step and boundary, with the flush counts and the L2 counters at the
-    /// switch summed over the lanes.
-    pub repartitions: Vec<RepartitionRecord>,
-    /// How the replay split.
-    pub decision: LaneDecision,
-}
-
 fn lane_cache_error(error: CacheError) -> PlatformError {
     PlatformError::LaneCache {
         message: error.to_string(),
     }
 }
 
-/// The serial timing path's additive counters, kept by one lane.
-#[derive(Default)]
-struct LaneCounters {
-    dram_accesses: u64,
-    dram_writebacks: u64,
-    bus_bytes: u64,
-    repartitions: Vec<RepartitionRecord>,
-}
-
-impl LaneCounters {
-    /// Applies one repartition event to the lane's cache and logs it with
-    /// the lane's L2 counters at the switch. Flush traffic takes the same
-    /// path as in the serial replay: one bus transfer and one DRAM
-    /// write-back per dirty line.
-    fn switch(
-        &mut self,
-        cache: &mut dyn CacheModel,
-        step: &ScheduleStep,
-        regions: &RegionTable,
-    ) -> Result<(), PlatformError> {
-        let before = *cache.stats();
-        let flush = cache
-            .reconfigure(&step.organization, regions)
-            .map_err(lane_cache_error)?;
-        self.dram_writebacks += flush.written_back;
-        self.bus_bytes += flush.written_back * LINE_SIZE_BYTES;
-        self.repartitions.push(RepartitionRecord {
-            step: self.repartitions.len() + 1,
-            at_cycle: step.at_cycle,
-            flush,
-            l2_accesses_before: before.accesses,
-            l2_misses_before: before.misses,
-        });
-        Ok(())
+/// Adds one lane's per-key counters to the merged ones.
+fn add_keyed<K: Ord>(total: &mut BTreeMap<K, KeyStats>, lane: BTreeMap<K, KeyStats>) {
+    for (key, stats) in lane {
+        let entry = total.entry(key).or_default();
+        entry.accesses += stats.accesses;
+        entry.misses += stats.misses;
     }
-}
-
-/// Replays the refills of set shard `shard` of `shards` (a power of two)
-/// against a fresh copy of the scheduled L2 organisation.
-fn replay_shard(
-    l2: CacheConfig,
-    schedule: &PartitionSchedule,
-    regions: &RegionTable,
-    filtered: &FilteredTrace,
-    shards: u64,
-    shard: u64,
-) -> Result<(Box<dyn CacheModel>, LaneCounters), PlatformError> {
-    let mut cache = schedule
-        .initial()
-        .build(l2, regions)
-        .map_err(lane_cache_error)?;
-    let mut counters = LaneCounters::default();
-    let mut switches = PendingSwitches::new(schedule);
-    for run in &filtered.runs {
-        while let Some(step) = switches.next_due(run.start_cycle) {
-            counters.switch(cache.as_mut(), step, regions)?;
-        }
-        for refill in filtered.refills_of(run) {
-            if refill.access.addr.line().value() & (shards - 1) != shard {
-                continue;
-            }
-            // The bus request sequence of the serial path, as bytes:
-            // refill transfer, optional L1 write-back, optional DRAM
-            // fill, optional L2 write-back.
-            counters.bus_bytes += LINE_SIZE_BYTES;
-            if refill.l1_victim_dirty {
-                counters.bus_bytes += LINE_SIZE_BYTES;
-            }
-            let outcome = cache.access(&refill.access);
-            if !outcome.hit {
-                counters.dram_accesses += 1;
-                counters.bus_bytes += LINE_SIZE_BYTES;
-            }
-            if outcome.evicted.is_some_and(|e| e.dirty) {
-                counters.dram_writebacks += 1;
-                counters.bus_bytes += LINE_SIZE_BYTES;
-            }
-        }
-    }
-    // Switches whose boundary lies beyond the last run still apply, as
-    // the serial replay applies them at the end.
-    while let Some(step) = switches.next_due(u64::MAX) {
-        counters.switch(cache.as_mut(), step, regions)?;
-    }
-    Ok((cache, counters))
 }
 
 /// Replays `trace` under the scheduled L2 organisation split into set
 /// shards on up to `requested` worker threads (see the module docs), and
-/// returns the merged cache-side report. `requested <= 1` replays one
-/// shard, i.e. the whole stream on one lane.
+/// returns the cache-side report merged over the lanes — timing fields
+/// zero, L1 statistics from the shared filter pass — with the split.
+/// `requested <= 1` replays one shard, i.e. the whole stream on one lane.
 ///
 /// # Errors
 ///
@@ -305,7 +213,7 @@ pub fn replay_lanes(
     schedule: &PartitionSchedule,
     trace: &PreparedTrace,
     requested: usize,
-) -> Result<LaneReport, PlatformError> {
+) -> Result<(SystemReport, LaneDecision), PlatformError> {
     let regions = trace.table();
     schedule
         .validate_for(l2.geometry(), regions)
@@ -327,70 +235,59 @@ pub fn replay_lanes(
             reason: format!("{group} {why}"),
         });
     }
-    let filtered = trace.filtered_for(config)?;
-    let lanes = run_shards(shards, |shard| {
-        replay_shard(l2, schedule, regions, &filtered, shards as u64, shard)
-    });
-
-    let mut report = LaneReport {
-        l1: filtered.l1_aggregate,
-        l2: CacheStats::new(),
-        l2_by_task: StatsByKey::new(),
-        l2_by_region: StatsByKey::new(),
-        l2_by_partition: None,
-        dram_accesses: 0,
-        dram_writebacks: 0,
-        bus_bytes: 0,
-        repartitions: schedule
-            .switches()
-            .iter()
-            .enumerate()
-            .map(|(i, step)| RepartitionRecord {
-                step: i + 1,
-                at_cycle: step.at_cycle,
-                ..RepartitionRecord::default()
-            })
-            .collect(),
-        decision: LaneDecision {
-            requested,
-            shards,
-            smallest_group: groups.iter().map(|group| group.sets).min().unwrap_or(0),
-        },
+    // The lanes share one filter pass.
+    trace.filtered_for(config)?;
+    let mut lanes = run_shards(shards, |shard| {
+        let cache = schedule
+            .initial()
+            .build(l2, regions)
+            .map_err(lane_cache_error)?;
+        let mut lane = ReplaySystem::new(config, cache, trace)?;
+        lane.install_schedule(schedule).map_err(lane_cache_error)?;
+        lane.restrict_to(shard);
+        Ok::<_, PlatformError>(lane.run())
+    })
+    .into_iter();
+    let first = lanes.next().expect("a replay has at least one lane")?;
+    let mut report = SystemReport {
+        processors: Vec::new(),
+        bus_wait_cycles: 0,
+        makespan_cycles: 0,
+        ..first
     };
     for lane in lanes {
-        let (cache, counters) = lane?;
-        report.l2.merge(cache.stats());
-        report.l2_by_task.merge(cache.stats_by_task());
-        report.l2_by_region.merge(cache.stats_by_region());
-        if let Some(by_partition) = cache.stats_by_partition() {
-            report
-                .l2_by_partition
-                .get_or_insert_with(StatsByKey::new)
-                .merge(by_partition);
-        }
-        report.dram_accesses += counters.dram_accesses;
-        report.dram_writebacks += counters.dram_writebacks;
-        report.bus_bytes += counters.bus_bytes;
-        for (total, lane) in report.repartitions.iter_mut().zip(counters.repartitions) {
+        let lane = lane?;
+        report.l2.merge(&lane.l2);
+        add_keyed(&mut report.l2_by_task, lane.l2_by_task);
+        add_keyed(&mut report.l2_by_region, lane.l2_by_region);
+        report.dram_accesses += lane.dram_accesses;
+        report.dram_writebacks += lane.dram_writebacks;
+        report.bus_bytes += lane.bus_bytes;
+        for (total, lane) in report.repartitions.iter_mut().zip(lane.repartitions) {
             total.flush.absorb(lane.flush);
             total.l2_accesses_before += lane.l2_accesses_before;
             total.l2_misses_before += lane.l2_misses_before;
         }
     }
-    Ok(report)
+    let decision = LaneDecision {
+        requested,
+        shards,
+        smallest_group: groups.iter().map(|group| group.sets).min().unwrap_or(0),
+    };
+    Ok((report, decision))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::SystemReport;
     use crate::op::{Burst, BurstOutcome, Op, WorkloadDriver};
-    use crate::replay::ReplaySystem;
     use crate::scheduler::TaskMapping;
     use crate::system::System;
-    use compmem_cache::{KeyStats, PartitionMap, ReplacementPolicy, SharedCache, WayAllocation};
+    use compmem_cache::{
+        PartitionKey, PartitionMap, ReplacementPolicy, SharedCache, WayAllocation,
+    };
     use compmem_trace::codec::{EncodedTrace, TraceWriter};
-    use compmem_trace::{Access, Addr, BufferId, RegionKind, TaskId};
+    use compmem_trace::{Addr, BufferId, RegionKind, RegionTable, TaskId};
 
     /// Two tasks on two processors, each touching its own data region and
     /// a shared FIFO region (three partition keys), with a long
@@ -507,32 +404,20 @@ mod tests {
         l2: CacheConfig,
         schedule: &PartitionSchedule,
         trace: &PreparedTrace,
-    ) -> (SystemReport, Option<StatsByKey<PartitionKey>>) {
+    ) -> SystemReport {
         let model = schedule.initial().build(l2, trace.table()).unwrap();
         let mut replay = ReplaySystem::new(&platform(), model, trace).unwrap();
         replay.install_schedule(schedule).unwrap();
-        let report = replay.run();
-        let by_partition = replay.memory().l2().stats_by_partition().cloned();
-        (report, by_partition)
+        replay.run()
     }
 
-    fn assert_parity(
-        serial: &SystemReport,
-        serial_by_partition: &Option<StatsByKey<PartitionKey>>,
-        lanes: &LaneReport,
-        context: &str,
-    ) {
+    fn assert_parity(serial: &SystemReport, lanes: &SystemReport, context: &str) {
         assert_eq!(serial.l1, lanes.l1, "{context}: L1");
         assert_eq!(serial.l2, lanes.l2, "{context}: L2");
-        let by_task: std::collections::BTreeMap<TaskId, KeyStats> =
-            lanes.l2_by_task.iter().map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(serial.l2_by_task, by_task, "{context}: per task");
-        let by_region: std::collections::BTreeMap<compmem_trace::RegionId, KeyStats> =
-            lanes.l2_by_region.iter().map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(serial.l2_by_region, by_region, "{context}: per region");
+        assert_eq!(serial.l2_by_task, lanes.l2_by_task, "{context}: per task");
         assert_eq!(
-            *serial_by_partition, lanes.l2_by_partition,
-            "{context}: per partition"
+            serial.l2_by_region, lanes.l2_by_region,
+            "{context}: per region"
         );
         assert_eq!(serial.dram_accesses, lanes.dram_accesses, "{context}");
         assert_eq!(serial.dram_writebacks, lanes.dram_writebacks, "{context}");
@@ -629,7 +514,7 @@ mod tests {
                     ("4-step", PartitionSchedule::new(steps).unwrap()),
                 ];
                 for (kind, schedule) in schedules {
-                    let (serial_report, serial_bp) = serial(l2, &schedule, &trace);
+                    let serial_report = serial(l2, &schedule, &trace);
                     assert_eq!(serial_report.repartitions.len(), schedule.switches().len());
                     flushed += serial_report
                         .repartitions
@@ -638,10 +523,10 @@ mod tests {
                         .sum::<u64>();
                     for requested in [1, 2, 4] {
                         let context = format!("{name}, {policy}, {kind}, {requested} lanes");
-                        let lanes =
+                        let (lanes, decision) =
                             replay_lanes(&platform(), l2, &schedule, &trace, requested).unwrap();
-                        assert_eq!(lanes.decision.shards, requested, "{context}");
-                        assert_parity(&serial_report, &serial_bp, &lanes, &context);
+                        assert_eq!(decision.shards, requested, "{context}");
+                        assert_parity(&serial_report, &lanes, &context);
                         assert!(lanes.l2.misses > 0, "{context}: the L2 must be exercised");
                     }
                 }
@@ -701,9 +586,9 @@ mod tests {
                 other => panic!("expected LanesIneligible, got {other:?}"),
             }
             // One lane is always available, and exact.
-            let (serial_report, serial_bp) = serial(l2, &schedule, &trace);
-            let one = replay_lanes(&platform(), l2, &schedule, &trace, 1).unwrap();
-            assert_parity(&serial_report, &serial_bp, &one, "one lane");
+            let serial_report = serial(l2, &schedule, &trace);
+            let (one, _) = replay_lanes(&platform(), l2, &schedule, &trace, 1).unwrap();
+            assert_parity(&serial_report, &one, "one lane");
         }
     }
 

@@ -96,7 +96,7 @@ pub use bus::Bus;
 pub use config::{OsRegions, PlatformConfig};
 pub use engine::EventQueue;
 pub use error::PlatformError;
-pub use lanes::{replay_lanes, LaneDecision, LaneReport};
+pub use lanes::{replay_lanes, LaneDecision};
 pub use memory::{BurstStats, L1Refill, MemorySystem};
 pub use metrics::{ProcessorReport, RepartitionRecord, SystemReport};
 pub use op::{Burst, BurstOutcome, Op, WorkloadDriver};
@@ -104,7 +104,7 @@ pub use processor::ProcessorId;
 pub use profile::{
     l1_filter_signature, load_sidecar, profile_shards, profile_trace, profile_trace_windowed,
     profile_trace_windowed_lanes, profile_trace_with_sidecar, profile_trace_with_sidecar_lanes,
-    SidecarOutcome, WindowedTapProfiler,
+    SidecarOutcome,
 };
 pub use replay::{
     AccessTap, FilteredRun, FilteredTrace, NullTap, PreparedTrace, ReplayCounters, ReplaySystem,

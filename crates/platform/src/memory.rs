@@ -1,8 +1,25 @@
 //! The memory hierarchy: private L1 caches, the shared L2 and DRAM.
+//!
+//! [`MemorySystem`] is the only code that decides which accesses reach the
+//! L2 and what each L2-bound refill and each repartition flush costs.
+//! Every consumer calls it rather than mirroring it:
+//!
+//! * the live engine issues every run of accesses, the run-time system's
+//!   task-switch traffic included, through
+//!   [`access_burst`](MemorySystem::access_burst), and hands the refills
+//!   it computed to the run's [`AccessTap`](crate::AccessTap);
+//! * a trace filter pass runs the recorded accesses through the same
+//!   private L1 bank type once per L1 configuration, and every replay —
+//!   serial or one set-sharded lane of it — issues the stored refills
+//!   through [`refill_burst`](MemorySystem::refill_burst);
+//! * every repartition, installed or decided online, goes through
+//!   [`repartition`](MemorySystem::repartition).
 
 use serde::{Deserialize, Serialize};
 
-use compmem_cache::{CacheError, CacheModel, CacheStats, OrganizationSpec, SetAssocCache};
+use compmem_cache::{
+    CacheConfig, CacheError, CacheModel, CacheStats, OrganizationSpec, SetAssocCache,
+};
 use compmem_trace::{Access, RegionTable, LINE_SIZE_BYTES};
 
 use crate::bus::Bus;
@@ -46,12 +63,77 @@ pub struct L1Refill {
     pub l1_victim_dirty: bool,
 }
 
+/// The private L1 caches of every processor: one instruction and one data
+/// cache each.
+///
+/// This is the **single** definition of "L2-bound" in the crate: the
+/// hierarchy's own L1s are an `L1Filter`, and so are the L1s the trace
+/// filter pass ([`PreparedTrace::filtered_for`](crate::PreparedTrace::filtered_for))
+/// runs a recorded trace through.
+#[derive(Debug)]
+pub(crate) struct L1Filter {
+    l1i: Vec<SetAssocCache>,
+    l1d: Vec<SetAssocCache>,
+}
+
+impl L1Filter {
+    /// Creates per-processor instruction and data L1s from their
+    /// configurations.
+    pub(crate) fn new(l1i: CacheConfig, l1d: CacheConfig, processors: usize) -> Self {
+        L1Filter {
+            l1i: (0..processors).map(|_| SetAssocCache::new(l1i)).collect(),
+            l1d: (0..processors).map(|_| SetAssocCache::new(l1d)).collect(),
+        }
+    }
+
+    /// Number of processors the bank serves.
+    pub(crate) fn processors(&self) -> usize {
+        self.l1d.len()
+    }
+
+    /// Runs one access through `processor`'s L1 and returns the refill it
+    /// sends to the L2 when it misses; `data_accesses_before` is the
+    /// access's position in its run (see [`L1Refill`]).
+    ///
+    /// # Panics
+    ///
+    /// If `processor` is outside the bank.
+    #[inline]
+    pub(crate) fn filter(
+        &mut self,
+        processor: usize,
+        access: &Access,
+        data_accesses_before: u64,
+    ) -> Option<L1Refill> {
+        let l1 = if access.kind.is_instruction() {
+            &mut self.l1i[processor]
+        } else {
+            &mut self.l1d[processor]
+        };
+        let outcome = l1.access(access);
+        (!outcome.hit).then(|| L1Refill {
+            access: *access,
+            data_accesses_before,
+            l1_victim_dirty: outcome.evicted.is_some_and(|e| e.dirty),
+        })
+    }
+
+    /// Aggregate statistics over all private L1 caches.
+    pub(crate) fn aggregate_stats(&self) -> CacheStats {
+        let mut aggregate = CacheStats::new();
+        for cache in self.l1i.iter().chain(self.l1d.iter()) {
+            aggregate.merge(cache.stats());
+        }
+        aggregate
+    }
+}
+
 /// The full memory hierarchy of one tile.
 ///
-/// Each processor has private L1 instruction and data caches; all
-/// processors share one L2 organisation held as a `Box<dyn CacheModel>`
-/// (conventional, set-partitioned or way-partitioned — see
-/// `compmem-cache`) and the bus to it and to DRAM. Because the L2 is a
+/// Each processor has private L1 instruction and data caches (one
+/// `L1Filter` bank); all processors share one L2 organisation held as a
+/// `Box<dyn CacheModel>` (conventional, set-partitioned or way-partitioned
+/// — see `compmem-cache`) and the bus to it and to DRAM. Because the L2 is a
 /// trait object, the *same* timing path — L1 lookup, bus arbitration, L2
 /// lookup, DRAM — serves every organisation; swapping organisations never
 /// changes how stall cycles are computed, only how the L2 indexes and
@@ -64,8 +146,7 @@ pub struct L1Refill {
 /// replay fast.
 #[derive(Debug)]
 pub struct MemorySystem {
-    l1i: Vec<SetAssocCache>,
-    l1d: Vec<SetAssocCache>,
+    l1: L1Filter,
     l2: Box<dyn CacheModel>,
     bus: Bus,
     l2_hit_latency: u32,
@@ -84,15 +165,8 @@ impl MemorySystem {
     /// Builds the hierarchy for `config.num_processors` processors around the
     /// given shared L2 organisation.
     pub fn new(config: &PlatformConfig, l2: Box<dyn CacheModel>) -> Self {
-        let l1i = (0..config.num_processors)
-            .map(|_| SetAssocCache::new(config.l1i))
-            .collect();
-        let l1d = (0..config.num_processors)
-            .map(|_| SetAssocCache::new(config.l1d))
-            .collect();
         MemorySystem {
-            l1i,
-            l1d,
+            l1: L1Filter::new(config.l1i, config.l1d, config.num_processors),
             l2,
             bus: Bus::new(config.bus_bytes_per_cycle),
             l2_hit_latency: config.l2_hit_latency,
@@ -155,21 +229,15 @@ impl MemorySystem {
     /// bus arbitration for the refill, L2 lookup through the
     /// [`CacheModel`], and DRAM plus a second bus transfer on an L2 miss.
     pub fn access(&mut self, processor: usize, now: u64, access: &Access) -> u64 {
-        let l1 = if access.kind.is_instruction() {
-            &mut self.l1i[processor]
-        } else {
-            &mut self.l1d[processor]
-        };
-        let l1_outcome = l1.access(access);
-        if l1_outcome.hit {
+        let Some(refill) = self.l1.filter(processor, access, 0) else {
             return 0;
-        }
+        };
 
         // L1 refill: the line travels over the shared bus from the L2.
         let (bus_wait, bus_duration) = self.bus.request(now, LINE_SIZE_BYTES as u32);
         // A dirty L1 victim is written back to the L2; it consumes bus
         // bandwidth but does not stall the processor (write buffer).
-        if l1_outcome.evicted.is_some_and(|e| e.dirty) {
+        if refill.l1_victim_dirty {
             let _ = self.bus.request(now, LINE_SIZE_BYTES as u32);
         }
 
@@ -190,7 +258,8 @@ impl MemorySystem {
     }
 
     /// Performs a whole run of accesses from `processor`, the first issuing
-    /// at time `now`, and returns the burst's timing summary.
+    /// at time `now`, and returns the burst's timing summary together with
+    /// the run's L2-bound refills (its L1 misses, in issue order).
     ///
     /// This is the batch entry point of the timing path: the run's
     /// accesses look up the private L1s one by one (each hit or miss
@@ -200,26 +269,20 @@ impl MemorySystem {
     /// virtual dispatch per run instead of one per access. Cache state,
     /// statistics and stall cycles are bit-identical to issuing the same
     /// accesses through [`access`](MemorySystem::access) one by one.
-    pub fn access_burst(&mut self, processor: usize, now: u64, accesses: &[Access]) -> BurstStats {
+    pub fn access_burst(
+        &mut self,
+        processor: usize,
+        now: u64,
+        accesses: &[Access],
+    ) -> (BurstStats, &[L1Refill]) {
         let mut refills = std::mem::take(&mut self.burst_refills);
         refills.clear();
         let (mut data_accesses, mut instr_fetches) = (0, 0);
         for access in accesses {
-            let instruction = access.kind.is_instruction();
-            let l1 = if instruction {
-                &mut self.l1i[processor]
-            } else {
-                &mut self.l1d[processor]
-            };
-            let outcome = l1.access(access);
-            if !outcome.hit {
-                refills.push(L1Refill {
-                    access: *access,
-                    data_accesses_before: data_accesses,
-                    l1_victim_dirty: outcome.evicted.is_some_and(|e| e.dirty),
-                });
+            if let Some(refill) = self.l1.filter(processor, access, data_accesses) {
+                refills.push(refill);
             }
-            if instruction {
+            if access.kind.is_instruction() {
                 instr_fetches += 1;
             } else {
                 data_accesses += 1;
@@ -227,7 +290,7 @@ impl MemorySystem {
         }
         let stats = self.refill_burst(now, &refills, data_accesses, instr_fetches);
         self.burst_refills = refills;
-        stats
+        (stats, &self.burst_refills)
     }
 
     /// Issues the L2-bound refills of one run, whose first access issued
@@ -304,23 +367,9 @@ impl MemorySystem {
         self.l2
     }
 
-    /// Statistics of the L1 instruction cache of `processor`.
-    pub fn l1i_stats(&self, processor: usize) -> &CacheStats {
-        self.l1i[processor].stats()
-    }
-
-    /// Statistics of the L1 data cache of `processor`.
-    pub fn l1d_stats(&self, processor: usize) -> &CacheStats {
-        self.l1d[processor].stats()
-    }
-
     /// Aggregate L1 statistics over all processors and both L1 caches.
     pub fn l1_aggregate_stats(&self) -> CacheStats {
-        let mut agg = CacheStats::new();
-        for c in self.l1i.iter().chain(self.l1d.iter()) {
-            agg.merge(c.stats());
-        }
-        agg
+        self.l1.aggregate_stats()
     }
 
     /// Number of accesses served by DRAM (L2 misses).
@@ -340,7 +389,7 @@ impl MemorySystem {
 
     /// Number of processors the hierarchy was built for.
     pub fn processors(&self) -> usize {
-        self.l1d.len()
+        self.l1.processors()
     }
 }
 
@@ -401,8 +450,8 @@ mod tests {
         // Processor 1 misses its own L1 but hits the shared L2.
         let stall = m.access(1, 1_000, &a);
         assert!(stall > 0);
-        assert_eq!(m.l1d_stats(1).misses, 1);
-        assert_eq!(m.l1d_stats(0).misses, 1);
+        let l1 = m.l1_aggregate_stats();
+        assert_eq!((l1.accesses, l1.misses), (2, 2));
         assert_eq!(m.l2().stats().accesses, 2);
         assert_eq!(m.l2().stats().misses, 1);
     }
@@ -411,11 +460,15 @@ mod tests {
     fn instruction_fetches_use_the_instruction_cache() {
         let mut m = tiny_system();
         let i = Access::ifetch(Addr::new(0x4000), 64, TaskId::new(0), RegionId::new(1));
-        let _ = m.access(0, 0, &i);
-        assert_eq!(m.l1i_stats(0).accesses, 1);
-        assert_eq!(m.l1d_stats(0).accesses, 0);
+        assert!(m.access(0, 0, &i) > 0);
+        assert_eq!(m.access(0, 1_000, &i), 0, "the fetched line is in the L1i");
+        // The same line as data misses the L1d and hits the shared L2.
+        assert!(m.access(0, 2_000, &load(0x4000, 0)) > 0);
+        assert_eq!(m.l2().stats().accesses, 2);
+        assert_eq!(m.l2().stats().misses, 1);
         let agg = m.l1_aggregate_stats();
-        assert_eq!(agg.accesses, 1);
+        assert_eq!((agg.instr_accesses, agg.instr_misses), (2, 1));
+        assert_eq!((agg.load_accesses, agg.load_misses), (1, 1));
     }
 
     #[test]
@@ -453,7 +506,8 @@ mod tests {
         // Same mixed stream (loads, stores, ifetches, conflict evictions)
         // through both entry points, in uneven runs alternating between two
         // processors whose clocks overlap, so refills contend for the bus:
-        // identical clocks, stall totals, cache state and bus traffic.
+        // identical L1 misses, clocks, stall totals, cache state and bus
+        // traffic.
         let stream: Vec<Access> = (0..200)
             .map(|i| {
                 let addr = Addr::new(0x1000 + (i % 7) * 256 + (i % 3) * 64);
@@ -475,8 +529,12 @@ mod tests {
             let processor = i % 2;
             let run = &stream[cursor..cursor + run_len];
             cursor += run_len;
+            let mut missed = Vec::new();
             for a in run {
                 let stall = one_by_one.access(processor, now[processor], a);
+                if stall > 0 {
+                    missed.push(*a);
+                }
                 stall_total += stall;
                 now[processor] += if a.kind.is_instruction() {
                     stall
@@ -484,7 +542,9 @@ mod tests {
                     1 + stall
                 };
             }
-            let stats = burst.access_burst(processor, clock[processor], run);
+            let (stats, refills) = burst.access_burst(processor, clock[processor], run);
+            let refilled: Vec<Access> = refills.iter().map(|refill| refill.access).collect();
+            assert_eq!(refilled, missed, "L1 misses diverged");
             clock[processor] += stats.elapsed;
             burst_stalls += stats.stall_cycles;
         }
@@ -494,10 +554,7 @@ mod tests {
         assert_eq!(clock, now, "clocks diverged");
         assert_eq!(burst_stalls, stall_total, "stall totals diverged");
         assert_eq!(one_by_one.l2().snapshot(), burst.l2().snapshot());
-        for processor in 0..2 {
-            assert_eq!(one_by_one.l1d_stats(processor), burst.l1d_stats(processor));
-            assert_eq!(one_by_one.l1i_stats(processor), burst.l1i_stats(processor));
-        }
+        assert_eq!(one_by_one.l1_aggregate_stats(), burst.l1_aggregate_stats());
         assert_eq!(one_by_one.dram_accesses(), burst.dram_accesses());
         assert_eq!(one_by_one.dram_writebacks(), burst.dram_writebacks());
         assert_eq!(

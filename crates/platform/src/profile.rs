@@ -11,11 +11,11 @@
 //!   [`filtered_for`](PreparedTrace::filtered_for) pass replays use), so
 //!   profiling a trace that has already been replayed — or replaying a
 //!   trace that has been profiled — pays the L1 simulation only once;
-//! * [`WindowedTapProfiler`] profiles a **live** run: it is an
-//!   [`AccessTap`] for [`System::run_traced`](crate::System::run_traced)
-//!   that carries its own bank of private L1s (mirror images of the
-//!   system's, fed in the same order, hence bit-identical) and forwards
-//!   only the refills to the profiler — one live run yields the
+//! * a [`WindowedProfiler`] is itself an [`AccessTap`] and profiles a
+//!   **live** run: [`System::run_traced`](crate::System::run_traced)
+//!   hands it the refills the system's own private L1s produced, run by
+//!   run, so the profiler observes exactly the stream the shared L2
+//!   serves and no L1 is simulated twice — one live run yields the
 //!   shared-cache baseline *and* the full miss-rate curves, with no trace
 //!   on disk or in memory.
 //!
@@ -25,15 +25,14 @@
 //! snapshot per fixed-size window plus the exact whole-run curves — for
 //! phase-aware partitioning; a [`WindowConfig::whole_run`] pass is the
 //! plain profile ([`profile_trace`] is exactly that). Access-count
-//! windows are exact everywhere. Cycle-based windows use the real issue
-//! cycles for the tap feed, but multiprocessor streams are observed in
-//! *issue order*, which is only approximately chronological (a
-//! processor's chunk runs ahead of a peer's clock), so a window can
-//! absorb slightly earlier-cycled accesses from another processor — see
+//! windows are exact everywhere. Both feeds clock every refill at its
+//! run's issue cycle (runs are short, so that coarsening is one run long
+//! at worst). Multiprocessor streams are observed in *issue order*, which
+//! is only approximately chronological (a processor's chunk runs ahead
+//! of a peer's clock), so a cycle window can absorb slightly
+//! earlier-cycled accesses from another processor — see
 //! [`WindowKind::Cycles`](compmem_cache::WindowKind) for the boundary
-//! semantics. The prepared-trace feed attributes every refill of a run to
-//! the run's start cycle (runs are short, so that coarsening is one run
-//! long at worst).
+//! semantics.
 //!
 //! # Set-sharded profiling
 //!
@@ -74,52 +73,18 @@ use compmem_trace::{Access, CodecError, RegionTable};
 
 use crate::config::PlatformConfig;
 use crate::error::PlatformError;
-use crate::lanes::{run_shards, set_shards};
-use crate::replay::{AccessTap, FilteredTrace, L1Filter, PreparedTrace};
+use crate::lanes::{run_shards, set_shards, SetShard};
+use crate::memory::L1Refill;
+use crate::replay::{AccessTap, FilteredTrace, PreparedTrace};
 
-/// An [`AccessTap`] that measures **windowed** miss-rate curves during a
-/// live run ([`WindowConfig::whole_run`] gives the plain curves).
-///
-/// The tap owns a mirror of the private L1s — the same `L1Filter` the
-/// trace filter pass uses, configured identically to the system's.
-/// [`System::run_traced`](crate::System::run_traced) hands every access to
-/// the tap in the same order it enters the hierarchy, so the filter's
-/// caches evolve bit-identically to the system's and the profiler sees
-/// exactly the access stream the shared L2 serves. The tap never perturbs
-/// the simulation. Accesses carry their real issue cycle; access-count
-/// windows are exact, cycle windows follow issue order (see the module
-/// docs).
-#[derive(Debug)]
-pub struct WindowedTapProfiler {
-    filter: L1Filter,
-    profiler: WindowedProfiler,
-}
-
-impl WindowedTapProfiler {
-    /// Creates a tap for a live run under `config` feeding `profiler`.
-    pub fn new(config: &PlatformConfig, profiler: WindowedProfiler) -> Self {
-        WindowedTapProfiler {
-            filter: L1Filter::new(config.l1i, config.l1d, config.num_processors),
-            profiler,
-        }
-    }
-
-    /// Consumes the tap and extracts the windowed curves.
-    pub fn into_windows(self) -> WindowedCurves {
-        self.profiler.finish()
-    }
-}
-
-impl AccessTap for WindowedTapProfiler {
-    fn record_access(&mut self, processor: usize, cycle: u64, access: &Access) {
-        // The live system validated the processor index before issuing;
-        // the expect documents the invariant rather than handling input.
-        let outcome = self
-            .filter
-            .access(processor, access)
-            .expect("live runs only issue from configured processors");
-        if !outcome.hit {
-            self.profiler.observe_at(cycle, access);
+/// Measuring **windowed** miss-rate curves during a live run
+/// ([`WindowConfig::whole_run`] gives the plain curves): every refill the
+/// system's private L1s sent to the L2 is observed at its run's issue
+/// cycle. The tap never perturbs the simulation.
+impl AccessTap for WindowedProfiler {
+    fn record_run(&mut self, _: usize, cycle: u64, _: &[Access], refills: &[L1Refill]) {
+        for refill in refills {
+            self.observe_at(cycle, &refill.access);
         }
     }
 }
@@ -145,9 +110,8 @@ pub fn profile_trace(
 /// whole-run pass of [`profile_trace`] plus one [`MissRateCurves`]
 /// snapshot per window.
 ///
-/// Refills are clocked at their run's start cycle (the prepared trace's
-/// filter pass does not retain per-access cycles), so cycle windows are
-/// run-granular here; access-count windows are exact.
+/// Refills are clocked at their run's start cycle, as in the live feed,
+/// so cycle windows are run-granular; access-count windows are exact.
 ///
 /// # Errors
 ///
@@ -162,21 +126,19 @@ pub fn profile_trace_windowed(
     profile_trace_windowed_lanes(config, trace, resolution, window, 1)
 }
 
-/// Profiles set shard `shard` of `shards` (a power of two): the refills
-/// of its own lines are observed, every other refill only advances the
-/// window clock.
+/// Profiles one set shard: the refills of its own lines are observed,
+/// every other refill only advances the window clock.
 fn profile_shard(
     filtered: &FilteredTrace,
     regions: &RegionTable,
     resolution: CurveResolution,
     window: WindowConfig,
-    shards: u64,
-    shard: u64,
+    shard: SetShard,
 ) -> WindowedCurves {
     let mut profiler = WindowedProfiler::new(window, resolution, regions);
     for run in &filtered.runs {
         for refill in filtered.refills_of(run) {
-            if refill.access.addr.line().value() & (shards - 1) == shard {
+            if shard.owns(&refill.access) {
                 profiler.observe_at(run.start_cycle, &refill.access);
             } else {
                 profiler.skip_at(run.start_cycle);
@@ -212,14 +174,7 @@ pub fn profile_trace_windowed_lanes(
     let shards = profile_shards(resolution, jobs);
     let filtered = trace.filtered_for(config)?;
     let mut lanes = run_shards(shards, |shard| {
-        profile_shard(
-            &filtered,
-            trace.table(),
-            resolution,
-            window,
-            shards as u64,
-            shard,
-        )
+        profile_shard(&filtered, trace.table(), resolution, window, shard)
     })
     .into_iter();
     let mut merged = lanes.next().expect("a pass has at least one shard");
@@ -258,7 +213,7 @@ pub enum SidecarOutcome {
 /// ([`EncodedTrace::content_hash`](compmem_trace::EncodedTrace::content_hash)),
 /// its L1 signature equals [`l1_filter_signature`] of `config` (the
 /// L2-bound stream — and hence every curve — depends on the private L1
-/// geometry the filter mirrors), and its resolution and window
+/// geometry the filter runs), and its resolution and window
 /// configuration equal the requested ones. The sidecar encoding is
 /// deterministic, so reusing and rewriting are byte-for-byte idempotent.
 ///
@@ -502,12 +457,10 @@ mod tests {
             mapping(),
         )
         .unwrap();
-        let mut tap = WindowedTapProfiler::new(
-            &platform(),
-            WindowedProfiler::new(WindowConfig::whole_run(), resolution(), &region_table()),
-        );
+        let mut tap =
+            WindowedProfiler::new(WindowConfig::whole_run(), resolution(), &region_table());
         system.run_traced(&mut driver(), &mut tap).unwrap();
-        tap.into_windows().total
+        tap.finish().total
     }
 
     /// Runs the workload live with a `TraceWriter` tap and returns the
@@ -622,12 +575,9 @@ mod tests {
             mapping(),
         )
         .unwrap();
-        let mut tap = WindowedTapProfiler::new(
-            &platform(),
-            compmem_cache::WindowedProfiler::new(window, resolution(), &region_table()),
-        );
+        let mut tap = WindowedProfiler::new(window, resolution(), &region_table());
         system.run_traced(&mut driver(), &mut tap).unwrap();
-        let live = tap.into_windows().total;
+        let live = tap.finish().total;
         assert!(live.accesses() > 0);
         assert_eq!(live, plain);
     }

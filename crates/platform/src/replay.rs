@@ -5,10 +5,12 @@
 //! sweeps pay the workload cost once:
 //!
 //! * **Record**: [`System::run_traced`](crate::System::run_traced) drives a
-//!   live run while an [`AccessTap`] observes every access entering the
-//!   hierarchy, in issue order, with its processor and cycle. The tap for
-//!   the binary trace IR is [`TraceWriter`], so recording streams straight
-//!   to a file or an in-memory [`EncodedTrace`].
+//!   live run and hands every run of accesses that entered the hierarchy
+//!   to an [`AccessTap`], in issue order, with its processor, its issue
+//!   cycle and the L1 refills [`MemorySystem::access_burst`] computed for
+//!   it. The tap for the binary trace IR is [`TraceWriter`], which keeps
+//!   the accesses, so recording streams straight to a file or an
+//!   in-memory [`EncodedTrace`]; the live profiling tap keeps the refills.
 //! * **Replay**: a [`ReplaySystem`] rebuilds the hierarchy (fresh L1s, bus,
 //!   any `Box<dyn CacheModel>` L2) and re-issues the decoded trace: one
 //!   loop walks the recorded runs in global recorded order through
@@ -30,9 +32,10 @@
 //! L1 caches do not depend on the L2 organisation at all: the L2-bound
 //! refill stream — which access misses the L1, in what order, with which
 //! dirty victims — is a function of the trace and the L1 configuration
-//! alone. A [`PreparedTrace`] therefore filters the trace through the L1s
-//! **once** per L1 configuration and caches the result; every
-//! [`ReplaySystem`] built from it replays only the refills (via
+//! alone. A [`PreparedTrace`] therefore filters the trace **once** per L1
+//! configuration, through the same private L1 bank type a
+//! [`MemorySystem`] holds, and caches the result; every [`ReplaySystem`]
+//! built from it replays only the refills (via
 //! [`MemorySystem::refill_burst`]), typically one to two orders of
 //! magnitude fewer accesses, with bus traffic, issue times and L2 state
 //! bit-identical to replaying the full run.
@@ -43,7 +46,8 @@
 //! recorded order plus one [`FilteredRun`] header per run — its processor,
 //! start cycle, access counts and the range of its refills
 //! ([`FilteredTrace::refills_of`]). Runs split by the codec's one rule,
-//! [`RunSplitter`]. Replay, the set-sharded lanes, the profiler feeds and
+//! [`RunSplitter`]. Replay, the set-sharded lanes (each one a
+//! [`ReplaySystem`] restricted to its set shard), the profiler feeds and
 //! the online controller all read slices of that one vector, so no step
 //! from decode to L2 allocates per run or per access.
 
@@ -53,33 +57,37 @@ use std::sync::{Arc, Mutex};
 
 use compmem_cache::{
     CacheConfig, CacheError, CacheModel, CacheStats, OrganizationSpec, PartitionSchedule,
-    ScheduleStep, SetAssocCache,
+    ScheduleStep,
 };
 use compmem_trace::codec::{EncodedTrace, RunSplitter, TraceSummary, TraceWriter};
 use compmem_trace::{Access, RegionTable};
 
 use crate::config::PlatformConfig;
 use crate::error::PlatformError;
-use crate::memory::{L1Refill, MemorySystem};
+use crate::lanes::SetShard;
+use crate::memory::{L1Filter, L1Refill, MemorySystem};
 use crate::metrics::{ProcessorReport, SystemReport};
 
-/// Observer of every access entering the memory hierarchy of a live run.
+/// Observer of every run of accesses entering the memory hierarchy of a
+/// live run.
 ///
-/// Taps see accesses in issue order with their processor and issue cycle —
-/// exactly the information the trace IR records. The no-op [`NullTap`] is
-/// what plain [`System::run`](crate::System::run) uses; it monomorphises
-/// away entirely.
+/// Taps see runs in issue order, after the hierarchy served them: the
+/// issuing processor, the run's issue cycle (every access of a run shares
+/// it, as in the trace IR), its accesses and the L1 refills
+/// [`MemorySystem::access_burst`] computed for them — the run's L2-bound
+/// stream. The no-op [`NullTap`] is what plain
+/// [`System::run`](crate::System::run) uses; it monomorphises away
+/// entirely.
 pub trait AccessTap {
-    /// Observes one access issued by `processor` at `cycle`.
-    fn record_access(&mut self, processor: usize, cycle: u64, access: &Access);
-
-    /// Observes a run of accesses issued by `processor`, the first at
-    /// `cycle`. The default forwards access by access.
-    fn record_run(&mut self, processor: usize, cycle: u64, accesses: &[Access]) {
-        for access in accesses {
-            self.record_access(processor, cycle, access);
-        }
-    }
+    /// Observes a run of `accesses` issued by `processor` at `cycle`,
+    /// of which `refills` missed the private L1s.
+    fn record_run(
+        &mut self,
+        processor: usize,
+        cycle: u64,
+        accesses: &[Access],
+        refills: &[L1Refill],
+    );
 }
 
 /// A tap that observes nothing (the plain, untraced run).
@@ -88,19 +96,12 @@ pub struct NullTap;
 
 impl AccessTap for NullTap {
     #[inline]
-    fn record_access(&mut self, _processor: usize, _cycle: u64, _access: &Access) {}
-
-    #[inline]
-    fn record_run(&mut self, _processor: usize, _cycle: u64, _accesses: &[Access]) {}
+    fn record_run(&mut self, _: usize, _: u64, _: &[Access], _: &[L1Refill]) {}
 }
 
 /// Streaming a live run into the binary trace IR.
 impl<W: Write> AccessTap for TraceWriter<W> {
-    fn record_access(&mut self, processor: usize, cycle: u64, access: &Access) {
-        self.record(processor as u32, cycle, access);
-    }
-
-    fn record_run(&mut self, processor: usize, cycle: u64, accesses: &[Access]) {
+    fn record_run(&mut self, processor: usize, cycle: u64, accesses: &[Access], _: &[L1Refill]) {
         self.record_all(processor as u32, cycle, accesses);
     }
 }
@@ -158,67 +159,6 @@ impl FilteredTrace {
 struct FilterKey {
     l1i: CacheConfig,
     l1d: CacheConfig,
-}
-
-/// A mirror of the platform's private L1s that turns a full access stream
-/// into its L2-bound refill stream.
-///
-/// This is the **single** definition of "L2-bound" in the crate: the
-/// trace filter pass ([`PreparedTrace::filtered_for`]) and the
-/// stack-distance profiler feeds ([`profile_trace`](crate::profile_trace),
-/// [`WindowedTapProfiler`](crate::WindowedTapProfiler)) all route accesses
-/// through it, so the streams they see cannot drift apart.
-#[derive(Debug)]
-pub(crate) struct L1Filter {
-    l1i: Vec<SetAssocCache>,
-    l1d: Vec<SetAssocCache>,
-}
-
-impl L1Filter {
-    /// Creates per-processor instruction and data L1s from their
-    /// configurations.
-    pub(crate) fn new(l1i: CacheConfig, l1d: CacheConfig, processors: usize) -> Self {
-        L1Filter {
-            l1i: (0..processors).map(|_| SetAssocCache::new(l1i)).collect(),
-            l1d: (0..processors).map(|_| SetAssocCache::new(l1d)).collect(),
-        }
-    }
-
-    /// Runs one access through the owning processor's L1 and returns its
-    /// outcome (a miss means the access travels to the L2).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::ProcessorOutOfRange`] if `processor` is
-    /// outside the filter's bank.
-    pub(crate) fn access(
-        &mut self,
-        processor: usize,
-        access: &Access,
-    ) -> Result<compmem_cache::AccessOutcome, PlatformError> {
-        let bank = if access.kind.is_instruction() {
-            &mut self.l1i
-        } else {
-            &mut self.l1d
-        };
-        let processors = bank.len();
-        let l1 = bank
-            .get_mut(processor)
-            .ok_or(PlatformError::ProcessorOutOfRange {
-                processor,
-                processors,
-            })?;
-        Ok(l1.access(access))
-    }
-
-    /// Aggregate statistics over all private L1 caches.
-    pub(crate) fn aggregate_stats(&self) -> CacheStats {
-        let mut aggregate = CacheStats::new();
-        for cache in self.l1i.iter().chain(self.l1d.iter()) {
-            aggregate.merge(cache.stats());
-        }
-        aggregate
-    }
 }
 
 /// A recorded trace prepared for repeated replay.
@@ -318,6 +258,14 @@ fn filter_trace(trace: &EncodedTrace, key: FilterKey) -> Result<FilteredTrace, P
     for record in trace.reader() {
         let record = record.expect("validated at construction");
         if splitter.starts_run(&record) {
+            // A run never changes processor, so checking its first record
+            // covers all of them.
+            if record.processor as usize >= processors {
+                return Err(PlatformError::ProcessorOutOfRange {
+                    processor: record.processor as usize,
+                    processors,
+                });
+            }
             let start = refills.len() as u32;
             runs.push(FilteredRun {
                 processor: record.processor,
@@ -329,13 +277,8 @@ fn filter_trace(trace: &EncodedTrace, key: FilterKey) -> Result<FilteredTrace, P
         }
         let run = runs.last_mut().expect("the first record starts a run");
         let access = record.access;
-        let outcome = filter.access(record.processor as usize, &access)?;
-        if !outcome.hit {
-            refills.push(L1Refill {
-                access,
-                data_accesses_before: run.data_accesses,
-                l1_victim_dirty: outcome.evicted.is_some_and(|e| e.dirty),
-            });
+        if let Some(refill) = filter.filter(record.processor as usize, &access, run.data_accesses) {
+            refills.push(refill);
             run.refills.end =
                 u32::try_from(refills.len()).map_err(|_| PlatformError::TooManyRefills)?;
         }
@@ -370,17 +313,16 @@ pub struct ReplayCounters {
 }
 
 /// The switches of an installed schedule not applied yet, and the one
-/// rule of when each applies (see [`ReplaySystem`]): the serial replay and
-/// every set-sharded lane walk the runs asking it for the due switches.
+/// rule of when each applies (see [`ReplaySystem`]).
 #[derive(Debug, Default)]
-pub(crate) struct PendingSwitches {
+struct PendingSwitches {
     steps: Vec<ScheduleStep>,
     next: usize,
 }
 
 impl PendingSwitches {
     /// The switches of `schedule` (every step after step 0), none applied.
-    pub(crate) fn new(schedule: &PartitionSchedule) -> Self {
+    fn new(schedule: &PartitionSchedule) -> Self {
         PendingSwitches {
             steps: schedule.switches().to_vec(),
             next: 0,
@@ -390,7 +332,7 @@ impl PendingSwitches {
     /// Takes the next switch due just before a run that starts at
     /// `start_cycle` — its boundary is at or before that cycle — if any.
     /// `u64::MAX` takes the switches left after the last run.
-    pub(crate) fn next_due(&mut self, start_cycle: u64) -> Option<&ScheduleStep> {
+    fn next_due(&mut self, start_cycle: u64) -> Option<&ScheduleStep> {
         let step = self
             .steps
             .get(self.next)
@@ -414,10 +356,17 @@ impl PendingSwitches {
 /// just before the first run, in recorded order, whose recorded start
 /// cycle is at least `C`, and switches past the last run apply after
 /// it. Installed schedules and controller decisions both follow it, as
-/// do the set-sharded lanes and the windowed profilers (which clock every
-/// refill at its run's start), so no run is ever split by a switch. The
-/// replay and the lanes ask one queue, `PendingSwitches`, which
-/// installed switches are due.
+/// do the windowed profilers (which clock every refill at its run's
+/// start), so no run is ever split by a switch.
+///
+/// # Set shards
+///
+/// A set-sharded lane ([`replay_lanes`](crate::replay_lanes)) is a
+/// `ReplaySystem` restricted to one set shard: it walks every run and
+/// applies every due switch, but hands
+/// [`refill_burst`](MemorySystem::refill_burst) only the refills of its
+/// own lines. Its cache-side counters are then exactly its shard's share
+/// of the serial replay's; its timing is not meaningful.
 #[derive(Debug)]
 pub struct ReplaySystem {
     memory: MemorySystem,
@@ -432,6 +381,10 @@ pub struct ReplaySystem {
     /// Index of the next run of `filtered.runs` to replay: a second
     /// replay of the same system replays nothing.
     next_run: usize,
+    /// The set shard a lane replays, if the system is one.
+    shard: Option<SetShard>,
+    /// A lane's refills of the current run, reused across runs.
+    shard_refills: Vec<L1Refill>,
 }
 
 impl ReplaySystem {
@@ -461,7 +414,15 @@ impl ReplaySystem {
             trace: Arc::clone(&trace.trace),
             switches: PendingSwitches::default(),
             next_run: 0,
+            shard: None,
+            shard_refills: Vec::new(),
         })
+    }
+
+    /// Restricts the replay to the refills of `shard` (see the
+    /// [type docs](ReplaySystem)).
+    pub(crate) fn restrict_to(&mut self, shard: SetShard) {
+        self.shard = Some(shard);
     }
 
     /// The memory hierarchy (e.g. to inspect L2 statistics after a replay).
@@ -542,12 +503,22 @@ impl ReplaySystem {
         F: FnMut(&FilteredRun, &[L1Refill]) -> Option<OrganizationSpec>,
     {
         let filtered = Arc::clone(&self.filtered);
-        for run in &filtered.runs[self.next_run..] {
-            let refills = filtered.refills_of(run);
+        while let Some(run) = filtered.runs.get(self.next_run) {
+            self.next_run += 1;
+            let mut refills = filtered.refills_of(run);
             self.apply_installed_switches(run.start_cycle)?;
             if let Some(organization) = controller(run, refills) {
                 self.memory
                     .repartition(run.start_cycle, &organization, self.trace.table())?;
+            }
+            if let Some(shard) = self.shard {
+                self.shard_refills.clear();
+                self.shard_refills
+                    .extend(refills.iter().filter(|refill| shard.owns(&refill.access)));
+                if self.shard_refills.is_empty() {
+                    continue;
+                }
+                refills = &self.shard_refills;
             }
             let stats = self.memory.refill_burst(
                 run.start_cycle,
@@ -561,7 +532,6 @@ impl ReplaySystem {
             counters.instr_fetches += stats.instr_fetches;
             counters.stall_cycles += stats.stall_cycles;
             counters.clock = run.start_cycle + stats.elapsed;
-            self.next_run += 1;
         }
         self.apply_installed_switches(u64::MAX)?;
         Ok(self.report())

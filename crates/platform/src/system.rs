@@ -145,14 +145,17 @@ impl System {
     }
 
     /// Runs the workload exactly like [`run`](System::run) while `tap`
-    /// observes every access entering the memory hierarchy (processor,
-    /// issue cycle, access — in issue order).
+    /// observes every run of accesses entering the memory hierarchy
+    /// (processor, issue cycle, accesses and their L1 refills — in issue
+    /// order), the run-time system's task-switch traffic included.
     ///
     /// This is the recording half of the trace record/replay pipeline:
     /// passing a [`TraceWriter`](compmem_trace::TraceWriter) as the tap
-    /// streams the run into the binary trace IR. The tap does not perturb
-    /// the simulation — a run under [`NullTap`](crate::replay::NullTap) is
-    /// byte-identical to a plain [`run`](System::run).
+    /// streams the run into the binary trace IR, and passing a
+    /// [`WindowedProfiler`](compmem_cache::WindowedProfiler) measures its
+    /// miss-rate curves. The tap does not perturb the simulation — a run
+    /// under [`NullTap`](crate::replay::NullTap) is byte-identical to a
+    /// plain [`run`](System::run).
     ///
     /// # Errors
     ///
@@ -335,13 +338,14 @@ impl System {
             for i in 0..os.lines_per_switch {
                 for (region, base) in [(os.rt_data, os.rt_data_base), (os.rt_bss, os.rt_bss_base)] {
                     let addr = base.offset(u64::from(i) * LINE_SIZE_BYTES);
-                    let access = Access::load(addr, 4, os.os_task, region);
+                    let access = [Access::load(addr, 4, os.os_task, region)];
                     let now = procs[pi].counters.time;
-                    tap.record_access(pi, now, &access);
-                    let stall = self.memory.access(pi, now, &access);
+                    // One cycle plus the refill's stall.
+                    let (stats, refills) = self.memory.access_burst(pi, now, &access);
+                    tap.record_run(pi, now, &access, refills);
                     let p = &mut procs[pi];
-                    p.counters.switch_cycles += 1 + stall;
-                    p.counters.time += 1 + stall;
+                    p.counters.switch_cycles += stats.elapsed;
+                    p.counters.time += stats.elapsed;
                 }
             }
         }
@@ -392,8 +396,8 @@ impl System {
                     }
                     running.next = end;
                     let now = p.counters.time;
-                    tap.record_run(pi, now, &self.burst_scratch);
-                    let stats = self.memory.access_burst(pi, now, &self.burst_scratch);
+                    let (stats, refills) = self.memory.access_burst(pi, now, &self.burst_scratch);
+                    tap.record_run(pi, now, &self.burst_scratch, refills);
                     let p = &mut procs[pi];
                     p.counters.time += stats.elapsed;
                     p.counters.stall_cycles += stats.stall_cycles;

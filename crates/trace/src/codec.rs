@@ -110,6 +110,12 @@ const FLAG_REPEAT: u8 = 0x04;
 /// Longest legal LEB128 encoding of a `u64`.
 const MAX_VARINT_BYTES: u32 = 10;
 
+/// Most bytes one [`TraceWriter::record`] call writes: a run header (tag,
+/// processor, cycle delta), a task and a region definition (tag, id), and
+/// an access (tag, task and region indices, size, address and cycle
+/// deltas).
+pub(crate) const MAX_RECORD_BYTES: usize = (1 + 5 + 10) + 2 * (1 + 5) + (1 + 5 + 5 + 3 + 10 + 10);
+
 /// Errors produced while encoding or decoding traces.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -583,6 +589,11 @@ impl<W: Write> TraceWriter<W> {
             },
             error: None,
         })
+    }
+
+    /// The sink the writer encodes into.
+    pub(crate) fn sink_mut(&mut self) -> &mut W {
+        &mut self.inner
     }
 
     /// Records one access issued by `processor` at `cycle`.

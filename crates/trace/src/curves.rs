@@ -8,9 +8,10 @@
 //! `compmem profile` writes a `.curves` file next to the `.trace` and
 //! skips the L1 filter entirely when a matching sidecar exists.
 //!
-//! This module defines the on-disk format and the streaming
-//! [`CurveWriter`] / [`CurveReader`] pair, symmetrical to the trace codec
-//! in [`crate::codec`]. It deliberately speaks a *neutral* data model
+//! This module defines the on-disk format and its whole-sidecar codec,
+//! [`EncodedCurves::from_bytes`] and [`EncodedCurves::to_bytes`]: every
+//! sidecar is read and written whole. It deliberately speaks a *neutral*
+//! data model
 //! ([`SidecarKey`], [`CurveEntry`], [`WindowRecord`]): the semantic curve
 //! types (`MissRateCurves`, `WindowedCurves`) live one layer up in
 //! `compmem-cache`, which provides lossless conversions in both
@@ -50,7 +51,6 @@
 //! Decoding is strict: every branch is bounds-checked and corrupt input is
 //! reported as a [`CodecError`], never a panic.
 
-use std::io::Write;
 use std::path::Path;
 
 use crate::codec::{write_varint, ByteSource, CodecError};
@@ -251,6 +251,71 @@ impl CurveHeader {
         }
         Ok(())
     }
+
+    /// Writes the validated header, magic and version first.
+    fn write(&self, out: &mut Vec<u8>) -> Result<(), CodecError> {
+        self.validate()?;
+        out.extend_from_slice(&CURVES_MAGIC);
+        out.push(CURVES_VERSION);
+        out.extend_from_slice(&self.trace_hash.to_le_bytes());
+        out.extend_from_slice(&self.l1_signature.to_le_bytes());
+        write_varint(out, u64::from(self.min_sets))?;
+        write_varint(out, u64::from(self.max_sets))?;
+        write_varint(out, u64::from(self.ways_cap))?;
+        out.push(match self.window.kind {
+            SidecarWindowKind::WholeRun => 0,
+            SidecarWindowKind::Accesses => 1,
+            SidecarWindowKind::Cycles => 2,
+        });
+        write_varint(out, self.window.length)?;
+        Ok(())
+    }
+
+    /// Reads and validates the header, magic and version first.
+    fn read(r: &mut ByteSource<'_>) -> Result<Self, CodecError> {
+        let mut magic = [0u8; 4];
+        r.read_exact(&mut magic).map_err(|_| CodecError::Corrupt {
+            reason: "stream shorter than the sidecar magic",
+        })?;
+        if magic != CURVES_MAGIC {
+            return Err(CodecError::BadSidecarMagic { found: magic });
+        }
+        let version = r.require_byte()?;
+        if version != CURVES_VERSION {
+            return Err(CodecError::UnsupportedVersion { found: version });
+        }
+        let mut hash = [0u8; 8];
+        r.read_exact(&mut hash)?;
+        let mut l1_signature = [0u8; 8];
+        r.read_exact(&mut l1_signature)?;
+        let as_u32 = |value: u64, reason: &'static str| {
+            u32::try_from(value).map_err(|_| CodecError::Corrupt { reason })
+        };
+        let min_sets = as_u32(r.read_varint()?, "curve min_sets exceeds 32 bits")?;
+        let max_sets = as_u32(r.read_varint()?, "curve max_sets exceeds 32 bits")?;
+        let ways_cap = as_u32(r.read_varint()?, "curve ways_cap exceeds 32 bits")?;
+        let kind = match r.require_byte()? {
+            0 => SidecarWindowKind::WholeRun,
+            1 => SidecarWindowKind::Accesses,
+            2 => SidecarWindowKind::Cycles,
+            _ => {
+                return Err(CodecError::Corrupt {
+                    reason: "unknown window kind",
+                })
+            }
+        };
+        let length = r.read_varint()?;
+        let header = CurveHeader {
+            trace_hash: u64::from_le_bytes(hash),
+            l1_signature: u64::from_le_bytes(l1_signature),
+            min_sets,
+            max_sets,
+            ways_cap,
+            window: SidecarWindow { kind, length },
+        };
+        header.validate()?;
+        Ok(header)
+    }
 }
 
 /// One persisted curve: a key's distance histograms at every resolved
@@ -282,120 +347,37 @@ pub struct WindowRecord {
 
 // ----- encoding -----
 
-fn write_entry<W: Write>(
-    w: &mut W,
+fn write_entries(
+    out: &mut Vec<u8>,
     header: &CurveHeader,
-    entry: &CurveEntry,
+    entries: &[CurveEntry],
 ) -> Result<(), CodecError> {
-    let (tag, id) = key_tag(entry.key);
-    w.write_all(&[tag])?;
-    if let Some(id) = id {
-        write_varint(w, id)?;
-    }
-    write_varint(w, entry.accesses)?;
-    write_varint(w, entry.cold)?;
-    if entry.level_histograms.len() != header.levels()
-        || entry
-            .level_histograms
-            .iter()
-            .any(|h| h.len() != header.ways_cap as usize + 1)
-    {
-        return Err(CodecError::Corrupt {
-            reason: "curve entry histogram shape disagrees with the header",
-        });
-    }
-    for histogram in &entry.level_histograms {
-        for &bucket in histogram {
-            write_varint(w, bucket)?;
+    write_varint(out, entries.len() as u64)?;
+    for entry in entries {
+        let (tag, id) = key_tag(entry.key);
+        out.push(tag);
+        if let Some(id) = id {
+            write_varint(out, id)?;
+        }
+        write_varint(out, entry.accesses)?;
+        write_varint(out, entry.cold)?;
+        if entry.level_histograms.len() != header.levels()
+            || entry
+                .level_histograms
+                .iter()
+                .any(|h| h.len() != header.ways_cap as usize + 1)
+        {
+            return Err(CodecError::Corrupt {
+                reason: "curve entry histogram shape disagrees with the header",
+            });
+        }
+        for histogram in &entry.level_histograms {
+            for &bucket in histogram {
+                write_varint(out, bucket)?;
+            }
         }
     }
     Ok(())
-}
-
-/// Streaming encoder of the curve sidecar IR.
-///
-/// Symmetrical to [`TraceWriter`](crate::codec::TraceWriter): create it
-/// with the header, stream the windows in order, and terminate with the
-/// whole-run totals through [`finish`](CurveWriter::finish).
-#[derive(Debug)]
-pub struct CurveWriter<W: Write> {
-    inner: W,
-    header: CurveHeader,
-    next_index: u64,
-}
-
-impl<W: Write> CurveWriter<W> {
-    /// Starts a sidecar: validates the header and writes it to `inner`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Corrupt`] for an invalid header and I/O
-    /// errors from the sink.
-    pub fn new(mut inner: W, header: CurveHeader) -> Result<Self, CodecError> {
-        header.validate()?;
-        inner.write_all(&CURVES_MAGIC)?;
-        inner.write_all(&[CURVES_VERSION])?;
-        inner.write_all(&header.trace_hash.to_le_bytes())?;
-        inner.write_all(&header.l1_signature.to_le_bytes())?;
-        write_varint(&mut inner, u64::from(header.min_sets))?;
-        write_varint(&mut inner, u64::from(header.max_sets))?;
-        write_varint(&mut inner, u64::from(header.ways_cap))?;
-        let kind = match header.window.kind {
-            SidecarWindowKind::WholeRun => 0u8,
-            SidecarWindowKind::Accesses => 1,
-            SidecarWindowKind::Cycles => 2,
-        };
-        inner.write_all(&[kind])?;
-        write_varint(&mut inner, header.window.length)?;
-        Ok(CurveWriter {
-            inner,
-            header,
-            next_index: 0,
-        })
-    }
-
-    /// Writes one window's curves. Windows must be streamed in index
-    /// order, starting at 0.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Corrupt`] for out-of-order windows or
-    /// entries whose histogram shape disagrees with the header, and I/O
-    /// errors from the sink.
-    pub fn write_window(&mut self, window: &WindowRecord) -> Result<(), CodecError> {
-        if window.index != self.next_index {
-            return Err(CodecError::Corrupt {
-                reason: "windows must be written in index order",
-            });
-        }
-        self.next_index += 1;
-        self.inner.write_all(&[TAG_WINDOW])?;
-        write_varint(&mut self.inner, window.index)?;
-        write_varint(&mut self.inner, window.start_cycle)?;
-        write_varint(&mut self.inner, window.end_cycle)?;
-        write_varint(&mut self.inner, window.entries.len() as u64)?;
-        for entry in &window.entries {
-            write_entry(&mut self.inner, &self.header, entry)?;
-        }
-        Ok(())
-    }
-
-    /// Writes the whole-run totals, terminates the stream and returns the
-    /// sink.
-    ///
-    /// # Errors
-    ///
-    /// As for [`write_window`](CurveWriter::write_window).
-    pub fn finish(mut self, total: &[CurveEntry]) -> Result<W, CodecError> {
-        self.inner.write_all(&[TAG_TOTAL])?;
-        write_varint(&mut self.inner, total.len() as u64)?;
-        for entry in total {
-            write_entry(&mut self.inner, &self.header, entry)?;
-        }
-        self.inner.write_all(&[TAG_END])?;
-        self.inner.flush()?;
-        Ok(self.inner)
-    }
 }
 
 // ----- decoding -----
@@ -461,161 +443,6 @@ fn read_entries(
     Ok(entries)
 }
 
-/// Streaming decoder of the curve sidecar IR, reading an in-memory byte
-/// slice.
-#[derive(Debug)]
-pub struct CurveReader<'a> {
-    inner: ByteSource<'a>,
-    header: CurveHeader,
-    next_index: u64,
-    total: Option<Vec<CurveEntry>>,
-    done: bool,
-}
-
-impl<'a> CurveReader<'a> {
-    /// Opens a sidecar: parses and validates the header.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] for a wrong magic or version, or a
-    /// truncated or invalid header.
-    pub fn new(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        let mut inner = ByteSource::new(bytes);
-        let mut magic = [0u8; 4];
-        inner
-            .read_exact(&mut magic)
-            .map_err(|_| CodecError::Corrupt {
-                reason: "stream shorter than the sidecar magic",
-            })?;
-        if magic != CURVES_MAGIC {
-            return Err(CodecError::BadSidecarMagic { found: magic });
-        }
-        let version = inner.require_byte()?;
-        if version != CURVES_VERSION {
-            return Err(CodecError::UnsupportedVersion { found: version });
-        }
-        let mut hash = [0u8; 8];
-        inner.read_exact(&mut hash)?;
-        let mut l1_signature = [0u8; 8];
-        inner.read_exact(&mut l1_signature)?;
-        let as_u32 = |value: u64, reason: &'static str| {
-            u32::try_from(value).map_err(|_| CodecError::Corrupt { reason })
-        };
-        let min_sets = as_u32(inner.read_varint()?, "curve min_sets exceeds 32 bits")?;
-        let max_sets = as_u32(inner.read_varint()?, "curve max_sets exceeds 32 bits")?;
-        let ways_cap = as_u32(inner.read_varint()?, "curve ways_cap exceeds 32 bits")?;
-        let kind = match inner.require_byte()? {
-            0 => SidecarWindowKind::WholeRun,
-            1 => SidecarWindowKind::Accesses,
-            2 => SidecarWindowKind::Cycles,
-            _ => {
-                return Err(CodecError::Corrupt {
-                    reason: "unknown window kind",
-                })
-            }
-        };
-        let length = inner.read_varint()?;
-        let header = CurveHeader {
-            trace_hash: u64::from_le_bytes(hash),
-            l1_signature: u64::from_le_bytes(l1_signature),
-            min_sets,
-            max_sets,
-            ways_cap,
-            window: SidecarWindow { kind, length },
-        };
-        header.validate()?;
-        Ok(CurveReader {
-            inner,
-            header,
-            next_index: 0,
-            total: None,
-            done: false,
-        })
-    }
-
-    /// The validated header.
-    pub fn header(&self) -> &CurveHeader {
-        &self.header
-    }
-
-    /// Decodes the next window, or `None` once the whole-run totals have
-    /// been reached (retrieve them with [`into_total`](Self::into_total)).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] on corrupt input; the reader is then
-    /// exhausted.
-    pub fn next_window(&mut self) -> Result<Option<WindowRecord>, CodecError> {
-        if self.done {
-            return Ok(None);
-        }
-        // Any decode error exhausts the reader — resuming mid-record
-        // would misinterpret payload bytes as fresh tags.
-        let result = self.decode_next_window();
-        if result.is_err() {
-            self.done = true;
-        }
-        result
-    }
-
-    fn decode_next_window(&mut self) -> Result<Option<WindowRecord>, CodecError> {
-        match self.inner.require_byte()? {
-            TAG_WINDOW => {
-                let index = self.inner.read_varint()?;
-                if index != self.next_index || index >= MAX_WINDOWS {
-                    return Err(CodecError::Corrupt {
-                        reason: "window records out of order",
-                    });
-                }
-                self.next_index += 1;
-                let start_cycle = self.inner.read_varint()?;
-                let end_cycle = self.inner.read_varint()?;
-                let entries = read_entries(&mut self.inner, &self.header)?;
-                Ok(Some(WindowRecord {
-                    index,
-                    start_cycle,
-                    end_cycle,
-                    entries,
-                }))
-            }
-            TAG_TOTAL => {
-                let total = read_entries(&mut self.inner, &self.header)?;
-                match self.inner.next_byte() {
-                    Some(TAG_END) => {}
-                    _ => {
-                        return Err(CodecError::Corrupt {
-                            reason: "sidecar does not end after the totals",
-                        });
-                    }
-                }
-                if self.inner.has_more() {
-                    return Err(CodecError::Corrupt {
-                        reason: "trailing bytes after END record",
-                    });
-                }
-                self.total = Some(total);
-                self.done = true;
-                Ok(None)
-            }
-            _ => Err(CodecError::Corrupt {
-                reason: "unknown sidecar record tag",
-            }),
-        }
-    }
-
-    /// Consumes the reader and returns the whole-run totals.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Corrupt`] if the stream ended (or was
-    /// abandoned) before the totals record.
-    pub fn into_total(self) -> Result<Vec<CurveEntry>, CodecError> {
-        self.total.ok_or(CodecError::Corrupt {
-            reason: "sidecar stream ends without a totals record",
-        })
-    }
-}
-
 /// A complete, validated curve sidecar held in memory.
 ///
 /// Construction walks the whole stream (corrupt input is rejected with a
@@ -650,18 +477,53 @@ impl EncodedCurves {
     /// Returns a [`CodecError`] if the stream is truncated, corrupt, of an
     /// unsupported version or has trailing garbage after its END record.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut reader = CurveReader::new(bytes)?;
+        let mut r = ByteSource::new(bytes);
+        let header = CurveHeader::read(&mut r)?;
         let mut windows = Vec::new();
-        while let Some(window) = reader.next_window()? {
-            windows.push(window);
+        loop {
+            match r.require_byte()? {
+                TAG_WINDOW => {
+                    let index = r.read_varint()?;
+                    if index != windows.len() as u64 || index >= MAX_WINDOWS {
+                        return Err(CodecError::Corrupt {
+                            reason: "window records out of order",
+                        });
+                    }
+                    let start_cycle = r.read_varint()?;
+                    let end_cycle = r.read_varint()?;
+                    let entries = read_entries(&mut r, &header)?;
+                    windows.push(WindowRecord {
+                        index,
+                        start_cycle,
+                        end_cycle,
+                        entries,
+                    });
+                }
+                TAG_TOTAL => {
+                    let total = read_entries(&mut r, &header)?;
+                    if r.next_byte() != Some(TAG_END) {
+                        return Err(CodecError::Corrupt {
+                            reason: "sidecar does not end after the totals",
+                        });
+                    }
+                    if r.has_more() {
+                        return Err(CodecError::Corrupt {
+                            reason: "trailing bytes after END record",
+                        });
+                    }
+                    return Ok(EncodedCurves {
+                        header,
+                        windows,
+                        total,
+                    });
+                }
+                _ => {
+                    return Err(CodecError::Corrupt {
+                        reason: "unknown sidecar record tag",
+                    })
+                }
+            }
         }
-        let header = *reader.header();
-        let total = reader.into_total()?;
-        Ok(EncodedCurves {
-            header,
-            windows,
-            total,
-        })
     }
 
     /// The sidecar header.
@@ -687,11 +549,24 @@ impl EncodedCurves {
     /// Returns [`CodecError::Corrupt`] if the parts disagree with the
     /// header (histogram shapes, window order).
     pub fn to_bytes(&self) -> Result<Vec<u8>, CodecError> {
-        let mut writer = CurveWriter::new(Vec::new(), self.header)?;
-        for window in &self.windows {
-            writer.write_window(window)?;
+        let mut out = Vec::new();
+        self.header.write(&mut out)?;
+        for (index, window) in self.windows.iter().enumerate() {
+            if window.index != index as u64 {
+                return Err(CodecError::Corrupt {
+                    reason: "windows must be written in index order",
+                });
+            }
+            out.push(TAG_WINDOW);
+            write_varint(&mut out, window.index)?;
+            write_varint(&mut out, window.start_cycle)?;
+            write_varint(&mut out, window.end_cycle)?;
+            write_entries(&mut out, &self.header, &window.entries)?;
         }
-        writer.finish(&self.total)
+        out.push(TAG_TOTAL);
+        write_entries(&mut out, &self.header, &self.total)?;
+        out.push(TAG_END);
+        Ok(out)
     }
 
     /// Checks that this sidecar was measured over exactly the given trace
@@ -805,20 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_reader_yields_windows_then_totals() {
-        let bytes = sample().to_bytes().unwrap();
-        let mut reader = CurveReader::new(bytes.as_slice()).unwrap();
-        assert_eq!(reader.header().levels(), 3);
-        let w0 = reader.next_window().unwrap().unwrap();
-        assert_eq!(w0.index, 0);
-        assert_eq!(w0.entries.len(), 3);
-        let w1 = reader.next_window().unwrap().unwrap();
-        assert_eq!(w1.index, 1);
-        assert!(reader.next_window().unwrap().is_none());
-        assert_eq!(reader.into_total().unwrap().len(), 5);
-    }
-
-    #[test]
     fn hash_validation_catches_foreign_traces() {
         let curves = sample();
         let fake_trace = b"CMTR-not-really".to_vec();
@@ -865,31 +726,31 @@ mod tests {
 
     #[test]
     fn writer_rejects_malformed_input() {
+        let encode =
+            |header, windows, total| EncodedCurves::from_parts(header, windows, total).to_bytes();
         // Out-of-order windows.
-        let mut writer = CurveWriter::new(Vec::new(), header()).unwrap();
         let window = WindowRecord {
             index: 3,
             start_cycle: 0,
             end_cycle: 0,
             entries: Vec::new(),
         };
-        assert!(writer.write_window(&window).is_err());
+        assert!(encode(header(), vec![window], Vec::new()).is_err());
         // Histogram shape disagreeing with the header.
-        let writer = CurveWriter::new(Vec::new(), header()).unwrap();
         let bad_entry = CurveEntry {
             key: SidecarKey::AppData,
             accesses: 0,
             cold: 0,
             level_histograms: vec![vec![0, 0]],
         };
-        assert!(writer.finish(&[bad_entry]).is_err());
-        // Invalid headers never construct a writer.
+        assert!(encode(header(), Vec::new(), vec![bad_entry]).is_err());
+        // Invalid headers never encode.
         let mut bad = header();
         bad.min_sets = 3;
-        assert!(CurveWriter::new(Vec::new(), bad).is_err());
+        assert!(encode(bad, Vec::new(), Vec::new()).is_err());
         let mut bad = header();
         bad.window.length = 0;
-        assert!(CurveWriter::new(Vec::new(), bad).is_err());
+        assert!(encode(bad, Vec::new(), Vec::new()).is_err());
     }
 
     #[test]
@@ -901,19 +762,12 @@ mod tests {
             EncodedCurves::from_bytes(&bytes),
             Err(CodecError::Corrupt { .. })
         ));
-        // The streaming reader is exhausted by the error: it never
-        // resumes parsing mid-record.
-        let mut reader = CurveReader::new(bytes.as_slice()).unwrap();
-        assert!(reader.next_window().is_err());
-        assert!(matches!(reader.next_window(), Ok(None)));
-        assert!(reader.into_total().is_err());
     }
 
     #[test]
     fn overflowing_histograms_are_corrupt_not_panics() {
         // Two buckets near u64::MAX wrap to a small u64 sum; the decoder
         // must reject them (u128 arithmetic), not accept or panic.
-        let writer = CurveWriter::new(Vec::new(), header()).unwrap();
         let half = 1u64 << 63;
         let evil = CurveEntry {
             key: SidecarKey::Aggregate,
@@ -924,7 +778,9 @@ mod tests {
             cold: 4,
             level_histograms: vec![vec![half, half, 2], vec![2, 0, 0], vec![2, 0, 0]],
         };
-        let bytes = writer.finish(&[evil]).unwrap();
+        let bytes = EncodedCurves::from_parts(header(), Vec::new(), vec![evil])
+            .to_bytes()
+            .unwrap();
         assert!(matches!(
             EncodedCurves::from_bytes(&bytes),
             Err(CodecError::Corrupt { .. })

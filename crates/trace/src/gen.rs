@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::access::{Access, AccessKind};
 use crate::addr::Addr;
-use crate::codec::{CodecError, EncodedTrace, TraceWriter};
+use crate::codec::{CodecError, EncodedTrace, TraceWriter, MAX_RECORD_BYTES};
 use crate::error::TraceError;
 use crate::region::{Region, RegionId, RegionKind, RegionTable, TaskId};
 use crate::LINE_SIZE_BYTES;
@@ -306,18 +306,10 @@ impl GenKind {
         }
     }
 
-    /// Generates the task's access stream (`accesses` loads over `params`'
-    /// region) with the given per-task RNG.
-    fn stream(&self, params: StreamParams, accesses: u64, rng: &mut SmallRng) -> Vec<Access> {
-        let line_at = |line: u64| {
-            Access::load(
-                params.base.offset(line * LINE_SIZE_BYTES),
-                params.access_size,
-                params.task,
-                params.region,
-            )
-        };
-        match *self {
+    /// The task's access stream over `params`' region, drawing from its
+    /// own RNG.
+    fn stream(&self, params: StreamParams, mut rng: SmallRng) -> TaskStream {
+        let lines = match *self {
             GenKind::Zipf { working_set_bytes } => {
                 let lines = (working_set_bytes / LINE_SIZE_BYTES).max(1);
                 // Integer harmonic weights (no floats: byte-determinism
@@ -330,18 +322,15 @@ impl GenKind {
                     total += (SCALE / (rank + 1)).max(1);
                     cumulative.push(total);
                 }
-                (0..accesses)
-                    .map(|_| {
-                        let x = rng.gen_range(0..total);
-                        let rank = cumulative.partition_point(|&c| c <= x) as u64;
-                        line_at(rank)
-                    })
-                    .collect()
+                Lines::Zipf {
+                    cumulative,
+                    total,
+                    rng,
+                }
             }
-            GenKind::Scan { footprint_bytes } => {
-                let lines = (footprint_bytes / LINE_SIZE_BYTES).max(1);
-                (0..accesses).map(|i| line_at(i % lines)).collect()
-            }
+            GenKind::Scan { footprint_bytes } => Lines::Scan {
+                lines: (footprint_bytes / LINE_SIZE_BYTES).max(1),
+            },
             GenKind::Chase { working_set_bytes } => {
                 let lines = (working_set_bytes / LINE_SIZE_BYTES).max(1);
                 // Fisher–Yates permutation of the working set's lines; the
@@ -351,28 +340,89 @@ impl GenKind {
                     let j = rng.gen_range(0..=i);
                     order.swap(i, j);
                 }
-                (0..accesses)
-                    .map(|i| line_at(order[(i % lines) as usize]))
-                    .collect()
+                Lines::Chase { order }
             }
             GenKind::Phased {
                 hot_bytes,
                 scan_bytes,
                 phase_accesses,
-            } => {
-                let hot_lines = (hot_bytes / LINE_SIZE_BYTES).max(1);
-                let scan_lines = (scan_bytes / LINE_SIZE_BYTES).max(1);
-                (0..accesses)
-                    .map(|i| {
-                        if (i / phase_accesses) % 2 == 0 {
-                            line_at(i % hot_lines)
-                        } else {
-                            line_at(i % scan_lines)
-                        }
-                    })
-                    .collect()
-            }
+            } => Lines::Phased {
+                hot_lines: (hot_bytes / LINE_SIZE_BYTES).max(1),
+                scan_lines: (scan_bytes / LINE_SIZE_BYTES).max(1),
+                phase_accesses,
+            },
+        };
+        TaskStream {
+            params,
+            issued: 0,
+            lines,
         }
+    }
+}
+
+/// Which line each access of a task stream touches.
+enum Lines {
+    Zipf {
+        cumulative: Vec<u64>,
+        total: u64,
+        rng: SmallRng,
+    },
+    Scan {
+        lines: u64,
+    },
+    Chase {
+        order: Vec<u64>,
+    },
+    Phased {
+        hot_lines: u64,
+        scan_lines: u64,
+        phase_accesses: u64,
+    },
+}
+
+/// One task's access stream, drawn one access at a time.
+struct TaskStream {
+    params: StreamParams,
+    /// Accesses drawn so far.
+    issued: u64,
+    lines: Lines,
+}
+
+impl TaskStream {
+    /// Draws the task's next access.
+    fn next_access(&mut self) -> Access {
+        let i = self.issued;
+        self.issued += 1;
+        let line = match &mut self.lines {
+            Lines::Zipf {
+                cumulative,
+                total,
+                rng,
+            } => {
+                let x = rng.gen_range(0..*total);
+                cumulative.partition_point(|&c| c <= x) as u64
+            }
+            Lines::Scan { lines } => i % *lines,
+            Lines::Chase { order } => order[(i % order.len() as u64) as usize],
+            Lines::Phased {
+                hot_lines,
+                scan_lines,
+                phase_accesses,
+            } => {
+                if (i / *phase_accesses).is_multiple_of(2) {
+                    i % *hot_lines
+                } else {
+                    i % *scan_lines
+                }
+            }
+        };
+        let params = self.params;
+        Access::load(
+            params.base.offset(line * LINE_SIZE_BYTES),
+            params.access_size,
+            params.task,
+            params.region,
+        )
     }
 }
 
@@ -474,7 +524,8 @@ pub enum GenError {
     },
     /// The region table rejected a task's data region.
     Trace(TraceError),
-    /// Encoding the composed stream failed.
+    /// Encoding the composed stream failed, e.g. because the trace
+    /// outgrew the memory the process can allocate.
     Codec(CodecError),
 }
 
@@ -613,7 +664,10 @@ pub fn provenance(table: &RegionTable) -> Vec<GenProvenance> {
 ///
 /// # Errors
 ///
-/// Returns [`GenError::InvalidSpec`] for malformed specs; table and codec
+/// Returns [`GenError::InvalidSpec`] for malformed specs, and
+/// [`GenError::Codec`] when the encoded trace outgrows the memory the
+/// process can allocate: every task streams straight into the encoder, so
+/// generation stops at the first growth the allocator refuses. Table
 /// failures are propagated (they cannot occur for valid specs).
 pub fn generate(spec: &GenSpec) -> Result<EncodedTrace, GenError> {
     let invalid = |reason: String| GenError::InvalidSpec { reason };
@@ -667,40 +721,50 @@ pub fn generate(spec: &GenSpec) -> Result<EncodedTrace, GenError> {
         let params = StreamParams::for_region(region, task_id);
         // Derive a distinct, well-mixed RNG per task so task streams are
         // independent of each other and of the task count.
-        let mut rng = SmallRng::seed_from_u64(
+        let rng = SmallRng::seed_from_u64(
             spec.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index as u64 + 1),
         );
-        streams.push(task.kind.stream(params, task.accesses, &mut rng));
+        streams.push(task.kind.stream(params, rng));
     }
 
     let mut writer = TraceWriter::new(Vec::new(), &table, spec.tasks.len() as u32)?;
-    let mut cursors = vec![0usize; streams.len()];
+    let budgets: Vec<u128> = spec.tasks.iter().map(|t| u128::from(t.accesses)).collect();
     let mut cycle = 0u64;
     for _ in 0..spec.total_accesses() {
         // Proportional interleave: issue the task with the smallest
         // (issued + 1) / budget fraction, compared exactly via cross
         // multiplication; ties resolve to the lowest task index.
         let mut next = usize::MAX;
-        for (t, stream) in streams.iter().enumerate() {
-            if cursors[t] >= stream.len() {
+        for (t, &budget) in budgets.iter().enumerate() {
+            let issued = u128::from(streams[t].issued);
+            if issued >= budget {
                 continue;
             }
-            if next == usize::MAX {
-                next = t;
-                continue;
-            }
-            let lhs = (cursors[t] as u128 + 1) * streams[next].len() as u128;
-            let rhs = (cursors[next] as u128 + 1) * stream.len() as u128;
-            if lhs < rhs {
+            if next == usize::MAX
+                || (issued + 1) * budgets[next] < (u128::from(streams[next].issued) + 1) * budget
+            {
                 next = t;
             }
         }
-        writer.record(next as u32, cycle, &streams[next][cursors[next]]);
-        cursors[next] += 1;
+        let access = streams[next].next_access();
+        reserve(writer.sink_mut(), MAX_RECORD_BYTES)?;
+        writer.record(next as u32, cycle, &access);
         cycle += spec.cycles_per_access;
     }
     let (bytes, _) = writer.finish()?;
     Ok(EncodedTrace::from_bytes(bytes)?)
+}
+
+/// Makes room for `additional` more bytes of a generated trace with
+/// [`Vec::try_reserve`], so a trace larger than the process can allocate
+/// stops [`generate`] with an error instead of aborting it.
+fn reserve(bytes: &mut Vec<u8>, additional: usize) -> Result<(), CodecError> {
+    bytes.try_reserve(additional).map_err(|_| {
+        CodecError::Io(std::io::Error::new(
+            std::io::ErrorKind::OutOfMemory,
+            format!("out of memory growing the trace past {} bytes", bytes.len()),
+        ))
+    })
 }
 
 /// Returns the fraction of accesses of the given kind in `accesses`.
@@ -998,7 +1062,7 @@ mod tests {
     }
 
     /// A total access budget over the bound is refused by name before any
-    /// task stream is collected, also when the sum overflows `u64`.
+    /// task stream starts, also when the sum overflows `u64`.
     #[test]
     fn zoo_rejects_totals_over_the_access_bound() {
         let scan = GenKind::Scan {
@@ -1032,6 +1096,16 @@ mod tests {
             err,
             "invalid generator spec: the tasks total 18446744073709551616 accesses, \
              over the 4294967295 bound"
+        );
+    }
+
+    #[test]
+    fn a_growth_the_allocator_refuses_is_an_io_error() {
+        let err = reserve(&mut vec![1, 2, 3], usize::MAX).unwrap_err();
+        assert!(matches!(&err, CodecError::Io(e) if e.kind() == std::io::ErrorKind::OutOfMemory));
+        assert_eq!(
+            err.to_string(),
+            "trace i/o error: out of memory growing the trace past 3 bytes"
         );
     }
 

@@ -82,8 +82,8 @@ pub use codec::{
     TraceSummary, TraceWriter,
 };
 pub use curves::{
-    trace_content_hash, CurveEntry, CurveHeader, CurveReader, CurveWriter, EncodedCurves,
-    SidecarKey, SidecarWindow, SidecarWindowKind, WindowRecord,
+    trace_content_hash, CurveEntry, CurveHeader, EncodedCurves, SidecarKey, SidecarWindow,
+    SidecarWindowKind, WindowRecord,
 };
 pub use error::TraceError;
 pub use gen::{GenError, GenKind, GenProvenance, GenSpec, GenTask, DEFAULT_CYCLES_PER_ACCESS};

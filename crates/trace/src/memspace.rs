@@ -71,11 +71,6 @@ impl AddressSpace {
         &self.table
     }
 
-    /// Consumes the address space and returns its region table.
-    pub fn into_table(self) -> RegionTable {
-        self.table
-    }
-
     /// Creates an instrumented array of 4-byte elements covering `region`.
     ///
     /// # Errors

@@ -125,11 +125,6 @@ impl TraceBuffer {
         self.accesses.clear();
     }
 
-    /// Consumes the buffer and returns the recorded accesses.
-    pub fn into_accesses(self) -> Vec<Access> {
-        self.accesses
-    }
-
     /// Returns an iterator over the recorded accesses.
     pub fn iter(&self) -> std::slice::Iter<'_, Access> {
         self.accesses.iter()

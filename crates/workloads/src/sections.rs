@@ -75,16 +75,6 @@ impl SharedSections {
         Ok(array)
     }
 
-    /// Returns a fresh handle onto `app.bss` (shared zero-initialised
-    /// counters / scratch).
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from the address space.
-    pub fn app_bss_scratch(&self, space: &AddressSpace) -> Result<ScalarArray, WorkloadError> {
-        Ok(space.array(self.app_bss)?)
-    }
-
     /// Builds the [`OsRegions`] descriptor the platform uses to model the
     /// run-time system's traffic on every task switch.
     pub fn os_regions(

@@ -1,9 +1,9 @@
 //! Profile once, optimise many: the single-pass stack-distance workflow.
 //!
 //! One live run of the tiny MPEG-2 decode, with a whole-run
-//! `WindowedTapProfiler` riding the shared baseline, yields every
-//! entity's exact miss count at every power-of-two cache shape
-//! (`MissRateCurves`). The example then:
+//! `WindowedProfiler` as its tap observing the refills of the shared
+//! baseline's own L1s, yields every entity's exact miss count at every
+//! power-of-two cache shape (`MissRateCurves`). The example then:
 //!
 //! 1. converts the curves into the miss profiles of the experiment's
 //!    lattice and cross-validates them against `per_size_profiles`, which

@@ -71,9 +71,13 @@
 //!   drives the run loop; processors execute workload bursts against one
 //!   timing path (private L1s → shared bus → `Box<dyn CacheModel>` L2 →
 //!   DRAM), with runs of consecutive memory operations batched through
-//!   `MemorySystem::access_burst`. The `replay` module closes the loop:
-//!   `System::run_traced` records every access through an `AccessTap`
-//!   (e.g. straight into the trace IR), and `ReplaySystem` re-issues a
+//!   `MemorySystem::access_burst`. `MemorySystem` is the only code that
+//!   decides which accesses reach the L2 (its private L1s are one
+//!   `L1Filter`, the bank the trace filter pass runs too) and what each
+//!   refill and each repartition flush costs. The `replay` module closes
+//!   the loop: `System::run_traced` hands every run of accesses, with the
+//!   L1 refills the hierarchy computed for it, to an `AccessTap` (e.g.
+//!   straight into the trace IR), and `ReplaySystem` re-issues a
 //!   recorded trace in one walk over its runs in recorded order —
 //!   bit-identical cache statistics, no workload execution, with the
 //!   organisation-invariant L1 filter cached per trace (`PreparedTrace`).
@@ -90,9 +94,10 @@
 //!   `SystemReport`.
 //!   The `profile` module feeds the stack-distance profiler from both
 //!   traffic sources: `profile_trace_windowed` (a prepared trace, through
-//!   the same cached L1 filter replays use) and `WindowedTapProfiler` (an
-//!   `AccessTap` carrying its own mirror L1 bank, so one live run yields
-//!   the shared baseline *and* the full miss-rate curves) — a whole-run
+//!   the same cached L1 filter replays use) and a `WindowedProfiler` used
+//!   as the `AccessTap` of a live run (it observes the refills of the
+//!   system's own L1s, so one live run yields the shared baseline *and*
+//!   the full miss-rate curves) — a whole-run
 //!   window gives the plain curves (`profile_trace`), and
 //!   `profile_trace_with_sidecar` persists curves in the `.curves`
 //!   sidecar and skips the L1 filter entirely when a matching sidecar
@@ -100,10 +105,11 @@
 //!   `profile_trace_windowed_lanes` one profiling pass — into **set
 //!   shards**: every organisation and every profiler stack picks a line's
 //!   set from its low bits, so when `N` divides every set group's first
-//!   set and size, lane `i` handles only the lines with `line % N == i`
-//!   against its own copy of the L2 (or profiler), and the lanes' counters
-//!   and curves add up to the serial ones exactly, for every organisation
-//!   and replacement policy.
+//!   set and size, lane `i` handles only the lines with `line % N == i`:
+//!   a replay lane is a `ReplaySystem` restricted to its shard, with its
+//!   own copy of the L2 (a profiling lane has its own profiler), and the
+//!   lanes' counters and curves add up to the serial ones exactly, for
+//!   every organisation and replacement policy.
 //! * [`compmem_kpn`] — the YAPI-like Kahn-process-network runtime. Process
 //!   networks implement the platform's `WorkloadDriver`; the functional
 //!   scheduler (`Network::run_functional`) runs on the same event-queue

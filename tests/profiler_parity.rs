@@ -19,15 +19,19 @@
 //! * **Optimizer agreement**: `solve_exact`, `solve_greedy` and the
 //!   brute-force `solve_exhaustive` produce identical allocations whether
 //!   the problem is built from curve-derived or simulated profiles.
+//! * **Pinned live windows**: a live profiling run at a cycle window,
+//!   whose stream carries the OS task-switch traffic, encodes to the
+//!   committed sidecar digest on both tiny applications.
 
 use compmem::experiment::{Experiment, ExperimentConfig, ScenarioSpec};
 use compmem::optimizer::{solve_exact, solve_exhaustive, solve_greedy};
 use compmem_cache::{
     per_size_profiles, CacheConfig, CacheSizeLattice, CurveResolution, MissProfiles,
-    OrganizationSpec, PartitionKey, PartitionMap,
+    OrganizationSpec, PartitionKey, PartitionMap, WindowConfig,
 };
 use compmem_platform::{profile_trace, PreparedTrace};
 use compmem_trace::gen::{generate, GenKind, GenSpec, GenTask};
+use compmem_trace::trace_content_hash;
 use compmem_workloads::apps::{
     jpeg_canny_app, mpeg2_app, Application, JpegCannyParams, Mpeg2Params,
 };
@@ -333,4 +337,50 @@ fn curves_convert_to_any_lattice_within_resolution() {
             assert!(misses.windows(2).all(|w| w[0] >= w[1]));
         }
     }
+}
+
+/// The FNV-1a digest of the sidecar a live profiling run at
+/// `window_cycles`-cycle windows measures. The run must switch tasks and
+/// its stream must reach the L2 through the OS task-switch regions, so
+/// the digest covers that traffic and the cycles it is observed at.
+fn live_cycle_window_digest(
+    experiment: &Experiment<impl Fn() -> Application>,
+    window_cycles: u64,
+) -> u64 {
+    let window = WindowConfig::cycles(window_cycles).expect("non-zero window");
+    let (outcome, windowed) = experiment
+        .profile_curves_windowed(window)
+        .expect("live windowed profiling succeeds");
+    assert!(outcome
+        .report
+        .processors
+        .iter()
+        .any(|processor| processor.task_switches > 0));
+    for key in [PartitionKey::RtData, PartitionKey::RtBss] {
+        assert!(windowed.total.curve(key).is_some(), "no {key} traffic");
+    }
+    assert!(
+        windowed.windows.len() > 100,
+        "{} windows",
+        windowed.windows.len()
+    );
+    let bytes = windowed
+        .to_sidecar(0, 0)
+        .to_bytes()
+        .expect("measured curves encode");
+    trace_content_hash(&bytes)
+}
+
+/// Any change to which refills the live tap observes, or at which cycle,
+/// moves a digest.
+#[test]
+fn live_cycle_windowed_profiles_are_pinned_on_tiny_apps() {
+    assert_eq!(
+        live_cycle_window_digest(&mpeg2_experiment(), 2_000),
+        0x292f_230b_55ac_8094
+    );
+    assert_eq!(
+        live_cycle_window_digest(&jpeg_experiment(), 2_000),
+        0xbe2b_c9ce_7dd1_ab1f
+    );
 }
