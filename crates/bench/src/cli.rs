@@ -1920,7 +1920,7 @@ fn info(
     match EncodedCurves::read_from(&sidecar) {
         Ok(curves) => {
             let header = curves.header();
-            let matches = curves.validate_for_trace(trace.trace().bytes()).is_ok();
+            let matches = header.trace_hash == trace.trace().content_hash();
             outln!(
                 out,
                 "curve sidecar {}: {} window(s), sets {}..={}, up to {} ways — {}",

@@ -18,8 +18,10 @@
 //! *cache hits*: they run analytically on the connection thread, no L1
 //! filter pass, no queueing.
 //! Everything else is a *cache miss* and is submitted to a shared
-//! [`WorkQueue`] — the front end of `executor::run_batch` — so however
-//! many clients are connected, at most `jobs` measurement threads run.
+//! [`WorkQueue`] — a pool of `jobs` workers, each taking the next job
+//! when idle — so however many clients are connected, at most `jobs`
+//! measurement threads run, and no miss waits behind another while a
+//! worker is idle.
 
 use std::sync::Arc;
 
@@ -201,4 +203,76 @@ pub fn run_serve(options: &ServeOptions, out: &mut dyn std::io::Write) -> Result
     .map_err(|e| e.to_string())?;
     out.flush().map_err(|e| e.to_string())?;
     server.run().map_err(|e| e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Generates a small zipf trace at `seed` into `dir` and returns its
+    /// bytes.
+    fn generated_trace(dir: &std::path::Path, seed: &str) -> Vec<u8> {
+        let path = dir.join(format!("zipf-{seed}.cmt"));
+        let args: Vec<String> = [
+            "--kind",
+            "zipf",
+            "--accesses",
+            "2000",
+            "--seed",
+            seed,
+            "--out",
+            path.to_str().unwrap(),
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        cli::dispatch("gen", &args, &mut Vec::new()).unwrap();
+        std::fs::read(&path).unwrap()
+    }
+
+    /// The store names a trace file by its hash, but a decoded trace's
+    /// hash always comes from the bytes it holds: a file replaced behind
+    /// the store fails its sidecar check after a restart and is
+    /// re-measured on the worker pool.
+    #[test]
+    fn a_trace_file_replaced_behind_the_store_is_re_measured() {
+        let dir =
+            std::env::temp_dir().join(format!("compmem-serve-replaced-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (a, b) = (generated_trace(&dir, "1"), generated_trace(&dir, "2"));
+        assert_ne!(a, b);
+        let args: Vec<String> = ["--l2-kb", "32", "--ways", "4", "--sets-per-unit", "2"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let handler = DaemonHandler::new(1);
+
+        let store = CurveStore::open(dir.join("store")).unwrap();
+        let (hash, _) = store.put_bytes(a).unwrap();
+        let (first, from) = handler.evaluate(&store, hash, "profile", &args).unwrap();
+        assert_eq!(from, ServedFrom::Pool);
+        assert!(String::from_utf8_lossy(&first).starts_with("wrote curve sidecar"));
+        let (_, from) = handler.evaluate(&store, hash, "profile", &args).unwrap();
+        assert_eq!(
+            from,
+            ServedFrom::Cache,
+            "the sidecar answers the same store"
+        );
+
+        std::fs::write(store.trace_path(hash), &b).unwrap();
+        let restarted = CurveStore::open(store.root()).unwrap();
+        let (bytes, from) = handler
+            .evaluate(&restarted, hash, "profile", &args)
+            .unwrap();
+        let text = String::from_utf8_lossy(&bytes);
+        assert_eq!(from, ServedFrom::Pool, "{text}");
+        assert!(
+            text.contains(
+                "was unusable (curve sidecar does not match the trace: trace hash differs)"
+            ),
+            "{text}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

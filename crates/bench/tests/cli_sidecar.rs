@@ -124,6 +124,65 @@ fn second_profile_invocation_reuses_the_sidecar_byte_identically() {
 }
 
 #[test]
+fn a_sidecar_of_another_trace_is_stale_and_re_measured() {
+    let dir = std::env::temp_dir().join("compmem-cli-stale-sidecar-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = record_tiny_trace(&dir);
+    let sidecar = dir.join("mpeg2-tiny.curves");
+    let other = dir.join("other.cmt");
+    let other_sidecar = dir.join("other.curves");
+    let _ = std::fs::remove_file(&other_sidecar);
+    let profile = |trace: &Path| {
+        let trace = trace.to_str().unwrap();
+        stdout(&run(&[
+            "profile",
+            "--trace",
+            trace,
+            "--l2-kb",
+            "32",
+            "--sets-per-unit",
+            "2",
+        ]))
+    };
+    let info = || stdout(&run(&["info", "--trace", trace.to_str().unwrap()]));
+
+    // Curves measured over another trace, at the same configuration, put
+    // where the tiny trace's sidecar belongs.
+    run(&[
+        "gen",
+        "--kind",
+        "zipf",
+        "--accesses",
+        "2000",
+        "--out",
+        other.to_str().unwrap(),
+    ]);
+    profile(&other);
+    std::fs::copy(&other_sidecar, &sidecar).unwrap();
+
+    let stale = info();
+    assert!(
+        stale.contains("STALE (recorded over different trace bytes)"),
+        "{stale}"
+    );
+    let remeasured = profile(&trace);
+    assert!(
+        remeasured.contains(
+            "was unusable (curve sidecar does not match the trace: trace hash differs); \
+             re-profiled and rewrote it"
+        ),
+        "{remeasured}"
+    );
+    let fresh = info();
+    assert!(fresh.contains("matches this trace"), "{fresh}");
+
+    let _ = std::fs::remove_file(&sidecar);
+    let _ = std::fs::remove_file(&other_sidecar);
+    let _ = std::fs::remove_file(&other);
+    let _ = std::fs::remove_file(&trace);
+}
+
+#[test]
 fn sweep_shapes_reuses_the_profile_sidecar_and_passes_the_replay_check() {
     let dir = std::env::temp_dir().join("compmem-cli-sweep-shapes-test");
     std::fs::create_dir_all(&dir).unwrap();

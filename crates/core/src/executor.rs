@@ -32,6 +32,7 @@
 //! simulation, milliseconds at minimum — so handing out one index per
 //! item costs nothing measurable.
 
+use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -75,13 +76,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> Result<R, CoreError> + Sync,
 {
-    let run_one = |index: usize, item: &T| -> Result<R, CoreError> {
-        catch_unwind(AssertUnwindSafe(|| work(index, item))).unwrap_or_else(|payload| {
-            Err(CoreError::WorkerPanicked {
-                message: panic_message(payload),
-            })
-        })
-    };
+    let run_one = |index: usize, item: &T| run_caught(|| work(index, item));
 
     let workers = jobs.max(1).min(items.len());
     if workers <= 1 {
@@ -122,11 +117,20 @@ where
         .collect()
 }
 
+/// Runs one job, turning a panic into [`CoreError::WorkerPanicked`].
+fn run_caught<R>(job: impl FnOnce() -> Result<R, CoreError>) -> Result<R, CoreError> {
+    catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|payload| {
+        Err(CoreError::WorkerPanicked {
+            message: panic_message(payload),
+        })
+    })
+}
+
 type QueuedJob<R> = Box<dyn FnOnce() -> Result<R, CoreError> + Send + 'static>;
 type QueuedEntry<R> = (QueuedJob<R>, mpsc::Sender<Result<R, CoreError>>);
 
 struct QueueState<R> {
-    pending: Vec<QueuedEntry<R>>,
+    pending: VecDeque<QueuedEntry<R>>,
     closed: bool,
 }
 
@@ -135,84 +139,67 @@ struct QueueShared<R> {
     ready: Condvar,
 }
 
-/// A long-lived front end over [`run_batch`]: jobs submitted from any
-/// thread are batched by a single dispatcher thread and evaluated on the
-/// same bounded pool, so concurrent producers share one worker budget
+impl<R> QueueShared<R> {
+    /// The oldest pending job, waiting for one if there is none; `None`
+    /// once the queue is closed and drained.
+    fn next(&self) -> Option<QueuedEntry<R>> {
+        let mut state = self.state.lock().expect("work queue state poisoned");
+        loop {
+            if let Some(entry) = state.pending.pop_front() {
+                return Some(entry);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self.ready.wait(state).expect("work queue state poisoned");
+        }
+    }
+}
+
+/// A long-lived pool of `jobs` worker threads that jobs submitted from
+/// any thread share, so concurrent producers share one worker budget
 /// instead of each spawning their own threads.
 ///
 /// This is the scheduling half of `compmem serve`: every cache-miss
 /// request becomes one [`WorkQueue::submit`], and however many clients
-/// are connected, at most `jobs` measurement threads ever run. The
-/// dispatcher drains *all* pending jobs into each batch, so a burst of
-/// requests is load-balanced by `run_batch`'s shared cursor rather than
-/// handled strictly FIFO-serially.
+/// are connected, at most `jobs` measurement threads ever run. Jobs start
+/// in submission order, each on the first idle worker, and each result
+/// is sent the moment its job finishes: a job never waits for an
+/// unrelated one while a worker is idle.
 ///
-/// Panic isolation carries over from [`run_batch`]: a panicking job
-/// resolves to [`CoreError::WorkerPanicked`] on its own receiver while
-/// every other job completes normally. Dropping the queue finishes the
-/// jobs already submitted, then stops the dispatcher.
+/// Panic isolation matches [`run_batch`]: a panicking job resolves to
+/// [`CoreError::WorkerPanicked`] on its own receiver while every other
+/// job completes normally. Dropping the queue finishes the jobs already
+/// submitted, then stops the workers.
 pub struct WorkQueue<R: Send + 'static> {
     shared: Arc<QueueShared<R>>,
-    dispatcher: Option<std::thread::JoinHandle<()>>,
+    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl<R: Send + 'static> WorkQueue<R> {
-    /// Starts a queue whose batches run on at most `jobs` worker threads
-    /// (clamped to at least 1). The queue itself owns one extra
-    /// dispatcher thread, which is idle whenever no jobs are pending.
+    /// Starts a queue with `jobs` worker threads (clamped to at least 1),
+    /// each idle whenever no jobs are pending.
     pub fn start(jobs: usize) -> Self {
-        let jobs = jobs.max(1);
         let shared = Arc::new(QueueShared {
             state: Mutex::new(QueueState {
-                pending: Vec::new(),
+                pending: VecDeque::new(),
                 closed: false,
             }),
             ready: Condvar::new(),
         });
-        let dispatcher_shared = Arc::clone(&shared);
-        let dispatcher = std::thread::spawn(move || loop {
-            let batch = {
-                let mut state = dispatcher_shared
-                    .state
-                    .lock()
-                    .expect("work queue state poisoned");
-                while state.pending.is_empty() && !state.closed {
-                    state = dispatcher_shared
-                        .ready
-                        .wait(state)
-                        .expect("work queue state poisoned");
-                }
-                if state.pending.is_empty() {
-                    return;
-                }
-                std::mem::take(&mut state.pending)
-            };
-            let (jobs_taken, senders): (Vec<_>, Vec<_>) = batch.into_iter().unzip();
-            // run_batch wants `Fn(usize, &T)`, but a job is FnOnce; a
-            // per-item Mutex<Option<...>> hands each job to exactly one
-            // worker.
-            let items: Vec<Mutex<Option<QueuedJob<R>>>> = jobs_taken
-                .into_iter()
-                .map(|j| Mutex::new(Some(j)))
-                .collect();
-            let results = run_batch(&items, jobs, |_, slot| {
-                let job = slot
-                    .lock()
-                    .expect("work queue job slot poisoned")
-                    .take()
-                    .expect("work queue job ran twice");
-                job()
-            });
-            for (sender, result) in senders.into_iter().zip(results) {
-                // A submitter that dropped its receiver no longer wants
-                // the answer; that is not the queue's problem.
-                let _ = sender.send(result);
-            }
-        });
-        WorkQueue {
-            shared,
-            dispatcher: Some(dispatcher),
-        }
+        let workers = (0..jobs.max(1))
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || {
+                    while let Some((job, sender)) = shared.next() {
+                        // A submitter that dropped its receiver no longer
+                        // wants the answer; that is not the queue's problem.
+                        let _ = sender.send(run_caught(job));
+                    }
+                })
+            })
+            .collect();
+        WorkQueue { shared, workers }
     }
 
     /// Submits one job and returns the receiver its result will arrive
@@ -231,7 +218,7 @@ impl<R: Send + 'static> WorkQueue<R> {
                 message: "work queue is shut down".to_string(),
             }));
         } else {
-            state.pending.push((Box::new(job), sender));
+            state.pending.push_back((Box::new(job), sender));
             self.shared.ready.notify_one();
         }
         receiver
@@ -240,13 +227,14 @@ impl<R: Send + 'static> WorkQueue<R> {
 
 impl<R: Send + 'static> Drop for WorkQueue<R> {
     fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("work queue state poisoned");
-            state.closed = true;
-            self.shared.ready.notify_one();
-        }
-        if let Some(dispatcher) = self.dispatcher.take() {
-            let _ = dispatcher.join();
+        self.shared
+            .state
+            .lock()
+            .expect("work queue state poisoned")
+            .closed = true;
+        self.shared.ready.notify_all();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -385,6 +373,25 @@ mod tests {
         answers.sort_unstable();
         assert_eq!(answers, (0..8).collect::<Vec<_>>());
         assert_eq!(ran.load(Ordering::SeqCst), 8);
+    }
+
+    #[test]
+    fn work_queue_never_holds_a_job_behind_a_running_one() {
+        // The first job blocks until released; the second runs on the
+        // idle worker and answers while the first is still running.
+        let queue: WorkQueue<u32> = WorkQueue::start(2);
+        let (release, blocked) = mpsc::channel::<()>();
+        let slow = queue.submit(move || {
+            blocked.recv().expect("the test releases the job");
+            Ok(1)
+        });
+        let fast = queue.submit(|| Ok(2));
+        let answer = fast
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the second job answers while the first still runs");
+        assert_eq!(answer.unwrap(), 2);
+        release.send(()).unwrap();
+        assert_eq!(slow.recv().unwrap().unwrap(), 1);
     }
 
     #[test]

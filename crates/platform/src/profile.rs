@@ -335,6 +335,12 @@ pub fn l1_filter_signature(config: &PlatformConfig) -> u64 {
 /// daemon's hit/miss classification go through it. It checks the trace
 /// hash, the L1 filter signature, the resolution and the window config.
 ///
+/// The trace hash it compares against is
+/// [`EncodedTrace::content_hash`](compmem_trace::EncodedTrace::content_hash),
+/// computed once per decoded trace from its bytes: repeated checks on one
+/// trace (a served hit classifies, then answers) cost the sidecar read,
+/// not a pass over the trace.
+///
 /// # Errors
 ///
 /// Why the sidecar cannot stand in, when the file exists but is corrupt
@@ -351,9 +357,9 @@ pub fn load_sidecar(
     }
     let mismatch = |field: &'static str| CodecError::SidecarMismatch { field }.to_string();
     let encoded = EncodedCurves::read_from(sidecar).map_err(|e| e.to_string())?;
-    encoded
-        .validate_for_trace(trace.trace().bytes())
-        .map_err(|e| e.to_string())?;
+    if encoded.header().trace_hash != trace.trace().content_hash() {
+        return Err(mismatch("trace hash"));
+    }
     if encoded.header().l1_signature != l1_filter_signature(config) {
         return Err(mismatch("l1 configuration"));
     }

@@ -23,10 +23,12 @@
 //!
 //! Every message is one frame: a tag byte, a big-endian `u32` payload
 //! length, then the payload (strings are length-prefixed UTF-8; integers
-//! big-endian). Frames above [`MAX_FRAME_BYTES`] and unknown tags are
-//! typed [`PlatformError::Wire`] errors, never a panic — a malformed
-//! client cannot take the daemon down, and a request that fails (or
-//! panics) server-side comes back as a typed [`ServeResponse::Error`]
+//! big-endian). A `PutTrace` upload and every response may be up to
+//! [`MAX_FRAME_BYTES`]; any other request is a verb and a few flags, held
+//! to [`MAX_REQUEST_FRAME_BYTES`]. A frame above its cap and an unknown
+//! tag are typed [`PlatformError::Wire`] errors, never a panic — a
+//! malformed client cannot take the daemon down, and a request that fails
+//! (or panics) server-side comes back as a typed [`ServeResponse::Error`]
 //! while the connection and the daemon live on.
 //!
 //! # Isolation and shutdown
@@ -52,9 +54,15 @@ use compmem_trace::{write_file_atomic, EncodedTrace};
 use crate::error::PlatformError;
 use crate::replay::PreparedTrace;
 
-/// Hard cap on a single wire frame (requests carry whole encoded traces,
-/// responses whole command outputs; 1 GiB bounds a hostile length field).
+/// Hard cap on a `PutTrace` frame and on every response frame (uploads
+/// carry whole encoded traces, responses whole command outputs; 1 GiB
+/// bounds a hostile length field).
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
+
+/// Cap on every other request frame: a `Command`, `Stats` or `Shutdown`
+/// is a verb and a few flags, so a longer length claim is refused before
+/// its payload is read.
+pub const MAX_REQUEST_FRAME_BYTES: u32 = 64 * 1024;
 
 /// The most a payload buffer holds before its first byte arrives: it
 /// grows with the bytes actually received, so a header's length claim
@@ -85,10 +93,23 @@ fn store_error(message: impl Into<String>) -> PlatformError {
 
 // --- frame primitives ---------------------------------------------------
 
+/// The largest payload a frame with `tag` may carry: [`MAX_FRAME_BYTES`]
+/// for an upload or a response, [`MAX_REQUEST_FRAME_BYTES`] for anything
+/// else a client sends.
+fn frame_cap(tag: u8) -> u32 {
+    match tag {
+        TAG_PUT | TAG_OUTPUT | TAG_ERROR | TAG_PUT_OK | TAG_STATS_OK | TAG_BYE => MAX_FRAME_BYTES,
+        _ => MAX_REQUEST_FRAME_BYTES,
+    }
+}
+
+/// Writes one frame; refuses, before writing anything, a payload the
+/// peer's [`read_frame`] would refuse.
 fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> Result<(), PlatformError> {
-    if payload.len() > MAX_FRAME_BYTES as usize {
+    let cap = frame_cap(tag);
+    if payload.len() > cap as usize {
         return Err(wire(format!(
-            "outgoing frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap",
+            "outgoing frame of {} bytes exceeds the {cap}-byte cap",
             payload.len()
         )));
     }
@@ -114,9 +135,10 @@ fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, PlatformError>
         }
     }
     let length = u32::from_be_bytes([header[1], header[2], header[3], header[4]]);
-    if length > MAX_FRAME_BYTES {
+    let cap = frame_cap(header[0]);
+    if length > cap {
         return Err(wire(format!(
-            "incoming frame claims {length} bytes, above the {MAX_FRAME_BYTES}-byte cap"
+            "incoming frame claims {length} bytes, above the {cap}-byte cap"
         )));
     }
     let mut payload = Vec::with_capacity((length as usize).min(FIRST_CHUNK_BYTES));
@@ -435,7 +457,12 @@ impl ServeResponse {
 /// pointed at the stored trace reads and writes **exactly** the files
 /// the daemon does — shared cache, shared parity. Decoded traces are
 /// memoised as [`PreparedTrace`]s so repeated requests skip the decode
-/// (and, per L1 configuration, the filter pass).
+/// (and, per L1 configuration, the filter pass) and the content hash:
+/// each decoded trace hashes its own bytes at most once, however many
+/// sidecar checks its requests make, so a cache hit does no work
+/// proportional to the trace. The hash is never taken from a file name:
+/// a trace file replaced behind the store hashes to what it now holds,
+/// and the sidecars of the old bytes fail their check.
 pub struct CurveStore {
     root: PathBuf,
     prepared: Mutex<HashMap<u64, Arc<PreparedTrace>>>,
@@ -474,6 +501,8 @@ impl CurveStore {
     /// Validates and stores encoded trace bytes; returns the content hash
     /// and whether the trace was already present. The write is atomic and
     /// idempotent — content addressing means equal hashes are equal bytes.
+    /// The hash that names the file is the decoded trace's own memo, so
+    /// the requests that follow do not hash the upload again.
     ///
     /// # Errors
     ///
@@ -973,6 +1002,36 @@ mod tests {
             "asked to fill {} bytes before they arrived",
             reader.largest
         );
+    }
+
+    #[test]
+    fn an_oversized_command_claim_is_refused_before_its_payload() {
+        // A Command header claiming 1 MiB with nothing behind it: refused
+        // at the header, naming the cap, not read until EOF.
+        let mut framed = vec![TAG_COMMAND];
+        framed.extend_from_slice(&(1u32 << 20).to_be_bytes());
+        match read_frame(&mut &framed[..]) {
+            Err(PlatformError::Wire { message }) => assert_eq!(
+                message,
+                format!(
+                    "incoming frame claims 1048576 bytes, above the \
+                     {MAX_REQUEST_FRAME_BYTES}-byte cap"
+                )
+            ),
+            other => panic!("expected a wire error, got {other:?}"),
+        }
+        // The sender refuses the same frame locally, writing nothing.
+        let mut sent = Vec::new();
+        let payload = vec![0; MAX_REQUEST_FRAME_BYTES as usize + 1];
+        assert!(matches!(
+            write_frame(&mut sent, TAG_COMMAND, &payload),
+            Err(PlatformError::Wire { .. })
+        ));
+        assert!(sent.is_empty());
+        // An upload of the same size is within its own cap.
+        write_frame(&mut sent, TAG_PUT, &payload).unwrap();
+        let (tag, read) = read_frame(&mut &sent[..]).unwrap().unwrap();
+        assert_eq!((tag, read.len()), (TAG_PUT, payload.len()));
     }
 
     #[test]

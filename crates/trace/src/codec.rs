@@ -62,6 +62,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crate::access::{Access, AccessKind};
 use crate::addr::Addr;
@@ -911,6 +912,9 @@ pub struct EncodedTrace {
     bytes: Vec<u8>,
     table: RegionTable,
     summary: TraceSummary,
+    /// The [`content_hash`](EncodedTrace::content_hash) of `bytes`,
+    /// computed from them on first use and never set any other way.
+    hash: OnceLock<u64>,
 }
 
 /// Equality is over the encoded bytes (the table and summary derive from
@@ -957,6 +961,7 @@ impl EncodedTrace {
                 processors,
                 encoded_bytes,
             },
+            hash: OnceLock::new(),
         })
     }
 
@@ -990,8 +995,18 @@ impl EncodedTrace {
     /// Content hash of the encoded bytes — the identity a curve sidecar
     /// (see [`crate::curves`]) embeds to prove it was measured over this
     /// trace.
+    ///
+    /// It is [`trace_content_hash`](crate::curves::trace_content_hash) of
+    /// [`bytes`](EncodedTrace::bytes), computed once per decoded trace (a
+    /// clone taken after the first call copies the result): every later
+    /// call, and so every later sidecar check on this trace, reads the
+    /// memo instead of passing over the bytes again. Nothing else can set
+    /// it — not a file name, not a caller — so a sidecar check always
+    /// compares against the bytes actually held.
     pub fn content_hash(&self) -> u64 {
-        crate::curves::trace_content_hash(&self.bytes)
+        *self
+            .hash
+            .get_or_init(|| crate::curves::trace_content_hash(&self.bytes))
     }
 
     /// The region table embedded in the trace.
@@ -1211,6 +1226,35 @@ mod tests {
         let back = EncodedTrace::read_from(&path).unwrap();
         assert_eq!(trace, back);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn content_hash_is_the_hash_of_the_bytes_held() {
+        let t = table();
+        let accesses = sample_accesses(&t);
+        let trace = EncodedTrace::from_accesses(&t, &accesses).unwrap();
+        let expected = crate::curves::trace_content_hash(trace.bytes());
+        let cloned_before_use = trace.clone();
+        assert_eq!(trace.content_hash(), expected);
+        let cloned_after_use = trace.clone();
+        assert_eq!(trace.content_hash(), expected);
+        assert_eq!(cloned_before_use.content_hash(), expected);
+        assert_eq!(cloned_after_use.content_hash(), expected);
+
+        let path =
+            std::env::temp_dir().join(format!("compmem-codec-hash-{}.cmt", std::process::id()));
+        trace.write_to(&path).unwrap();
+        let read_back = EncodedTrace::read_from(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(read_back.content_hash(), expected);
+
+        // Other bytes, their own hash.
+        let other = EncodedTrace::from_accesses(&t, &accesses[1..]).unwrap();
+        assert_eq!(
+            other.content_hash(),
+            crate::curves::trace_content_hash(other.bytes())
+        );
+        assert_ne!(other.content_hash(), expected);
     }
 
     #[test]
