@@ -20,18 +20,19 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use compmem::experiment::{
-    allocation_problem_for_table, phase_allocations_for_table, run_replay,
-    sweep_shapes_from_curves, validate_phase_plan, Experiment, ReplayParallelism, RunOutcome,
-    ScenarioSpec,
+    phase_allocations_for_table, run_replay, sweep_shapes_from_curves, validate_phase_plan,
+    Experiment, ReplayParallelism, RunOutcome, ScenarioSpec,
 };
-use compmem::{solve_with_floors, CoreError, OptimizerKind, QosFloor};
+use compmem::profile::require_lru;
+use compmem::{CoreError, OptimizerKind, QosFloor, SolverContext};
 use compmem_cache::{
     CacheConfig, CacheSizeLattice, CurveResolution, OrganizationSpec, PartitionKey, PartitionMap,
     PartitionSchedule, ReplacementPolicy, WayAllocation, WindowConfig, WindowedCurves,
 };
 use compmem_platform::{
     load_sidecar, profile_shards, profile_trace_windowed, profile_trace_windowed_lanes,
-    profile_trace_with_sidecar_lanes, PlatformConfig, PreparedTrace, SidecarOutcome,
+    profile_trace_with_sidecar_lanes, PlatformConfig, PreparedTrace, RepartitionRecord,
+    SidecarOutcome,
 };
 use compmem_trace::gen::{generate, provenance, GenKind, GenSpec, GenTask};
 use compmem_trace::{
@@ -724,19 +725,16 @@ fn l2_of_size(kb: u64, ways: u32) -> Result<CacheConfig, String> {
     CacheConfig::with_size_bytes(bytes, ways).map_err(|e| e.to_string())
 }
 
-/// Rejects profiling-backed invocations over a non-LRU L2: the
-/// stack-distance curves are exact for LRU only, so a FIFO/PLRU/random
-/// `--policy` would silently produce predictions the replayed cache
-/// does not follow (the CLI-side twin of `CoreError::NonLruProfiling`).
+/// Rejects profiling-backed invocations over a non-LRU L2
+/// ([`require_lru`]), with a hint naming the flag that chose the policy.
 fn require_lru_for_profiling(l2: CacheConfig) -> Result<(), String> {
-    let policy = l2.replacement_policy();
-    if policy != ReplacementPolicy::Lru {
-        return Err(format!(
+    require_lru(l2).map_err(|e| match e {
+        CoreError::NonLruProfiling { policy } => format!(
             "stack-distance profiling is exact for LRU only; the scenario's L2 uses \
              `{policy}` (drop --policy {policy} or use LRU)"
-        ));
-    }
-    Ok(())
+        ),
+        other => other.to_string(),
+    })
 }
 
 /// The L2 of a profiling-backed invocation, checked to be LRU, with the
@@ -1039,8 +1037,8 @@ fn print_schedule_steps(schedule: &PartitionSchedule, out: &mut dyn Write) -> Re
 }
 
 /// The floor-constrained replay behind `replay --qos`: profile the trace
-/// (reusing its curve sidecar when present), solve the allocation under
-/// per-key QoS floors ([`solve_with_floors`]), replay through the
+/// (reusing its curve sidecar when present), size the partitions under
+/// per-key QoS floors ([`SolverContext::allocate`]), replay through the
 /// resulting set-partitioned L2 and print a measured-vs-predicted-vs-
 /// floor verdict per guaranteed key. An unsatisfiable floor is the
 /// solver's typed `QosInfeasible` error, surfaced as a nonzero exit.
@@ -1051,7 +1049,6 @@ fn replay_qos(
 ) -> Result<(), String> {
     let (trace, trace_path) = load_trace_with_path(flags, preloaded)?;
     let (l2, resolution, lattice) = profiling_shape(flags)?;
-    let geometry = l2.geometry();
     let kind = solver_kind(flags)?;
     let floors = parse_qos_floors(get(flags, "qos").unwrap_or_default(), trace.table())?;
 
@@ -1067,18 +1064,19 @@ fn replay_qos(
         1,
         out,
     )?;
-    let profiles = windowed
-        .total
-        .to_profiles(&lattice, geometry.ways())
+    let solver = SolverContext {
+        table: trace.table(),
+        lattice: &lattice,
+        geometry: l2.geometry(),
+        optimizer: kind,
+    };
+    let profiles = solver
+        .profiles(&windowed.total)
         .map_err(|e| e.to_string())?;
-
-    let problem = allocation_problem_for_table(trace.table(), &lattice, geometry, profiles.clone());
-    let allocation = solve_with_floors(&problem, &floors, kind).map_err(|e| e.to_string())?;
-    let sizes: Vec<(PartitionKey, u32)> = allocation
-        .iter()
-        .map(|(&key, &units)| (key, lattice.sets_of(units)))
-        .collect();
-    let map = PartitionMap::pack(geometry, &sizes).map_err(|e| e.to_string())?;
+    let allocation = solver
+        .allocate(profiles.clone(), &floors)
+        .map_err(|e| e.to_string())?;
+    let map = solver.pack(&allocation, None).map_err(|e| e.to_string())?;
 
     let spec = ScenarioSpec::replay(l2, OrganizationSpec::SetPartitioned(map), trace.clone());
     let outcome = run_replay(&platform, &spec).map_err(|e| e.to_string())?;
@@ -1273,20 +1271,7 @@ fn replay_controller(
     );
     outcome_header(out)?;
     print_outcome_row(&outcome.policy, &outcome.outcome, out)?;
-    outln!(
-        out,
-        "repartition events ({} fired):",
-        outcome.outcome.report.repartitions.len()
-    );
-    for record in &outcome.outcome.report.repartitions {
-        outln!(
-            out,
-            "  step {} @ cycle {:>10}: {}",
-            record.step,
-            record.at_cycle,
-            record.flush
-        );
-    }
+    print_repartition_events(&outcome.outcome.report.repartitions, out)?;
     outln!(
         out,
         "control cost {} = {} L2 misses + {} flushed lines written back",
@@ -1419,17 +1404,7 @@ fn print_repartition_report(
     validation: &compmem::experiment::ScheduleValidation,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    let records = &validation.scheduled_outcome.report.repartitions;
-    outln!(out, "repartition events ({} fired):", records.len());
-    for record in records {
-        outln!(
-            out,
-            "  step {} @ cycle {:>10}: {}",
-            record.step,
-            record.at_cycle,
-            record.flush
-        );
-    }
+    print_repartition_events(&validation.scheduled_outcome.report.repartitions, out)?;
     outln!(
         out,
         "{:<10} {:>22} {:>10} {:>10} {:>7}",
@@ -1486,12 +1461,17 @@ fn replay_schedule_file(
     outcome_header(out)?;
     print_outcome_row("scheduled", &outcome, out)?;
     print_lane_decision(&outcome, out)?;
-    outln!(
-        out,
-        "repartition events ({} fired):",
-        outcome.report.repartitions.len()
-    );
-    for record in &outcome.report.repartitions {
+    print_repartition_events(&outcome.report.repartitions, out)
+}
+
+/// Lists the repartition events a run fired, one line per switch with
+/// its flush.
+fn print_repartition_events(
+    records: &[RepartitionRecord],
+    out: &mut dyn Write,
+) -> Result<(), String> {
+    outln!(out, "repartition events ({} fired):", records.len());
+    for record in records {
         outln!(
             out,
             "  step {} @ cycle {:>10}: {}",
@@ -1612,9 +1592,13 @@ fn profile(
         out,
     )?;
     let curves = &windowed.total;
-    let profiles = curves
-        .to_profiles(&lattice, geometry.ways())
-        .map_err(|e| e.to_string())?;
+    let solver = SolverContext {
+        table: trace.table(),
+        lattice: &lattice,
+        geometry,
+        optimizer: kind,
+    };
+    let profiles = solver.profiles(curves).map_err(|e| e.to_string())?;
 
     outln!(
         out,
@@ -1630,7 +1614,7 @@ fn profile(
     );
     print_profile_table(&lattice, &profiles, out)?;
 
-    let allocation = solve_allocation(trace.table(), &lattice, geometry, profiles, kind)?;
+    let allocation = solver.allocate(profiles, &[]).map_err(|e| e.to_string())?;
     outln!(
         out,
         "\n{kind} allocation over {} units ({} used, {} predicted misses):",
@@ -1693,17 +1677,6 @@ fn print_profile_table(
         outln!(out);
     }
     Ok(())
-}
-
-fn solve_allocation(
-    table: &RegionTable,
-    lattice: &CacheSizeLattice,
-    geometry: compmem_cache::CacheGeometry,
-    profiles: compmem::MissProfiles,
-    kind: OptimizerKind,
-) -> Result<compmem::Allocation, String> {
-    let problem = allocation_problem_for_table(table, lattice, geometry, profiles);
-    compmem::optimizer::solve(&problem, kind).map_err(|e| e.to_string())
 }
 
 fn print_allocation_rows(

@@ -74,24 +74,6 @@ pub trait CacheModel: Send + std::fmt::Debug {
     /// Performs one access and returns its outcome.
     fn access(&mut self, access: &Access) -> AccessOutcome;
 
-    /// Performs a whole batch of accesses, appending one outcome per access
-    /// to `outcomes` (which is cleared first).
-    ///
-    /// The default forwards to [`access`](CacheModel::access) in order, so
-    /// every organisation behaves exactly as if the batch had been issued
-    /// access by access — the point of the method is that the platform's
-    /// burst path ([`access_burst`]) pays **one** virtual dispatch per run
-    /// of accesses instead of one per access.
-    ///
-    /// [`access_burst`]: ../compmem_platform/struct.MemorySystem.html#method.access_burst
-    fn access_batch(&mut self, accesses: &[Access], outcomes: &mut Vec<AccessOutcome>) {
-        outcomes.clear();
-        outcomes.reserve(accesses.len());
-        for access in accesses {
-            outcomes.push(self.access(access));
-        }
-    }
-
     /// Geometry of the underlying cache.
     fn geometry(&self) -> CacheGeometry;
 

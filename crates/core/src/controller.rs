@@ -6,7 +6,9 @@
 //! machinery **online**: every time a profiling window closes, a
 //! [`ControllerPolicy`] may re-solve the allocation problem on the
 //! *measured* curves and repartition the live L2 at the run that closes
-//! it.
+//! it. Policies size through [`SolverContext`], the one sizing step the
+//! offline flows call too, so an online re-solve and an offline phase
+//! plan pack the same curves into the same map.
 //!
 //! The curves depend only on the L2-bound stream, so one windowed pass
 //! ([`profile_trace_windowed`]) serves every policy, the [`Oracle`]'s
@@ -33,108 +35,30 @@
 //! Everything runs through the exact-replay engine
 //! ([`ReplaySystem::run_controlled`]), so competing policies see
 //! byte-identical traffic and their miss deltas are attributable to the
-//! control decisions alone.
+//! control decisions alone. A run's cost is its L2 misses plus the
+//! write-backs of [`SystemReport::total_flush`], the one flush total.
 
 use std::borrow::Borrow;
 use std::sync::Arc;
 
-use compmem_cache::FlushStats;
 use compmem_cache::{
-    CacheConfig, CacheGeometry, CacheSizeLattice, CurveResolution, MissRateCurves,
-    OnlinePhaseDetector, OrganizationSpec, PartitionKey, PartitionMap, PartitionSchedule,
-    ReplacementPolicy, WindowConfig, WindowKind, WindowedCurves,
+    CacheConfig, CacheSizeLattice, CurveResolution, FlushStats, MissRateCurves,
+    OnlinePhaseDetector, OrganizationSpec, PartitionMap, PartitionSchedule, WindowConfig,
+    WindowKind, WindowedCurves,
 };
 use compmem_platform::{
     profile_trace_windowed, PlatformConfig, PlatformError, PreparedTrace, ReplaySystem,
+    SystemReport,
 };
-use compmem_trace::RegionTable;
 
 use crate::error::CoreError;
 use crate::experiment::{
-    allocation_problem_for_table, by_key_from_regions, phase_allocations_for_table, replay_serial,
-    validate_phase_plan, RunOutcome,
+    by_key_from_regions, phase_allocations_for_table, replay_serial, validate_phase_plan,
+    RunOutcome,
 };
-use crate::optimizer::{self, Allocation, OptimizerKind};
-
-/// Everything a policy needs to turn measured curves into an installable
-/// [`PartitionMap`]: the trace's region table, the allocation-unit
-/// lattice, the L2 geometry and the solver to use. The solve-and-pack
-/// path is **the same code path** as the offline
-/// [`PhasePlan::to_schedule`](crate::experiment::PhasePlan) pipeline
-/// (profiles → [`allocation_problem_for_table`] → [`optimizer::solve`] →
-/// capacity check → [`PartitionMap::pack`]/[`pack_stable`]), which is
-/// what makes online-vs-offline parity a meaningful test.
-///
-/// [`pack_stable`]: PartitionMap::pack_stable
-#[derive(Debug, Clone, Copy)]
-pub struct SolverContext<'a> {
-    /// Region table of the replayed trace (names the partition keys).
-    pub table: &'a RegionTable,
-    /// The allocation-unit lattice partition sizes are drawn from.
-    pub lattice: &'a CacheSizeLattice,
-    /// Geometry of the L2 being controlled.
-    pub geometry: CacheGeometry,
-    /// Solver used for every re-solve.
-    pub optimizer: OptimizerKind,
-}
-
-impl SolverContext<'_> {
-    /// Solves the allocation problem on one window's measured curves.
-    ///
-    /// # Errors
-    ///
-    /// Propagates curve-conversion and optimizer errors.
-    pub fn solve(&self, curves: &MissRateCurves) -> Result<Allocation, CoreError> {
-        let profiles = curves.to_profiles(self.lattice, self.geometry.ways())?;
-        let problem =
-            allocation_problem_for_table(self.table, self.lattice, self.geometry, profiles);
-        optimizer::solve(&problem, self.optimizer)
-    }
-
-    /// Packs an allocation into a partition map — laid out fresh
-    /// ([`PartitionMap::pack`]) when `previous` is `None`, or stably
-    /// against the currently installed map
-    /// ([`PartitionMap::pack_stable`]) so unchanged keys keep their
-    /// exact sets and the switch flushes only what actually moved.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::CapacityExceeded`] if the allocation does
-    /// not fit the lattice, and propagates map-packing errors.
-    pub fn pack(
-        &self,
-        allocation: &Allocation,
-        previous: Option<&PartitionMap>,
-    ) -> Result<PartitionMap, CoreError> {
-        if allocation.total_units > self.lattice.total_units {
-            return Err(CoreError::CapacityExceeded {
-                requested: allocation.total_units,
-                available: self.lattice.total_units,
-            });
-        }
-        let sizes: Vec<(PartitionKey, u32)> = allocation
-            .iter()
-            .map(|(key, &units)| (*key, self.lattice.sets_of(units)))
-            .collect();
-        match previous {
-            None => PartitionMap::pack(self.geometry, &sizes).map_err(CoreError::from),
-            Some(previous) => {
-                PartitionMap::pack_stable(self.geometry, &sizes, previous).map_err(CoreError::from)
-            }
-        }
-    }
-
-    /// The profile-free fallback start map: every key of the table gets
-    /// an equal share of the sets.
-    ///
-    /// # Errors
-    ///
-    /// Propagates map construction errors (an empty table has no keys).
-    pub fn equal_split(&self) -> Result<PartitionMap, CoreError> {
-        let keys = PartitionKey::distinct_keys(self.table);
-        PartitionMap::equal_split(self.geometry, &keys).map_err(CoreError::from)
-    }
-}
+use crate::optimizer::OptimizerKind;
+pub use crate::optimizer::SolverContext;
+use crate::profile::require_lru;
 
 /// One observation handed to a policy: a profiling window just closed
 /// (or, under [`CurveFeed::Oracle`], is just opening) and the engine is
@@ -374,16 +298,10 @@ pub struct Oracle {
     pub planned_cost: u64,
 }
 
-/// Misses plus repartition write-backs of one outcome — the single
-/// scalar cost the regret harness optimises.
-fn cost_of(outcome: &RunOutcome) -> u64 {
-    let flushed: u64 = outcome
-        .report
-        .repartitions
-        .iter()
-        .map(|r| r.flush.written_back)
-        .sum();
-    outcome.report.l2.misses + flushed
+/// Misses plus repartition write-backs of one run — the single scalar
+/// cost the regret harness optimises.
+fn cost_of(report: &SystemReport) -> u64 {
+    report.l2.misses + report.total_flush().written_back
 }
 
 impl Oracle {
@@ -404,35 +322,28 @@ impl Oracle {
         threshold: f64,
         config: &ControllerConfig,
     ) -> Result<Self, CoreError> {
-        let geometry = l2.geometry();
         let plan = phase_allocations_for_table(
             curves,
             threshold,
             trace.table(),
             lattice,
-            geometry,
+            l2.geometry(),
             config.optimizer,
         )?;
         let validation = validate_phase_plan(platform, l2, lattice, &plan, trace)?;
-        let static_cost = cost_of(&validation.static_outcome);
-        let scheduled_cost = cost_of(&validation.scheduled_outcome);
-        if scheduled_cost <= static_cost {
-            Ok(Oracle {
+        let static_cost = cost_of(&validation.static_outcome.report);
+        let scheduled_cost = cost_of(&validation.scheduled_outcome.report);
+        Ok(if scheduled_cost <= static_cost {
+            Oracle {
                 schedule: validation.schedule,
                 planned_cost: scheduled_cost,
-            })
+            }
         } else {
-            let sizes: Vec<(PartitionKey, u32)> = plan
-                .whole_run
-                .iter()
-                .map(|(key, &units)| (*key, lattice.sets_of(units)))
-                .collect();
-            let map = PartitionMap::pack(geometry, &sizes)?;
-            Ok(Oracle {
-                schedule: PartitionSchedule::single(OrganizationSpec::SetPartitioned(map)),
+            Oracle {
+                schedule: validation.static_schedule,
                 planned_cost: static_cost,
-            })
-        }
+            }
+        })
     }
 
     /// The schedule the oracle replays.
@@ -481,18 +392,14 @@ pub struct ControlledOutcome {
 impl ControlledOutcome {
     /// Every switch fired during the run, folded into one flush total.
     pub fn total_flush(&self) -> FlushStats {
-        let mut total = FlushStats::default();
-        for record in &self.outcome.report.repartitions {
-            total.absorb(record.flush);
-        }
-        total
+        self.outcome.report.total_flush()
     }
 
     /// The scalar the regret harness charges: L2 misses plus flush
     /// write-backs (each written-back line is one extra bus/DRAM
     /// transfer the switch caused).
     pub fn cost(&self) -> u64 {
-        cost_of(&self.outcome)
+        cost_of(&self.outcome.report)
     }
 
     /// Switches the run actually fired.
@@ -545,11 +452,7 @@ fn run_policy<C: Borrow<WindowedCurves>>(
     config: &ControllerConfig,
     curves: impl FnOnce() -> Result<C, PlatformError>,
 ) -> Result<ControlledOutcome, CoreError> {
-    if l2.replacement_policy() != ReplacementPolicy::Lru {
-        return Err(CoreError::NonLruProfiling {
-            policy: l2.replacement_policy().to_string(),
-        });
-    }
+    require_lru(l2)?;
     if let Some(schedule) = policy.preinstalled_schedule() {
         return Ok(ControlledOutcome {
             policy: policy.name().to_string(),

@@ -56,8 +56,8 @@ use serde::{Deserialize, Serialize};
 
 use compmem_cache::{
     CacheConfig, CacheSnapshot, CurveResolution, FlushStats, KeyStats, MissRateCurves,
-    OrganizationSpec, PartitionKey, PartitionMap, PartitionSchedule, ReplacementPolicy,
-    WayAllocation, WindowConfig, WindowedCurves, WindowedProfiler,
+    OrganizationSpec, PartitionKey, PartitionSchedule, WayAllocation, WindowConfig, WindowedCurves,
+    WindowedProfiler,
 };
 use compmem_platform::{
     replay_lanes, AccessTap, LaneDecision, NullTap, PlatformConfig, PlatformError, PreparedTrace,
@@ -70,8 +70,10 @@ use compmem_workloads::apps::Application;
 use crate::compositionality::CompositionalityReport;
 use crate::error::CoreError;
 use crate::executor;
-use crate::optimizer::{self, Allocation, AllocationEntity, AllocationProblem, OptimizerKind};
-use crate::profile::{CacheSizeLattice, MissProfiles};
+use crate::optimizer::{
+    pack_allocation, Allocation, AllocationEntity, AllocationProblem, OptimizerKind, SolverContext,
+};
+use crate::profile::{require_lru, CacheSizeLattice, MissProfiles};
 
 /// Configuration shared by all experiment runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -539,7 +541,8 @@ pub fn run_replay(platform: &PlatformConfig, spec: &ScenarioSpec) -> Result<RunO
 ///
 /// This is the factory-free core of
 /// [`Experiment::build_allocation_problem`], usable with the embedded
-/// table of a recorded trace.
+/// table of a recorded trace, and the problem
+/// [`SolverContext::allocate`] solves.
 pub fn allocation_problem_for_table(
     table: &RegionTable,
     lattice: &CacheSizeLattice,
@@ -680,12 +683,13 @@ pub fn phase_allocations_for_table(
     geometry: compmem_cache::CacheGeometry,
     kind: OptimizerKind,
 ) -> Result<PhasePlan, CoreError> {
-    let solve_for = |curves: &MissRateCurves| -> Result<Allocation, CoreError> {
-        let profiles = curves.to_profiles(lattice, geometry.ways())?;
-        let problem = allocation_problem_for_table(table, lattice, geometry, profiles);
-        optimizer::solve(&problem, kind)
+    let solver = SolverContext {
+        table,
+        lattice,
+        geometry,
+        optimizer: kind,
     };
-    let whole_run = solve_for(&windowed.total)?;
+    let whole_run = solver.solve(&windowed.total)?;
     let mut phases = Vec::new();
     for phase in windowed.phases(threshold) {
         phases.push(PhaseAllocation {
@@ -694,7 +698,7 @@ pub fn phase_allocations_for_table(
             start_cycle: phase.start_cycle,
             end_cycle: phase.end_cycle,
             accesses: phase.curves.accesses(),
-            allocation: solve_for(&phase.curves)?,
+            allocation: solver.solve(&phase.curves)?,
         });
     }
     Ok(PhasePlan {
@@ -757,16 +761,15 @@ impl PhasePlan {
     }
 
     /// Converts the plan into an executable [`PartitionSchedule`]: one
-    /// set-partitioned step per phase (each phase's allocation packed
-    /// into a [`PartitionMap`] on `lattice`/`geometry`), switching at
-    /// each phase's start cycle. This is what turns PR 4's analysis-only
-    /// per-phase sizings into something the engine can run.
+    /// set-partitioned step per phase (each phase's allocation packed on
+    /// `lattice`/`geometry` by the sizing step's
+    /// [`pack`](SolverContext::pack)), switching at each phase's start
+    /// cycle.
     ///
-    /// Each step after the first is laid out with
-    /// [`PartitionMap::pack_stable`] against its predecessor, so a key
-    /// whose allocation did not change between phases keeps its exact
-    /// sets and the switch flushes only the partitions that actually
-    /// re-sized or moved.
+    /// Each step after the first is packed stably against its
+    /// predecessor, so a key whose allocation did not change between
+    /// phases keeps its exact sets and the switch flushes only the
+    /// partitions that actually re-sized or moved.
     ///
     /// Steps are kept even when consecutive phases chose the same
     /// allocation — re-applying an identical map flushes nothing, and
@@ -786,24 +789,10 @@ impl PhasePlan {
         geometry: compmem_cache::CacheGeometry,
     ) -> Result<PartitionSchedule, CoreError> {
         let mut steps: Vec<(u64, OrganizationSpec)> = Vec::new();
-        let mut previous: Option<PartitionMap> = None;
+        let mut previous = None;
         for (at_cycle, range) in self.step_groups() {
-            let phase = &self.phases[*range.start()];
-            if phase.allocation.total_units > lattice.total_units {
-                return Err(CoreError::CapacityExceeded {
-                    requested: phase.allocation.total_units,
-                    available: lattice.total_units,
-                });
-            }
-            let sizes: Vec<(PartitionKey, u32)> = phase
-                .allocation
-                .iter()
-                .map(|(key, &units)| (*key, lattice.sets_of(units)))
-                .collect();
-            let map = match &previous {
-                None => PartitionMap::pack(geometry, &sizes)?,
-                Some(previous) => PartitionMap::pack_stable(geometry, &sizes, previous)?,
-            };
+            let allocation = &self.phases[*range.start()].allocation;
+            let map = pack_allocation(lattice, geometry, allocation, previous.as_ref())?;
             previous = Some(map.clone());
             steps.push((at_cycle, OrganizationSpec::SetPartitioned(map)));
         }
@@ -863,6 +852,8 @@ impl PhaseComparison {
 pub struct ScheduleValidation {
     /// The executable schedule derived from the plan.
     pub schedule: PartitionSchedule,
+    /// The plan's whole-run allocation as a single-step schedule.
+    pub static_schedule: PartitionSchedule,
     /// The whole-run allocation applied statically (the non-phase-aware
     /// best).
     pub static_outcome: RunOutcome,
@@ -887,11 +878,7 @@ impl ScheduleValidation {
 
     /// Total flush cost of every fired repartition.
     pub fn total_flush(&self) -> FlushStats {
-        let mut total = FlushStats::default();
-        for record in &self.scheduled_outcome.report.repartitions {
-            total.absorb(record.flush);
-        }
-        total
+        self.scheduled_outcome.report.total_flush()
     }
 }
 
@@ -901,13 +888,13 @@ impl ScheduleValidation {
 /// per-phase predicted vs measured miss counts (segmented at the fired
 /// repartition boundaries) alongside both outcomes.
 ///
-/// This is the factory-free core of
-/// [`Experiment::validate_phase_plan`]; the `compmem replay --schedule
-/// phases` CLI is built on it.
+/// The `compmem replay --schedule phases` CLI is built on it.
 ///
 /// # Errors
 ///
-/// Propagates schedule construction, cache and platform errors.
+/// Returns [`CoreError::CapacityExceeded`] if a phase's or the whole-run
+/// allocation does not fit the lattice, and propagates schedule
+/// construction, cache and platform errors.
 pub fn validate_phase_plan(
     platform: &PlatformConfig,
     l2: CacheConfig,
@@ -917,18 +904,9 @@ pub fn validate_phase_plan(
 ) -> Result<ScheduleValidation, CoreError> {
     let geometry = l2.geometry();
     let schedule = plan.to_schedule(lattice, geometry)?;
-    let static_sizes: Vec<(PartitionKey, u32)> = plan
-        .whole_run
-        .iter()
-        .map(|(key, &units)| (*key, lattice.sets_of(units)))
-        .collect();
-    let static_map = PartitionMap::pack(geometry, &static_sizes)?;
-    let static_outcome = replay_serial(
-        platform,
-        l2,
-        &PartitionSchedule::single(OrganizationSpec::SetPartitioned(static_map)),
-        trace,
-    )?;
+    let static_map = pack_allocation(lattice, geometry, &plan.whole_run, None)?;
+    let static_schedule = PartitionSchedule::single(OrganizationSpec::SetPartitioned(static_map));
+    let static_outcome = replay_serial(platform, l2, &static_schedule, trace)?;
     let scheduled_outcome = replay_serial(platform, l2, &schedule, trace)?;
 
     // Measured misses per boundary segment: differences of the L2 miss
@@ -961,6 +939,7 @@ pub fn validate_phase_plan(
         .collect();
     Ok(ScheduleValidation {
         schedule,
+        static_schedule,
         static_outcome,
         scheduled_outcome,
         phases,
@@ -976,10 +955,10 @@ pub fn validate_phase_plan(
 pub struct Experiment<F> {
     config: ExperimentConfig,
     factory: F,
-    /// Partition keys of the application, derived lazily from one factory
+    /// Region table of the application, derived lazily from one factory
     /// call and cached: spec construction must not pay a full application
     /// build per call.
-    entity_keys: OnceLock<Vec<PartitionKey>>,
+    table: OnceLock<RegionTable>,
 }
 
 impl<F: Fn() -> Application> Experiment<F> {
@@ -988,7 +967,7 @@ impl<F: Fn() -> Application> Experiment<F> {
         Experiment {
             config,
             factory,
-            entity_keys: OnceLock::new(),
+            table: OnceLock::new(),
         }
     }
 
@@ -1003,6 +982,26 @@ impl<F: Fn() -> Application> Experiment<F> {
 
     fn lattice(&self) -> CacheSizeLattice {
         CacheSizeLattice::new(self.config.l2.geometry(), self.config.sets_per_unit)
+    }
+
+    /// The application's region table (see the `table` field).
+    fn table(&self) -> &RegionTable {
+        self.table
+            .get_or_init(|| (self.factory)().space.table().clone())
+    }
+
+    /// The sizing step on this experiment's L2 and solver.
+    fn solver<'a>(
+        &self,
+        table: &'a RegionTable,
+        lattice: &'a CacheSizeLattice,
+    ) -> SolverContext<'a> {
+        SolverContext {
+            table,
+            lattice,
+            geometry: self.config.l2.geometry(),
+            optimizer: self.config.optimizer,
+        }
     }
 
     /// The resolution the single-pass profiler runs at: every power-of-two
@@ -1035,18 +1034,7 @@ impl<F: Fn() -> Application> Experiment<F> {
     /// Returns [`CoreError::CapacityExceeded`] if the allocation does not
     /// fit, or a cache error if the packed map is invalid.
     pub fn partitioned_spec(&self, allocation: &Allocation) -> Result<ScenarioSpec, CoreError> {
-        let lattice = self.lattice();
-        if allocation.total_units > lattice.total_units {
-            return Err(CoreError::CapacityExceeded {
-                requested: allocation.total_units,
-                available: lattice.total_units,
-            });
-        }
-        let sizes: Vec<(PartitionKey, u32)> = allocation
-            .iter()
-            .map(|(k, &units)| (*k, lattice.sets_of(units)))
-            .collect();
-        let map = PartitionMap::pack(self.config.l2.geometry(), &sizes)?;
+        let map = pack_allocation(&self.lattice(), self.config.l2.geometry(), allocation, None)?;
         Ok(ScenarioSpec::live(
             self.config.l2,
             OrganizationSpec::SetPartitioned(map),
@@ -1060,10 +1048,8 @@ impl<F: Fn() -> Application> Experiment<F> {
     /// derived once (the first caller pays one factory invocation) and
     /// cached for the lifetime of the experiment.
     pub fn way_partitioned_spec(&self) -> ScenarioSpec {
-        let keys = self
-            .entity_keys
-            .get_or_init(|| PartitionKey::distinct_keys((self.factory)().space.table()));
-        let allocation = WayAllocation::equal_split(self.config.l2.geometry(), keys);
+        let keys = PartitionKey::distinct_keys(self.table());
+        let allocation = WayAllocation::equal_split(self.config.l2.geometry(), &keys);
         ScenarioSpec::live(self.config.l2, OrganizationSpec::WayPartitioned(allocation))
     }
 
@@ -1171,23 +1157,6 @@ impl<F: Fn() -> Application> Experiment<F> {
         Ok((outcome, Arc::new(trace)))
     }
 
-    /// Checks that the configured L2 replacement policy is LRU, which is
-    /// the only policy the stack-distance identity is exact for.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NonLruProfiling`] naming the offending
-    /// policy.
-    fn require_lru_for_profiling(&self) -> Result<(), CoreError> {
-        let policy = self.config.l2.replacement_policy();
-        if policy != ReplacementPolicy::Lru {
-            return Err(CoreError::NonLruProfiling {
-                policy: policy.to_string(),
-            });
-        }
-        Ok(())
-    }
-
     /// Runs the shared-cache baseline live while a whole-run
     /// [`WindowedProfiler`] tap measures the per-entity miss-rate curves in
     /// the same pass, and returns both.
@@ -1227,7 +1196,7 @@ impl<F: Fn() -> Application> Experiment<F> {
         &self,
         window: WindowConfig,
     ) -> Result<(RunOutcome, WindowedCurves), CoreError> {
-        self.require_lru_for_profiling()?;
+        require_lru(self.config.l2)?;
         let (outcome, profiler) = self.run_live(&self.shared_spec(), |app, _| {
             Ok(WindowedProfiler::new(
                 window,
@@ -1279,8 +1248,7 @@ impl<F: Fn() -> Application> Experiment<F> {
     /// on this experiment's L2 — the execution half of the phase-aware
     /// flow: derive a [`PhasePlan`], convert it with
     /// [`PhasePlan::to_schedule`], and run it here (or go through
-    /// [`Experiment::validate_phase_plan`] to also get the static-best
-    /// comparison).
+    /// [`validate_phase_plan`] to also get the static-best comparison).
     ///
     /// # Errors
     ///
@@ -1297,27 +1265,6 @@ impl<F: Fn() -> Application> Experiment<F> {
         ))
     }
 
-    /// Runs the validation driver on a phase plan: static-best versus
-    /// phase-scheduled on the same recorded trace, with per-phase
-    /// predicted vs measured miss deltas (see [`validate_phase_plan`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates schedule construction, cache and platform errors.
-    pub fn validate_phase_plan(
-        &self,
-        trace: &PreparedTrace,
-        plan: &PhasePlan,
-    ) -> Result<ScheduleValidation, CoreError> {
-        validate_phase_plan(
-            &self.config.platform,
-            self.config.l2,
-            &self.lattice(),
-            plan,
-            trace,
-        )
-    }
-
     /// Runs the shared-cache baseline and measures the per-entity miss
     /// profiles in the same run, via the single-pass stack-distance
     /// profiler ([`Experiment::profile_curves`] evaluated on this
@@ -1328,7 +1275,9 @@ impl<F: Fn() -> Application> Experiment<F> {
     /// Propagates platform and workload errors.
     pub fn run_profiled(&self) -> Result<(RunOutcome, MissProfiles), CoreError> {
         let (outcome, curves) = self.profile_curves()?;
-        let profiles = curves.to_profiles(&self.lattice(), self.config.l2.geometry().ways())?;
+        let profiles = self
+            .solver(self.table(), &self.lattice())
+            .profiles(&curves)?;
         Ok((outcome, profiles))
     }
 
@@ -1338,8 +1287,7 @@ impl<F: Fn() -> Application> Experiment<F> {
     ///
     /// Taking the table rather than the application means the problem can
     /// be built for a recorded trace (whose embedded table names the same
-    /// entities) just as well as for a live application — the `compmem
-    /// profile` CLI does exactly that.
+    /// entities) just as well as for a live application.
     pub fn build_allocation_problem(
         &self,
         table: &RegionTable,
@@ -1358,10 +1306,16 @@ impl<F: Fn() -> Application> Experiment<F> {
         let names = key_names(&reference_app);
         let app_name = reference_app.name.clone();
 
-        let (shared, profiles) = self.run_profiled()?;
-        let problem = self.build_allocation_problem(reference_app.space.table(), profiles.clone());
-        let allocation = optimizer::solve(&problem, self.config.optimizer)?;
-        let partitioned = self.run(&self.partitioned_spec(&allocation)?)?;
+        let lattice = self.lattice();
+        let solver = self.solver(reference_app.space.table(), &lattice);
+        let (shared, curves) = self.profile_curves()?;
+        let profiles = solver.profiles(&curves)?;
+        let allocation = solver.allocate(profiles.clone(), &[])?;
+        let map = solver.pack(&allocation, None)?;
+        let partitioned = self.run(&ScenarioSpec::live(
+            self.config.l2,
+            OrganizationSpec::SetPartitioned(map),
+        ))?;
         let compositionality =
             CompositionalityReport::compare(&profiles, &allocation, &partitioned.misses_by_key());
         Ok(PaperFlowOutcome {
@@ -1426,14 +1380,19 @@ impl<F: Fn() -> Application + Sync> Experiment<F> {
         table: &RegionTable,
         profiles: &MissProfiles,
     ) -> Result<Vec<Allocation>, CoreError> {
-        let problem = self.build_allocation_problem(table, profiles.clone());
+        let lattice = self.lattice();
+        let solver = self.solver(table, &lattice);
         let kinds = [
             OptimizerKind::ExactIlp,
             OptimizerKind::Greedy,
             OptimizerKind::EqualSplit,
         ];
-        executor::run_batch(&kinds, executor::default_jobs(), |_, &kind| {
-            optimizer::solve(&problem, kind)
+        executor::run_batch(&kinds, executor::default_jobs(), |_, &optimizer| {
+            SolverContext {
+                optimizer,
+                ..solver
+            }
+            .allocate(profiles.clone(), &[])
         })
         .into_iter()
         .collect()
@@ -1443,6 +1402,8 @@ impl<F: Fn() -> Application + Sync> Experiment<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer;
+    use compmem_cache::PartitionMap;
     use compmem_workloads::apps::{jpeg_canny_app, mpeg2_app, JpegCannyParams, Mpeg2Params};
 
     fn tiny_config() -> ExperimentConfig {
@@ -1781,7 +1742,15 @@ mod tests {
 
         // The validation driver reports per-phase predicted vs measured
         // misses; the measured segments tile the scheduled run exactly.
-        let validation = experiment.validate_phase_plan(&trace, &plan).unwrap();
+        let config = experiment.config();
+        let validation = validate_phase_plan(
+            &config.platform,
+            config.l2,
+            &experiment.lattice(),
+            &plan,
+            &trace,
+        )
+        .unwrap();
         assert_eq!(validation.phases.len(), plan.phases.len());
         let measured_total: u64 = validation.phases.iter().map(|p| p.measured_misses).sum();
         assert_eq!(
@@ -2020,22 +1989,52 @@ mod tests {
     }
 
     #[test]
-    fn oversized_allocation_is_rejected() {
+    fn every_pack_site_refuses_an_over_capacity_allocation() {
         let params = JpegCannyParams::tiny();
         let experiment = Experiment::new(tiny_config(), move || {
             jpeg_canny_app(&params).expect("valid params")
         });
-        let mut units = BTreeMap::new();
-        units.insert(PartitionKey::AppData, 10_000);
-        let allocation = Allocation {
+        let config = experiment.config();
+        let (lattice, geometry) = (experiment.lattice(), config.l2.geometry());
+        let allocation = |units: u32| Allocation {
             kind: OptimizerKind::EqualSplit,
-            units,
-            total_units: 10_000,
+            units: BTreeMap::from([(PartitionKey::AppData, units)]),
+            total_units: units,
             predicted_misses: 0,
         };
-        assert!(matches!(
-            experiment.partitioned_spec(&allocation),
-            Err(CoreError::CapacityExceeded { .. })
-        ));
+        let (fits, over) = (allocation(1), allocation(lattice.total_units + 1));
+        let plan = |phase: &Allocation, whole_run: &Allocation| PhasePlan {
+            threshold: 0.1,
+            phases: vec![PhaseAllocation {
+                first_window: 0,
+                last_window: 0,
+                start_cycle: 0,
+                end_cycle: 1,
+                accesses: 0,
+                allocation: phase.clone(),
+            }],
+            whole_run: whole_run.clone(),
+        };
+        let refused = |result: Result<(), CoreError>| {
+            let expected = CoreError::CapacityExceeded {
+                requested: over.total_units,
+                available: lattice.total_units,
+            };
+            assert_eq!(result, Err(expected));
+        };
+        let (_, trace) = experiment.record_trace(&experiment.shared_spec()).unwrap();
+        let solver = experiment.solver(trace.table(), &lattice);
+
+        refused(solver.pack(&over, None).map(drop));
+        refused(plan(&over, &fits).to_schedule(&lattice, geometry).map(drop));
+        let validation = validate_phase_plan(
+            &config.platform,
+            config.l2,
+            &lattice,
+            &plan(&fits, &over),
+            &trace,
+        );
+        refused(validation.map(drop));
+        refused(experiment.partitioned_spec(&over).map(drop));
     }
 }

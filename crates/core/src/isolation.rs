@@ -10,9 +10,10 @@
 //!    baseline miss rate the victim would see running alone.
 //! 2. **shared** — replay the victim+streamer mix through the same shared
 //!    L2: the adversary evicts the victim's working set at will.
-//! 3. **partitioned** — profile the mix, solve the allocation under a
-//!    [`QosFloor`] for the victim, and replay the mix through the
-//!    resulting set-partitioned L2.
+//! 3. **partitioned** — profile the mix, size the partitions under a
+//!    [`QosFloor`] for the victim through the one sizing step
+//!    ([`SolverContext`]), and replay the mix through the resulting
+//!    set-partitioned L2.
 //!
 //! The report carries the victim's measured miss rate under each
 //! configuration and its delta against solo. Compositionality holds when
@@ -23,16 +24,14 @@
 use std::fmt;
 use std::sync::Arc;
 
-use compmem_cache::{
-    CacheConfig, CacheSizeLattice, OrganizationSpec, PartitionKey, PartitionMap, ReplacementPolicy,
-};
+use compmem_cache::{CacheConfig, CacheSizeLattice, OrganizationSpec, PartitionKey};
 use compmem_platform::{profile_trace, PlatformConfig, PreparedTrace};
 use compmem_trace::TaskId;
 
 use crate::error::CoreError;
-use crate::experiment::{allocation_problem_for_table, run_replay, ScenarioSpec};
-use crate::optimizer::{solve_with_floors, Allocation, OptimizerKind, QosFloor};
-use crate::profile::CurveResolution;
+use crate::experiment::{run_replay, ScenarioSpec};
+use crate::optimizer::{Allocation, OptimizerKind, QosFloor, SolverContext};
+use crate::profile::{require_lru, CurveResolution};
 
 /// What to run: the L2 under test, the allocation lattice, the victim and
 /// its guarantee.
@@ -184,12 +183,7 @@ pub fn run_isolation(
     solo: Arc<PreparedTrace>,
     mix: Arc<PreparedTrace>,
 ) -> Result<IsolationReport, CoreError> {
-    let policy = spec.l2.replacement_policy();
-    if policy != ReplacementPolicy::Lru {
-        return Err(CoreError::NonLruProfiling {
-            policy: policy.to_string(),
-        });
-    }
+    require_lru(spec.l2)?;
     let key = PartitionKey::Task(spec.victim);
     let geometry = spec.l2.geometry();
 
@@ -197,22 +191,22 @@ pub fn run_isolation(
     let resolution = CurveResolution::for_geometry(geometry, spec.sets_per_unit)?;
     let curves = profile_trace(platform, &mix, resolution)?;
     let lattice = CacheSizeLattice::new(geometry, spec.sets_per_unit);
-    let profiles = curves.to_profiles(&lattice, geometry.ways())?;
-    let problem =
-        allocation_problem_for_table(mix.trace().table(), &lattice, geometry, profiles.clone());
+    let solver = SolverContext {
+        table: mix.trace().table(),
+        lattice: &lattice,
+        geometry,
+        optimizer: spec.solver,
+    };
+    let profiles = solver.profiles(&curves)?;
     let floor = QosFloor {
         key,
         max_miss_rate: spec.max_miss_rate,
     };
-    let allocation = solve_with_floors(&problem, &[floor], spec.solver)?;
+    let allocation = solver.allocate(profiles.clone(), &[floor])?;
     let predicted_rate = profiles
         .profile(key)
         .map_or(0.0, |p| p.miss_rate_at(allocation.units_of(key)));
-    let sizes: Vec<(PartitionKey, u32)> = allocation
-        .iter()
-        .map(|(&k, &units)| (k, lattice.sets_of(units)))
-        .collect();
-    let map = PartitionMap::pack(geometry, &sizes)?;
+    let map = solver.pack(&allocation, None)?;
 
     let solo_outcome = run_replay(
         platform,

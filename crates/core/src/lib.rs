@@ -20,6 +20,10 @@
 //!    misses subject to the cache capacity, with an exact
 //!    dynamic-programming solver equivalent to the paper's (M)ILP, a greedy
 //!    marginal-gain approximation and an equal-split strawman.
+//!    [`SolverContext`] is the one sizing step every flow calls: curves →
+//!    profiles → allocation (optionally under QoS floors) →
+//!    capacity-checked partition map, after the one LRU precondition
+//!    ([`profile::require_lru`]).
 //! 3. **Compositional execution** — run the application on the
 //!    set-partitioned L2 and verify that per-task misses match the
 //!    stand-alone expectation ([`compositionality`]), which is the paper's
@@ -82,12 +86,12 @@ pub mod report;
 pub use controller::{
     compete, replay_controlled, ControlledOutcome, ControllerConfig, ControllerPolicy,
     ControllerTick, CurveFeed, Greedy, Hysteresis, Oracle, PolicyRegret, RegretReport,
-    SolverContext,
 };
 pub use error::CoreError;
 pub use isolation::{run_isolation, IsolationReport, IsolationRun, IsolationSpec};
 pub use optimizer::{
     apply_qos_floors, solve_with_floors, Allocation, AllocationProblem, OptimizerKind, QosFloor,
+    SolverContext,
 };
 pub use profile::{
     CacheSizeLattice, CurveResolution, MissProfile, MissProfiles, MissRateCurve, MissRateCurves,

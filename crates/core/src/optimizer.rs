@@ -9,14 +9,21 @@
 //! solver would and returns an optimal assignment. A greedy marginal-gain
 //! heuristic and an equal-split strawman are provided for the optimiser
 //! ablation (E8 in DESIGN.md).
+//!
+//! [`SolverContext`] is the one sizing step every flow runs: measured
+//! curves → per-entity profiles on the allocation lattice → an
+//! [`Allocation`] (optionally under [`QosFloor`]s) → a capacity-checked
+//! [`PartitionMap`].
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use compmem_cache::PartitionKey;
+use compmem_cache::{CacheGeometry, CacheSizeLattice, MissRateCurves, PartitionKey, PartitionMap};
+use compmem_trace::RegionTable;
 
 use crate::error::CoreError;
+use crate::experiment::allocation_problem_for_table;
 use crate::profile::MissProfiles;
 
 /// Which solver produced an allocation.
@@ -399,6 +406,126 @@ pub fn solve_with_floors(
     let mut constrained = problem.clone();
     apply_qos_floors(&mut constrained, floors)?;
     solve(&constrained, kind)
+}
+
+/// The sizing step of the paper's method, defined once: the trace's
+/// region table (which names the entities and pins the FIFOs), the
+/// allocation-unit lattice, the L2 geometry and the solver.
+///
+/// [`profiles`](Self::profiles) reads measured curves at the L2's
+/// associativity, [`allocate`](Self::allocate) solves the allocation
+/// problem over them, optionally under QoS floors, and
+/// [`pack`](Self::pack) lays the allocation out as a capacity-checked
+/// [`PartitionMap`]. The paper flow, phase plans, their schedules and
+/// validation, the online policies and the oracle, the isolation harness
+/// and the CLI's `profile` and `replay --qos` all size through it.
+#[derive(Debug, Clone, Copy)]
+pub struct SolverContext<'a> {
+    /// Region table of the sized run (names the partition keys).
+    pub table: &'a RegionTable,
+    /// The allocation-unit lattice partition sizes are drawn from.
+    pub lattice: &'a CacheSizeLattice,
+    /// Geometry of the L2 being partitioned.
+    pub geometry: CacheGeometry,
+    /// Solver used for every solve.
+    pub optimizer: OptimizerKind,
+}
+
+impl SolverContext<'_> {
+    /// The per-entity miss profiles `curves` give on this lattice at the
+    /// L2's associativity.
+    ///
+    /// # Errors
+    ///
+    /// Propagates curve-conversion errors (a lattice size outside the
+    /// curves' resolution).
+    pub fn profiles(&self, curves: &MissRateCurves) -> Result<MissProfiles, CoreError> {
+        Ok(curves.to_profiles(self.lattice, self.geometry.ways())?)
+    }
+
+    /// Solves the allocation problem of the table's entities over
+    /// `profiles` under `floors`; with no floors this is exactly the
+    /// allocation of the free function [`solve`](fn@solve).
+    ///
+    /// # Errors
+    ///
+    /// As for [`solve_with_floors`].
+    pub fn allocate(
+        &self,
+        profiles: MissProfiles,
+        floors: &[QosFloor],
+    ) -> Result<Allocation, CoreError> {
+        let problem =
+            allocation_problem_for_table(self.table, self.lattice, self.geometry, profiles);
+        solve_with_floors(&problem, floors, self.optimizer)
+    }
+
+    /// Sizes the partitions from one set of measured curves:
+    /// [`profiles`](Self::profiles), then [`allocate`](Self::allocate)
+    /// without floors.
+    ///
+    /// # Errors
+    ///
+    /// Propagates curve-conversion and optimizer errors.
+    pub fn solve(&self, curves: &MissRateCurves) -> Result<Allocation, CoreError> {
+        self.allocate(self.profiles(curves)?, &[])
+    }
+
+    /// Packs an allocation into a partition map — laid out fresh
+    /// ([`PartitionMap::pack`]) when `previous` is `None`, or stably
+    /// against the currently installed map
+    /// ([`PartitionMap::pack_stable`]) so unchanged keys keep their
+    /// exact sets and the switch flushes only what actually moved.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::CapacityExceeded`] if the allocation does
+    /// not fit the lattice, and propagates map-packing errors.
+    pub fn pack(
+        &self,
+        allocation: &Allocation,
+        previous: Option<&PartitionMap>,
+    ) -> Result<PartitionMap, CoreError> {
+        pack_allocation(self.lattice, self.geometry, allocation, previous)
+    }
+
+    /// The profile-free fallback start map: every key of the table gets
+    /// an equal share of the sets.
+    ///
+    /// # Errors
+    ///
+    /// Propagates map construction errors (an empty table has no keys).
+    pub fn equal_split(&self) -> Result<PartitionMap, CoreError> {
+        let keys = PartitionKey::distinct_keys(self.table);
+        PartitionMap::equal_split(self.geometry, &keys).map_err(CoreError::from)
+    }
+}
+
+/// The body of [`SolverContext::pack`], for the flows that pack an
+/// allocation without a region table at hand (a phase plan's schedule,
+/// an experiment's partitioned spec): the capacity check, units → sets,
+/// then a fresh or a stable pack.
+pub(crate) fn pack_allocation(
+    lattice: &CacheSizeLattice,
+    geometry: CacheGeometry,
+    allocation: &Allocation,
+    previous: Option<&PartitionMap>,
+) -> Result<PartitionMap, CoreError> {
+    if allocation.total_units > lattice.total_units {
+        return Err(CoreError::CapacityExceeded {
+            requested: allocation.total_units,
+            available: lattice.total_units,
+        });
+    }
+    let sizes: Vec<(PartitionKey, u32)> = allocation
+        .iter()
+        .map(|(key, &units)| (*key, lattice.sets_of(units)))
+        .collect();
+    let map = match previous {
+        None => PartitionMap::pack(geometry, &sizes),
+        Some(previous) => PartitionMap::pack_stable(geometry, &sizes, previous),
+    };
+    Ok(map?)
 }
 
 /// Brute-force reference solver used in tests (exponential; only for tiny

@@ -11,7 +11,9 @@
 //! * a trace filter pass runs the recorded accesses through the same
 //!   private L1 bank type once per L1 configuration, and every replay —
 //!   serial or one set-sharded lane of it — issues the stored refills
-//!   through [`refill_burst`](MemorySystem::refill_burst);
+//!   through [`refill_burst`](MemorySystem::refill_burst), one loop that
+//!   looks each refill up in the L2 and times it (a lane hands it the
+//!   refills it owns, filtered in place);
 //! * every repartition, installed or decided online, goes through
 //!   [`repartition`](MemorySystem::repartition).
 
@@ -141,9 +143,9 @@ impl L1Filter {
 ///
 /// Accesses enter either one at a time ([`access`](MemorySystem::access))
 /// or as whole runs ([`access_burst`](MemorySystem::access_burst)); the
-/// burst entry point produces identical cache state and timing while
-/// paying one virtual L2 dispatch per run, which is what makes trace
-/// replay fast.
+/// burst entry point produces identical cache state and timing, and its
+/// timing half ([`refill_burst`](MemorySystem::refill_burst)) is what a
+/// trace replay runs on the refills the filter pass stored.
 #[derive(Debug)]
 pub struct MemorySystem {
     l1: L1Filter,
@@ -153,11 +155,9 @@ pub struct MemorySystem {
     dram_latency: u32,
     dram_accesses: u64,
     dram_writebacks: u64,
-    /// Scratch buffers reused across bursts so the hot replay path does not
+    /// Scratch buffer reused across bursts so the live path does not
     /// allocate per run.
     burst_refills: Vec<L1Refill>,
-    burst_batch: Vec<Access>,
-    burst_outcomes: Vec<compmem_cache::AccessOutcome>,
     repartition_log: Vec<RepartitionRecord>,
 }
 
@@ -174,8 +174,6 @@ impl MemorySystem {
             dram_accesses: 0,
             dram_writebacks: 0,
             burst_refills: Vec::new(),
-            burst_batch: Vec::new(),
-            burst_outcomes: Vec::new(),
             repartition_log: Vec::new(),
         }
     }
@@ -264,9 +262,7 @@ impl MemorySystem {
     /// This is the batch entry point of the timing path: the run's
     /// accesses look up the private L1s one by one (each hit or miss
     /// depends on the previous ones), and the misses issue through
-    /// [`refill_burst`](MemorySystem::refill_burst), so they reach the
-    /// shared L2 through **one** [`CacheModel::access_batch`] call — one
-    /// virtual dispatch per run instead of one per access. Cache state,
+    /// [`refill_burst`](MemorySystem::refill_burst). Cache state,
     /// statistics and stall cycles are bit-identical to issuing the same
     /// accesses through [`access`](MemorySystem::access) one by one.
     pub fn access_burst(
@@ -299,32 +295,26 @@ impl MemorySystem {
     ///
     /// This is the timing half of [`access_burst`](MemorySystem::access_burst),
     /// and what a replay runs on refills the trace's filter pass already
-    /// computed: the refills reach the L2 in one
-    /// [`CacheModel::access_batch`] call, and the bus sees exactly the
+    /// computed (a set-sharded lane passes only the refills it owns):
+    /// each refill looks up the L2 in turn, and the bus sees exactly the
     /// request sequence of the per-access path (refill, optional L1
     /// write-back, optional DRAM fill, optional L2 write-back — per miss,
     /// in order), with the issue clock advancing one cycle per data access
     /// plus the stalls. The private L1s of this hierarchy are left
     /// untouched.
-    pub fn refill_burst(
+    pub fn refill_burst<'r>(
         &mut self,
         now: u64,
-        refills: &[L1Refill],
+        refills: impl IntoIterator<Item = &'r L1Refill>,
         data_accesses: u64,
         instr_fetches: u64,
     ) -> BurstStats {
-        let mut batch = std::mem::take(&mut self.burst_batch);
-        batch.clear();
-        batch.extend(refills.iter().map(|r| r.access));
-        let mut outcomes = std::mem::take(&mut self.burst_outcomes);
-        self.l2.access_batch(&batch, &mut outcomes);
-
         let mut stall_total = 0u64;
-        for (i, refill) in refills.iter().enumerate() {
+        for refill in refills {
             // Hits before this refill advance the clock one cycle per data
             // access; earlier refills advance it by their stalls.
             let clock = now + refill.data_accesses_before + stall_total;
-            let l2_outcome = outcomes[i];
+            let l2_outcome = self.l2.access(&refill.access);
             let (bus_wait, bus_duration) = self.bus.request(clock, LINE_SIZE_BYTES as u32);
             // A dirty L1 victim is written back to the L2; it consumes bus
             // bandwidth but does not stall the processor (write buffer).
@@ -345,9 +335,6 @@ impl MemorySystem {
             }
             stall_total += stall;
         }
-
-        self.burst_batch = batch;
-        self.burst_outcomes = outcomes;
         BurstStats {
             elapsed: data_accesses + stall_total,
             stall_cycles: stall_total,

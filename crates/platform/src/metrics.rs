@@ -137,6 +137,16 @@ impl SystemReport {
         self.l2_by_region.get(&region).map_or(0, |s| s.misses)
     }
 
+    /// Every repartition that fired during the run, folded into one
+    /// flush total.
+    pub fn total_flush(&self) -> FlushStats {
+        let mut total = FlushStats::default();
+        for record in &self.repartitions {
+            total.absorb(record.flush);
+        }
+        total
+    }
+
     /// The throughput figure of §3.1: the inverse of the largest
     /// per-processor completion time (application executions per cycle).
     pub fn throughput(&self) -> f64 {

@@ -17,8 +17,8 @@
 //!   [`MemorySystem::refill_burst`], so the whole hierarchy sees exactly
 //!   the access sequence of the live run — cache statistics and snapshots
 //!   are **bit-identical** to the recording run under the same
-//!   organisation — while skipping workload execution, burst dispatch and
-//!   per-access virtual calls.
+//!   organisation — while skipping workload execution and the L1
+//!   lookups, which the filter pass made once.
 //!
 //! Replay *cache state* is exact; replay *timing* is a reconstruction:
 //! every run starts at its recorded issue cycle and advances by one cycle
@@ -365,8 +365,9 @@ impl PendingSwitches {
 /// `ReplaySystem` restricted to one set shard: it walks every run and
 /// applies every due switch, but hands
 /// [`refill_burst`](MemorySystem::refill_burst) only the refills of its
-/// own lines. Its cache-side counters are then exactly its shard's share
-/// of the serial replay's; its timing is not meaningful.
+/// own lines, filtered in place. Its cache-side counters are then exactly
+/// its shard's share of the serial replay's; its timing is not
+/// meaningful.
 #[derive(Debug)]
 pub struct ReplaySystem {
     memory: MemorySystem,
@@ -383,8 +384,6 @@ pub struct ReplaySystem {
     next_run: usize,
     /// The set shard a lane replays, if the system is one.
     shard: Option<SetShard>,
-    /// A lane's refills of the current run, reused across runs.
-    shard_refills: Vec<L1Refill>,
 }
 
 impl ReplaySystem {
@@ -415,7 +414,6 @@ impl ReplaySystem {
             switches: PendingSwitches::default(),
             next_run: 0,
             shard: None,
-            shard_refills: Vec::new(),
         })
     }
 
@@ -505,27 +503,20 @@ impl ReplaySystem {
         let filtered = Arc::clone(&self.filtered);
         while let Some(run) = filtered.runs.get(self.next_run) {
             self.next_run += 1;
-            let mut refills = filtered.refills_of(run);
+            let refills = filtered.refills_of(run);
             self.apply_installed_switches(run.start_cycle)?;
             if let Some(organization) = controller(run, refills) {
                 self.memory
                     .repartition(run.start_cycle, &organization, self.trace.table())?;
             }
-            if let Some(shard) = self.shard {
-                self.shard_refills.clear();
-                self.shard_refills
-                    .extend(refills.iter().filter(|refill| shard.owns(&refill.access)));
-                if self.shard_refills.is_empty() {
-                    continue;
+            let (start, data, instr) = (run.start_cycle, run.data_accesses, run.instr_fetches);
+            let stats = match self.shard {
+                None => self.memory.refill_burst(start, refills, data, instr),
+                Some(shard) => {
+                    let owned = refills.iter().filter(|refill| shard.owns(&refill.access));
+                    self.memory.refill_burst(start, owned, data, instr)
                 }
-                refills = &self.shard_refills;
-            }
-            let stats = self.memory.refill_burst(
-                run.start_cycle,
-                refills,
-                run.data_accesses,
-                run.instr_fetches,
-            );
+            };
             let counters = &mut self.processors[run.processor as usize];
             counters.runs += 1;
             counters.data_accesses += stats.data_accesses;

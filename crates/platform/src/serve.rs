@@ -499,10 +499,13 @@ impl CurveStore {
     }
 
     /// Validates and stores encoded trace bytes; returns the content hash
-    /// and whether the trace was already present. The write is atomic and
-    /// idempotent — content addressing means equal hashes are equal bytes.
-    /// The hash that names the file is the decoded trace's own memo, so
-    /// the requests that follow do not hash the upload again.
+    /// and whether the trace was already present, i.e. whether its file
+    /// already held exactly these bytes. Otherwise the upload is written
+    /// atomically over whatever the file held, and replaces the decode
+    /// memoised for the hash, so a store file replaced behind the store
+    /// is repaired by putting the right trace again. The hash that names
+    /// the file is the decoded trace's own memo, so the requests that
+    /// follow do not hash the upload again.
     ///
     /// # Errors
     ///
@@ -513,16 +516,18 @@ impl CurveStore {
             .map_err(|e| store_error(format!("rejected trace upload: {e}")))?;
         let hash = trace.content_hash();
         let path = self.trace_path(hash);
-        let existed = path.exists();
+        let existed = std::fs::read(&path).is_ok_and(|stored| stored == trace.bytes());
         if !existed {
             write_file_atomic(&path, trace.bytes())
                 .map_err(|e| store_error(format!("cannot write {}: {e}", path.display())))?;
         }
-        self.prepared
-            .lock()
-            .expect("store cache poisoned")
-            .entry(hash)
-            .or_insert_with(|| Arc::new(PreparedTrace::from(trace)));
+        let prepared = Arc::new(PreparedTrace::from(trace));
+        let mut memo = self.prepared.lock().expect("store cache poisoned");
+        if existed {
+            memo.entry(hash).or_insert(prepared);
+        } else {
+            memo.insert(hash, prepared);
+        }
         Ok((hash, existed))
     }
 
@@ -867,13 +872,18 @@ mod tests {
     use compmem_trace::{Access, Addr, RegionId, RegionKind, RegionTable, TaskId, TraceWriter};
 
     fn tiny_trace_bytes() -> Vec<u8> {
+        trace_bytes(16)
+    }
+
+    /// A one-task trace of `records` loads.
+    fn trace_bytes(records: u64) -> Vec<u8> {
         let mut table = RegionTable::new();
         let task = TaskId::new(0);
         table
             .insert("t0.data", RegionKind::TaskData { task }, 4096)
             .expect("region fits");
         let mut writer = TraceWriter::new(Vec::new(), &table, 1).expect("writer opens");
-        for i in 0..16u64 {
+        for i in 0..records {
             writer.record(
                 0,
                 i * 4,
@@ -1066,6 +1076,27 @@ mod tests {
         let second = CurveStore::open(&dir).unwrap();
         assert!(second.contains(hash));
         assert_eq!(second.get(hash).unwrap().trace().content_hash(), hash);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_put_repairs_a_store_file_replaced_behind_the_store() {
+        let dir = temp_dir("repair");
+        let (right, wrong) = (tiny_trace_bytes(), trace_bytes(24));
+        let (hash, _) = CurveStore::open(&dir)
+            .unwrap()
+            .put_bytes(right.clone())
+            .unwrap();
+        let path = dir.join(format!("{hash:016x}.cmt"));
+        std::fs::write(&path, &wrong).unwrap();
+        // A fresh store memoises the replaced file's decode under `hash`.
+        let store = CurveStore::open(&dir).unwrap();
+        assert_ne!(store.get(hash).unwrap().trace().content_hash(), hash);
+        let (again, existed) = store.put_bytes(right.clone()).unwrap();
+        assert_eq!(again, hash);
+        assert!(!existed, "a file holding other bytes is not the upload");
+        assert_eq!(std::fs::read(&path).unwrap(), right);
+        assert_eq!(store.get(hash).unwrap().trace().content_hash(), hash);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

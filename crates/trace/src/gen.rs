@@ -1,11 +1,11 @@
 //! Synthetic access-stream generators and the **workload zoo**.
 //!
 //! The free functions at the top produce the classic parametric streams
-//! cache studies are built on — sequential sweeps, strided walks, loop
-//! nests over a working set, and uniformly random accesses inside a
-//! working set — all attributed to a task and region so they can drive
-//! the partitioned cache exactly like workload traffic does. They are
-//! used by unit tests, property tests and the cache micro-benchmarks.
+//! cache studies are built on — sequential sweeps, strided walks and loop
+//! nests over a working set — all attributed to a task and region so they
+//! can drive the partitioned cache exactly like workload traffic does.
+//! They are used by unit tests, property tests and the cache
+//! micro-benchmarks.
 //!
 //! The workload zoo ([`GenSpec`] / [`generate`]) builds on them: a
 //! deterministic, seed-parameterised scenario generator that emits
@@ -26,7 +26,7 @@ use std::fmt;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::access::{Access, AccessKind};
+use crate::access::Access;
 use crate::addr::Addr;
 use crate::codec::{CodecError, EncodedTrace, TraceWriter, MAX_RECORD_BYTES};
 use crate::error::TraceError;
@@ -103,82 +103,6 @@ pub fn looping(
         }
     }
     out
-}
-
-/// Generates `count` loads at uniformly random line-aligned offsets inside a
-/// working set of `working_set_bytes`, using a deterministic seed.
-pub fn random_in_working_set(
-    params: StreamParams,
-    working_set_bytes: u64,
-    count: usize,
-    seed: u64,
-) -> Vec<Access> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let lines = (working_set_bytes / crate::LINE_SIZE_BYTES).max(1);
-    (0..count)
-        .map(|_| {
-            let line = rng.gen_range(0..lines);
-            Access::load(
-                params.base.offset(line * crate::LINE_SIZE_BYTES),
-                params.access_size,
-                params.task,
-                params.region,
-            )
-        })
-        .collect()
-}
-
-/// Generates a read-modify-write pattern: for each of `count` elements the
-/// stream loads then stores the same address, advancing by `stride` bytes.
-pub fn read_modify_write(params: StreamParams, stride: u64, count: usize) -> Vec<Access> {
-    let mut out = Vec::with_capacity(count * 2);
-    for i in 0..count {
-        let addr = params.base.offset(i as u64 * stride);
-        out.push(Access::load(
-            addr,
-            params.access_size,
-            params.task,
-            params.region,
-        ));
-        out.push(Access::store(
-            addr,
-            params.access_size,
-            params.task,
-            params.region,
-        ));
-    }
-    out
-}
-
-/// Generates an instruction-fetch stream that models a task executing
-/// `instructions` instructions from a code footprint of `code_bytes`.
-///
-/// The program counter advances sequentially and wraps around the footprint
-/// (a steady-state loop body), emitting one line-sized fetch per
-/// `instrs_per_line` instructions.
-pub fn instruction_stream(
-    params: StreamParams,
-    code_bytes: u64,
-    instructions: u64,
-    instrs_per_line: u64,
-) -> Vec<Access> {
-    assert!(
-        instrs_per_line > 0,
-        "instructions per line must be non-zero"
-    );
-    let lines = (code_bytes / crate::LINE_SIZE_BYTES).max(1);
-    let fetches = instructions.div_ceil(instrs_per_line);
-    (0..fetches)
-        .map(|i| {
-            let line = i % lines;
-            Access::ifetch(
-                params.base.offset(line * crate::LINE_SIZE_BYTES),
-                crate::LINE_SIZE_BYTES as u16,
-                params.task,
-                params.region,
-            )
-        })
-        .collect()
 }
 
 /// Interleaves several access streams round-robin, approximating concurrent
@@ -767,19 +691,9 @@ fn reserve(bytes: &mut Vec<u8>, additional: usize) -> Result<(), CodecError> {
     })
 }
 
-/// Returns the fraction of accesses of the given kind in `accesses`.
-pub fn kind_fraction(accesses: &[Access], kind: AccessKind) -> f64 {
-    if accesses.is_empty() {
-        return 0.0;
-    }
-    let n = accesses.iter().filter(|a| a.kind == kind).count();
-    n as f64 / accesses.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LINE_SIZE_BYTES;
 
     fn params() -> StreamParams {
         StreamParams {
@@ -807,38 +721,6 @@ mod tests {
     }
 
     #[test]
-    fn random_stream_is_deterministic_and_bounded() {
-        let a = random_in_working_set(params(), 4096, 100, 7);
-        let b = random_in_working_set(params(), 4096, 100, 7);
-        assert_eq!(a, b);
-        for acc in &a {
-            assert!(acc.addr >= Addr::new(0x1000));
-            assert!(acc.addr < Addr::new(0x1000 + 4096));
-            assert_eq!(acc.addr.value() % LINE_SIZE_BYTES, 0x1000 % LINE_SIZE_BYTES);
-        }
-        let c = random_in_working_set(params(), 4096, 100, 8);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn rmw_alternates_load_store() {
-        let s = read_modify_write(params(), 8, 3);
-        assert_eq!(s.len(), 6);
-        assert_eq!(s[0].kind, AccessKind::Load);
-        assert_eq!(s[1].kind, AccessKind::Store);
-        assert_eq!(s[0].addr, s[1].addr);
-    }
-
-    #[test]
-    fn instruction_stream_wraps_over_footprint() {
-        let s = instruction_stream(params(), 2 * LINE_SIZE_BYTES, 64, 16);
-        assert_eq!(s.len(), 4);
-        assert_eq!(s[0].addr, s[2].addr);
-        assert_eq!(s[1].addr, s[3].addr);
-        assert!(s.iter().all(|a| a.kind == AccessKind::InstrFetch));
-    }
-
-    #[test]
     fn interleave_preserves_all_accesses() {
         let a = strided(params(), 64, 3);
         let b = strided(params(), 64, 5);
@@ -847,14 +729,6 @@ mod tests {
         assert_eq!(merged[0], a[0]);
         assert_eq!(merged[1], b[0]);
         assert_eq!(merged[7], b[4]);
-    }
-
-    #[test]
-    fn kind_fraction_counts() {
-        let s = read_modify_write(params(), 8, 10);
-        assert!((kind_fraction(&s, AccessKind::Load) - 0.5).abs() < 1e-9);
-        assert!((kind_fraction(&s, AccessKind::Store) - 0.5).abs() < 1e-9);
-        assert_eq!(kind_fraction(&[], AccessKind::Load), 0.0);
     }
 
     fn zoo_kinds() -> [GenKind; 4] {

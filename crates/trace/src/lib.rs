@@ -35,7 +35,7 @@
 //!   zoo**: deterministic, seed-parameterised scenario generation
 //!   ([`GenSpec`] → [`gen::generate`]) whose multi-program mixes drive
 //!   every layer above through standard encoded traces (`compmem gen`).
-//! * [`stats`] — footprint and reuse-distance analysis of traces.
+//! * [`stats`] — reuse-distance analysis of traces.
 //!
 //! (The workspace-level architecture guide — layers, dataflow, the
 //! one-pass profiling invariant — lives in `docs/ARCHITECTURE.md`; the
@@ -89,4 +89,4 @@ pub use error::TraceError;
 pub use gen::{GenError, GenKind, GenProvenance, GenSpec, GenTask, DEFAULT_CYCLES_PER_ACCESS};
 pub use memspace::{AddressSpace, ScalarArray};
 pub use region::{BufferId, Region, RegionId, RegionKind, RegionTable, TaskId};
-pub use sink::{AccessSink, CountingSink, NullSink, TraceBuffer};
+pub use sink::{AccessSink, TraceBuffer};

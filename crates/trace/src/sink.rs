@@ -25,58 +25,6 @@ pub trait AccessSink {
     }
 }
 
-/// A sink that discards every access (useful to run workloads functionally).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl NullSink {
-    /// Creates a new discarding sink.
-    pub const fn new() -> Self {
-        NullSink
-    }
-}
-
-impl AccessSink for NullSink {
-    fn record(&mut self, _access: Access) {}
-}
-
-/// A sink that only counts accesses by kind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CountingSink {
-    /// Number of instruction fetches recorded.
-    pub instr_fetches: u64,
-    /// Number of loads recorded.
-    pub loads: u64,
-    /// Number of stores recorded.
-    pub stores: u64,
-}
-
-impl CountingSink {
-    /// Creates a new counting sink with all counters at zero.
-    pub const fn new() -> Self {
-        CountingSink {
-            instr_fetches: 0,
-            loads: 0,
-            stores: 0,
-        }
-    }
-
-    /// Total number of recorded accesses.
-    pub const fn total(&self) -> u64 {
-        self.instr_fetches + self.loads + self.stores
-    }
-}
-
-impl AccessSink for CountingSink {
-    fn record(&mut self, access: Access) {
-        match access.kind {
-            crate::AccessKind::InstrFetch => self.instr_fetches += 1,
-            crate::AccessKind::Load => self.loads += 1,
-            crate::AccessKind::Store => self.stores += 1,
-        }
-    }
-}
-
 /// An in-memory trace: the simplest [`AccessSink`], storing every access.
 ///
 /// ```
@@ -211,37 +159,6 @@ mod tests {
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.accesses()[0].addr, Addr::new(64));
         assert_eq!(buf.accesses()[1].addr, Addr::new(128));
-    }
-
-    #[test]
-    fn counting_sink_counts_by_kind() {
-        let mut sink = CountingSink::new();
-        sink.record(access(0));
-        sink.record(Access::store(
-            Addr::new(0x80),
-            4,
-            TaskId::new(0),
-            RegionId::new(0),
-        ));
-        sink.record(Access::ifetch(
-            Addr::new(0x100),
-            64,
-            TaskId::new(0),
-            RegionId::new(1),
-        ));
-        assert_eq!(sink.loads, 1);
-        assert_eq!(sink.stores, 1);
-        assert_eq!(sink.instr_fetches, 1);
-        assert_eq!(sink.total(), 3);
-    }
-
-    #[test]
-    fn null_sink_discards() {
-        let mut sink = NullSink::new();
-        sink.record(access(0));
-        // Nothing observable; just make sure it is callable through &mut.
-        let by_ref: &mut dyn AccessSink = &mut sink;
-        by_ref.record(access(1));
     }
 
     #[test]

@@ -1,71 +1,17 @@
-//! Footprint and reuse-distance analysis of access traces.
+//! Reuse-distance analysis of access traces.
 //!
 //! The paper's optimiser needs, for every task, the number of misses as a
 //! function of allocated cache size. The full reproduction measures that by
-//! simulation (crate `compmem`), but the analytic quantities here — unique
-//! line footprint and the reuse-distance histogram — are useful both for
-//! sanity-checking the workloads (does a task's working set have the size we
-//! claim?) and for the stack-distance-based miss estimate used in tests as an
-//! independent cross-check of the cache model.
+//! simulation (crate `compmem`); the reuse-distance histogram here is the
+//! stack-distance-based miss estimate the tests use as an independent
+//! cross-check of the cache model.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
 use crate::access::Access;
 use crate::addr::LineAddr;
-use crate::region::RegionId;
-
-/// Summary statistics of an access trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TraceStats {
-    /// Total number of accesses.
-    pub accesses: u64,
-    /// Number of distinct cache lines touched.
-    pub unique_lines: u64,
-    /// Number of loads.
-    pub loads: u64,
-    /// Number of stores.
-    pub stores: u64,
-    /// Number of instruction fetches.
-    pub instr_fetches: u64,
-    /// Footprint in bytes (unique lines times the line size).
-    pub footprint_bytes: u64,
-}
-
-impl TraceStats {
-    /// Computes summary statistics over `accesses`.
-    pub fn from_accesses(accesses: &[Access]) -> Self {
-        let mut lines = HashMap::new();
-        let mut stats = TraceStats {
-            accesses: accesses.len() as u64,
-            ..TraceStats::default()
-        };
-        for a in accesses {
-            match a.kind {
-                crate::AccessKind::Load => stats.loads += 1,
-                crate::AccessKind::Store => stats.stores += 1,
-                crate::AccessKind::InstrFetch => stats.instr_fetches += 1,
-            }
-            lines.entry(a.addr.line()).or_insert(0u64);
-        }
-        stats.unique_lines = lines.len() as u64;
-        stats.footprint_bytes = stats.unique_lines * crate::LINE_SIZE_BYTES;
-        stats
-    }
-
-    /// Computes per-region summary statistics over `accesses`.
-    pub fn per_region(accesses: &[Access]) -> BTreeMap<RegionId, TraceStats> {
-        let mut grouped: BTreeMap<RegionId, Vec<Access>> = BTreeMap::new();
-        for &a in accesses {
-            grouped.entry(a.region).or_default().push(a);
-        }
-        grouped
-            .into_iter()
-            .map(|(region, v)| (region, TraceStats::from_accesses(&v)))
-            .collect()
-    }
-}
 
 /// Histogram of LRU stack (reuse) distances at cache-line granularity.
 ///
@@ -131,7 +77,7 @@ impl ReuseDistanceHistogram {
 mod tests {
     use super::*;
     use crate::gen::{looping, strided, StreamParams};
-    use crate::{Addr, TaskId};
+    use crate::{Addr, RegionId, TaskId};
 
     fn params() -> StreamParams {
         StreamParams {
@@ -140,37 +86,6 @@ mod tests {
             base: Addr::new(0),
             access_size: 4,
         }
-    }
-
-    #[test]
-    fn stats_count_kinds_and_lines() {
-        let s = strided(params(), 64, 10);
-        let st = TraceStats::from_accesses(&s);
-        assert_eq!(st.accesses, 10);
-        assert_eq!(st.loads, 10);
-        assert_eq!(st.unique_lines, 10);
-        assert_eq!(st.footprint_bytes, 640);
-    }
-
-    #[test]
-    fn stats_spatial_reuse_has_fewer_lines() {
-        let s = strided(params(), 4, 32);
-        let st = TraceStats::from_accesses(&s);
-        assert_eq!(st.accesses, 32);
-        assert_eq!(st.unique_lines, 2);
-    }
-
-    #[test]
-    fn per_region_groups() {
-        let mut s = strided(params(), 64, 4);
-        let mut p2 = params();
-        p2.region = RegionId::new(1);
-        p2.base = Addr::new(0x10000);
-        s.extend(strided(p2, 64, 6));
-        let per = TraceStats::per_region(&s);
-        assert_eq!(per.len(), 2);
-        assert_eq!(per[&RegionId::new(0)].accesses, 4);
-        assert_eq!(per[&RegionId::new(1)].accesses, 6);
     }
 
     #[test]

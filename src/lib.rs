@@ -35,10 +35,9 @@
 //!   foreign sidecars are rejected (`CodecError`, never a panic).
 //! * [`compmem_cache`] — the cache substrate. The three L2 organisations
 //!   of the study (shared, set-partitioned, way-partitioned) all
-//!   implement the **object-safe `CacheModel` trait** — including a
-//!   default-implemented `access_batch`, so whole runs of accesses cost
-//!   one virtual dispatch — and `OrganizationSpec` builds any of them as a
-//!   `Box<dyn CacheModel>` from plain data. Their common core,
+//!   implement the **object-safe `CacheModel` trait**, and
+//!   `OrganizationSpec` builds any of them as a `Box<dyn CacheModel>`
+//!   from plain data. Their common core,
 //!   `SetAssocCache`, keeps every set's ways in flat arrays, indexes sets
 //!   by mask and picks victims under all four policies without
 //!   allocating. Per-key statistics and uniform
@@ -128,8 +127,10 @@
 //!   spec's `ReplayParallelism` (`Serial`, `Auto(n)`, `Require(n)`) splits
 //!   one replay into set-shard lanes. The paper
 //!   flow's profiles are curve-derived (`Experiment::profile_curves` /
-//!   `run_profiled`), and `allocation_problem_for_table` builds the optimiser's problem from
-//!   any region table — an application's or a recorded trace's. Phase
+//!   `run_profiled`), and `SolverContext` is the one sizing step every
+//!   flow calls — curves → profiles → allocation (optionally under QoS
+//!   floors) → capacity-checked partition map — over any region table,
+//!   an application's or a recorded trace's. Phase
 //!   aware profiling rides the same flow: `Experiment::
 //!   profile_curves_windowed` measures per-window curves live,
 //!   `Experiment::phase_allocations` re-runs the optimizer per detected
@@ -145,8 +146,8 @@
 //!   phase-scheduled on the same trace with per-phase predicted vs
 //!   measured miss deltas (`tests/schedule_parity.rs` pins the one-step
 //!   parity and mid-run determinism). Profiling requires an LRU L2
-//!   (`CoreError::NonLruProfiling` otherwise — the stack-distance
-//!   identity holds for LRU only).
+//!   (`profile::require_lru`, `CoreError::NonLruProfiling` otherwise —
+//!   the stack-distance identity holds for LRU only).
 //!
 //! The `compmem-bench` crate (not re-exported) holds the criterion benches,
 //! the recorded `BENCH_*.json` baselines (guarded in CI by
