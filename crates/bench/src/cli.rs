@@ -36,7 +36,7 @@ use compmem_platform::{
 };
 use compmem_trace::gen::{generate, provenance, GenKind, GenSpec, GenTask};
 use compmem_trace::{
-    curves::sidecar_path, BufferId, EncodedCurves, EncodedTrace, RegionTable, TaskId,
+    curves::sidecar_path, BufferId, CodecError, EncodedCurves, EncodedTrace, RegionTable, TaskId,
     DEFAULT_CYCLES_PER_ACCESS,
 };
 use compmem_workloads::apps::Application;
@@ -570,16 +570,26 @@ fn parse_task_specs(spec: &str, base_accesses: u64) -> Result<Vec<GenTask>, Stri
     Ok(tasks)
 }
 
+/// Loads the `--trace` of a verb that filters it through `platform`'s
+/// L1s whatever else it does (see [`load_trace_with_path`]).
 fn load_trace(
     flags: &[(String, String)],
     preloaded: Option<&PreloadedTrace>,
+    platform: &PlatformConfig,
 ) -> Result<Arc<PreparedTrace>, String> {
-    load_trace_with_path(flags, preloaded).map(|(trace, _)| trace)
+    load_trace_with_path(flags, preloaded, Some(platform)).map(|(trace, _)| trace)
 }
 
+/// Loads the `--trace` file, or takes the caller's preloaded trace when
+/// it names the same path. A verb that will filter the trace through a
+/// platform's L1s passes that platform as `filter`, and the file is
+/// validated and filtered in one decoding pass
+/// ([`PreparedTrace::from_bytes_filtered`]); otherwise it is only
+/// validated. A corrupt file gives the same error either way.
 fn load_trace_with_path(
     flags: &[(String, String)],
     preloaded: Option<&PreloadedTrace>,
+    filter: Option<&PlatformConfig>,
 ) -> Result<(Arc<PreparedTrace>, PathBuf), String> {
     let path = get(flags, "trace").ok_or("missing --trace FILE")?;
     if let Some(ready) = preloaded {
@@ -587,9 +597,32 @@ fn load_trace_with_path(
             return Ok((Arc::clone(&ready.trace), ready.path.clone()));
         }
     }
-    EncodedTrace::read_from(path)
-        .map(|trace| (Arc::new(PreparedTrace::from(trace)), PathBuf::from(path)))
+    let prepared = match filter {
+        None => EncodedTrace::read_from(path).map(PreparedTrace::from),
+        Some(platform) => std::fs::read(path)
+            .map_err(CodecError::Io)
+            .and_then(|bytes| PreparedTrace::from_bytes_filtered(bytes, platform)),
+    };
+    prepared
+        .map(|trace| (Arc::new(trace), PathBuf::from(path)))
         .map_err(|e| format!("{path}: {e}"))
+}
+
+/// Whether a profiling verb runs the L1 filter whatever its sidecar
+/// holds: `--save-curves off`, or no file at the sidecar path the flags
+/// resolve to for `window`. Only a sidecar that is there can skip the
+/// filter, so only then is the trace loaded by validating alone. Flags
+/// that do not resolve answer `false`; the verb reports them after
+/// loading the trace, as it always has.
+fn profiles_whatever_the_sidecar(flags: &[(String, String)], window: WindowConfig) -> bool {
+    let Some(trace) = get(flags, "trace") else {
+        return false;
+    };
+    match save_curves_path(flags, Path::new(trace), window) {
+        Ok(None) => true,
+        Ok(Some(sidecar)) => !sidecar.exists(),
+        Err(_) => false,
+    }
 }
 
 /// Resolves the `--save-curves` policy: `None` disables persistence,
@@ -642,6 +675,12 @@ fn window_config(flags: &[(String, String)]) -> Result<WindowConfig, String> {
 
 /// Profiles a trace, reusing or writing the sidecar as configured, and
 /// narrates what happened with the persistence layer.
+///
+/// "(L1 filter pass skipped)" on a reused sidecar names the profile's
+/// own pass: the curves come from the file, not from filtering the
+/// trace. A verb that replays afterwards (`replay --qos`, `sweep-shapes
+/// --check-replay on`) still filters the trace, in the pass that loaded
+/// it.
 ///
 /// `lanes > 1` splits the pass into set shards (merged exactly); the
 /// shard-count notice goes to stderr because stdout — tables, sidecar
@@ -1047,14 +1086,14 @@ fn replay_qos(
     preloaded: Option<&PreloadedTrace>,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    let (trace, trace_path) = load_trace_with_path(flags, preloaded)?;
+    let platform = PlatformConfig::default();
+    let (trace, trace_path) = load_trace_with_path(flags, preloaded, Some(&platform))?;
     let (l2, resolution, lattice) = profiling_shape(flags)?;
     let kind = solver_kind(flags)?;
     let floors = parse_qos_floors(get(flags, "qos").unwrap_or_default(), trace.table())?;
 
     let window = WindowConfig::whole_run();
     let sidecar = save_curves_path(flags, &trace_path, window)?;
-    let platform = PlatformConfig::default();
     let windowed = profile_with_policy(
         &platform,
         &trace,
@@ -1188,7 +1227,8 @@ fn replay_controller(
     use compmem::controller::{compete, ControllerPolicy, Greedy, Hysteresis, Oracle};
 
     let name = get(flags, "controller").unwrap_or_default();
-    let trace = load_trace(flags, preloaded)?;
+    let platform = PlatformConfig::default();
+    let trace = load_trace(flags, preloaded, &platform)?;
     let (l2, resolution, lattice) = profiling_shape(flags)?;
     let window_cycles: u64 = get(flags, "window-cycles")
         .ok_or("replay --controller needs --window-cycles N (the control clock)")?
@@ -1205,7 +1245,6 @@ fn replay_controller(
     let mut config = compmem::controller::ControllerConfig::cycles(window_cycles, resolution)
         .map_err(|e| e.to_string())?;
     config.optimizer = solver_kind(flags)?;
-    let platform = PlatformConfig::default();
     if !matches!(name, "greedy" | "hysteresis" | "oracle" | "compete") {
         return Err(format!(
             "unknown controller `{name}` (use greedy, hysteresis, oracle or compete)"
@@ -1314,13 +1353,14 @@ fn replay_static(
     preloaded: Option<&PreloadedTrace>,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    let trace = load_trace(flags, preloaded)?;
+    let platform = PlatformConfig::default();
+    let trace = load_trace(flags, preloaded, &platform)?;
     let l2 = l2_config(flags)?;
     let org_name = get(flags, "org").unwrap_or("shared");
     let org = organization(org_name, l2, trace.table())?;
     let parallelism = replay_parallelism(flags)?;
     let spec = ScenarioSpec::replay(l2, org, trace.clone()).with_parallelism(parallelism);
-    let outcome = run_replay(&PlatformConfig::default(), &spec).map_err(|e| e.to_string())?;
+    let outcome = run_replay(&platform, &spec).map_err(|e| e.to_string())?;
     outln!(
         out,
         "replayed {} accesses on {} processors under `{}`",
@@ -1342,7 +1382,8 @@ fn replay_phase_schedule(
     preloaded: Option<&PreloadedTrace>,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    let (trace, trace_path) = load_trace_with_path(flags, preloaded)?;
+    let platform = PlatformConfig::default();
+    let (trace, trace_path) = load_trace_with_path(flags, preloaded, Some(&platform))?;
     let (l2, resolution, lattice) = profiling_shape(flags)?;
     let geometry = l2.geometry();
     let kind = solver_kind(flags)?;
@@ -1357,7 +1398,6 @@ fn replay_phase_schedule(
         .map_err(|_| "--phases needs a curve-delta threshold".to_string())?;
     let sidecar = save_curves_path(flags, &trace_path, window)?;
 
-    let platform = PlatformConfig::default();
     let windowed = profile_with_policy(
         &platform,
         &trace,
@@ -1441,7 +1481,8 @@ fn replay_schedule_file(
     out: &mut dyn Write,
 ) -> Result<(), String> {
     let path = get(flags, "schedule").unwrap_or_default();
-    let trace = load_trace(flags, preloaded)?;
+    let platform = PlatformConfig::default();
+    let trace = load_trace(flags, preloaded, &platform)?;
     let l2 = l2_config(flags)?;
     let schedule = parse_schedule_file(path, l2)?;
     schedule
@@ -1451,7 +1492,7 @@ fn replay_schedule_file(
     let spec =
         ScenarioSpec::scheduled_replay(l2, schedule, trace.clone()).with_parallelism(parallelism);
     outln!(out, "scenario: {spec}");
-    let outcome = run_replay(&PlatformConfig::default(), &spec).map_err(|e| e.to_string())?;
+    let outcome = run_replay(&platform, &spec).map_err(|e| e.to_string())?;
     outln!(
         out,
         "replayed {} accesses on {} processors under the schedule",
@@ -1497,7 +1538,8 @@ fn sweep(
             Ok((kb, l2_of_size(kb, ways)?))
         })
         .collect::<Result<_, String>>()?;
-    let trace = load_trace(flags, preloaded)?;
+    let platform = PlatformConfig::default();
+    let trace = load_trace(flags, preloaded, &platform)?;
     let jobs = jobs_flag(flags)?;
     let lanes = lanes_flag(flags)?;
     // Lanes on a sweep are opportunistic: rows that cannot split (a
@@ -1508,7 +1550,6 @@ fn sweep(
     } else {
         ReplayParallelism::Serial
     };
-    let platform = PlatformConfig::default();
 
     let lane_note = if lanes > 1 {
         format!(", up to {lanes} lanes/row")
@@ -1566,11 +1607,17 @@ fn profile(
     preloaded: Option<&PreloadedTrace>,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    let (trace, trace_path) = load_trace_with_path(flags, preloaded)?;
+    let platform = PlatformConfig::default();
+    let window = window_config(flags);
+    let filter = window
+        .as_ref()
+        .is_ok_and(|&window| profiles_whatever_the_sidecar(flags, window))
+        .then_some(&platform);
+    let (trace, trace_path) = load_trace_with_path(flags, preloaded, filter)?;
     let (l2, resolution, lattice) = profiling_shape(flags)?;
     let geometry = l2.geometry();
     let kind = solver_kind(flags)?;
-    let window = window_config(flags)?;
+    let window = window?;
     let sidecar = save_curves_path(flags, &trace_path, window)?;
     // Validate before the (potentially expensive) profiling pass.
     let phase_threshold: Option<f64> = get(flags, "phases")
@@ -1581,7 +1628,6 @@ fn profile(
         .transpose()?;
 
     let lanes = lanes_flag(flags)?;
-    let platform = PlatformConfig::default();
     let windowed = profile_with_policy(
         &platform,
         &trace,
@@ -1740,18 +1786,21 @@ fn sweep_shapes(
     preloaded: Option<&PreloadedTrace>,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    let (trace, trace_path) = load_trace_with_path(flags, preloaded)?;
-    let (_, resolution, _) = profiling_shape(flags)?;
+    let platform = PlatformConfig::default();
     let check_replay = match get(flags, "check-replay").unwrap_or("off") {
-        "on" => true,
-        "off" => false,
-        other => return Err(format!("--check-replay needs on or off, not `{other}`")),
+        "on" => Ok(true),
+        "off" => Ok(false),
+        other => Err(format!("--check-replay needs on or off, not `{other}`")),
     };
+    let filters =
+        check_replay == Ok(true) || profiles_whatever_the_sidecar(flags, WindowConfig::whole_run());
+    let (trace, trace_path) = load_trace_with_path(flags, preloaded, filters.then_some(&platform))?;
+    let (_, resolution, _) = profiling_shape(flags)?;
+    let check_replay = check_replay?;
     let sidecar = save_curves_path(flags, &trace_path, WindowConfig::whole_run())?;
     let jobs = jobs_flag(flags)?;
     let lanes = lanes_flag(flags)?;
 
-    let platform = PlatformConfig::default();
     let windowed = profile_with_policy(
         &platform,
         &trace,
@@ -1838,7 +1887,7 @@ fn info(
     preloaded: Option<&PreloadedTrace>,
     out: &mut dyn Write,
 ) -> Result<(), String> {
-    let (trace, trace_path) = load_trace_with_path(flags, preloaded)?;
+    let (trace, trace_path) = load_trace_with_path(flags, preloaded, None)?;
     let summary = trace.summary();
     outln!(
         out,

@@ -53,8 +53,7 @@ use compmem_platform::{
 
 use crate::error::CoreError;
 use crate::experiment::{
-    by_key_from_regions, phase_allocations_for_table, replay_serial, validate_phase_plan,
-    RunOutcome,
+    phase_allocations_for_table, replay_serial, validate_phase_plan, RunOutcome,
 };
 use crate::optimizer::OptimizerKind;
 pub use crate::optimizer::SolverContext;
@@ -529,16 +528,9 @@ fn run_policy<C: Borrow<WindowedCurves>>(
         return Err(error);
     }
 
-    let by_key = by_key_from_regions(table, &report);
-    let l2_snapshot = system.into_l2().snapshot();
     Ok(ControlledOutcome {
         policy: policy.name().to_string(),
-        outcome: RunOutcome {
-            report,
-            by_key,
-            l2_snapshot,
-            lane_decision: None,
-        },
+        outcome: RunOutcome::new(report, table, system.into_l2().snapshot()),
         ticks,
         schedule: PartitionSchedule::new(steps)?,
     })

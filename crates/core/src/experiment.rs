@@ -10,7 +10,7 @@
 //! * [`TrafficSource::Live`] executes the application functionally through
 //!   the Kahn-process-network runtime, as the paper's experiments do;
 //! * [`TrafficSource::Replay`] re-issues a recorded
-//!   [`EncodedTrace`] through the same hierarchy, skipping workload
+//!   [`EncodedTrace`](compmem_trace::EncodedTrace) through the same hierarchy, skipping workload
 //!   execution entirely — record once with
 //!   [`Experiment::record_trace`], then sweep any number of organisations
 //!   over the same traffic.
@@ -63,7 +63,7 @@ use compmem_platform::{
     replay_lanes, AccessTap, LaneDecision, NullTap, PlatformConfig, PlatformError, PreparedTrace,
     ReplaySystem, System, SystemReport,
 };
-use compmem_trace::{EncodedTrace, RegionKind, RegionTable, TraceWriter};
+use compmem_trace::{RegionKind, RegionTable, TraceWriter};
 
 use compmem_workloads::apps::Application;
 
@@ -298,6 +298,30 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
+    /// The outcome of a run that produced `report`: its per-region L2
+    /// statistics summed per partition key of `table`, and `l2_snapshot`,
+    /// the L2's counters after the run (empty where no one L2 served the
+    /// whole stream, as in set-sharded lanes). Every flow builds its
+    /// outcome here.
+    pub fn new(report: SystemReport, table: &RegionTable, l2_snapshot: CacheSnapshot) -> Self {
+        let mut by_key: BTreeMap<PartitionKey, KeyStats> = BTreeMap::new();
+        for (region, stats) in &report.l2_by_region {
+            if let Some(r) = table.regions().get(region.index()) {
+                let entry = by_key
+                    .entry(PartitionKey::from_region_kind(r.kind))
+                    .or_default();
+                entry.accesses += stats.accesses;
+                entry.misses += stats.misses;
+            }
+        }
+        RunOutcome {
+            report,
+            by_key,
+            l2_snapshot,
+            lane_decision: None,
+        }
+    }
+
     /// L2 misses of one entity.
     pub fn misses_of(&self, key: PartitionKey) -> u64 {
         self.by_key.get(&key).map_or(0, |s| s.misses)
@@ -418,23 +442,6 @@ impl PaperFlowOutcome {
     }
 }
 
-/// Aggregates per-region statistics into per-partition-key statistics.
-pub(crate) fn by_key_from_regions(
-    table: &RegionTable,
-    report: &SystemReport,
-) -> BTreeMap<PartitionKey, KeyStats> {
-    let mut out: BTreeMap<PartitionKey, KeyStats> = BTreeMap::new();
-    for (region, stats) in &report.l2_by_region {
-        if let Some(r) = table.regions().get(region.index()) {
-            let key = PartitionKey::from_region_kind(r.kind);
-            let entry = out.entry(key).or_default();
-            entry.accesses += stats.accesses;
-            entry.misses += stats.misses;
-        }
-    }
-    out
-}
-
 /// Builds the display-name table for every partition key of an application.
 fn key_names(app: &Application) -> BTreeMap<PartitionKey, String> {
     let mut names = BTreeMap::new();
@@ -470,13 +477,11 @@ pub(crate) fn replay_serial(
         system.install_schedule(schedule)?;
     }
     let report = system.run();
-    let by_key = by_key_from_regions(trace.table(), &report);
-    Ok(RunOutcome {
+    Ok(RunOutcome::new(
         report,
-        by_key,
-        l2_snapshot: system.into_l2().snapshot(),
-        lane_decision: None,
-    })
+        trace.table(),
+        system.into_l2().snapshot(),
+    ))
 }
 
 /// Replays a recorded trace under one schedule with the requested
@@ -500,12 +505,11 @@ fn replay_outcome(
     // Lanes report cache-side counters only (timing fields zero), and no
     // lane holds the whole L2, so the snapshot stays empty.
     match laned {
-        Some((report, decision)) => Ok(RunOutcome {
-            by_key: by_key_from_regions(trace.table(), &report),
-            report,
-            l2_snapshot: CacheSnapshot::default(),
-            lane_decision: Some(decision),
-        }),
+        Some((report, decision)) => {
+            let mut outcome = RunOutcome::new(report, trace.table(), CacheSnapshot::default());
+            outcome.lane_decision = Some(decision);
+            Ok(outcome)
+        }
         None => replay_serial(platform, l2, schedule, trace),
     }
 }
@@ -1112,13 +1116,7 @@ impl<F: Fn() -> Application> Experiment<F> {
         let mut system = System::new(platform, l2, app.mapping.clone())?;
         let mut tap = tap(&app, &platform)?;
         let report = system.run_traced(&mut app.network, &mut tap)?;
-        let by_key = by_key_from_regions(app.space.table(), &report);
-        let outcome = RunOutcome {
-            report,
-            by_key,
-            l2_snapshot: system.into_l2().snapshot(),
-            lane_decision: None,
-        };
+        let outcome = RunOutcome::new(report, app.space.table(), system.into_l2().snapshot());
         Ok((outcome, tap))
     }
 
@@ -1131,6 +1129,8 @@ impl<F: Fn() -> Application> Experiment<F> {
     /// [`ScenarioSpec::replaying`]) against the same platform parameters
     /// and organisation reproduces this run's [`CacheSnapshot`] exactly,
     /// and sweeping other organisations over it skips workload execution.
+    /// The trace is built from the writer's own counts
+    /// ([`TraceWriter::finish_trace`]), without decoding it again.
     ///
     /// # Errors
     ///
@@ -1152,8 +1152,7 @@ impl<F: Fn() -> Application> Experiment<F> {
             let processors = platform.num_processors as u32;
             Ok(TraceWriter::new(Vec::new(), app.space.table(), processors)?)
         })?;
-        let (bytes, _) = writer.finish()?;
-        let trace = PreparedTrace::from(EncodedTrace::from_bytes(bytes)?);
+        let trace = PreparedTrace::from(writer.finish_trace()?);
         Ok((outcome, Arc::new(trace)))
     }
 

@@ -547,14 +547,31 @@ mod tests {
         let (bytes, _) = writer.finish().unwrap();
         let trace = EncodedTrace::from_bytes(bytes).unwrap();
 
-        // A trace naming a region outside its embedded table is rejected
-        // at decode time — no profiler or replay consumer can be handed a
+        // A trace naming a region outside its embedded table is refused
+        // by the writer, and rejected at decode time when such bytes come
+        // from elsewhere — no profiler or replay consumer can be handed a
         // bogus region index.
         let empty = RegionTable::new();
         let mut corrupt_writer = TraceWriter::new(Vec::new(), &empty, 1).unwrap();
         corrupt_writer.record(0, 0, &access);
-        let (corrupt_bytes, _) = corrupt_writer.finish().unwrap();
-        assert!(EncodedTrace::from_bytes(corrupt_bytes).is_err());
+        assert!(matches!(
+            corrupt_writer.finish(),
+            Err(CodecError::Unencodable { .. })
+        ));
+        let header_of = |table: &RegionTable| {
+            let (mut header, _) = TraceWriter::new(Vec::new(), table, 1)
+                .unwrap()
+                .finish()
+                .unwrap();
+            header.pop(); // the END record
+            header
+        };
+        let body = &trace.bytes()[header_of(&table).len()..];
+        let corrupt = [header_of(&empty).as_slice(), body].concat();
+        let err = EncodedTrace::from_bytes(corrupt).unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("region id outside the embedded region table"));
         let prepared = PreparedTrace::from(trace);
         assert!(matches!(
             profile_trace(&PlatformConfig::default(), &prepared, resolution()),

@@ -40,9 +40,9 @@
 //! magnitude fewer accesses, with bus traffic, issue times and L2 state
 //! bit-identical to replaying the full run.
 //!
-//! The filter streams records straight from the encoded bytes
-//! ([`EncodedTrace::reader`]) and nothing decoded outlives it: the result
-//! is one [`FilteredTrace`] holding a single refill vector in global
+//! The filter takes records as they are decoded from the encoded bytes,
+//! one step per record, and nothing decoded outlives it: the result is
+//! one [`FilteredTrace`] holding a single refill vector in global
 //! recorded order plus one [`FilteredRun`] header per run — its processor,
 //! start cycle, access counts and the range of its refills
 //! ([`FilteredTrace::refills_of`]). Runs split by the codec's one rule,
@@ -50,6 +50,20 @@
 //! [`ReplaySystem`] restricted to its set shard), the profiler feeds and
 //! the online controller all read slices of that one vector, so no step
 //! from decode to L2 allocates per run or per access.
+//!
+//! The records come from one of two decoding passes, and each record is
+//! decoded once per pass (trace stripping: Uhlig & Mudge, "Trace-driven
+//! memory simulation: a survey", ACM Computing Surveys 1997):
+//!
+//! * [`PreparedTrace::from_bytes_filtered`] runs the filter step as the
+//!   visitor of the validating pass
+//!   ([`EncodedTrace::from_bytes_visiting`]) and caches the result for
+//!   that L1 configuration, so a trace read to be filtered is decoded
+//!   once, not once to validate and again to filter. The one-shot CLI
+//!   verbs that filter load their trace this way;
+//! * [`PreparedTrace::filtered_for`] filters an already validated trace
+//!   for any other L1 configuration on first use, streaming its records
+//!   again ([`EncodedTrace::reader`]).
 
 use std::io::Write;
 use std::ops::Range;
@@ -59,7 +73,9 @@ use compmem_cache::{
     CacheConfig, CacheError, CacheModel, CacheStats, OrganizationSpec, PartitionSchedule,
     ScheduleStep,
 };
-use compmem_trace::codec::{EncodedTrace, RunSplitter, TraceSummary, TraceWriter};
+use compmem_trace::codec::{
+    CodecError, EncodedTrace, RunSplitter, TraceRecord, TraceSummary, TraceWriter,
+};
 use compmem_trace::{Access, RegionTable};
 
 use crate::config::PlatformConfig;
@@ -161,11 +177,30 @@ struct FilterKey {
     l1d: CacheConfig,
 }
 
+impl FilterKey {
+    fn of(config: &PlatformConfig) -> Self {
+        FilterKey {
+            l1i: config.l1i,
+            l1d: config.l1d,
+        }
+    }
+}
+
 /// A recorded trace prepared for repeated replay.
 ///
 /// Wraps the [`EncodedTrace`] together with a cache of L1-filtered traces
 /// keyed by L1 configuration, so an organisation sweep pays the decode and
 /// the L1 simulation once per distinct L1 configuration — usually once.
+///
+/// Two constructors differ only in when the first entry is filled.
+/// [`From<EncodedTrace>`](PreparedTrace::from) and
+/// [`new`](PreparedTrace::new) take a validated trace with an empty
+/// cache, which [`filtered_for`](PreparedTrace::filtered_for) fills by
+/// decoding the trace again. A caller that knows its L1 configuration
+/// when it reads the bytes uses
+/// [`from_bytes_filtered`](PreparedTrace::from_bytes_filtered), which
+/// fills that configuration's entry in the validating pass itself, so
+/// each record is decoded once.
 #[derive(Debug)]
 pub struct PreparedTrace {
     trace: Arc<EncodedTrace>,
@@ -195,6 +230,48 @@ impl PreparedTrace {
             trace,
             filtered: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Validates `bytes` as a trace and filters it through the private
+    /// L1s of `config` in the same pass: the L1 filter is the visitor of
+    /// [`EncodedTrace::from_bytes_visiting`], so each record is decoded
+    /// once, and [`filtered_for`](PreparedTrace::filtered_for) with an
+    /// L1 configuration equal to `config`'s returns the filtered trace
+    /// without decoding again.
+    ///
+    /// Validation decides the result: a corrupt trace fails with exactly
+    /// the error [`EncodedTrace::from_bytes`] returns. A filter error
+    /// ([`PlatformError::ProcessorOutOfRange`],
+    /// [`PlatformError::TooManyRefills`]) stops only the filtering and
+    /// leaves the filter cache empty, so `filtered_for` reports it where
+    /// and as it would for a trace built from
+    /// [`EncodedTrace::from_bytes`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`EncodedTrace::from_bytes`].
+    pub fn from_bytes_filtered(
+        bytes: Vec<u8>,
+        config: &PlatformConfig,
+    ) -> Result<Self, CodecError> {
+        let key = FilterKey::of(config);
+        let mut pass = None;
+        let slot = &mut pass;
+        let trace = EncodedTrace::from_bytes_visiting(bytes, move |processors| {
+            *slot = Some(FilterPass::new(key, processors, 0));
+            move |record: &TraceRecord| {
+                if let Some(filter) = slot.as_mut() {
+                    if filter.step(record).is_err() {
+                        *slot = None;
+                    }
+                }
+            }
+        })?;
+        let filtered = pass.map(|pass| (key, Arc::new(pass.finish())));
+        Ok(PreparedTrace {
+            trace: Arc::new(trace),
+            filtered: Mutex::new(filtered.into_iter().collect()),
+        })
     }
 
     /// The underlying encoded trace.
@@ -233,10 +310,7 @@ impl PreparedTrace {
         &self,
         config: &PlatformConfig,
     ) -> Result<Arc<FilteredTrace>, PlatformError> {
-        let key = FilterKey {
-            l1i: config.l1i,
-            l1d: config.l1d,
-        };
+        let key = FilterKey::of(config);
         let mut cache = self.filtered.lock().expect("filter cache poisoned");
         if let Some((_, filtered)) = cache.iter().find(|(k, _)| *k == key) {
             return Ok(filtered.clone());
@@ -250,24 +324,63 @@ impl PreparedTrace {
 /// Streams the trace's records from its bytes through fresh private L1s,
 /// keeping only the refills: one refill vector, one header per run.
 fn filter_trace(trace: &EncodedTrace, key: FilterKey) -> Result<FilteredTrace, PlatformError> {
-    let processors = (trace.processors() as usize).max(1);
-    let mut filter = L1Filter::new(key.l1i, key.l1d, processors);
-    let mut runs: Vec<FilteredRun> = Vec::with_capacity(trace.summary().runs as usize);
-    let mut refills = Vec::new();
-    let mut splitter = RunSplitter::default();
+    let mut pass = FilterPass::new(key, trace.processors(), trace.summary().runs as usize);
     for record in trace.reader() {
-        let record = record.expect("validated at construction");
-        if splitter.starts_run(&record) {
+        pass.step(&record.expect("validated at construction"))?;
+    }
+    Ok(pass.finish())
+}
+
+/// A filter pass under way: fresh private L1s for one configuration, and
+/// the run headers and refills of the records stepped through so far.
+/// [`filter_trace`] steps it through a validated trace's reader, and
+/// [`PreparedTrace::from_bytes_filtered`] through the validating pass.
+struct FilterPass {
+    filter: L1Filter,
+    splitter: RunSplitter,
+    runs: Vec<FilteredRun>,
+    refills: Vec<L1Refill>,
+}
+
+impl FilterPass {
+    /// A pass over a trace declaring `processors` processors, with room
+    /// for `runs` run headers.
+    fn new(key: FilterKey, processors: u32, runs: usize) -> Self {
+        let processors = (processors as usize).max(1);
+        FilterPass {
+            filter: L1Filter::new(key.l1i, key.l1d, processors),
+            splitter: RunSplitter::default(),
+            runs: Vec::with_capacity(runs),
+            refills: Vec::new(),
+        }
+    }
+
+    /// Filters the next record in recorded order: the one per-record step
+    /// of every filter pass. Runs split by the codec's rule,
+    /// [`RunSplitter`].
+    ///
+    /// # Errors
+    ///
+    /// [`PlatformError::ProcessorOutOfRange`] for a run on a processor
+    /// outside the declared count, [`PlatformError::TooManyRefills`] past
+    /// `u32::MAX` refills.
+    // Forced inline: as a call per record returning its `Result` through
+    // memory, the step cost the paper MPEG-2 trace's filter pass about
+    // 50 ms (of 400) on a 2-CPU host.
+    #[inline(always)]
+    fn step(&mut self, record: &TraceRecord) -> Result<(), PlatformError> {
+        if self.splitter.starts_run(record) {
             // A run never changes processor, so checking its first record
             // covers all of them.
+            let processors = self.filter.processors();
             if record.processor as usize >= processors {
                 return Err(PlatformError::ProcessorOutOfRange {
                     processor: record.processor as usize,
                     processors,
                 });
             }
-            let start = refills.len() as u32;
-            runs.push(FilteredRun {
+            let start = self.refills.len() as u32;
+            self.runs.push(FilteredRun {
                 processor: record.processor,
                 start_cycle: record.cycle,
                 refills: start..start,
@@ -275,25 +388,32 @@ fn filter_trace(trace: &EncodedTrace, key: FilterKey) -> Result<FilteredTrace, P
                 instr_fetches: 0,
             });
         }
-        let run = runs.last_mut().expect("the first record starts a run");
-        let access = record.access;
-        if let Some(refill) = filter.filter(record.processor as usize, &access, run.data_accesses) {
-            refills.push(refill);
+        let run = self.runs.last_mut().expect("the first record starts a run");
+        let access = &record.access;
+        if let Some(refill) =
+            self.filter
+                .filter(record.processor as usize, access, run.data_accesses)
+        {
+            self.refills.push(refill);
             run.refills.end =
-                u32::try_from(refills.len()).map_err(|_| PlatformError::TooManyRefills)?;
+                u32::try_from(self.refills.len()).map_err(|_| PlatformError::TooManyRefills)?;
         }
         if access.kind.is_instruction() {
             run.instr_fetches += 1;
         } else {
             run.data_accesses += 1;
         }
+        Ok(())
     }
-    Ok(FilteredTrace {
-        runs,
-        refills,
-        l1_aggregate: filter.aggregate_stats(),
-        processors,
-    })
+
+    fn finish(self) -> FilteredTrace {
+        FilteredTrace {
+            l1_aggregate: self.filter.aggregate_stats(),
+            processors: self.filter.processors(),
+            runs: self.runs,
+            refills: self.refills,
+        }
+    }
 }
 
 /// Summary of one replayed processor's work.
@@ -814,6 +934,56 @@ mod tests {
         assert_eq!(runs, [(0, 100, 2, 0..2), (1, 50, 2, 2..4)]);
     }
 
+    /// The fused pass decodes each record once: the entry it leaves in
+    /// the filter cache is the one `filtered_for` hands out for that L1
+    /// configuration, and it equals a separate filter pass over the
+    /// validated trace. Another L1 configuration filters on demand.
+    #[test]
+    fn fused_pass_prefills_the_separate_filter_pass() {
+        let (_, trace) = record_run();
+        let config = PlatformConfig::default();
+        let fused = PreparedTrace::from_bytes_filtered(trace.bytes().to_vec(), &config).unwrap();
+        assert_eq!(fused.trace(), &trace);
+        assert_eq!(fused.summary(), trace.summary());
+        let prefilled = {
+            let cache = fused.filtered.lock().unwrap();
+            assert_eq!(cache.len(), 1);
+            Arc::clone(&cache[0].1)
+        };
+        assert!(Arc::ptr_eq(
+            &prefilled,
+            &fused.filtered_for(&config).unwrap()
+        ));
+        let validated = EncodedTrace::from_bytes(trace.bytes().to_vec()).unwrap();
+        let separate = filter_trace(&validated, FilterKey::of(&config)).unwrap();
+        assert_eq!(*prefilled, separate);
+
+        let other = config.l1(CacheConfig::new(4, 2).unwrap());
+        let refiltered = fused.filtered_for(&other).unwrap();
+        assert_eq!(
+            *refiltered,
+            *PreparedTrace::from(validated).filtered_for(&other).unwrap()
+        );
+        assert_eq!(fused.filtered.lock().unwrap().len(), 2);
+    }
+
+    /// A trace cut anywhere fails the fused pass with exactly the error
+    /// `from_bytes` gives it.
+    #[test]
+    fn fused_pass_fails_as_from_bytes_does() {
+        let (_, trace) = record_run();
+        let bytes = trace.bytes();
+        for cut in 0..bytes.len() {
+            let plain = EncodedTrace::from_bytes(bytes[..cut].to_vec()).unwrap_err();
+            let fused = PreparedTrace::from_bytes_filtered(
+                bytes[..cut].to_vec(),
+                &PlatformConfig::default(),
+            )
+            .unwrap_err();
+            assert_eq!(format!("{fused:?}"), format!("{plain:?}"), "cut at {cut}");
+        }
+    }
+
     #[test]
     fn trace_with_out_of_range_processor_is_rejected() {
         // Hand-craft a trace declaring 1 processor but recording on id 3.
@@ -831,9 +1001,19 @@ mod tests {
         let access = Access::load(Addr::new(0x40), 4, TaskId::new(0), RegionId::new(0));
         writer.record(3, 0, &access);
         let (bytes, _) = writer.finish().unwrap();
-        let prepared = PreparedTrace::from(EncodedTrace::from_bytes(bytes).unwrap());
-        let err =
-            ReplaySystem::new(&PlatformConfig::default(), shared_l2(), &prepared).unwrap_err();
-        assert!(matches!(err, PlatformError::ProcessorOutOfRange { .. }));
+        let config = PlatformConfig::default();
+        let rejected = PlatformError::ProcessorOutOfRange {
+            processor: 3,
+            processors: 1,
+        };
+        let prepared = PreparedTrace::from(EncodedTrace::from_bytes(bytes.clone()).unwrap());
+        let err = ReplaySystem::new(&config, shared_l2(), &prepared).unwrap_err();
+        assert_eq!(err, rejected);
+        // The fused pass validates the trace, stops only its filtering and
+        // leaves the cache empty: the replay reports the same error.
+        let fused = PreparedTrace::from_bytes_filtered(bytes, &config).unwrap();
+        assert!(fused.filtered.lock().unwrap().is_empty());
+        let err = ReplaySystem::new(&config, shared_l2(), &fused).unwrap_err();
+        assert_eq!(err, rejected);
     }
 }

@@ -147,6 +147,13 @@ pub enum CodecError {
     },
     /// The embedded region table could not be rebuilt.
     Region(crate::error::TraceError),
+    /// The writer was asked for a trace the reader would refuse: a region
+    /// table past the reader's bounds, or an access naming a region
+    /// outside the table.
+    Unencodable {
+        /// What could not be encoded.
+        reason: &'static str,
+    },
     /// The stream does not start with the curve-sidecar magic (it is not a
     /// `.curves` file).
     BadSidecarMagic {
@@ -183,6 +190,7 @@ impl std::fmt::Display for CodecError {
                 )
             }
             CodecError::Region(e) => write!(f, "corrupt trace: invalid region table: {e}"),
+            CodecError::Unencodable { reason } => write!(f, "cannot encode trace: {reason}"),
             CodecError::BadSidecarMagic { found } => {
                 write!(f, "not a compmem curve sidecar (magic {found:02x?})")
             }
@@ -380,6 +388,13 @@ fn kind_from_tag(tag: u8, r: &mut ByteSource<'_>) -> Result<RegionKind, CodecErr
     })
 }
 
+/// Most regions a trace header may embed. A region costs at least 3
+/// bytes; a reader meeting a larger count calls it corrupt rather than
+/// allocate for it, and the writer refuses such a table.
+const MAX_REGIONS: u64 = 1_000_000;
+/// Longest region name, in bytes, a trace header may embed.
+const MAX_REGION_NAME_BYTES: usize = 4096;
+
 fn write_region_table<W: Write>(w: &mut W, table: &RegionTable) -> std::io::Result<()> {
     write_varint(w, table.len() as u64)?;
     for region in table.iter() {
@@ -397,9 +412,7 @@ fn write_region_table<W: Write>(w: &mut W, table: &RegionTable) -> std::io::Resu
 
 fn read_region_table(r: &mut ByteSource<'_>) -> Result<RegionTable, CodecError> {
     let count = r.read_varint()?;
-    // A region costs at least 3 bytes; anything claiming more regions than
-    // bytes conceivably left is corrupt rather than worth allocating for.
-    if count > 1_000_000 {
+    if count > MAX_REGIONS {
         return Err(CodecError::Corrupt {
             reason: "implausible region count",
         });
@@ -407,7 +420,7 @@ fn read_region_table(r: &mut ByteSource<'_>) -> Result<RegionTable, CodecError> 
     let mut table = RegionTable::new();
     for _ in 0..count {
         let name_len = r.read_varint()? as usize;
-        if name_len > 4096 {
+        if name_len > MAX_REGION_NAME_BYTES {
             return Err(CodecError::Corrupt {
                 reason: "implausible region name length",
             });
@@ -490,8 +503,16 @@ impl RunSplitter {
     /// run.
     #[inline]
     pub fn starts_run(&mut self, record: &TraceRecord) -> bool {
-        let starts = self.processor != Some(record.processor);
-        self.processor = Some(record.processor);
+        self.starts_run_on(record.processor)
+    }
+
+    /// [`starts_run`](RunSplitter::starts_run) for the next access,
+    /// issued by `processor`: the rule reads nothing else of a record, so
+    /// the writer applies it to what it encodes.
+    #[inline]
+    fn starts_run_on(&mut self, processor: u32) -> bool {
+        let starts = self.processor != Some(processor);
+        self.processor = Some(processor);
         starts
     }
 }
@@ -550,13 +571,25 @@ impl EncodeContext {
 /// Streaming encoder of the trace IR.
 ///
 /// `record` is infallible by signature so the writer can sit behind hot
-/// recording paths; the first I/O error poisons the writer and is surfaced
-/// by [`finish`](TraceWriter::finish).
+/// recording paths; the first error poisons the writer and is surfaced by
+/// [`finish`](TraceWriter::finish). The writer refuses what the reader
+/// would refuse — a region table past the reader's bounds at
+/// [`new`](TraceWriter::new), an access naming a region outside the table
+/// at [`finish`](TraceWriter::finish) — so every stream it finishes
+/// decodes without error.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
     inner: W,
     ctx: EncodeContext,
     summary: TraceSummary,
+    /// The embedded region table, which every region an access names must
+    /// be in.
+    table: RegionTable,
+    /// The [`RunSplitter`] rule applied to what is encoded, and the runs
+    /// it counted: the count an [`EncodedTrace`] summary holds
+    /// (`summary.runs` counts RUN records, clock re-anchors included).
+    splitter: RunSplitter,
+    split_runs: u64,
     error: Option<CodecError>,
 }
 
@@ -575,8 +608,24 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error if the header cannot be written.
+    /// Returns [`CodecError::Unencodable`] for a table the reader would
+    /// refuse (more than 1,000,000 regions, or a name longer than 4096
+    /// bytes), and the underlying I/O error if the header cannot be
+    /// written.
     pub fn new(mut inner: W, table: &RegionTable, processors: u32) -> Result<Self, CodecError> {
+        if table.len() as u64 > MAX_REGIONS {
+            return Err(CodecError::Unencodable {
+                reason: "a region table of more than 1000000 regions",
+            });
+        }
+        if table
+            .iter()
+            .any(|region| region.name.len() > MAX_REGION_NAME_BYTES)
+        {
+            return Err(CodecError::Unencodable {
+                reason: "a region name longer than 4096 bytes",
+            });
+        }
         inner.write_all(&TRACE_MAGIC)?;
         inner.write_all(&[TRACE_VERSION])?;
         write_region_table(&mut inner, table)?;
@@ -588,6 +637,9 @@ impl<W: Write> TraceWriter<W> {
                 processors,
                 ..TraceSummary::default()
             },
+            table: table.clone(),
+            splitter: RunSplitter::default(),
+            split_runs: 0,
             error: None,
         })
     }
@@ -616,6 +668,7 @@ impl<W: Write> TraceWriter<W> {
     }
 
     fn encode(&mut self, processor: u32, cycle: u64, access: &Access) -> Result<(), CodecError> {
+        self.split_runs += u64::from(self.splitter.starts_run_on(processor));
         // A processor change — or a clock that moved backwards, which plain
         // varint gaps cannot express — opens a new run.
         if self.ctx.current_processor != Some(processor) || cycle < self.ctx.prev_cycle {
@@ -639,6 +692,13 @@ impl<W: Write> TraceWriter<W> {
         }
         let region_raw = access.region.index() as u32;
         if !self.ctx.region_dict.contains_key(&region_raw) {
+            // The reader's check of every DEF_REGION record, made here so
+            // a finished stream never fails it.
+            if region_raw as usize >= self.table.len() {
+                return Err(CodecError::Unencodable {
+                    reason: "an access names a region outside the embedded region table",
+                });
+            }
             let idx = self.ctx.region_dict.len() as u64;
             self.ctx.region_dict.insert(region_raw, idx);
             self.inner.write_all(&[TAG_DEF_REGION])?;
@@ -679,19 +739,56 @@ impl<W: Write> TraceWriter<W> {
     }
 
     /// Terminates the stream with its END record and returns the writer
-    /// together with the summary counters.
+    /// together with the summary counters (`runs` counts the RUN records
+    /// written, clock re-anchors included, and `encoded_bytes` is zero).
     ///
     /// # Errors
     ///
-    /// Surfaces the first error hit while recording, or the final flush
-    /// error.
+    /// Surfaces the first error hit while recording (an I/O error, or
+    /// [`CodecError::Unencodable`] for an access naming a region outside
+    /// the table), or the final flush error.
     pub fn finish(mut self) -> Result<(W, TraceSummary), CodecError> {
+        self.end()?;
+        Ok((self.inner, self.summary))
+    }
+
+    /// Surfaces the first recording error, else writes END and flushes.
+    fn end(&mut self) -> Result<(), CodecError> {
         if let Some(e) = self.error.take() {
             return Err(e);
         }
         self.inner.write_all(&[TAG_END])?;
         self.inner.flush()?;
-        Ok((self.inner, self.summary))
+        Ok(())
+    }
+}
+
+impl TraceWriter<Vec<u8>> {
+    /// Terminates an in-memory stream and returns it as an
+    /// [`EncodedTrace`] without decoding what was just encoded.
+    ///
+    /// The writer refused everything the reader would refuse, so the
+    /// trace keeps the guarantee of [`EncodedTrace::from_bytes`], whose
+    /// result it equals in bytes, table and summary: the summary counts
+    /// runs by the [`RunSplitter`] rule and takes `encoded_bytes` from the
+    /// buffer.
+    ///
+    /// # Errors
+    ///
+    /// As for [`finish`](TraceWriter::finish).
+    pub fn finish_trace(mut self) -> Result<EncodedTrace, CodecError> {
+        self.end()?;
+        let summary = TraceSummary {
+            runs: self.split_runs,
+            encoded_bytes: self.inner.len() as u64,
+            ..self.summary
+        };
+        Ok(EncodedTrace {
+            bytes: self.inner,
+            table: self.table,
+            summary,
+            hash: OnceLock::new(),
+        })
     }
 }
 
@@ -898,15 +995,22 @@ impl Iterator for TraceReader<'_> {
 /// A complete encoded trace held in memory: the self-contained scenario the
 /// replay pipeline and the organisation sweeps consume.
 ///
-/// Construction always validates the whole stream (a corrupt byte string is
-/// rejected with a [`CodecError`], never a panic), so holders of an
-/// `EncodedTrace` can decode it without error handling surprises.
+/// Every `EncodedTrace` decodes without error, so holders can stream it
+/// without error handling surprises. Bytes from outside are validated
+/// record by record by [`from_bytes`](EncodedTrace::from_bytes) (a
+/// corrupt byte string is rejected with a [`CodecError`], never a panic);
+/// a caller with work to do on every record hands it to that same pass
+/// with [`from_bytes_visiting`](EncodedTrace::from_bytes_visiting) instead
+/// of decoding the trace a second time. Bytes a [`TraceWriter`] just
+/// encoded need no second look: [`TraceWriter::finish_trace`] builds the
+/// trace from the writer's own counts.
 ///
-/// It keeps the bytes and the summary of that validating pass, never the
-/// decoded accesses: a consumer streams them from the bytes with
-/// [`reader`](EncodedTrace::reader) — the L1 filter of `compmem-platform`
-/// does so once per L1 configuration — so a trace costs its encoded size
-/// in memory, not its decoded size.
+/// It keeps the bytes and the summary, never the decoded accesses: a
+/// consumer streams them from the bytes with
+/// [`reader`](EncodedTrace::reader), or visits them while they are
+/// validated — the L1 filter of `compmem-platform` does one or the other
+/// once per L1 configuration — so a trace costs its encoded size in
+/// memory, not its decoded size.
 #[derive(Debug, Clone)]
 pub struct EncodedTrace {
     bytes: Vec<u8>,
@@ -928,21 +1032,71 @@ impl PartialEq for EncodedTrace {
 impl Eq for EncodedTrace {}
 
 impl EncodedTrace {
-    /// Validates `bytes` as a complete trace stream.
+    /// Validates `bytes` as a complete trace stream: one decoding pass
+    /// over every record, which keeps nothing decoded (it is
+    /// [`from_bytes_visiting`](EncodedTrace::from_bytes_visiting) with a
+    /// visitor that does nothing).
     ///
     /// # Errors
     ///
     /// Returns a [`CodecError`] if the stream is truncated, corrupt, of an
     /// unsupported version or has trailing garbage after its END record.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, CodecError> {
+        Self::from_bytes_visiting(bytes, |_| |_: &TraceRecord| {})
+    }
+
+    /// Validates `bytes` exactly as [`from_bytes`](EncodedTrace::from_bytes)
+    /// does — it is the one validating pass — and hands every record, in
+    /// recorded order, to a visitor as it is decoded.
+    ///
+    /// `start` sees the processor count of the validated header and
+    /// returns the visitor. The visitor cannot stop the pass: a corrupt
+    /// stream fails with the same error at the same record whatever it
+    /// does, and it has seen every record before the failing one.
+    ///
+    /// ```
+    /// use compmem_trace::codec::{EncodedTrace, TraceRecord, TraceWriter};
+    /// use compmem_trace::{Access, Addr, RegionId, RegionKind, RegionTable, TaskId};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut table = RegionTable::new();
+    /// let task = TaskId::new(0);
+    /// table.insert("t0.data", RegionKind::TaskData { task }, 4096)?;
+    /// let mut writer = TraceWriter::new(Vec::new(), &table, 2)?;
+    /// for i in 0..8u64 {
+    ///     let access = Access::load(Addr::new(i * 64), 4, task, RegionId::new(0));
+    ///     writer.record((i % 2) as u32, i, &access);
+    /// }
+    /// let (bytes, _) = writer.finish()?;
+    ///
+    /// let mut per_processor = Vec::new();
+    /// let trace = EncodedTrace::from_bytes_visiting(bytes, |processors| {
+    ///     per_processor = vec![0u64; processors as usize];
+    ///     |record: &TraceRecord| per_processor[record.processor as usize] += 1
+    /// })?;
+    /// assert_eq!(per_processor, [4, 4]);
+    /// assert_eq!(trace.accesses(), 8);
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// As for [`from_bytes`](EncodedTrace::from_bytes).
+    pub fn from_bytes_visiting<V: FnMut(&TraceRecord)>(
+        bytes: Vec<u8>,
+        start: impl FnOnce(u32) -> V,
+    ) -> Result<Self, CodecError> {
         let mut reader = TraceReader::new(&bytes)?;
+        let mut visit = start(reader.processors);
         // One pass validates every record and counts what the summary
-        // needs; nothing decoded is kept.
+        // needs; only the visitor sees what was decoded.
         let mut splitter = RunSplitter::default();
         let (mut accesses, mut runs) = (0u64, 0u64);
         while let Some(record) = reader.next_record()? {
             accesses += 1;
             runs += u64::from(splitter.starts_run(&record));
+            visit(&record);
         }
         if reader.inner.has_more() {
             return Err(CodecError::Corrupt {
@@ -970,15 +1124,14 @@ impl EncodedTrace {
     ///
     /// # Errors
     ///
-    /// Propagates encoder errors (which cannot occur for in-memory sinks
-    /// with well-formed input).
+    /// Propagates encoder errors: [`CodecError::Unencodable`] for a table
+    /// past the reader's bounds or an access naming a region outside it.
     pub fn from_accesses(table: &RegionTable, accesses: &[Access]) -> Result<Self, CodecError> {
         let mut writer = TraceWriter::new(Vec::new(), table, 1)?;
         for (i, access) in accesses.iter().enumerate() {
             writer.record(0, i as u64, access);
         }
-        let (bytes, _) = writer.finish()?;
-        Self::from_bytes(bytes)
+        writer.finish_trace()
     }
 
     /// The raw encoded bytes.
@@ -1294,6 +1447,84 @@ mod tests {
         assert!(matches!(
             EncodedTrace::from_bytes(bad),
             Err(CodecError::Corrupt { .. })
+        ));
+    }
+
+    /// The in-memory finisher builds the trace `from_bytes` builds from
+    /// the same bytes: same table, and a summary that counts runs by the
+    /// splitter rule, not the writer's RUN records.
+    #[test]
+    fn finished_traces_equal_their_validated_bytes() {
+        let t = table();
+        let a = sample_accesses(&t);
+        let mut writer = TraceWriter::new(Vec::new(), &t, 2).unwrap();
+        writer.record(0, 100, &a[0]);
+        writer.record(1, 50, &a[1]); // processor change
+        writer.record(1, 40, &a[2]); // clock regression: a RUN record, not a run
+        for (i, access) in a.iter().enumerate().skip(3) {
+            writer.record((i / 7 % 2) as u32, 1000 + i as u64, access);
+        }
+        let trace = writer.finish_trace().unwrap();
+        let validated = EncodedTrace::from_bytes(trace.bytes().to_vec()).unwrap();
+        assert_eq!(trace.bytes(), validated.bytes());
+        assert_eq!(trace.table(), validated.table());
+        assert_eq!(trace.summary(), validated.summary());
+        assert_eq!(trace.table(), &t);
+        assert!(trace.summary().runs > 2);
+
+        let empty = TraceWriter::new(Vec::new(), &t, 1)
+            .unwrap()
+            .finish_trace()
+            .unwrap();
+        let validated = EncodedTrace::from_bytes(empty.bytes().to_vec()).unwrap();
+        assert_eq!(empty.summary(), validated.summary());
+    }
+
+    /// The writer refuses what the reader would refuse: an access naming
+    /// a region outside the table (surfaced by both finishers), and a
+    /// region name past the reader's bound.
+    #[test]
+    fn writer_refuses_what_the_reader_would() {
+        let t = table();
+        let inside = sample_accesses(&t)[0];
+        let outside = Access::load(Addr::new(0), 4, TaskId::new(0), RegionId::new(2));
+        let write = || {
+            let mut writer = TraceWriter::new(Vec::new(), &t, 1).unwrap();
+            writer.record(0, 0, &inside);
+            writer.record(0, 1, &outside);
+            writer.record(0, 2, &inside);
+            writer
+        };
+        let message = "cannot encode trace: an access names a region outside the embedded \
+                       region table";
+        let err = write().finish().unwrap_err();
+        assert!(matches!(err, CodecError::Unencodable { .. }));
+        assert_eq!(err.to_string(), message);
+        assert_eq!(write().finish_trace().unwrap_err().to_string(), message);
+        assert_eq!(
+            EncodedTrace::from_accesses(&t, &[inside, outside])
+                .unwrap_err()
+                .to_string(),
+            message
+        );
+
+        let mut named = RegionTable::new();
+        named
+            .insert("n".repeat(4096), RegionKind::AppData, 64)
+            .unwrap();
+        let longest = EncodedTrace::from_accesses(&named, &[]).unwrap();
+        assert_eq!(
+            EncodedTrace::from_bytes(longest.bytes().to_vec()).unwrap(),
+            longest
+        );
+        named
+            .insert("n".repeat(4097), RegionKind::AppBss, 64)
+            .unwrap();
+        assert!(matches!(
+            TraceWriter::new(Vec::new(), &named, 1),
+            Err(CodecError::Unencodable {
+                reason: "a region name longer than 4096 bytes"
+            })
         ));
     }
 

@@ -585,6 +585,8 @@ pub fn provenance(table: &RegionTable) -> Vec<GenProvenance> {
 /// processor `i` at a uniform issue rate, so cycles are globally
 /// nondecreasing and a 4:1 access-budget ratio really is 4:1 at every
 /// point of the trace. Identical specs produce byte-identical traces.
+/// The trace is built from the encoder's own counts
+/// ([`TraceWriter::finish_trace`]), without decoding it again.
 ///
 /// # Errors
 ///
@@ -675,8 +677,7 @@ pub fn generate(spec: &GenSpec) -> Result<EncodedTrace, GenError> {
         writer.record(next as u32, cycle, &access);
         cycle += spec.cycles_per_access;
     }
-    let (bytes, _) = writer.finish()?;
-    Ok(EncodedTrace::from_bytes(bytes)?)
+    Ok(writer.finish_trace()?)
 }
 
 /// Makes room for `additional` more bytes of a generated trace with

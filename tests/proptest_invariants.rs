@@ -669,6 +669,58 @@ proptest! {
     }
 }
 
+proptest! {
+    // Each case decodes the trace three times; keep the case count modest.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Decoding once changes no verdict: a recorded trace cut short and
+    /// with bytes flipped fails the fused decode-and-filter constructor
+    /// with exactly the error `EncodedTrace::from_bytes` gives it, and
+    /// where both accept the bytes, the fused trace filters to what a
+    /// separate filter pass computes — or to the same filter error.
+    #[test]
+    fn fused_filtering_keeps_every_codec_verdict(
+        keep in 0u64..2000,
+        flips in prop::collection::vec((0u64..u64::MAX, 1u8..=255), 0..3),
+    ) {
+        use compmem_trace::codec::EncodedTrace;
+
+        let f = controller_fixture();
+        let mut bytes = f.trace.trace().bytes().to_vec();
+        // Half the cases keep every byte, the others cut at a random point.
+        if keep < 1000 {
+            bytes.truncate(bytes.len() * keep as usize / 1000);
+        }
+        for &(at, mask) in &flips {
+            if !bytes.is_empty() {
+                let i = (at % bytes.len() as u64) as usize;
+                bytes[i] ^= mask;
+            }
+        }
+        let plain = EncodedTrace::from_bytes(bytes.clone());
+        let fused = PreparedTrace::from_bytes_filtered(bytes, &f.platform);
+        match (plain, fused) {
+            (Err(plain), Err(fused)) => {
+                prop_assert_eq!(format!("{fused:?}"), format!("{plain:?}"));
+            }
+            (Ok(plain), Ok(fused)) => {
+                prop_assert!(fused.trace() == &plain);
+                prop_assert_eq!(fused.summary(), plain.summary());
+                let separate = PreparedTrace::from(plain).filtered_for(&f.platform);
+                match (fused.filtered_for(&f.platform), separate) {
+                    (Ok(fused), Ok(separate)) => prop_assert!(fused == separate),
+                    (fused, separate) => prop_assert_eq!(fused.err(), separate.err()),
+                }
+            }
+            (plain, fused) => panic!(
+                "from_bytes accepted: {}, the fused pass accepted: {}",
+                plain.is_ok(),
+                fused.is_ok()
+            ),
+        }
+    }
+}
+
 /// A set-partitioned map of `keys` in 2-set units, so every group splits
 /// into two set shards: `x` rotates the packing order (moving partitions)
 /// and widens some keys to 4 sets within the cache.

@@ -11,8 +11,10 @@ use std::sync::Arc;
 
 use compmem::experiment::{run_replay, Experiment, ExperimentConfig, ScenarioSpec};
 use compmem_cache::{CacheConfig, OrganizationSpec, PartitionKey, PartitionMap, ReplacementPolicy};
-use compmem_trace::RegionKind;
-use compmem_workloads::apps::{mpeg2_app, Application, Mpeg2Params};
+use compmem_trace::{EncodedTrace, RegionKind};
+use compmem_workloads::apps::{
+    jpeg_canny_app, mpeg2_app, Application, JpegCannyParams, Mpeg2Params,
+};
 
 fn tiny_config() -> ExperimentConfig {
     ExperimentConfig {
@@ -167,4 +169,31 @@ fn random_policy_determinism_is_seed_scoped() {
     let b = run_with_seed(2);
     assert_eq!(a1.l2_snapshot, a2.l2_snapshot);
     assert_eq!(a1.report.l2.accesses, b.report.l2.accesses);
+}
+
+/// Recording builds its trace from the writer's own counts, without
+/// decoding what it just encoded: for both applications the result
+/// equals what validating its bytes builds — bytes, embedded region
+/// table and summary alike.
+#[test]
+fn recorded_traces_equal_what_validating_their_bytes_builds() {
+    let jpeg_canny = Experiment::new(tiny_config(), || {
+        jpeg_canny_app(&JpegCannyParams::tiny()).expect("valid params")
+    });
+    let mpeg2 = mpeg2_experiment();
+    let traces = [
+        jpeg_canny
+            .record_trace(&jpeg_canny.shared_spec())
+            .unwrap()
+            .1,
+        mpeg2.record_trace(&mpeg2.shared_spec()).unwrap().1,
+    ];
+    for trace in traces {
+        let recorded = trace.trace();
+        let validated = EncodedTrace::from_bytes(recorded.bytes().to_vec()).unwrap();
+        assert_eq!(recorded.bytes(), validated.bytes());
+        assert_eq!(recorded.table(), validated.table());
+        assert_eq!(recorded.summary(), validated.summary());
+        assert!(recorded.summary().runs > 1);
+    }
 }
