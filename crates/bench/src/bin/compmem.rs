@@ -30,11 +30,15 @@
 //!                      [--windows N | --window-cycles N] [--phases DELTA]
 //!                      [--save-curves auto|off|PATH] [--lanes N]
 //! compmem sweep-shapes --trace FILE [--l2-kb N] [--ways N] [--sets-per-unit N]
-//!                      [--check-replay on|off] [--save-curves auto|off|PATH]
+//!                      [--check-replay on|off] [--jobs N] [--lanes N]
+//!                      [--save-curves auto|off|PATH]
 //! compmem info         --trace FILE [--schedule PATH] [--l2-kb N] [--ways N]
 //! compmem serve        [--store DIR] [--port N] [--jobs N] [--background on|off]
 //! compmem client VERB  [--port N] [--trace FILE | --hash HEX] [flags...]
 //! ```
+//!
+//! `--jobs` and `--lanes` take 1 to 64 workers, and `--l2-kb` is at most
+//! 65536 (64 MB); other values are refused by name before any work starts.
 //!
 //! The one-shot subcommands are documented in `compmem_bench::cli`, whose
 //! command functions this binary runs against stdout. `serve` starts the
@@ -92,7 +96,8 @@ fn usage() {
          [--port N] [--trace FILE | --hash HEX] [forwarded flags...]\n\
          (--jobs N bounds the worker pool of a sweep — default: the host's available \
          parallelism; --lanes N splits a replay or profiling pass into set shards \
-         on up to N workers, required on replay and opportunistic on sweep; \
+         on up to N workers, required on replay and opportunistic on sweep; both \
+         take 1 to 64; --l2-kb is at most 65536 (64 MB); \
          serve answers sidecar-covered requests analytically and queues the rest \
          on --jobs workers shared by all clients)"
     );
@@ -138,13 +143,7 @@ fn serve(args: &[String]) -> Result<(), String> {
     let port: u16 = port
         .parse()
         .map_err(|_| "--port needs a port number".to_string())?;
-    let jobs = match get(&flags, "jobs") {
-        None => compmem::executor::default_jobs(),
-        Some(value) => match value.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => return Err("--jobs needs a number of at least 1".to_string()),
-        },
-    };
+    let jobs = cli::workers_flag(&flags, "jobs", cli::default_jobs())?;
     let background = match get(&flags, "background").unwrap_or("off") {
         "on" => true,
         "off" => false,

@@ -8,7 +8,8 @@
 //!
 //! Sections: `table1`, `table2`, `figure2`, `figure3`, `headline`,
 //! `ablation-ways`, `ablation-optimizer`, `ablation-fifo`, or `all`
-//! (default). The `paper` scale reproduces the paper's tables and figures
+//! (default); an unknown scale or section exits 2 naming it. The `paper`
+//! scale reproduces the paper's tables and figures
 //! (docs/ARCHITECTURE.md, "Paper figures/tables → code", maps each to its
 //! code); the `small` scale finishes in a few seconds.
 
@@ -22,34 +23,77 @@ use compmem_bench::{
 };
 use compmem_cache::PartitionKey;
 
-fn main() {
+/// Every section `repro` prints, in the order it prints them.
+const SECTIONS: [&str; 8] = [
+    "table1",
+    "table2",
+    "figure2",
+    "figure3",
+    "headline",
+    "ablation-ways",
+    "ablation-optimizer",
+    "ablation-fifo",
+];
+
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+enum Request {
+    /// Print the usage line.
+    Help,
+    /// Run the flows the sections need at `scale`, then print them.
+    Run {
+        scale: Scale,
+        sections: BTreeSet<String>,
+    },
+}
+
+/// Parses the arguments (without the program name). An unknown scale or
+/// section is an error naming it, so nothing runs for a misspelling.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Request, String> {
     let mut scale = Scale::Paper;
     let mut sections: BTreeSet<String> = BTreeSet::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
                 let value = args.next().unwrap_or_default();
-                scale = Scale::parse(&value).unwrap_or_else(|| {
-                    eprintln!("unknown scale `{value}` (expected `paper` or `small`)");
-                    std::process::exit(2);
-                });
+                scale = Scale::parse(&value).ok_or_else(|| {
+                    format!("unknown scale `{value}` (expected `paper` or `small`)")
+                })?;
             }
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro [--scale paper|small] [table1 table2 figure2 figure3 headline \
-                     ablation-ways ablation-optimizer ablation-fifo | all]"
-                );
-                return;
+            "--help" | "-h" => return Ok(Request::Help),
+            other if other == "all" || SECTIONS.contains(&other) => {
+                sections.insert(other.to_string());
             }
             other => {
-                sections.insert(other.to_string());
+                return Err(format!(
+                    "unknown section `{other}` (expected {} or all)",
+                    SECTIONS.join(", ")
+                ))
             }
         }
     }
     if sections.is_empty() {
         sections.insert("all".to_string());
     }
+    Ok(Request::Run { scale, sections })
+}
+
+fn main() {
+    let (scale, sections) = match parse_args(std::env::args().skip(1)) {
+        Ok(Request::Run { scale, sections }) => (scale, sections),
+        Ok(Request::Help) => {
+            println!(
+                "usage: repro [--scale paper|small] [{} | all]",
+                SECTIONS.join(" ")
+            );
+            return;
+        }
+        Err(message) => {
+            eprintln!("{message}");
+            std::process::exit(2);
+        }
+    };
     let all = sections.contains("all");
     let wants = |name: &str| all || sections.contains(name);
 
@@ -210,4 +254,40 @@ fn main() {
         println!();
     }
     eprintln!("done");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(command: &str) -> Result<Request, String> {
+        parse_args(command.split_whitespace().map(String::from))
+    }
+
+    /// A misspelled section or scale is refused by name before any flow
+    /// runs; every valid section, and none at all, is accepted.
+    #[test]
+    fn unknown_sections_and_scales_are_refused_by_name() {
+        let err = parse("--scale small headlines").unwrap_err();
+        assert!(
+            err.starts_with("unknown section `headlines` (expected table1, "),
+            "{err}"
+        );
+        assert!(err.ends_with("ablation-fifo or all)"), "{err}");
+        assert_eq!(
+            parse("--scale huge").unwrap_err(),
+            "unknown scale `huge` (expected `paper` or `small`)"
+        );
+        let Ok(Request::Run { scale, sections }) = parse("--scale small") else {
+            panic!("no sections means all");
+        };
+        assert_eq!(scale, Scale::Small);
+        assert_eq!(sections, BTreeSet::from(["all".to_string()]));
+        let every = format!("all {}", SECTIONS.join(" "));
+        let Ok(Request::Run { sections, .. }) = parse(&every) else {
+            panic!("every section is accepted");
+        };
+        assert_eq!(sections.len(), SECTIONS.len() + 1);
+        assert_eq!(parse("headline --help"), Ok(Request::Help));
+    }
 }

@@ -299,28 +299,51 @@ pub fn get<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
-/// Worker-pool size of a sweep: `--jobs N`, defaulting to the host's
-/// available parallelism.
-fn jobs_flag(flags: &[(String, String)]) -> Result<usize, String> {
-    match get(flags, "jobs") {
-        None => Ok(compmem::executor::default_jobs()),
+/// The largest count a worker flag (`--jobs`, `--lanes`) accepts. Each
+/// worker is one OS thread, and a lane also holds its own L2, so the
+/// bound keeps a request from starting thousands of threads: a `sweep`
+/// runs `--lanes` shards inside each of its `--jobs` workers, at most
+/// 64 × 64 threads.
+pub const MAX_WORKERS: usize = 64;
+
+/// The worker count when `--jobs` is unset: the host's available
+/// parallelism, at most [`MAX_WORKERS`].
+pub fn default_jobs() -> usize {
+    compmem::executor::default_jobs().min(MAX_WORKERS)
+}
+
+/// A worker-count flag: `--name N` with `N` from 1 to [`MAX_WORKERS`], or
+/// `default` when the flag is unset. Every `--jobs` and `--lanes` is read
+/// here, before any worker starts.
+///
+/// # Errors
+///
+/// Names the flag and its value when the value is not a count in range.
+pub fn workers_flag(
+    flags: &[(String, String)],
+    name: &str,
+    default: usize,
+) -> Result<usize, String> {
+    match get(flags, name) {
+        None => Ok(default),
         Some(value) => match value.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err("--jobs needs a number of at least 1".to_string()),
+            Ok(n) if (1..=MAX_WORKERS).contains(&n) => Ok(n),
+            _ => Err(format!(
+                "--{name} needs a number from 1 to {MAX_WORKERS}, not `{value}`"
+            )),
         },
     }
+}
+
+/// Worker-pool size of a sweep: `--jobs N`, defaulting to [`default_jobs`].
+fn jobs_flag(flags: &[(String, String)]) -> Result<usize, String> {
+    workers_flag(flags, "jobs", default_jobs())
 }
 
 /// Lane count of a replay/profiling invocation: `--lanes N`, defaulting
 /// to 1 (serial).
 fn lanes_flag(flags: &[(String, String)]) -> Result<usize, String> {
-    match get(flags, "lanes") {
-        None => Ok(1),
-        Some(value) => match value.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err("--lanes needs a number of at least 1".to_string()),
-        },
-    }
+    workers_flag(flags, "lanes", 1)
 }
 
 fn record(flags: &[(String, String)], out: &mut dyn Write) -> Result<(), String> {
@@ -757,10 +780,20 @@ fn ways_flag(flags: &[(String, String)]) -> Result<u32, String> {
         .map_err(|_| "--ways needs a number".to_string())
 }
 
-/// The L2 of `kb` KB and `ways` ways; an overflowing size is an error
-/// naming `--l2-kb`.
+/// The largest L2 a flag builds, in KB: 64 MB, 64 times the paper's
+/// 1 MB comparison point. A replay holds the whole L2, and a profile
+/// about a quarter of its bytes per partition key the trace touches, so
+/// a larger size only asks for memory that no trace here needs.
+const MAX_L2_KB: u64 = 64 * 1024;
+
+/// The L2 of `kb` KB and `ways` ways: every `--l2-kb` is built here. An
+/// overflowing size, or one over [`MAX_L2_KB`], is an error naming
+/// `--l2-kb`.
 fn l2_of_size(kb: u64, ways: u32) -> Result<CacheConfig, String> {
     let bytes = kb_to_bytes(kb, || format!("--l2-kb {kb}"))?;
+    if kb > MAX_L2_KB {
+        return Err(format!("--l2-kb {kb} is over the {MAX_L2_KB} KB bound"));
+    }
     CacheConfig::with_size_bytes(bytes, ways).map_err(|e| e.to_string())
 }
 
@@ -2003,6 +2036,75 @@ mod tests {
         assert_eq!(dispatch_error("bogus"), "unknown subcommand `bogus`");
     }
 
+    /// Refused by name after the trace is read and before any L2,
+    /// profiler or worker thread exists: an `--l2-kb` over [`MAX_L2_KB`]
+    /// on every verb that reads one, and a `--jobs` or `--lanes` outside
+    /// 1..=[`MAX_WORKERS`] on every verb that takes it.
+    #[test]
+    fn oversized_l2s_and_worker_counts_are_refused_by_name() {
+        let dir = std::env::temp_dir().join(format!("compmem-cli-bounds-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (trace, schedule) = (dir.join("zipf.cmt"), dir.join("shared.sched"));
+        let (trace, schedule) = (trace.to_str().unwrap(), schedule.to_str().unwrap());
+        std::fs::write(schedule, "0 shared\n").unwrap();
+        let run = |command: &str| {
+            let words: Vec<String> = command.split_whitespace().map(String::from).collect();
+            dispatch(&words[0], &words[1..], &mut Vec::new())
+        };
+        run(&format!("gen --kind zipf --accesses 2000 --out {trace}")).unwrap();
+
+        let bound = "--l2-kb 268435456 is over the 65536 KB bound";
+        for verb in [
+            "replay --org shared",
+            "replay --org set-partitioned --lanes 2",
+            "replay --qos 1.0",
+            "replay --controller greedy --window-cycles 1000",
+            "replay --schedule phases",
+            &format!("replay --schedule {schedule}"),
+            "profile",
+            "profile --save-curves off --lanes 2",
+            "sweep-shapes --check-replay on",
+            "sweep --jobs 2",
+            "info",
+        ] {
+            let err = run(&format!("{verb} --trace {trace} --l2-kb 268435456")).unwrap_err();
+            assert_eq!(err, bound, "{verb}");
+        }
+        let err = run(&format!("sweep --trace {trace} --l2-kb 64,65537")).unwrap_err();
+        assert_eq!(err, "--l2-kb 65537 is over the 65536 KB bound");
+        assert!(l2_of_size(MAX_L2_KB, 4).is_ok());
+
+        for verb in [
+            "replay --org shared --lanes",
+            &format!("replay --schedule {schedule} --lanes"),
+            "profile --save-curves off --lanes",
+            "sweep-shapes --check-replay on --lanes",
+            "sweep-shapes --check-replay on --jobs",
+            "sweep --lanes",
+            "sweep --jobs",
+        ] {
+            let flag = verb.rsplit(' ').next().unwrap();
+            let err = run(&format!("{verb} 65 --trace {trace}")).unwrap_err();
+            assert_eq!(err, format!("{flag} needs a number from 1 to 64, not `65`"));
+        }
+        for value in ["0", "65", "100000", "-1", "two"] {
+            let flags = parse_flags(&["--lanes".to_string(), value.to_string()]).unwrap();
+            let err = workers_flag(&flags, "lanes", 1).unwrap_err();
+            assert_eq!(
+                err,
+                format!("--lanes needs a number from 1 to 64, not `{value}`")
+            );
+        }
+        for value in [1, MAX_WORKERS] {
+            let flags = parse_flags(&["--jobs".to_string(), value.to_string()]).unwrap();
+            assert_eq!(workers_flag(&flags, "jobs", 3), Ok(value));
+        }
+        assert_eq!(workers_flag(&[], "jobs", 3), Ok(3));
+        assert!((1..=MAX_WORKERS).contains(&default_jobs()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A flag that only another mode of the verb reads is refused by the
     /// selected mode, by name; that is also what keeps `--qos`,
     /// `--controller` and `--schedule` apart and `--lanes` off the modes
@@ -2177,7 +2279,7 @@ mod tests {
 
     /// Every one-shot invocation of docs/CLI.md and of the repository
     /// benchmark (`benchmark/run.py` and the serve benchmark's requests)
-    /// passes the flag check.
+    /// passes the flag check and the L2 and worker bounds.
     #[test]
     fn every_documented_and_benchmark_invocation_is_accepted() {
         let documented = include_str!("../../../docs/CLI.md")
@@ -2211,6 +2313,13 @@ mod tests {
             if let Err(e) = verb_handler(&words[0], &flags) {
                 panic!("{command}: {e}");
             }
+            // Their sizes and worker counts are within the bounds.
+            let ways = ways_flag(&flags).unwrap();
+            for kb in get(&flags, "l2-kb").into_iter().flat_map(|v| v.split(',')) {
+                l2_of_size(kb.parse().unwrap(), ways).unwrap();
+            }
+            jobs_flag(&flags).unwrap();
+            lanes_flag(&flags).unwrap();
             checked += 1;
         }
         assert!(checked >= 30, "only {checked} invocations");

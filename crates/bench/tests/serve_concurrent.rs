@@ -409,3 +409,45 @@ fn daemon_hits_are_exactly_the_requests_that_reuse_their_sidecar() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A request the CLI refuses — here an L2 over the `--l2-kb` bound, which
+/// would otherwise ask the worker for gigabytes — comes back as a typed
+/// evaluation error, and the daemon answers the next request.
+#[test]
+fn a_refused_request_leaves_the_daemon_serving() {
+    let dir = std::env::temp_dir().join(format!("compmem-serve-refused-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace_bytes = std::fs::read(record_tiny_trace(&dir)).unwrap();
+    let store = Arc::new(CurveStore::open(dir.join("store")).unwrap());
+    let (hash, _) = store.put_bytes(trace_bytes).unwrap();
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&store), DaemonHandler::new(1)).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let server_thread = std::thread::spawn(move || server.run());
+    let mut client = ServeClient::connect(&addr).unwrap();
+
+    let request = ServeRequest::Command {
+        trace: hash,
+        verb: "profile".to_string(),
+        args: vec!["--l2-kb".to_string(), "268435456".to_string()],
+    };
+    assert_eq!(
+        client.request(&request).unwrap(),
+        ServeResponse::Error {
+            kind: ServeErrorKind::Evaluation,
+            message: "--l2-kb 268435456 is over the 65536 KB bound".to_string(),
+        }
+    );
+    let info = daemon_command(&mut client, hash, "info", &[]);
+    assert!(String::from_utf8_lossy(&info).contains(&format!("content hash {hash:016x}")));
+
+    assert_eq!(
+        client.request(&ServeRequest::Shutdown).unwrap(),
+        ServeResponse::ShuttingDown
+    );
+    server_thread
+        .join()
+        .expect("server thread panicked")
+        .expect("server run loop failed");
+    let _ = std::fs::remove_dir_all(&dir);
+}

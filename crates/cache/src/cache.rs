@@ -3,8 +3,6 @@
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 use compmem_trace::{Access, LineAddr, RegionId, TaskId};
 
 use crate::config::CacheConfig;
@@ -14,7 +12,7 @@ use crate::set::SetArray;
 use crate::stats::{CacheStats, StatsByKey};
 
 /// A line evicted by a fill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictedLine {
     /// The line address that was evicted (tags store the full line address).
     pub line: LineAddr,
@@ -23,7 +21,7 @@ pub struct EvictedLine {
 }
 
 /// Outcome of one access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessOutcome {
     /// Whether the access hit.
     pub hit: bool,
@@ -80,7 +78,7 @@ type LineSet = HashSet<LineAddr, BuildHasherDefault<LineAddrHasher>>;
 /// translated through the OS-loaded partition table). The ways of every
 /// set live in flat arrays: an access allocates nothing beyond the
 /// amortised growth of the cold-miss tracker.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
     policy: ReplacementPolicy,

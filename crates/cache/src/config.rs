@@ -1,7 +1,5 @@
 //! Cache configuration builder.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CacheError;
 use crate::geometry::CacheGeometry;
 use crate::replacement::ReplacementPolicy;
@@ -18,7 +16,7 @@ use crate::replacement::ReplacementPolicy;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     geometry: CacheGeometry,
     policy: ReplacementPolicy,

@@ -100,8 +100,6 @@
 use std::collections::{BTreeMap, HashSet};
 use std::hash::BuildHasherDefault;
 
-use serde::{Deserialize, Serialize};
-
 use compmem_trace::curves::{
     CurveEntry, CurveHeader, EncodedCurves, SidecarKey, SidecarWindow, SidecarWindowKind,
     WindowRecord,
@@ -123,7 +121,7 @@ const EMPTY: u64 = u64::MAX;
 /// The range of cache shapes a profiling pass resolves: every power-of-two
 /// set count between `min_sets` and `max_sets`, at every associativity up
 /// to `ways_cap`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CurveResolution {
     /// Smallest set count resolved (a power of two).
     pub min_sets: u32,
@@ -222,7 +220,7 @@ impl CurveResolution {
 /// count of an `S`-set, `W`-way LRU cache over the profiled stream is the
 /// cold count plus the suffix sum from bucket `W` — see
 /// [`misses`](MissRateCurve::misses).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MissRateCurve {
     /// Accesses of the key during the pass.
     pub accesses: u64,
@@ -352,7 +350,7 @@ impl MissRateCurve {
 
 /// The miss-rate curves of every partition key observed during a pass,
 /// plus the aggregate curve of the whole stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MissRateCurves {
     /// Per-key curves.
     pub curves: BTreeMap<PartitionKey, MissRateCurve>,
@@ -763,7 +761,7 @@ impl StackDistanceProfiler {
 // ----- windowed profiling -----
 
 /// How a profiling pass slices the access stream into windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowKind {
     /// One window covering the whole run (no slicing).
     WholeRun,
@@ -791,7 +789,7 @@ pub enum WindowKind {
 /// assert_eq!(WindowConfig::whole_run().kind, WindowKind::WholeRun);
 /// # Ok::<(), compmem_cache::CacheError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowConfig {
     /// How windows are delimited.
     pub kind: WindowKind,

@@ -1,7 +1,5 @@
 //! Cache geometry: the line / set / way organisation.
 
-use serde::{Deserialize, Serialize};
-
 use compmem_trace::{LineAddr, LINE_SIZE_BYTES};
 
 use crate::error::CacheError;
@@ -21,7 +19,7 @@ use crate::error::CacheError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     sets: u32,
     ways: u32,

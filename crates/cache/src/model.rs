@@ -21,8 +21,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use compmem_trace::{Access, RegionId, RegionTable, TaskId};
 
 use crate::cache::{AccessOutcome, SetAssocCache};
@@ -41,7 +39,7 @@ use crate::stats::{CacheStats, KeyStats, StatsByKey};
 /// golden-parity tests assert byte-identical snapshots between the
 /// `Box<dyn CacheModel>` path and direct construction of each concrete
 /// organisation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheSnapshot {
     /// Name of the organisation that produced the snapshot.
     pub organization: String,

@@ -12,8 +12,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use compmem_trace::{Access, BufferId, RegionId, RegionKind, RegionTable, TaskId};
 
 use crate::cache::{AccessOutcome, SetAssocCache};
@@ -26,7 +24,7 @@ use crate::spec::OrganizationSpec;
 use crate::stats::{CacheStats, KeyStats, StatsByKey};
 
 /// The entity a cache partition is allocated to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PartitionKey {
     /// All private regions (code, data, bss, heap, stack) of one task.
     Task(TaskId),
@@ -95,7 +93,7 @@ impl fmt::Display for PartitionKey {
 }
 
 /// An exclusive group of consecutive cache sets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Partition {
     /// First set of the group.
     pub base_set: u32,
@@ -142,7 +140,7 @@ impl fmt::Display for Partition {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionMap {
     geometry: CacheGeometry,
     assignments: BTreeMap<PartitionKey, Partition>,

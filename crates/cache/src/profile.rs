@@ -10,8 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use compmem_trace::{Access, RegionTable};
 
 use crate::cache::SetAssocCache;
@@ -23,7 +21,7 @@ use crate::partition::PartitionKey;
 /// number of sets, restricted to powers of two, exactly as in §3.2 of the
 /// paper ("due to implementation reasons `z_k` can be limited to powers of
 /// two").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSizeLattice {
     /// Sets per allocation unit.
     pub sets_per_unit: u32,
@@ -94,7 +92,7 @@ impl CacheSizeLattice {
 
 /// The miss profile of one partition key: misses as a function of the number
 /// of exclusively allocated units.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MissProfile {
     /// L2 accesses of the entity during the profiling run.
     pub accesses: u64,
@@ -136,7 +134,7 @@ impl MissProfile {
 }
 
 /// Profiles of every partition key observed during a profiling run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MissProfiles {
     /// Per-key profiles.
     pub profiles: BTreeMap<PartitionKey, MissProfile>,

@@ -1,13 +1,11 @@
 //! Replacement policies for set-associative caches.
 
-use serde::{Deserialize, Serialize};
-
 /// Replacement policy selecting the victim way within a set.
 ///
 /// The CAKE L2 modelled by the paper is an LRU cache; the other policies are
 /// provided for sensitivity studies (the compositionality property does not
 /// depend on the policy, only on the exclusive set allocation).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ReplacementPolicy {
     /// Evict the least-recently-used way (default).
     #[default]

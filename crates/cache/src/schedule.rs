@@ -19,8 +19,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use compmem_trace::RegionTable;
 
 use crate::error::CacheError;
@@ -29,7 +27,7 @@ use crate::spec::OrganizationSpec;
 /// Line counts of one live reconfiguration: how many resident lines lost
 /// their set/way ownership and were invalidated, and how many of those
 /// were dirty and must be written back to DRAM.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlushStats {
     /// Lines invalidated because their set/way ownership changed.
     pub invalidated: u64,

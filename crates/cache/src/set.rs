@@ -1,7 +1,5 @@
 //! The ways of a set-associative cache, every set in flat arrays.
 
-use serde::{Deserialize, Serialize};
-
 use crate::replacement::ReplacementPolicy;
 
 /// Tag of an invalid way. Tags are line addresses (a byte address over the
@@ -26,7 +24,7 @@ pub(crate) struct SetOutcome {
 /// both where a line may be filled and which ways may be victimised; the
 /// conventional and set-partitioned organisations pass an all-ones mask.
 /// Masks address at most 64 ways.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct SetArray {
     ways: usize,
     /// The ways a mask can select: `ways` low bits.

@@ -1,12 +1,10 @@
 //! Miss and hit accounting, overall and attributed per task / region /
 //! partition.
 
-use serde::{Deserialize, Serialize};
-
 use compmem_trace::AccessKind;
 
 /// Aggregate counters of one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total accesses.
     pub accesses: u64,
@@ -103,7 +101,7 @@ impl CacheStats {
 }
 
 /// Per-key access/miss counters (key = task, region or partition).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KeyStats {
     /// Accesses attributed to the key.
     pub accesses: u64,
@@ -134,7 +132,7 @@ impl KeyStats {
 /// a tree: access streams are bursty — long runs share one task and one
 /// region — so the memo makes the common case a single comparison, and the
 /// handful of distinct keys keeps the insert path cheap.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StatsByKey<K: Ord> {
     /// `(key, counters)` sorted by key.
     entries: Vec<(K, KeyStats)>,

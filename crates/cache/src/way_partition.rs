@@ -11,8 +11,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use compmem_trace::{Access, RegionId, RegionTable, TaskId};
 
 use crate::cache::{AccessOutcome, SetAssocCache};
@@ -38,7 +36,7 @@ use crate::stats::{CacheStats, StatsByKey};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WayAllocation {
     geometry: CacheGeometry,
     masks: BTreeMap<PartitionKey, u64>,

@@ -11,15 +11,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use compmem_cache::PartitionKey;
 
 use crate::optimizer::Allocation;
 use crate::profile::MissProfiles;
 
 /// Expected and simulated misses of one entity.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompositionalityEntry {
     /// The entity.
     pub key: PartitionKey,
@@ -39,7 +37,7 @@ impl CompositionalityEntry {
 }
 
 /// The full expected-versus-simulated comparison.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompositionalityReport {
     /// Per-entity comparison.
     pub entries: Vec<CompositionalityEntry>,

@@ -52,8 +52,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
-
 use compmem_cache::{
     CacheConfig, CacheSnapshot, CurveResolution, FlushStats, KeyStats, MissRateCurves,
     OrganizationSpec, PartitionKey, PartitionSchedule, WayAllocation, WindowConfig, WindowedCurves,
@@ -76,7 +74,7 @@ use crate::optimizer::{
 use crate::profile::{require_lru, CacheSizeLattice, MissProfiles};
 
 /// Configuration shared by all experiment runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
     /// Platform (processors, L1s, latencies, task switching).
     pub platform: PlatformConfig,
@@ -283,7 +281,7 @@ impl fmt::Display for ScenarioSpec {
 }
 
 /// The result of one simulation run with per-entity L2 statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunOutcome {
     /// The platform report (cycles, CPI, cache statistics).
     pub report: SystemReport,
@@ -293,7 +291,6 @@ pub struct RunOutcome {
     pub l2_snapshot: CacheSnapshot,
     /// How a set-sharded replay split (requested workers, shards used,
     /// smallest set group). `None` for live runs and serial replays.
-    #[serde(default)]
     pub lane_decision: Option<LaneDecision>,
 }
 
@@ -334,7 +331,7 @@ impl RunOutcome {
 }
 
 /// Complete outcome of the paper's method on one application.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PaperFlowOutcome {
     /// Application name (`"jpeg_canny"` or `"mpeg2"`).
     pub app_name: String,
@@ -543,9 +540,9 @@ pub fn run_replay(platform: &PlatformConfig, spec: &ScenarioSpec) -> Result<RunO
 /// their byte size (the paper's predictability rule), every other entity
 /// may take any candidate size.
 ///
-/// This is the factory-free core of
-/// [`Experiment::build_allocation_problem`], usable with the embedded
-/// table of a recorded trace, and the problem
+/// Taking the table rather than the application means the problem can be
+/// built for a recorded trace (whose embedded table names the same
+/// entities) just as well as for a live application. This is the problem
 /// [`SolverContext::allocate`] solves.
 pub fn allocation_problem_for_table(
     table: &RegionTable,
@@ -1030,21 +1027,6 @@ impl<F: Fn() -> Application> Experiment<F> {
         ScenarioSpec::live(l2, OrganizationSpec::Shared)
     }
 
-    /// Spec of the set-partitioned run with the given allocation (packed
-    /// back to back from set 0).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::CapacityExceeded`] if the allocation does not
-    /// fit, or a cache error if the packed map is invalid.
-    pub fn partitioned_spec(&self, allocation: &Allocation) -> Result<ScenarioSpec, CoreError> {
-        let map = pack_allocation(&self.lattice(), self.config.l2.geometry(), allocation, None)?;
-        Ok(ScenarioSpec::live(
-            self.config.l2,
-            OrganizationSpec::SetPartitioned(map),
-        ))
-    }
-
     /// Spec of the way-partitioned (column caching) baseline, splitting the
     /// ways evenly over all entities of the application.
     ///
@@ -1220,7 +1202,7 @@ impl<F: Fn() -> Application> Experiment<F> {
     /// `threshold` is the [`curve_delta`](compmem_cache::curve_delta)
     /// above which consecutive windows belong to different phases (0.10
     /// is a reasonable default); `table` names the entities and pins the
-    /// FIFOs, exactly as in [`Experiment::build_allocation_problem`].
+    /// FIFOs, exactly as in [`allocation_problem_for_table`].
     /// Entities generating no traffic during a phase receive the
     /// optimizer's minimum allocation for that phase.
     ///
@@ -1278,21 +1260,6 @@ impl<F: Fn() -> Application> Experiment<F> {
             .solver(self.table(), &self.lattice())
             .profiles(&curves)?;
         Ok((outcome, profiles))
-    }
-
-    /// Builds the allocation problem for the entities of a region table:
-    /// FIFOs are pinned to their own size (the paper's predictability
-    /// rule), every other entity may take any candidate size.
-    ///
-    /// Taking the table rather than the application means the problem can
-    /// be built for a recorded trace (whose embedded table names the same
-    /// entities) just as well as for a live application.
-    pub fn build_allocation_problem(
-        &self,
-        table: &RegionTable,
-        profiles: MissProfiles,
-    ) -> AllocationProblem {
-        allocation_problem_for_table(table, &self.lattice(), self.config.l2.geometry(), profiles)
     }
 
     /// Runs the complete method of the paper on the application.
@@ -1613,7 +1580,12 @@ mod tests {
         // The whole-run baseline equals the non-windowed paper flow's
         // allocation.
         let (_, profiles) = experiment.run_profiled().unwrap();
-        let problem = experiment.build_allocation_problem(app.space.table(), profiles);
+        let problem = allocation_problem_for_table(
+            app.space.table(),
+            &experiment.lattice(),
+            experiment.config().l2.geometry(),
+            profiles,
+        );
         let reference = optimizer::solve(&problem, experiment.config().optimizer).unwrap();
         assert_eq!(plan.whole_run.units, reference.units);
         // Specialising per phase can never predict more misses than the
@@ -2034,6 +2006,5 @@ mod tests {
             &trace,
         );
         refused(validation.map(drop));
-        refused(experiment.partitioned_spec(&over).map(drop));
     }
 }

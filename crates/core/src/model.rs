@@ -11,13 +11,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use compmem_platform::TaskMapping;
 use compmem_trace::TaskId;
 
 /// Per-task inputs of the analytical model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TaskCost {
     /// Architectural instructions executed by the task for one application
     /// execution.
@@ -29,7 +27,7 @@ pub struct TaskCost {
 }
 
 /// Platform-cost parameters of the model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelParams {
     /// Average cycles per instruction when not stalled on the L2 (base CPI
     /// including L1 effects).
@@ -58,7 +56,7 @@ impl Default for ModelParams {
 
 /// The analytical model: execution time per task, completion time per
 /// processor, throughput and power proxy.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnalyticModel {
     /// Per-task costs.
     pub tasks: BTreeMap<TaskId, TaskCost>,

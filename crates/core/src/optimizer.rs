@@ -17,8 +17,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use compmem_cache::{CacheGeometry, CacheSizeLattice, MissRateCurves, PartitionKey, PartitionMap};
 use compmem_trace::RegionTable;
 
@@ -27,7 +25,7 @@ use crate::experiment::allocation_problem_for_table;
 use crate::profile::MissProfiles;
 
 /// Which solver produced an allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OptimizerKind {
     /// Exact dynamic program over the candidate-size lattice (equivalent to
     /// the paper's ILP).
@@ -50,7 +48,7 @@ impl std::fmt::Display for OptimizerKind {
 }
 
 /// One entity of the allocation problem.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllocationEntity {
     /// The partition key being sized.
     pub key: PartitionKey,
@@ -62,7 +60,7 @@ pub struct AllocationEntity {
 
 /// The allocation problem: entities, their candidate sizes and profiles, and
 /// the capacity of the cache in allocation units.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllocationProblem {
     /// Entities to size.
     pub entities: Vec<AllocationEntity>,
@@ -82,7 +80,7 @@ impl AllocationProblem {
 }
 
 /// A chosen per-entity partition sizing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
     /// Solver that produced the allocation.
     pub kind: OptimizerKind,
@@ -297,7 +295,7 @@ pub fn solve(problem: &AllocationProblem, kind: OptimizerKind) -> Result<Allocat
 /// whose floor holds behaves within a stated bound of its solo run no
 /// matter what its co-runners do, because its partition is exclusively
 /// its own. Floors compose with every solver via [`solve_with_floors`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QosFloor {
     /// The entity whose service is guaranteed.
     pub key: PartitionKey,
@@ -502,9 +500,9 @@ impl SolverContext<'_> {
 }
 
 /// The body of [`SolverContext::pack`], for the flows that pack an
-/// allocation without a region table at hand (a phase plan's schedule,
-/// an experiment's partitioned spec): the capacity check, units → sets,
-/// then a fresh or a stable pack.
+/// allocation without a region table at hand (a phase plan's schedule and
+/// its validation): the capacity check, units → sets, then a fresh or a
+/// stable pack.
 pub(crate) fn pack_allocation(
     lattice: &CacheSizeLattice,
     geometry: CacheGeometry,

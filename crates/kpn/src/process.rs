@@ -1,14 +1,12 @@
 //! The process trait and per-task memory layout.
 
-use serde::{Deserialize, Serialize};
-
 use compmem_trace::{Addr, AddressSpace, RegionId, RegionKind, TaskId};
 
 use crate::context::FireContext;
 use crate::error::KpnError;
 
 /// Result of one firing attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FireResult {
     /// The process performed one grain of work.
     Fired,
@@ -38,7 +36,7 @@ pub trait Process {
 
 /// The memory layout of one task: where its code lives (for the
 /// instruction-fetch model) and how large its steady-state loop body is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskLayout {
     /// The task this layout belongs to.
     pub task: TaskId,

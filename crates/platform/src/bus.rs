@@ -1,7 +1,5 @@
 //! The shared memory bus connecting the L1 caches to the L2 and DRAM.
 
-use serde::{Deserialize, Serialize};
-
 /// A single shared bus with first-come-first-served arbitration.
 ///
 /// Every L2 access (refill of an L1 line) and every DRAM transfer occupies
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// busy until `t_free` starts at `max(t, t_free)`. The resulting queueing
 /// delay is how co-running tasks disturb each other's *timing* even when the
 /// partitioned L2 keeps their *miss counts* independent.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Bus {
     bytes_per_cycle: u32,
     busy_until: u64,

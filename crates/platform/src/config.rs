@@ -1,7 +1,5 @@
 //! Platform configuration.
 
-use serde::{Deserialize, Serialize};
-
 use compmem_cache::CacheConfig;
 use compmem_trace::{Addr, RegionId, TaskId};
 
@@ -13,7 +11,7 @@ use crate::error::PlatformError;
 /// own exclusive cache partitions (the `rt data` / `rt bss` rows of Tables 1
 /// and 2); modelling the switch-time traffic makes those partitions earn
 /// their keep in the reproduction as well.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OsRegions {
     /// Task identifier the run-time system's accesses are attributed to.
     pub os_task: TaskId,
@@ -35,7 +33,7 @@ pub struct OsRegions {
 /// four processors, 16 KB 4-way private L1 I/D caches, a 12-cycle shared L2
 /// and 90-cycle DRAM behind an 8-byte-per-cycle arbitrated bus, and a
 /// 200-cycle task-switch penalty.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformConfig {
     /// Number of processors on the tile.
     pub num_processors: usize,

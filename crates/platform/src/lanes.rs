@@ -49,7 +49,6 @@ use compmem_cache::{
     CacheConfig, CacheError, KeyStats, OrganizationSpec, PartitionSchedule, ScheduleStep,
 };
 use compmem_trace::Access;
-use serde::{Deserialize, Serialize};
 
 use crate::config::PlatformConfig;
 use crate::error::PlatformError;
@@ -166,7 +165,7 @@ pub(crate) fn run_shards<T: Send>(shards: usize, run: impl Fn(SetShard) -> T + S
 /// How a lane replay split: what was asked for and what ran. The CLI
 /// prints it as `lane split: K set shards on up to N workers (smallest
 /// set group S sets)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneDecision {
     /// Worker cap the caller asked for.
     pub requested: usize,

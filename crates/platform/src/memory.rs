@@ -17,8 +17,6 @@
 //! * every repartition, installed or decided online, goes through
 //!   [`repartition`](MemorySystem::repartition).
 
-use serde::{Deserialize, Serialize};
-
 use compmem_cache::{
     CacheConfig, CacheError, CacheModel, CacheStats, OrganizationSpec, SetAssocCache,
 };
@@ -30,7 +28,7 @@ use crate::metrics::RepartitionRecord;
 
 /// Timing summary of one burst of accesses through the hierarchy (see
 /// [`MemorySystem::access_burst`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BurstStats {
     /// Cycles the issuing processor advanced over the whole burst: one
     /// cycle per data access plus every stall cycle (instruction fetches
@@ -52,7 +50,7 @@ pub struct BurstStats {
 /// L1s once and replaying only these refills is what makes organisation
 /// sweeps fast: the L2, bus and DRAM see exactly the traffic — at exactly
 /// the issue times — they would see replaying the full run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L1Refill {
     /// The access that missed in the L1.
     pub access: Access,

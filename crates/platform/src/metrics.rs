@@ -3,8 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use compmem_cache::{CacheStats, FlushStats, KeyStats};
 use compmem_trace::{RegionId, TaskId};
 
@@ -12,7 +10,7 @@ use compmem_trace::{RegionId, TaskId};
 /// [`PartitionSchedule`](compmem_cache::PartitionSchedule) run: when it
 /// applied, what it flushed, and the L2 counters at the boundary (so
 /// per-segment miss counts fall out as differences).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepartitionRecord {
     /// The schedule step that fired (1-based: step 0 is the organisation
     /// the run started under).
@@ -28,7 +26,7 @@ pub struct RepartitionRecord {
 }
 
 /// Execution summary of one processor.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProcessorReport {
     /// Total simulated cycles on this processor (its local clock at the end).
     pub cycles: u64,
@@ -70,7 +68,7 @@ impl ProcessorReport {
 }
 
 /// Full result of one simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SystemReport {
     /// Per-processor execution summaries.
     pub processors: Vec<ProcessorReport>,

@@ -1,11 +1,9 @@
 //! The workload interface: operations, bursts and the driver trait.
 
-use serde::{Deserialize, Serialize};
-
 use compmem_trace::{Access, TaskId};
 
 /// One operation executed by a processor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// `n` back-to-back compute instructions with no memory reference
     /// (one cycle each).
@@ -29,7 +27,7 @@ impl Op {
 
 /// A sequence of operations a task executes without any possibility of
 /// blocking — in the Kahn-process-network runtime, one firing of a process.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Burst {
     ops: Vec<Op>,
 }

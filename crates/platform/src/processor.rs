@@ -1,9 +1,7 @@
 //! Processor identifiers and per-processor execution counters.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a processor on the tile (dense index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessorId(usize);
 
 impl ProcessorId {
@@ -25,7 +23,7 @@ impl std::fmt::Display for ProcessorId {
 }
 
 /// Execution counters of one processor, accumulated by the simulation loop.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ProcessorCounters {
     /// Local clock (cycles simulated so far).
     pub time: u64,

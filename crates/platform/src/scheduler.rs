@@ -2,8 +2,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use compmem_trace::TaskId;
 
 use crate::error::PlatformError;
@@ -24,7 +22,7 @@ use crate::error::PlatformError;
 /// assert_eq!(mapping.processors_used(), 4);
 /// assert_eq!(mapping.tasks_of(0).len(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TaskMapping {
     assignments: Vec<Vec<TaskId>>,
 }

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::Addr;
 use crate::region::{RegionId, TaskId};
 
 /// The kind of a memory reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Instruction fetch (read of the task's code region).
     InstrFetch,
@@ -53,7 +51,7 @@ impl fmt::Display for AccessKind {
 /// communication buffer exactly as the paper's Figure 2 does, and so the
 /// partitioned L2 can find the partition to index without a separate lookup
 /// on the critical path of the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Access {
     /// Byte address referenced.
     pub addr: Addr,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Cache-line size used throughout the platform, in bytes.
 ///
 /// The CAKE instance modelled in the paper uses 64-byte lines in both cache
@@ -24,7 +22,7 @@ pub const LINE_SIZE_BYTES: u64 = 64;
 /// assert_eq!(a.offset(64).value(), 0x1040);
 /// assert_eq!(a.line().value(), 0x40);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Addr(u64);
 
 impl Addr {
@@ -97,7 +95,7 @@ impl From<Addr> for u64 {
 /// assert_eq!(Addr::new(130).line(), LineAddr::new(2));
 /// assert_eq!(LineAddr::new(2).first_byte(), Addr::new(128));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LineAddr(u64);
 
 impl LineAddr {

@@ -7,8 +7,6 @@
 //! read or write emits an [`Access`] with the correct byte address, task and
 //! region attribution.
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::Access;
 use crate::addr::Addr;
 use crate::error::TraceError;
@@ -33,7 +31,7 @@ use crate::sink::AccessSink;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AddressSpace {
     table: RegionTable,
 }
@@ -120,7 +118,7 @@ impl AddressSpace {
 /// workload touches. Storage is `i32` regardless of the element size; the
 /// element size only determines how addresses advance, which is what the
 /// caches care about.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScalarArray {
     region: RegionId,
     name: String,

@@ -10,8 +10,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{Addr, LINE_SIZE_BYTES};
 use crate::error::TraceError;
 
@@ -19,7 +17,7 @@ use crate::error::TraceError;
 ///
 /// Tasks are the nodes of the YAPI process network; the identifier is dense
 /// (0..n) and assigned by the application builder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(u32);
 
 impl TaskId {
@@ -41,7 +39,7 @@ impl fmt::Display for TaskId {
 }
 
 /// Identifier of an inter-task communication buffer (FIFO or frame buffer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BufferId(u32);
 
 impl BufferId {
@@ -63,7 +61,7 @@ impl fmt::Display for BufferId {
 }
 
 /// Identifier of a memory region, dense over the whole address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegionId(u32);
 
 impl RegionId {
@@ -91,7 +89,7 @@ impl fmt::Display for RegionId {
 /// communication buffer gets its own partition, and the shared static
 /// sections get small dedicated partitions so that they cannot evict any
 /// task's data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegionKind {
     /// Instructions of a task.
     TaskCode {
@@ -198,7 +196,7 @@ impl fmt::Display for RegionKind {
 }
 
 /// A named, contiguous, line-aligned address interval owned by one entity.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Region {
     /// Dense identifier of the region.
     pub id: RegionId,
@@ -261,7 +259,7 @@ impl fmt::Display for Region {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegionTable {
     regions: Vec<Region>,
     /// Interval index: base address -> region index, for binary search.

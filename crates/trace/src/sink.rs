@@ -1,7 +1,5 @@
 //! Destinations for generated memory accesses.
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::Access;
 
 /// A destination for memory accesses produced by instrumented workloads.
@@ -33,7 +31,7 @@ pub trait AccessSink {
 /// buf.record(Access::load(Addr::new(64), 4, TaskId::new(0), RegionId::new(0)));
 /// assert_eq!(buf.len(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceBuffer {
     accesses: Vec<Access>,
 }

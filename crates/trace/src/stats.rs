@@ -8,8 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::Access;
 use crate::addr::LineAddr;
 
@@ -21,7 +19,7 @@ use crate::addr::LineAddr;
 /// number of misses equals the cold references plus all references with
 /// distance `>= c` — the classic stack-distance identity used as an oracle in
 /// the cache-model tests.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReuseDistanceHistogram {
     /// `histogram[d]` = number of references with stack distance `d`.
     pub histogram: BTreeMap<u64, u64>,

@@ -23,7 +23,9 @@
 //!   whose stream carries the OS task-switch traffic, encodes to the
 //!   committed sidecar digest on both tiny applications.
 
-use compmem::experiment::{Experiment, ExperimentConfig, ScenarioSpec};
+use compmem::experiment::{
+    allocation_problem_for_table, Experiment, ExperimentConfig, ScenarioSpec,
+};
 use compmem::optimizer::{solve_exact, solve_exhaustive, solve_greedy};
 use compmem_cache::{
     per_size_profiles, CacheConfig, CacheSizeLattice, CurveResolution, MissProfiles,
@@ -245,9 +247,12 @@ fn assert_optimizer_agreement(experiment: &Experiment<impl Fn() -> Application>,
     };
     let (_, curve_profiles) = experiment.run_profiled().expect("curve run succeeds");
     let simulated = simulated_shared_profiles(experiment);
-    let curve_problem =
-        experiment.build_allocation_problem(table_app.space.table(), curve_profiles);
-    let simulated_problem = experiment.build_allocation_problem(table_app.space.table(), simulated);
+    let geometry = experiment.config().l2.geometry();
+    let problem = |profiles| {
+        allocation_problem_for_table(table_app.space.table(), &tiny_lattice(), geometry, profiles)
+    };
+    let curve_problem = problem(curve_profiles);
+    let simulated_problem = problem(simulated);
 
     // The polynomial solvers run on the full problem; the brute-force
     // reference is exponential in the entity count, so it gets a trimmed
